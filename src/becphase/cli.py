@@ -20,11 +20,14 @@ from .model import ModelParams, quasicycle_period
 from .dynamics import (
     JointState,
     bell_initial,
+    check_coefficients,
     general_initial,
     macro_both_initial,
     macro_single_initial,
 )
 from .density import (
+    BLOCK_INDEX,
+    DEGENERACY_TOL,
     EigenPath,
     Scenario,
     analytic_rho_path,
@@ -34,8 +37,10 @@ from .density import (
     partial_trace,
 )
 from .geomphase import (
+    PHASE_TOL,
     ConvergenceError,
     PhaseResult,
+    at_special_point,
     converge_phase,
     kinematic_phase,
     phase_macro_closed,
@@ -55,15 +60,12 @@ from .entanglement import (
 
 DEFAULT_N_STEPS = 2048
 DEFAULT_TAIL_TOL = 1e-12
-DEFAULT_PHASE_TOL = 1e-7
-DEFAULT_DEGENERACY_TOL = 1e-9
 
 PARAM_KEYS = ("omega", "j_vdw", "omega_b", "chi", "lambda_c", "alpha")
 TOP_KEYS = set(PARAM_KEYS) | {"scenario", "eta0", "coefficients", "grid", "sweep", "output", "phase"}
 GRID_KEYS = {"n_steps", "tail_tol", "phase_tol", "degeneracy_tol"}
 SWEEP_KEYS = {"variable", "start", "stop", "count"}
 OUTPUT_KEYS = {"path", "format"}
-SCENARIOS = ("micro_micro", "macro_both", "macro_single", "general")
 SWEEP_VARIABLES = ("concurrence", "alpha", "lambda_c", "eta0")
 MANDATORY = {
     "micro_micro": ("omega", "lambda_c", "alpha", "eta0"),
@@ -71,6 +73,7 @@ MANDATORY = {
     "macro_single": ("omega", "lambda_c", "alpha", "eta0"),
     "general": ("omega", "lambda_c", "alpha", "coefficients"),
 }
+SCENARIOS = tuple(MANDATORY)
 
 
 @dataclass(frozen=True)
@@ -85,23 +88,41 @@ class SweepSpec:
 class RunConfig:
     scenario: str
     params: ModelParams
-    eta0: float | None
-    coefficients: np.ndarray | None
-    n_steps: int
-    tail_tol: float
-    phase_tol: float
-    degeneracy_tol: float
-    sweep: SweepSpec | None
-    output_path: str | None
-    output_format: str
-    phase: float | None
+    eta0: float | None = None
+    coefficients: np.ndarray | None = None
+    n_steps: int = DEFAULT_N_STEPS
+    tail_tol: float = DEFAULT_TAIL_TOL
+    phase_tol: float = PHASE_TOL
+    degeneracy_tol: float = DEGENERACY_TOL
+    sweep: SweepSpec | None = None
+    output_path: str | None = None
+    output_format: str = "csv"
+    phase: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.n_steps < 2 or self.n_steps % 2:
+            raise ValueError(f"n_steps must be an even integer >= 2, got {self.n_steps}")
+
+
+def _real(value, key: str) -> float:
+    """A finite JSON number as a float; null, bools, strings, lists and ints
+    beyond the float range are refused."""
+    if type(value) is int and abs(value) < 1e308 or type(value) is float and math.isfinite(value):
+        return float(value)
+    raise ValueError(f"{key} must be a finite number, got {value!r}")
+
+
+def _integer(value, key: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def _as_complex(value, key: str) -> complex:
     if isinstance(value, (int, float)):
-        return complex(value)
+        return complex(_real(value, key))
     if isinstance(value, list) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(_real(value[0], key), _real(value[1], key))
     raise ValueError(f"{key} must be a number or a [re, im] pair, got {value!r}")
 
 
@@ -132,11 +153,7 @@ def parse_config(text: str) -> RunConfig:
         )
 
     params = ModelParams(
-        omega=float(doc["omega"]),
-        j_vdw=float(doc.get("j_vdw", 0.0)),
-        omega_b=float(doc.get("omega_b", 0.0)),
-        chi=float(doc.get("chi", 0.0)),
-        lambda_c=float(doc.get("lambda_c", 0.0)),
+        **{k: _real(doc.get(k, 0.0), k) for k in PARAM_KEYS if k != "alpha"},
         alpha=_as_complex(doc.get("alpha", 1.0), "alpha"),
     )
 
@@ -145,25 +162,16 @@ def parse_config(text: str) -> RunConfig:
         raw = doc["coefficients"]
         if not isinstance(raw, list) or len(raw) != 4:
             raise ValueError("coefficients must be a list of four entries")
-        coefficients = np.array(
-            [_as_complex(v, "coefficients") for v in raw], dtype=complex
-        )
-        norm2 = float(np.sum(np.abs(coefficients) ** 2))
-        if abs(norm2 - 1.0) > 1e-10:
-            raise ValueError(
-                f"coefficients must satisfy sum |c_i|^2 = 1; computed norm^2 = {norm2!r}"
-            )
+        coefficients = check_coefficients([_as_complex(v, "coefficients") for v in raw])
 
     grid = doc.get("grid", {})
     if not isinstance(grid, dict):
         raise ValueError("grid must be an object")
     _check_keys(grid, GRID_KEYS, "grid")
-    n_steps = int(grid.get("n_steps", DEFAULT_N_STEPS))
-    if n_steps < 2 or n_steps % 2:
-        raise ValueError(f"n_steps must be an even integer >= 2, got {n_steps}")
-    tail_tol = float(grid.get("tail_tol", DEFAULT_TAIL_TOL))
-    phase_tol = float(grid.get("phase_tol", DEFAULT_PHASE_TOL))
-    degeneracy_tol = float(grid.get("degeneracy_tol", DEFAULT_DEGENERACY_TOL))
+    n_steps = _integer(grid.get("n_steps", DEFAULT_N_STEPS), "grid.n_steps")
+    tail_tol = _real(grid.get("tail_tol", DEFAULT_TAIL_TOL), "grid.tail_tol")
+    phase_tol = _real(grid.get("phase_tol", PHASE_TOL), "grid.phase_tol")
+    degeneracy_tol = _real(grid.get("degeneracy_tol", DEGENERACY_TOL), "grid.degeneracy_tol")
     if not 0 < tail_tol < 1:
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
 
@@ -173,18 +181,19 @@ def parse_config(text: str) -> RunConfig:
         if not isinstance(sdoc, dict):
             raise ValueError("sweep must be an object")
         _check_keys(sdoc, SWEEP_KEYS, "sweep")
-        missing_sweep = sorted(SWEEP_KEYS - set(sdoc))
-        if missing_sweep:
+        if SWEEP_KEYS - set(sdoc):
             raise ValueError(f"sweep requires keys: {', '.join(sorted(SWEEP_KEYS))}")
         variable = sdoc["variable"]
         if variable not in SWEEP_VARIABLES:
             raise ValueError(
                 f"sweep variable must be one of {SWEEP_VARIABLES}, got {variable!r}"
             )
-        count = int(sdoc["count"])
+        count = _integer(sdoc["count"], "sweep.count")
         if count < 2:
             raise ValueError("sweep count must be at least 2")
-        sweep = SweepSpec(variable, float(sdoc["start"]), float(sdoc["stop"]), count)
+        sweep = SweepSpec(
+            variable, _real(sdoc["start"], "sweep.start"), _real(sdoc["stop"], "sweep.stop"), count
+        )
 
     output_path, output_format = None, "csv"
     if "output" in doc:
@@ -193,12 +202,14 @@ def parse_config(text: str) -> RunConfig:
             raise ValueError("output must be an object")
         _check_keys(odoc, OUTPUT_KEYS, "output")
         output_path = odoc.get("path")
+        if not isinstance(output_path, (str, type(None))):
+            raise ValueError(f"output.path must be a string, got {output_path!r}")
         output_format = odoc.get("format", "csv")
         if output_format not in ("csv", "tsv"):
             raise ValueError(f"format must be csv or tsv, got {output_format!r}")
 
-    eta0 = float(doc["eta0"]) if "eta0" in doc else None
-    phase = float(doc["phase"]) if "phase" in doc else None
+    eta0 = _real(doc["eta0"], "eta0") if "eta0" in doc else None
+    phase = _real(doc["phase"], "phase") if "phase" in doc else None
     return RunConfig(
         scenario=scenario,
         params=params,
@@ -282,22 +293,6 @@ def emit(table: Table, fmt: str = "csv", path: str | None = None) -> str:
     return text
 
 
-def _scenario_enum(cfg: RunConfig) -> Scenario | None:
-    try:
-        return Scenario(cfg.scenario)
-    except ValueError:
-        return None
-
-
-def _at_special_point(cfg: RunConfig) -> bool:
-    tau = quasicycle_period(cfg.params)
-    return (
-        cfg.eta0 is not None
-        and abs(cfg.eta0 - math.pi / 4) < 1e-9
-        and abs(cfg.params.lambda_c * tau - math.pi / 4) < 1e-9
-    )
-
-
 def run_evolve(cfg: RunConfig) -> Table:
     tau = quasicycle_period(cfg.params)
     times = np.linspace(0.0, tau, cfg.n_steps + 1)
@@ -307,17 +302,14 @@ def run_evolve(cfg: RunConfig) -> Table:
     running = phase_trace(path)
     warnings = "; ".join(path.flags)
 
-    scenario = _scenario_enum(cfg)
-    if scenario is not None:
-        dp = decay_phase(scenario, cfg.params, "corrected")
-        lam = dp.lambda_fn(times)
-        gam = dp.gamma_fn(times)
-        i0, i1 = {"micro_micro": (0, 1), "macro_both": (0, 1), "macro_single": (0, 2)}[
-            cfg.scenario
-        ]
-    else:
-        lam = gam = None
+    if cfg.scenario == "general":
+        lam = gam = [""] * times.size
         i0, i1 = 0, 1
+    else:
+        scenario = Scenario(cfg.scenario)
+        dp = decay_phase(scenario, cfg.params, "corrected")
+        lam, gam = dp.lambda_fn(times), dp.gamma_fn(times)
+        i0, i1 = BLOCK_INDEX[scenario]
 
     eps = np.zeros((times.size, 2))
     eps[:, : min(2, path.n_branches)] = path.values[:, :2]
@@ -337,22 +329,11 @@ def run_evolve(cfg: RunConfig) -> Table:
         "purity[1]",
         "warnings",
     ]
-    rows = []
-    for m in range(times.size):
-        rows.append(
-            [
-                times[m],
-                lam[m] if lam is not None else "",
-                gam[m] if gam is not None else "",
-                eps[m, 0],
-                eps[m, 1],
-                offdiag[m],
-                running[m],
-                conc[m],
-                purity[m],
-                warnings,
-            ]
-        )
+    rows = [
+        [times[m], lam[m], gam[m], eps[m, 0], eps[m, 1], offdiag[m], running[m], conc[m],
+         purity[m], warnings]
+        for m in range(times.size)
+    ]
     return Table(columns, rows)
 
 
@@ -364,7 +345,7 @@ def run_phase(cfg: RunConfig) -> Table:
         conc0 = abs(math.sin(2 * cfg.eta0))
         weak_law = weak_coupling_phase(conc0, cfg.params)
         weak_limit = weak_coupling_phase_limit(conc0)
-    elif cfg.scenario in ("macro_both", "macro_single") and _at_special_point(cfg):
+    elif cfg.scenario in ("macro_both", "macro_single") and at_special_point(cfg.eta0, cfg.params):
         special = phase_macro_closed(
             Scenario(cfg.scenario), cfg.eta0, cfg.params, phase_tol=cfg.phase_tol
         ).closed_form
@@ -413,14 +394,8 @@ def run_witness(cfg: RunConfig) -> Table:
     return Table(columns, [[cfg.phase, res.consistent, res.verbatim, cfg.scenario]])
 
 
-def _sweep_values(spec: SweepSpec) -> np.ndarray:
-    return np.linspace(spec.start, spec.stop, spec.count)
-
-
 def _micro_sweep_point(cfg: RunConfig, value: float) -> list:
     if cfg.sweep.variable == "concurrence":
-        if not 0.0 <= value < 1.0:
-            raise ValueError("concurrence sweep values must lie in [0, 1)")
         eta0 = 0.5 * math.asin(value)
         point = replace(cfg, eta0=eta0)
         conc = value
@@ -449,8 +424,6 @@ def _micro_sweep_point(cfg: RunConfig, value: float) -> list:
 def _macro_sweep_point(cfg: RunConfig, value: float) -> list:
     scenario = Scenario(cfg.scenario)
     if cfg.sweep.variable == "concurrence":
-        if not 0.0 <= value < 1.0:
-            raise ValueError("concurrence sweep values must lie in [0, 1)")
         # Special-point mapping: eta0 = pi/4, lambda tau = pi/4, alpha set by C.
         alpha = math.sqrt(-0.5 * math.log(1.0 - value**2)) if value > 0 else 0.0
         params = replace(cfg.params, lambda_c=cfg.params.omega / 8.0, alpha=complex(alpha))
@@ -495,7 +468,7 @@ def _override_variable(cfg: RunConfig, value: float) -> RunConfig:
 def run_sweep(cfg: RunConfig, workers: int = 1) -> Table:
     if cfg.sweep is None:
         raise ValueError("sweep verb requires a 'sweep' block in the configuration")
-    values = _sweep_values(cfg.sweep)
+    values = np.linspace(cfg.sweep.start, cfg.sweep.stop, cfg.sweep.count)
     if cfg.scenario == "micro_micro":
         point_fn = _micro_sweep_point
         columns = [
@@ -522,6 +495,8 @@ def run_sweep(cfg: RunConfig, workers: int = 1) -> Table:
         ]
     else:
         raise ValueError("sweeps are defined for the three named scenarios")
+    if cfg.sweep.variable == "concurrence" and not (0.0 <= values.min() and values.max() < 1.0):
+        raise ValueError("concurrence sweep values must lie in [0, 1)")
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(lambda v: point_fn(cfg, float(v)), values))
@@ -555,12 +530,7 @@ ORACLE_MATCH_TOL = 1e-9
 def _oracle_vs_analytic(
     scenario: Scenario, eta0: float, p: ModelParams, variant: str, n_points: int, tail_tol: float
 ) -> float:
-    builders = {
-        Scenario.MICRO_MICRO: bell_initial,
-        Scenario.MACRO_BOTH: macro_both_initial,
-        Scenario.MACRO_SINGLE: macro_single_initial,
-    }
-    state0 = builders[scenario](eta0, p, tail_tol)
+    state0 = initial_state(RunConfig(scenario.value, p, eta0=eta0, tail_tol=tail_tol))
     tau = quasicycle_period(p)
     times = np.linspace(0.0, tau, n_points)
     numeric = oracle_rho_path(state0, times, p)
@@ -615,20 +585,7 @@ def validation_report(
 
     weak = ModelParams(omega=1.0, lambda_c=1e-4 / (2 * math.pi), alpha=1.0)
     conc = 0.5
-    cfg = RunConfig(
-        scenario="micro_micro",
-        params=weak,
-        eta0=0.5 * math.asin(conc),
-        coefficients=None,
-        n_steps=DEFAULT_N_STEPS,
-        tail_tol=tail_tol,
-        phase_tol=DEFAULT_PHASE_TOL,
-        degeneracy_tol=DEFAULT_DEGENERACY_TOL,
-        sweep=None,
-        output_path=None,
-        output_format="csv",
-        phase=None,
-    )
+    cfg = RunConfig("micro_micro", weak, eta0=0.5 * math.asin(conc), tail_tol=tail_tol)
     kin = compute_phase(cfg)
     lines.append(
         f"weak-coupling phase at C={conc}: kinematic = {kin.unwrapped:.9f}, "
@@ -686,21 +643,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.verb == "validate":
-            p = None
-            if args.config:
-                cfg = parse_config(Path(args.config).read_text())
-                p = cfg.params
+            p = parse_config(Path(args.config).read_text()).params if args.config else None
             sys.stdout.write(validation_report(p))
             return 0
         cfg = parse_config(Path(args.config).read_text())
-        if args.steps is not None:
-            if args.steps < 2 or args.steps % 2:
-                raise ValueError("--steps must be an even integer >= 2")
-            cfg = replace(cfg, n_steps=args.steps)
-        if args.output is not None:
-            cfg = replace(cfg, output_path=args.output)
-        if args.format is not None:
-            cfg = replace(cfg, output_format=args.format)
+        flags = {"n_steps": args.steps, "output_path": args.output, "output_format": args.format}
+        cfg = replace(cfg, **{k: v for k, v in flags.items() if v is not None})
         table = run_scenario(cfg, args.verb, workers=max(1, args.workers))
         text = emit(table, cfg.output_format, cfg.output_path)
         if cfg.output_path is None:

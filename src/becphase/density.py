@@ -47,6 +47,16 @@ class DecayPhase:
     lambda_dot_fn: Callable[[np.ndarray], np.ndarray]
 
 
+def detuning_factor(variant: str) -> float:
+    """k of the single-qubit hybrid detuning omega - k J: 2 in the
+    spectrum-derived ("corrected") form, 4 in the published ("verbatim") one."""
+    if variant == "corrected":
+        return 2.0
+    if variant == "verbatim":
+        return 4.0
+    raise ValueError(f"unknown variant {variant!r}")
+
+
 def decay_phase(scenario: Scenario, p: ModelParams, variant: str = "corrected") -> DecayPhase:
     """Closed-form phase/decay pair of the off-diagonal element for a scenario.
 
@@ -56,10 +66,9 @@ def decay_phase(scenario: Scenario, p: ModelParams, variant: str = "corrected") 
     form (detuning omega - 4J, doubled-frequency factors) for comparison.
     For the other scenarios both variant names return the same functions.
     """
-    if variant not in ("corrected", "verbatim"):
-        raise ValueError(f"unknown variant {variant!r}")
+    detuning = p.omega - detuning_factor(variant) * p.j_vdw
     a2 = abs(p.alpha) ** 2
-    w, J, lam = p.omega, p.j_vdw, p.lambda_c
+    w, lam = p.omega, p.lambda_c
     if scenario == Scenario.MICRO_MICRO:
         return DecayPhase(
             scenario,
@@ -81,16 +90,16 @@ def decay_phase(scenario: Scenario, p: ModelParams, variant: str = "corrected") 
             return DecayPhase(
                 scenario,
                 variant,
-                lambda t: (w - 2 * J) * t - a2 * np.sin(lam * t),
+                lambda t: detuning * t - a2 * np.sin(lam * t),
                 lambda t: 2 * a2 * np.cos(lam * t / 2) ** 2,
-                lambda t: (w - 2 * J) - lam * a2 * np.cos(lam * t),
+                lambda t: detuning - lam * a2 * np.cos(lam * t),
             )
         return DecayPhase(
             scenario,
             variant,
-            lambda t: (w - 4 * J) * t - a2 * np.sin(2 * lam * t),
+            lambda t: detuning * t - a2 * np.sin(2 * lam * t),
             lambda t: 2 * a2 * np.cos(lam * t) ** 2,
-            lambda t: (w - 4 * J) - 2 * lam * a2 * np.cos(2 * lam * t),
+            lambda t: detuning - 2 * lam * a2 * np.cos(2 * lam * t),
         )
     raise ValueError(f"unknown scenario {scenario!r}")
 
@@ -223,14 +232,6 @@ class EigenPath:
     @property
     def n_branches(self) -> int:
         return self.values.shape[1]
-
-    def subsample(self, stride: int) -> "EigenPath":
-        return EigenPath(
-            self.times[::stride],
-            self.values[::stride],
-            self.vectors[::stride],
-            self.flags,
-        )
 
 
 _PERMS = np.array(list(itertools.permutations(range(4))))

@@ -170,16 +170,22 @@ def macro_single_initial(eta0: float, p: ModelParams, tail_tol: float = 1e-12) -
     return JointState(coeffs, branches)
 
 
-def general_initial(coeffs, p: ModelParams, tail_tol: float = 1e-12) -> JointState:
-    """Arbitrary normalized four-branch superposition with a shared coherent mode."""
+def check_coefficients(coeffs) -> np.ndarray:
+    """Four branch coefficients as a complex array, refused unless normalized."""
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != (N_BRANCHES,):
         raise ValueError("general state needs exactly four coefficients")
     norm2 = float(np.sum(np.abs(coeffs) ** 2))
     if abs(norm2 - 1.0) > JOINT_NORM_TOL:
         raise ValueError(
-            f"coefficients violate sum |c_i|^2 = 1: got {norm2!r}"
+            f"coefficients must satisfy sum |c_i|^2 = 1; computed norm^2 = {norm2!r}"
         )
+    return coeffs
+
+
+def general_initial(coeffs, p: ModelParams, tail_tol: float = 1e-12) -> JointState:
+    """Arbitrary normalized four-branch superposition with a shared coherent mode."""
+    coeffs = check_coefficients(coeffs)
     n_max = truncation_dim(p.alpha, tail_tol)
     coh = coherent(p.alpha, n_max)
     return JointState(coeffs, (coh, coh, coh, coh))

@@ -9,7 +9,7 @@ import numpy as np
 
 from .model import BRANCH_LABELS, ModelParams
 from .dynamics import JointState, validate_joint
-from .density import QubitDensity, Scenario, partial_trace, validate_density
+from .density import QubitDensity, Scenario, detuning_factor, partial_trace, validate_density
 
 # Module basis order (|00>,|11>,|01>,|10>) maps onto the computational
 # product order (|00>,|01>,|10>,|11>) through this index list.
@@ -204,12 +204,7 @@ def witness_micro_macro(
         val = math.sqrt(max(0.0, 1.0 - math.exp(min(arg, 0.0))))
         return WitnessResult(val, val, scenario)
     if scenario == Scenario.MACRO_SINGLE:
-        if variant == "verbatim":
-            k = 4.0
-        elif variant == "corrected":
-            k = 2.0
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
+        k = detuning_factor(variant)
         arg_consistent = 4.0 * phase + 4.0 * math.pi - 4.0 * math.pi * k * p.j_vdw / p.omega
         if arg_consistent > 1e-12:
             raise ValueError("phase out of range: concurrence would be imaginary")
@@ -230,6 +225,5 @@ def macro_phase_relation(
     if scenario == Scenario.MACRO_BOTH:
         return -(16.0 + p.omega) / 64.0 * log_term
     if scenario == Scenario.MACRO_SINGLE:
-        k = 4.0 if variant == "verbatim" else 2.0
-        return -math.pi * (1.0 - k * p.j_vdw / p.omega) + 0.25 * log_term
+        return -math.pi * (1.0 - detuning_factor(variant) * p.j_vdw / p.omega) + 0.25 * log_term
     raise ValueError("phase relations exist for the hybrid scenarios only")

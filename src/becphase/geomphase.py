@@ -28,7 +28,16 @@ from typing import Callable
 import numpy as np
 
 from .model import ModelParams, quasicycle_period
-from .density import DecayPhase, EigenPath, Scenario, analytic_rho_path, decay_phase, eigen_path
+from .density import (
+    DEGENERACY_TOL,
+    DecayPhase,
+    EigenPath,
+    Scenario,
+    analytic_rho_path,
+    decay_phase,
+    detuning_factor,
+    eigen_path,
+)
 
 PHASE_TOL = 1e-7
 COARSE_LINK_WARNING = 0.9
@@ -155,7 +164,7 @@ def analytic_path_builder(
     eta0: float,
     p: ModelParams,
     variant: str = "corrected",
-    degeneracy_tol: float = 1e-9,
+    degeneracy_tol: float = DEGENERACY_TOL,
 ) -> Callable[[int], EigenPath]:
     """Path factory over one quasicycle from the closed-form density matrices."""
     tau = quasicycle_period(p)
@@ -275,14 +284,12 @@ def factorization_functions(path: EigenPath) -> FactorizationResult:
 SPECIAL_POINT_TOL = 1e-9
 
 
-def _require_special_point(eta0: float, p: ModelParams) -> None:
-    tau = quasicycle_period(p)
-    if abs(eta0 - math.pi / 4) > SPECIAL_POINT_TOL:
-        raise ValueError(f"special point requires eta0 = pi/4, got {eta0}")
-    if abs(p.lambda_c * tau - math.pi / 4) > SPECIAL_POINT_TOL:
-        raise ValueError(
-            f"special point requires lambda * tau = pi/4, got {p.lambda_c * tau}"
-        )
+def at_special_point(eta0: float, p: ModelParams) -> bool:
+    """Whether eta0 = pi/4 and lambda * tau = pi/4, where the hybrid closed forms hold."""
+    return (
+        abs(eta0 - math.pi / 4) < SPECIAL_POINT_TOL
+        and abs(p.lambda_c * quasicycle_period(p) - math.pi / 4) < SPECIAL_POINT_TOL
+    )
 
 
 @dataclass(frozen=True)
@@ -309,17 +316,16 @@ def phase_macro_closed(
     ("corrected", omega - 2J); the kinematic value always follows the density
     path that matches the numerical evolution.
     """
-    _require_special_point(eta0, p)
+    if not at_special_point(eta0, p):
+        raise ValueError(
+            f"special point requires eta0 = pi/4 and lambda * tau = pi/4, "
+            f"got {eta0} and {p.lambda_c * quasicycle_period(p)}"
+        )
     a2 = abs(p.alpha) ** 2
     if scenario == Scenario.MACRO_BOTH:
         closed = 2.0 * math.pi * (0.25 + p.omega / 64.0) * a2 / math.pi
     elif scenario == Scenario.MACRO_SINGLE:
-        if variant == "verbatim":
-            closed = -math.pi * (1.0 - 4.0 * p.j_vdw / p.omega) - 0.5 * a2
-        elif variant == "corrected":
-            closed = -math.pi * (1.0 - 2.0 * p.j_vdw / p.omega) - 0.5 * a2
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
+        closed = -math.pi * (1.0 - detuning_factor(variant) * p.j_vdw / p.omega) - 0.5 * a2
     else:
         raise ValueError("closed forms exist for the two hybrid scenarios only")
     build = analytic_path_builder(scenario, eta0, p, variant="corrected")

@@ -89,6 +89,4 @@ def branch_frequency(branch: int, n, p: ModelParams):
 
 def quasicycle_period(p: ModelParams) -> float:
     """Evolution window tau = 2 pi / omega over which the phase is accumulated."""
-    if p.omega <= 0:
-        raise ValueError("omega must be positive")
     return 2.0 * math.pi / p.omega

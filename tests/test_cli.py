@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from becphase import Table, emit, parse_config, run_scenario, validation_report
 from becphase.cli import main
 
@@ -86,6 +88,64 @@ class TestParseConfig:
     def test_shipped_configs_parse(self):
         for path in sorted(CONFIG_DIR.glob("*.json")):
             parse_config(path.read_text())
+
+
+SWEEP = {"variable": "concurrence", "start": 0.0, "stop": 0.5, "count": 3}
+
+# Every key that parse_config reads as a number, as a path into the document.
+NUMERIC_KEYS = (
+    ("omega",), ("j_vdw",), ("omega_b",), ("chi",), ("lambda_c",), ("alpha",), ("eta0",),
+    ("phase",), ("grid", "n_steps"), ("grid", "tail_tol"), ("grid", "phase_tol"),
+    ("grid", "degeneracy_tol"), ("sweep", "start"), ("sweep", "stop"), ("sweep", "count"),
+)
+
+
+def doc_with(path: tuple[str, ...], value) -> dict:
+    doc = dict(MINIMAL, grid={}, sweep=dict(SWEEP))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=5) | st.integers() | st.floats(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(NUMERIC_KEYS), value=JSON_VALUES)
+def test_any_json_value_in_a_numeric_key_parses_or_is_a_value_error(path, value):
+    try:
+        parse_config(json.dumps(doc_with(path, value)))
+    except ValueError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"omega": None}, "omega"),
+        ({"eta0": None}, "eta0"),
+        ({"eta0": math.nan}, "eta0"),
+        ({"grid": {"n_steps": None}}, "n_steps"),
+        ({"grid": {"n_steps": 2.5}}, "n_steps"),
+        ({"sweep": dict(SWEEP, count=None)}, "count"),
+        ({"output": {"path": 5}}, "path"),
+    ],
+    ids=["omega-null", "eta0-null", "eta0-nan", "n_steps-null", "n_steps-2.5", "count-null",
+         "path-5"],
+)
+def test_malformed_number_exits_1_naming_the_key(tmp_path, capsys, overrides, key):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(cfg_text(**overrides))
+    assert main(["phase", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert "Traceback" not in err
 
 
 class TestEmit:
@@ -247,6 +307,12 @@ class TestMainEntry:
         cfg = tmp_path / "c.json"
         cfg.write_text(cfg_text())
         assert main(["phase", "--config", str(cfg), "--steps", "7"]) == 1
+
+    def test_odd_steps_rejected_by_evolve(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(cfg_text())
+        assert main(["evolve", "--config", str(cfg), "--steps", "3"]) == 1
+        assert "n_steps must be an even integer >= 2, got 3" in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys):
         assert main(["phase", "--config", "/nonexistent/x.json"]) == 1

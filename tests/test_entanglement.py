@@ -308,3 +308,10 @@ class TestWitnessMicroMacro:
             witness_micro_macro(-0.5, Scenario.MACRO_BOTH, p)
         with pytest.raises(ValueError):
             witness_micro_macro(0.0, Scenario.MICRO_MICRO, p)
+
+    def test_unknown_variant_rejected_by_inversion_and_relation(self):
+        p = ModelParams(omega=1.0, j_vdw=0.2, alpha=1.0)
+        with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+            witness_micro_macro(-2.5, Scenario.MACRO_SINGLE, p, "bogus")
+        with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+            macro_phase_relation(0.5, Scenario.MACRO_SINGLE, p, "bogus")
