@@ -46,6 +46,7 @@ from .geomphase import (
     phase_macro_closed,
     phase_micro_micro_closed,
     phase_trace,
+    refining_path_builder,
     weak_coupling_phase,
     weak_coupling_phase_limit,
 )
@@ -242,14 +243,15 @@ def initial_state(cfg: RunConfig) -> JointState:
 
 def oracle_path_builder(cfg: RunConfig) -> Callable[[int], EigenPath]:
     state0 = initial_state(cfg)
-    tau = quasicycle_period(cfg.params)
-
-    def build(n_steps: int) -> EigenPath:
-        times = np.linspace(0.0, tau, n_steps + 1)
-        rhos = oracle_rho_path(state0, times, cfg.params)
-        return eigen_path(times, rhos, degeneracy_tol=cfg.degeneracy_tol)
-
-    return build
+    # oracle_rho_path and eigen_path are looked up here at call time, so
+    # that a caller may replace them on this module (perfbench traces them).
+    return refining_path_builder(
+        quasicycle_period(cfg.params),
+        lambda times: oracle_rho_path(state0, times, cfg.params),
+        lambda times, rhos, coarse=None: eigen_path(
+            times, rhos, degeneracy_tol=cfg.degeneracy_tol, coarse=coarse
+        ),
+    )
 
 
 def compute_phase(cfg: RunConfig) -> PhaseResult:
@@ -354,7 +356,7 @@ def run_phase(cfg: RunConfig) -> Table:
         "phase_unwrapped[rad]",
         "phase_principal[rad]",
         "n_steps[1]",
-        "richardson_delta[rad]",
+        "error_estimate[rad]",
         "phase_closed_form[rad]",
         "phase_weak_law[rad]",
         "phase_weak_limit[rad]",
@@ -366,7 +368,7 @@ def run_phase(cfg: RunConfig) -> Table:
         result.unwrapped,
         result.principal,
         result.n_steps,
-        result.richardson_delta,
+        result.error_estimate,
         closed,
         weak_law,
         weak_limit,

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -217,13 +217,16 @@ class EigenPath:
     are ordered by descending eigenvalue at the first time and then followed
     by maximal-overlap matching; spectator branches whose eigenvalue never
     exceeds the support cutoff are dropped. flags carries warnings about
-    near-degenerate stretches where the matching is ill-conditioned.
+    near-degenerate stretches where the matching is ill-conditioned. frames
+    holds the raw eigh output (ascending values, their vectors) at every grid
+    point, which a refinement of the path reuses.
     """
 
     times: np.ndarray
     values: np.ndarray
     vectors: np.ndarray
     flags: tuple[str, ...] = ()
+    frames: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_steps(self) -> int:
@@ -234,7 +237,14 @@ class EigenPath:
         return self.values.shape[1]
 
 
-_PERMS = np.array(list(itertools.permutations(range(4))))
+_PERMS = np.array(list(itertools.permutations(range(4))))  # _PERMS[0] is the identity
+
+
+def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    out = np.empty((even.shape[0] + odd.shape[0],) + even.shape[1:], dtype=even.dtype)
+    out[0::2] = even
+    out[1::2] = odd
+    return out
 
 
 def eigen_path(
@@ -242,6 +252,7 @@ def eigen_path(
     rhos: np.ndarray,
     degeneracy_tol: float = DEGENERACY_TOL,
     support_tol: float = SUPPORT_TOL,
+    coarse: EigenPath | None = None,
 ) -> EigenPath:
     """Spectrally decompose a time-ordered family of 4x4 density matrices.
 
@@ -249,11 +260,19 @@ def eigen_path(
     assigns eigenvector columns across neighboring times by the permutation
     that maximizes the summed squared overlaps. Near-degenerate eigenvalue
     pairs among retained branches are flagged, not fatal.
+
+    With `coarse`, `times` and `rhos` are the midpoints of coarse's grid
+    steps: only they are validated and decomposed, coarse's frames fill the
+    even points, and matching and flags run over the merged grid, so the
+    result equals a decomposition of the merged grid from scratch.
     """
     times = np.asarray(times, dtype=float)
     rhos = np.asarray(rhos, dtype=complex)
-    if times.ndim != 1 or times.size < 2:
-        raise ValueError("need at least two time points")
+    if coarse is None:
+        if times.ndim != 1 or times.size < 2:
+            raise ValueError("need at least two time points")
+    elif coarse.frames is None or times.shape != (coarse.n_steps,):
+        raise ValueError("refinement needs one midpoint per step of a path that keeps its frames")
     if rhos.shape != (times.size, 4, 4):
         raise ValueError(f"expected shape {(times.size, 4, 4)}, got {rhos.shape}")
     herm = np.max(np.abs(rhos - np.conj(np.swapaxes(rhos, -1, -2))))
@@ -266,6 +285,10 @@ def eigen_path(
     evals, evecs = np.linalg.eigh(rhos)
     if evals.min() < -POSITIVITY_TOL:
         raise ValueError(f"path contains negative eigenvalue {evals.min():g}")
+    if coarse is not None:
+        times = _interleave(coarse.times, times)
+        evals = _interleave(coarse.frames[0], evals)
+        evecs = _interleave(coarse.frames[1], evecs)
 
     m_total = times.size
     order0 = np.argsort(evals[0])[::-1]
@@ -277,12 +300,16 @@ def eigen_path(
     rows = np.broadcast_to(np.arange(4), _PERMS.shape)
     perm_scores = ov2[:, rows, _PERMS].sum(axis=2)  # (M-1, 24)
     best = np.argmax(perm_scores, axis=1)
-    step_perm = _PERMS[best]
 
+    # The order changes only after steps whose best permutation is not the
+    # identity; in between it is constant.
     col = np.empty((m_total, 4), dtype=int)
-    col[0] = order0
-    for m in range(m_total - 1):
-        col[m + 1] = step_perm[m][col[m]]
+    current, start = order0, 0
+    for m in np.flatnonzero(best) + 1:
+        col[start:m] = current
+        current = _PERMS[best[m - 1]][current]
+        start = m
+    col[start:] = current
 
     vals = np.take_along_axis(evals, col, axis=1)
     vecs = np.take_along_axis(evecs, col[:, None, :], axis=2)
@@ -306,4 +333,4 @@ def eigen_path(
                 f"{degeneracy_tol:g} on {idx.size} of {m_total} grid points, "
                 f"t in [{times[idx[0]]:.6g}, {times[idx[-1]]:.6g}]"
             )
-    return EigenPath(times, vals, vecs, tuple(flags))
+    return EigenPath(times, vals, vecs, tuple(flags), frames=(evals, evecs))

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -42,6 +43,11 @@ from .density import (
 PHASE_TOL = 1e-7
 COARSE_LINK_WARNING = 0.9
 ORIGIN_WARNING_RATIO = 1e-6
+# Extrapolated acceptance in converge_phase: the window of d_{k-1} / d_k
+# around the O(h^2) ratio 4, and the warnings under which the grid error is
+# not known to be O(h^2).
+RATIO_WINDOW = (3.5, 4.5)
+EXTRAPOLATION_BLOCKERS = ("branch-ambiguity", "coarse-grid", "phase-origin-crossing")
 
 
 class ConvergenceError(RuntimeError):
@@ -54,7 +60,7 @@ class PhaseResult:
     unwrapped: float
     per_branch: np.ndarray
     n_steps: int
-    richardson_delta: float | None
+    error_estimate: float | None
     warnings: tuple[str, ...] = ()
 
 
@@ -89,12 +95,13 @@ def phase_trace(path: EigenPath) -> np.ndarray:
 
 
 def kinematic_phase(path: EigenPath) -> PhaseResult:
-    """Geometric phase of the whole path, with a half-grid consistency delta.
+    """Geometric phase of the whole path.
 
     Zero-weight branches drop out of the sum; near-degenerate stretches
     flagged by the path are propagated as warnings. The principal value is
     the argument of the final branch sum, the unwrapped value its continuous
-    continuation from zero.
+    continuation from zero. A single path carries no error estimate;
+    converge_phase supplies one.
     """
     if path.times.size < 2:
         raise ValueError("path must contain at least two time points")
@@ -117,19 +124,12 @@ def kinematic_phase(path: EigenPath) -> PhaseResult:
             "unwrapped value is convention dependent there"
         )
     ang = np.unwrap(raw_ang)
-    unwrapped = float(ang[-1] - ang[0])
-    principal = float(np.angle(tot[-1]))
-    richardson = None
-    if path.n_steps % 2 == 0 and path.n_steps >= 4:
-        half, _ = _branch_phasors(path.values[::2], path.vectors[::2])
-        half_ang = np.unwrap(np.angle(half.sum(axis=1)))
-        richardson = abs(unwrapped - float(half_ang[-1] - half_ang[0]))
     return PhaseResult(
-        principal=principal,
-        unwrapped=unwrapped,
+        principal=float(np.angle(tot[-1])),
+        unwrapped=float(ang[-1] - ang[0]),
         per_branch=z[-1].copy(),
         n_steps=path.n_steps,
-        richardson_delta=richardson,
+        error_estimate=None,
         warnings=tuple(warnings),
     )
 
@@ -140,23 +140,78 @@ def converge_phase(
     phase_tol: float = PHASE_TOL,
     max_doublings: int = 10,
 ) -> PhaseResult:
-    """Double the grid until consecutive unwrapped phases differ by < phase_tol."""
+    """Double the grid until the unwrapped phase is settled to phase_tol.
+
+    The link product's grid error is O(h^2), so consecutive deltas
+    d_k = P_k - P_{k-1} shrink by 4 and R_k = P_k + d_k / 3 removes the
+    leading error. From the third level on, a level is accepted with R_k
+    when d_{k-1} / d_k lies in RATIO_WINDOW, the finest path carries none of
+    the EXTRAPOLATION_BLOCKERS warnings and |R_k - R_{k-1}| < phase_tol; the
+    principal value is shifted by R_k - P_k and wrapped, and error_estimate
+    is |R_k - R_{k-1}|. Otherwise a level is accepted when |d_k| < phase_tol,
+    with P_k and error_estimate |d_k|. per_branch and n_steps are those of the
+    finest grid.
+    """
     if n_start < 2 or n_start % 2:
         raise ValueError("n_start must be an even integer >= 2")
     n = n_start
     prev = kinematic_phase(build_path(n))
+    prev_delta = prev_extrapolated = None
     delta = math.inf
     for _ in range(max_doublings):
         n *= 2
         cur = kinematic_phase(build_path(n))
-        delta = abs(cur.unwrapped - prev.unwrapped)
-        if delta < phase_tol:
-            return replace(cur, richardson_delta=delta)
-        prev = cur
+        delta = cur.unwrapped - prev.unwrapped
+        extrapolated = cur.unwrapped + delta / 3.0
+        if (
+            prev_delta is not None
+            and delta != 0.0
+            and RATIO_WINDOW[0] <= prev_delta / delta <= RATIO_WINDOW[1]
+            and not any(w.startswith(EXTRAPOLATION_BLOCKERS) for w in cur.warnings)
+            and abs(extrapolated - prev_extrapolated) < phase_tol
+        ):
+            return replace(
+                cur,
+                unwrapped=extrapolated,
+                principal=math.remainder(cur.principal + delta / 3.0, 2.0 * math.pi),
+                error_estimate=abs(extrapolated - prev_extrapolated),
+            )
+        if abs(delta) < phase_tol:
+            return replace(cur, error_estimate=abs(delta))
+        prev, prev_delta, prev_extrapolated = cur, delta, extrapolated
     raise ConvergenceError(
         f"phase did not converge to {phase_tol:g} within {max_doublings} doublings "
-        f"(last delta {delta:g} at {n} steps)"
+        f"(last delta {abs(delta):g} at {n} steps)"
     )
+
+
+def refining_path_builder(
+    tau: float,
+    rho_path: Callable[[np.ndarray], np.ndarray],
+    decompose: Callable[..., EigenPath],
+) -> Callable[[int], EigenPath]:
+    """Path factory on the grid linspace(0, tau, n + 1) for converge_phase.
+
+    rho_path(times) gives the density matrices and decompose(times, rhos,
+    coarse=None) their EigenPath, as eigen_path does. A call at twice the
+    previous call's n reuses that level, whose grid is the new grid's even
+    points: only the midpoints get a density matrix and an
+    eigen-decomposition, and the path equals one built from scratch. Any
+    other n starts afresh. Only the last level is kept.
+    """
+    last: EigenPath | None = None
+
+    def build(n_steps: int) -> EigenPath:
+        nonlocal last
+        times = np.linspace(0.0, tau, n_steps + 1)
+        if last is not None and n_steps == 2 * last.n_steps:
+            mid = times[1::2]
+            last = decompose(mid, rho_path(mid), coarse=last)
+        else:
+            last = decompose(times, rho_path(times))
+        return last
+
+    return build
 
 
 def analytic_path_builder(
@@ -167,14 +222,11 @@ def analytic_path_builder(
     degeneracy_tol: float = DEGENERACY_TOL,
 ) -> Callable[[int], EigenPath]:
     """Path factory over one quasicycle from the closed-form density matrices."""
-    tau = quasicycle_period(p)
-
-    def build(n_steps: int) -> EigenPath:
-        times = np.linspace(0.0, tau, n_steps + 1)
-        rhos = analytic_rho_path(scenario, eta0, p, times, variant)
-        return eigen_path(times, rhos, degeneracy_tol=degeneracy_tol)
-
-    return build
+    return refining_path_builder(
+        quasicycle_period(p),
+        lambda times: analytic_rho_path(scenario, eta0, p, times, variant),
+        partial(eigen_path, degeneracy_tol=degeneracy_tol),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+import becphase
 from becphase import Table, emit, parse_config, run_scenario, validation_report
 from becphase.cli import main
 
@@ -330,6 +334,20 @@ class TestMainEntry:
         assert "MISMATCH" in out
         assert "resolution" in out
         assert "omega - 2J" in out
+
+    def test_python_m_entry_is_clean(self, capsys):
+        argv = ["phase", "--config", str(CONFIG_DIR / "macro_both.json")]
+        src = str(Path(becphase.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "becphase", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert main(argv) == 0
+        assert proc.stdout == capsys.readouterr().out
 
 
 class TestValidationReport:

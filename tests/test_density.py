@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from becphase import (
+    EigenPath,
     ModelParams,
     QubitDensity,
     Scenario,
@@ -268,6 +269,51 @@ class TestEigenPath:
         purity = np.real(np.einsum("mij,mji->m", rhos, rhos))
         assert np.all(purity > 0.5 - 1e-10)
         assert np.all(purity < 1.0 + 1e-10)
+
+
+def crossing_path(n_steps=397):
+    """Diagonal density path whose populations cross: the first crosses the
+    second at t = pi/2 and 3 pi/2, and both cross the constant third."""
+    times = np.linspace(0.0, 2 * math.pi, n_steps + 1)
+    c = np.cos(times)
+    pops = np.stack(
+        [0.35 + 0.2 * c, 0.35 - 0.2 * c, np.full_like(c, 0.2), np.full_like(c, 0.1)], axis=1
+    )
+    rhos = pops[:, :, None] * np.eye(4)
+    return times, pops, rhos
+
+
+class TestBranchOrder:
+    def test_crossing_branches_keep_their_columns(self):
+        # descending at t = 0: population 0, 2, 1, 3; each branch keeps its
+        # basis vector through every crossing
+        times, pops, rhos = crossing_path()
+        path = eigen_path(times, rhos)
+        order = [0, 2, 1, 3]
+        np.testing.assert_array_equal(path.values, pops[:, order])
+        np.testing.assert_array_equal(
+            np.abs(path.vectors), np.broadcast_to(np.eye(4)[:, order], path.vectors.shape)
+        )
+        # eigh's ascending columns do change order along the path
+        assert len({tuple(np.argsort(row)) for row in pops}) > 1
+
+    def test_refinement_equals_scratch(self):
+        times, _, rhos = crossing_path(794)
+        coarse = eigen_path(times[::2], rhos[::2])
+        refined = eigen_path(times[1::2], rhos[1::2], coarse=coarse)
+        scratch = eigen_path(times, rhos)
+        for name in ("times", "values", "vectors"):
+            assert np.array_equal(getattr(refined, name), getattr(scratch, name))
+        assert refined.flags == scratch.flags
+
+    def test_refinement_needs_one_midpoint_per_step(self):
+        times, _, rhos = crossing_path()
+        coarse = eigen_path(times, rhos)
+        with pytest.raises(ValueError, match="midpoint"):
+            eigen_path(times, rhos, coarse=coarse)
+        bare = EigenPath(coarse.times, coarse.values, coarse.vectors)
+        with pytest.raises(ValueError, match="midpoint"):
+            eigen_path(times[1:], rhos[1:], coarse=bare)
 
 
 def test_validate_density_rejects_bad_trace():

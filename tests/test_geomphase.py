@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from becphase import (
     factorization_functions,
     kinematic_phase,
     oracle_rho_path,
+    parse_config,
     phase_macro_closed,
     phase_micro_micro_closed,
     phase_trace,
@@ -23,7 +25,10 @@ from becphase import (
     weak_coupling_phase,
     weak_coupling_phase_limit,
 )
+from becphase.cli import compute_phase, oracle_path_builder
+from becphase.geomphase import PHASE_TOL
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 TWO_PI = 2 * math.pi
 
 
@@ -120,11 +125,12 @@ class TestKinematicPhase:
             d2 = abs(phases[2] - phases[1])
             assert d2 < 0.6 * d1
 
-    def test_richardson_delta_reported(self):
+    def test_error_estimate_reported(self):
         p = ModelParams(omega=1.0, lambda_c=0.05, alpha=1.0)
-        res = kinematic_phase(micro_path(0.5, p, 1024))
-        assert res.richardson_delta is not None
-        assert res.richardson_delta < 1e-3
+        res = converge_phase(analytic_path_builder(Scenario.MICRO_MICRO, 0.5, p))
+        assert res.error_estimate is not None
+        assert res.error_estimate < PHASE_TOL
+        assert abs(res.unwrapped - phase_micro_micro_closed(0.5, p)) < PHASE_TOL
 
     def test_moderate_coupling_regression(self):
         # frozen from a converged run (tolerance 1e-8, cross-checked against
@@ -158,6 +164,58 @@ class TestKinematicPhase:
         trace = phase_trace(micro_path(0.5, p, 256))
         assert trace[0] == pytest.approx(0.0, abs=1e-12)
         assert trace.shape == (257,)
+
+
+def config(name):
+    return parse_config((CONFIG_DIR / f"{name}.json").read_text())
+
+
+def assert_same_path(a, b):
+    for name in ("times", "values", "vectors"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.flags == b.flags
+
+
+class TestExtrapolatedConvergence:
+    def test_micro_micro_accepted_at_8192(self):
+        cfg = config("micro_micro")
+        res = compute_phase(cfg)
+        assert res.n_steps == 8192
+        assert res.error_estimate < cfg.phase_tol
+        assert abs(res.unwrapped - phase_micro_micro_closed(cfg.eta0, cfg.params)) < 1e-10
+        turns = (res.unwrapped - res.principal) / TWO_PI
+        assert turns == pytest.approx(round(turns), abs=1e-12)
+
+    def test_flagged_path_falls_back_to_plain_doubling(self):
+        # general.json carries branch-ambiguity, so the plain rule decides:
+        # the raw phase of the finest grid and the last doubling delta
+        cfg = config("general")
+        res = compute_phase(cfg)
+        assert any(w.startswith("branch-ambiguity") for w in res.warnings)
+        assert res.n_steps == 16384
+        fine = kinematic_phase(oracle_path_builder(cfg)(res.n_steps))
+        half = kinematic_phase(oracle_path_builder(cfg)(res.n_steps // 2))
+        assert res.unwrapped == fine.unwrapped
+        assert res.principal == fine.principal
+        assert res.error_estimate == abs(fine.unwrapped - half.unwrapped)
+
+    def test_unreachable_tolerance_still_raises(self):
+        p = ModelParams(omega=1.0, lambda_c=0.05, alpha=1.0)
+        build = analytic_path_builder(Scenario.MICRO_MICRO, 0.5, p)
+        with pytest.raises(ConvergenceError):
+            converge_phase(build, 2048, phase_tol=1e-30, max_doublings=3)
+
+    def test_refined_path_equals_scratch(self):
+        p = ModelParams(omega=1.0, lambda_c=0.05, alpha=1.0)
+        cfg = config("general")
+        for make in (
+            lambda: analytic_path_builder(Scenario.MICRO_MICRO, 0.5, p),
+            lambda: oracle_path_builder(cfg),
+        ):
+            build = make()
+            for n in (1024, 2048, 4096):
+                refined = build(n)
+                assert_same_path(refined, make()(n))
 
 
 class TestClosedFormEquivalence:
