@@ -8,6 +8,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -175,6 +176,10 @@ def parse_config(text: str) -> RunConfig:
     degeneracy_tol = _real(grid.get("degeneracy_tol", DEGENERACY_TOL), "grid.degeneracy_tol")
     if not 0 < tail_tol < 1:
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
+    if not phase_tol > 0:
+        raise ValueError(f"grid.phase_tol must be positive, got {phase_tol}")
+    if not degeneracy_tol >= 0:
+        raise ValueError(f"grid.degeneracy_tol must not be negative, got {degeneracy_tol}")
 
     sweep = None
     if "sweep" in doc:
@@ -268,6 +273,8 @@ class Table:
 
 
 def _fmt(value) -> str:
+    if type(value) is float:
+        return "%.17g" % value
     if value is None or value == "":
         return ""
     if isinstance(value, str):
@@ -316,7 +323,7 @@ def run_evolve(cfg: RunConfig) -> Table:
     eps = np.zeros((times.size, 2))
     eps[:, : min(2, path.n_branches)] = path.values[:, :2]
     purity = np.real(np.einsum("mij,mji->m", rhos, rhos))
-    conc = [concurrence_wootters(rhos[m]).value for m in range(times.size)]
+    conc = concurrence_wootters(rhos).value
     offdiag = np.abs(rhos[:, i0, i1])
 
     columns = [
@@ -331,10 +338,10 @@ def run_evolve(cfg: RunConfig) -> Table:
         "purity[1]",
         "warnings",
     ]
+    values = (times, lam, gam, eps[:, 0], eps[:, 1], offdiag, running, conc, purity)
     rows = [
-        [times[m], lam[m], gam[m], eps[m, 0], eps[m, 1], offdiag[m], running[m], conc[m],
-         purity[m], warnings]
-        for m in range(times.size)
+        [*row, warnings]
+        for row in zip(*(v.tolist() if isinstance(v, np.ndarray) else v for v in values))
     ]
     return Table(columns, rows)
 
@@ -499,6 +506,7 @@ def run_sweep(cfg: RunConfig, workers: int = 1) -> Table:
         raise ValueError("sweeps are defined for the three named scenarios")
     if cfg.sweep.variable == "concurrence" and not (0.0 <= values.min() and values.max() < 1.0):
         raise ValueError("concurrence sweep values must lie in [0, 1)")
+    workers = min(workers, values.size, os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(lambda v: point_fn(cfg, float(v)), values))

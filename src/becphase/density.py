@@ -19,6 +19,9 @@ TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
 DEGENERACY_TOL = 1e-9
 SUPPORT_TOL = 1e-12
+# Cells of the (time, branch, Fock) arrays that oracle_rho_path holds per
+# chunk; each of its three complex temporaries then stays near 4 MB.
+RHO_CHUNK_CELLS = 2**18
 
 
 class Scenario(str, Enum):
@@ -119,21 +122,28 @@ class QubitDensity:
 
 
 def validate_density(
-    rho: QubitDensity,
+    rho: QubitDensity | np.ndarray,
     herm_tol: float = HERMITICITY_TOL,
     trace_tol: float = TRACE_TOL,
     eig_tol: float = POSITIVITY_TOL,
-) -> None:
-    m = rho.mat
-    herm = np.max(np.abs(m - m.conj().T))
+) -> tuple[np.ndarray, np.ndarray]:
+    """Check Hermiticity, unit trace and positivity of a 4x4 density matrix or
+    of every matrix of a (..., 4, 4) stack; return the `eigh` decomposition
+    that the positivity check computes."""
+    m = rho.mat if isinstance(rho, QubitDensity) else np.asarray(rho, dtype=complex)
+    if m.shape[-2:] != (4, 4):
+        raise ValueError(f"density matrices must be 4x4, got shape {m.shape}")
+    herm = np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2))))
     if herm > herm_tol:
         raise ValueError(f"density matrix not Hermitian: deviation {herm:g}")
-    tr = complex(np.trace(m))
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"density matrix trace is {tr!r}, expected 1")
-    ev = np.linalg.eigvalsh(m)
-    if ev.min() < -eig_tol:
-        raise ValueError(f"density matrix has negative eigenvalue {ev.min():g}")
+    traces = np.trace(m, axis1=-2, axis2=-1).ravel()
+    worst = complex(traces[np.argmax(np.abs(traces - 1.0))])
+    if abs(worst - 1.0) > trace_tol:
+        raise ValueError(f"density matrix trace is {worst!r}, expected 1")
+    evals, evecs = np.linalg.eigh(m)
+    if evals.min() < -eig_tol:
+        raise ValueError(f"density matrix has negative eigenvalue {evals.min():g}")
+    return evals, evecs
 
 
 def partial_trace(state: JointState, timestamp: float = 0.0) -> QubitDensity:
@@ -146,11 +156,10 @@ def partial_trace(state: JointState, timestamp: float = 0.0) -> QubitDensity:
     return QubitDensity(mat, timestamp)
 
 
-def oracle_rho_path(
-    state0: JointState, times: np.ndarray, p: ModelParams, chunk: int = 8192
-) -> np.ndarray:
+def oracle_rho_path(state0: JointState, times: np.ndarray, p: ModelParams) -> np.ndarray:
     """Reduced density matrices at many times, identical to evolving and
-    partial-tracing point by point but computed in vectorized chunks."""
+    partial-tracing point by point but computed in vectorized chunks of at
+    most RHO_CHUNK_CELLS (time, branch, Fock) cells."""
     validate_joint(state0)
     times = np.asarray(times, dtype=float)
     amps = np.stack([b.amps for b in state0.branches])  # (4, D)
@@ -158,6 +167,7 @@ def oracle_rho_path(
     thetas = np.stack([branch_frequency(b, n, p) for b in range(4)])  # (4, D)
     c = state0.coeffs
     weight = np.outer(c, c.conj())
+    chunk = max(1, RHO_CHUNK_CELLS // amps.size)
     out = np.empty((times.size, 4, 4), dtype=complex)
     for start in range(0, times.size, chunk):
         ts = times[start : start + chunk]
@@ -275,16 +285,7 @@ def eigen_path(
         raise ValueError("refinement needs one midpoint per step of a path that keeps its frames")
     if rhos.shape != (times.size, 4, 4):
         raise ValueError(f"expected shape {(times.size, 4, 4)}, got {rhos.shape}")
-    herm = np.max(np.abs(rhos - np.conj(np.swapaxes(rhos, -1, -2))))
-    if herm > HERMITICITY_TOL:
-        raise ValueError(f"path contains non-Hermitian matrices: deviation {herm:g}")
-    traces = np.einsum("mii->m", rhos)
-    if np.max(np.abs(traces - 1.0)) > TRACE_TOL:
-        raise ValueError("path contains matrices with trace away from 1")
-
-    evals, evecs = np.linalg.eigh(rhos)
-    if evals.min() < -POSITIVITY_TOL:
-        raise ValueError(f"path contains negative eigenvalue {evals.min():g}")
+    evals, evecs = validate_density(rhos)
     if coarse is not None:
         times = _interleave(coarse.times, times)
         evals = _interleave(coarse.frames[0], evals)

@@ -31,7 +31,7 @@ EIGENVALUE_CLAMP = 1e-12
 
 @dataclass(frozen=True)
 class ConcurrenceValue:
-    value: float
+    value: float | np.ndarray
     method: str
 
 
@@ -48,7 +48,8 @@ def from_computational(mat: np.ndarray) -> np.ndarray:
 
 
 def concurrence_wootters(rho: QubitDensity | np.ndarray) -> ConcurrenceValue:
-    """Two-qubit concurrence max{0, l1 - l2 - l3 - l4}.
+    """Two-qubit concurrence max{0, l1 - l2 - l3 - l4} of one 4x4 matrix (a
+    float) or of every matrix of an (M, 4, 4) stack (an array of M values).
 
     l_i are the descending square roots of the eigenvalues of the spin-flipped
     product rho (sy x sy) conj(rho) (sy x sy), computed here as the singular
@@ -56,20 +57,13 @@ def concurrence_wootters(rho: QubitDensity | np.ndarray) -> ConcurrenceValue:
     but the singular-value route stays accurate for (near-)pure states where
     the non-Hermitian product has defective zero eigenvalues.
     """
-    if isinstance(rho, QubitDensity):
-        validate_density(rho)
-        mat = rho.mat
-    else:
-        mat = np.asarray(rho, dtype=complex)
-        validate_density(QubitDensity(mat))
-    evals, evecs = np.linalg.eigh(mat)
+    evals, evecs = validate_density(rho)
     evals = np.where(evals < EIGENVALUE_CLAMP, np.maximum(evals, 0.0), evals)
-    sqrt_rho = (evecs * np.sqrt(evals)) @ evecs.conj().T
+    sqrt_rho = (evecs * np.sqrt(evals)[..., None, :]) @ np.conj(np.swapaxes(evecs, -1, -2))
     flipped_root = sqrt_rho @ SIGMA_YY @ sqrt_rho.conj()
     lam = np.linalg.svd(flipped_root, compute_uv=False)
-    return ConcurrenceValue(
-        float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3])), "wootters"
-    )
+    value = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+    return ConcurrenceValue(float(value) if value.ndim == 0 else value, "wootters")
 
 
 def x_state_density(w: float, x: float, y: float, z: complex) -> QubitDensity:

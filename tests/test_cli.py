@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import becphase
 from becphase import Table, emit, parse_config, run_scenario, validation_report
-from becphase.cli import main
+from becphase import cli
+from becphase.cli import _fmt, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -139,9 +140,12 @@ def test_any_json_value_in_a_numeric_key_parses_or_is_a_value_error(path, value)
         ({"grid": {"n_steps": 2.5}}, "n_steps"),
         ({"sweep": dict(SWEEP, count=None)}, "count"),
         ({"output": {"path": 5}}, "path"),
+        ({"grid": {"phase_tol": -1}}, "grid.phase_tol"),
+        ({"grid": {"phase_tol": 0}}, "grid.phase_tol"),
+        ({"grid": {"degeneracy_tol": -1e-9}}, "grid.degeneracy_tol"),
     ],
     ids=["omega-null", "eta0-null", "eta0-nan", "n_steps-null", "n_steps-2.5", "count-null",
-         "path-5"],
+         "path-5", "phase_tol-negative", "phase_tol-zero", "degeneracy_tol-negative"],
 )
 def test_malformed_number_exits_1_naming_the_key(tmp_path, capsys, overrides, key):
     cfg = tmp_path / "c.json"
@@ -150,6 +154,11 @@ def test_malformed_number_exits_1_naming_the_key(tmp_path, capsys, overrides, ke
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [0.1, -0.0, 1e-300, 2.0**-1074, -7.25e17, math.nan, math.inf])
+def test_fmt_float_fast_path_matches_numpy_scalars(value):
+    assert _fmt(np.float64(value)) == _fmt(value) == f"{value:.17g}"
 
 
 class TestEmit:
@@ -259,6 +268,36 @@ class TestRunScenario:
         wit = [r[idx["witness_roundtrip[1]"]] for r in table.rows]
         assert np.all(np.diff(rel) > 0)
         np.testing.assert_allclose(wit, conc, atol=1e-10)
+
+    def test_sweep_workers_clamped_to_points(self, monkeypatch):
+        requested = []
+
+        class Recorder:
+            """Stands in for the thread pool; maps in the calling thread."""
+
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, values):
+                return map(fn, values)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        cfg = parse_config(
+            cfg_text(
+                grid={"n_steps": 256},
+                sweep={"variable": "concurrence", "start": 0.1, "stop": 0.8, "count": 2},
+            )
+        )
+        rows = run_scenario(cfg, "sweep", workers=10**6).rows
+        assert requested == [2]
+        assert rows == run_scenario(cfg, "sweep", workers=1).rows
 
     def test_sweep_workers_preserve_order(self):
         cfg = parse_config(

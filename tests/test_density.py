@@ -23,6 +23,7 @@ from becphase import (
     quasicycle_period,
     validate_density,
 )
+from becphase import density
 
 P = ModelParams(omega=1.0, j_vdw=0.07, omega_b=0.9, chi=0.003, lambda_c=0.05, alpha=1.2)
 
@@ -126,6 +127,13 @@ class TestOracleVsAnalytic:
             rho = partial_trace(evolve_joint(state0, t, P))
             batched = oracle_rho_path(state0, np.array([t]), P)[0]
             np.testing.assert_allclose(rho.mat, batched, atol=1e-13)
+
+    def test_chunks_equal_one_chunk(self, monkeypatch):
+        state0 = macro_both_initial(0.7, P)
+        times = np.linspace(0.0, quasicycle_period(P), 1001)
+        whole = oracle_rho_path(state0, times, P)
+        monkeypatch.setattr(density, "RHO_CHUNK_CELLS", 7 * 4 * (state0.n_max + 1))
+        assert np.array_equal(oracle_rho_path(state0, times, P), whole)
 
     def test_macro_both_overlap_modulus_below_one(self):
         # the decaying factor keeps the off-diagonal modulus bounded by 1/2;
@@ -314,6 +322,15 @@ class TestBranchOrder:
         bare = EigenPath(coarse.times, coarse.values, coarse.vectors)
         with pytest.raises(ValueError, match="midpoint"):
             eigen_path(times[1:], rhos[1:], coarse=bare)
+
+
+def test_validate_density_checks_every_matrix_of_a_stack():
+    rhos = analytic_rho_path(Scenario.MICRO_MICRO, 0.5, P, np.linspace(0, 1, 4))
+    evals, evecs = validate_density(rhos)
+    assert evals.shape == (4, 4) and evecs.shape == (4, 4, 4)
+    rhos[2] *= 1.01
+    with pytest.raises(ValueError, match="trace"):
+        validate_density(rhos)
 
 
 def test_validate_density_rejects_bad_trace():

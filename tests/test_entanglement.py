@@ -1,5 +1,6 @@
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +27,12 @@ from becphase import (
     witness_micro_micro,
     x_state_density,
 )
+from becphase.cli import initial_state, parse_config
+from becphase.density import oracle_rho_path
 from becphase.entanglement import from_computational, to_computational
+from becphase.model import quasicycle_period
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def bell_block(eta0: float) -> np.ndarray:
@@ -110,6 +116,34 @@ class TestWootters:
     def test_rejects_invalid_density(self):
         with pytest.raises(ValueError):
             concurrence_wootters(np.eye(4, dtype=complex))
+
+
+class TestStackedWootters:
+    @pytest.mark.parametrize("name", ["micro_micro", "macro_both", "macro_single", "general"])
+    def test_stack_equals_pointwise_on_shipped_configs(self, name):
+        cfg = parse_config((CONFIG_DIR / f"{name}.json").read_text())
+        times = np.linspace(0.0, quasicycle_period(cfg.params), cfg.n_steps + 1)
+        rhos = oracle_rho_path(initial_state(cfg), times, cfg.params)
+        stacked = concurrence_wootters(rhos).value
+        assert stacked.dtype == np.float64 and stacked.shape == (times.size,)
+        assert np.array_equal(stacked, [concurrence_wootters(r).value for r in rhos])
+
+    def test_single_matrix_is_a_float(self):
+        value = concurrence_wootters(bell_block(0.3)).value
+        assert type(value) is float
+        assert concurrence_wootters(bell_block(0.3)[None]).value.tolist() == [value]
+
+    def test_one_non_hermitian_matrix_rejects_the_stack(self):
+        stack = np.stack([bell_block(eta0) for eta0 in np.linspace(0.1, 1.4, 5)])
+        stack[3, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match="Hermitian"):
+            concurrence_wootters(stack)
+
+    def test_one_negative_eigenvalue_rejects_the_stack(self):
+        stack = np.stack([bell_block(eta0) for eta0 in np.linspace(0.1, 1.4, 5)])
+        stack[3] = np.diag([0.6, 0.5, -0.1, 0.0])
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            concurrence_wootters(stack)
 
 
 class TestXState:
