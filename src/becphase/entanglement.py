@@ -176,8 +176,9 @@ def witness_micro_micro(phase: float, p: ModelParams) -> WitnessResult:
     if not -1e-12 <= phase <= scale * (1.0 + 1e-12):
         raise ValueError(f"phase must lie in [0, {scale:g}], got {phase}")
     ratio = min(max(phase / scale, 0.0), 1.0)
-    verbatim = 1.0 - (1.0 - ratio) ** 2
-    consistent = math.sqrt(max(0.0, 1.0 - (1.0 - ratio) ** 2))
+    # 1 - (1 - r)^2 written as r (2 - r), which does not cancel for small r
+    verbatim = ratio * (2.0 - ratio)
+    consistent = math.sqrt(verbatim)
     return WitnessResult(consistent, verbatim, Scenario.MICRO_MICRO)
 
 

@@ -281,7 +281,7 @@ def weak_coupling_phase(concurrence: float, p: ModelParams) -> float:
     if not 0.0 <= concurrence <= 1.0:
         raise ValueError(f"concurrence must lie in [0, 1], got {concurrence}")
     a2 = abs(p.alpha) ** 2
-    return 4.0 * math.pi * p.lambda_c * a2 * (1.0 - math.sqrt(1.0 - concurrence**2)) / p.omega
+    return 4.0 * math.pi * p.lambda_c * a2 * _one_minus_sqrt_one_minus_sq(concurrence) / p.omega
 
 
 def weak_coupling_phase_limit(concurrence: float) -> float:
@@ -289,7 +289,14 @@ def weak_coupling_phase_limit(concurrence: float) -> float:
     2 pi (1 - sqrt(1 - C^2)); coupling corrections enter only at second order."""
     if not 0.0 <= concurrence <= 1.0:
         raise ValueError(f"concurrence must lie in [0, 1], got {concurrence}")
-    return 2.0 * math.pi * (1.0 - math.sqrt(1.0 - concurrence**2))
+    return 2.0 * math.pi * _one_minus_sqrt_one_minus_sq(concurrence)
+
+
+def _one_minus_sqrt_one_minus_sq(c: float) -> float:
+    """1 - sqrt(1 - c^2) as c^2 / (1 + sqrt(1 - c^2)), which keeps the
+    ~c^2/2 value for small c instead of cancelling it to 0."""
+    c2 = c * c
+    return c2 / (1.0 + math.sqrt(1.0 - c2))
 
 
 @dataclass(frozen=True)

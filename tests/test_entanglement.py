@@ -301,6 +301,14 @@ class TestWitnessMicroMicro:
         res = witness_micro_micro(weak_coupling_phase(conc, p), p)
         assert res.consistent == pytest.approx(conc, abs=1e-9)
 
+    def test_round_trip_below_sqrt_epsilon(self):
+        # C^2 is below double epsilon here, so 1 - sqrt(1 - C^2) cancels to 0
+        # unless both directions are written without the subtraction
+        p = ModelParams(omega=1.0, lambda_c=0.01, alpha=1.0)
+        for conc in (1e-9, 1e-12):
+            res = witness_micro_micro(weak_coupling_phase(conc, p), p)
+            assert res.consistent == pytest.approx(conc, rel=1e-12)
+
 
 class TestWitnessMicroMacro:
     def test_macro_both_round_trip(self):
