@@ -5,19 +5,13 @@ inversion of that phase into entanglement witnesses."""
 from .model import (
     BRANCH_LABELS,
     ModelParams,
-    SPIN_VALUE,
     branch_frequency,
-    energy,
     quasicycle_period,
 )
 from .dynamics import (
-    FockVector,
     JointState,
     bell_initial,
-    branch_overlap,
     coherent,
-    evolve_branch,
-    evolve_joint,
     general_initial,
     macro_both_initial,
     macro_single_initial,
@@ -27,7 +21,6 @@ from .dynamics import (
 from .density import (
     DecayPhase,
     EigenPath,
-    QubitDensity,
     Scenario,
     analytic_block,
     analytic_rho_path,
@@ -40,12 +33,9 @@ from .density import (
 )
 from .geomphase import (
     ConvergenceError,
-    FactorizationResult,
-    MacroClosedResult,
     PhaseResult,
     analytic_path_builder,
     converge_phase,
-    factorization_functions,
     kinematic_phase,
     phase_macro_closed,
     phase_micro_micro_closed,
@@ -54,18 +44,15 @@ from .geomphase import (
     weak_coupling_phase_limit,
 )
 from .entanglement import (
-    ConcurrenceValue,
     HybridConcurrence,
     SIGMA_YY,
     WitnessResult,
     concurrence_wootters,
-    concurrence_x_state,
     hybrid_concurrence,
     macro_phase_relation,
     purity_oracle,
     witness_micro_macro,
     witness_micro_micro,
-    x_state_density,
 )
 from .cli import RunConfig, Table, emit, parse_config, run_scenario, validation_report
 

@@ -41,9 +41,9 @@ from .geomphase import (
     PHASE_TOL,
     ConvergenceError,
     PhaseResult,
+    analytic_path_builder,
     at_special_point,
     converge_phase,
-    kinematic_phase,
     phase_macro_closed,
     phase_micro_micro_closed,
     phase_trace,
@@ -323,7 +323,7 @@ def run_evolve(cfg: RunConfig) -> Table:
     eps = np.zeros((times.size, 2))
     eps[:, : min(2, path.n_branches)] = path.values[:, :2]
     purity = np.real(np.einsum("mij,mji->m", rhos, rhos))
-    conc = concurrence_wootters(rhos).value
+    conc = concurrence_wootters(rhos)
     offdiag = np.abs(rhos[:, i0, i1])
 
     columns = [
@@ -355,9 +355,7 @@ def run_phase(cfg: RunConfig) -> Table:
         weak_law = weak_coupling_phase(conc0, cfg.params)
         weak_limit = weak_coupling_phase_limit(conc0)
     elif cfg.scenario in ("macro_both", "macro_single") and at_special_point(cfg.eta0, cfg.params):
-        special = phase_macro_closed(
-            Scenario(cfg.scenario), cfg.eta0, cfg.params, phase_tol=cfg.phase_tol
-        ).closed_form
+        special = phase_macro_closed(Scenario(cfg.scenario), cfg.eta0, cfg.params)
     columns = [
         "tau[time]",
         "phase_unwrapped[rad]",
@@ -515,10 +513,8 @@ def run_sweep(cfg: RunConfig, workers: int = 1) -> Table:
     return Table(columns, rows)
 
 
-def run_scenario(cfg: RunConfig, verb: str = "auto", workers: int = 1) -> Table:
+def run_scenario(cfg: RunConfig, verb: str, workers: int = 1) -> Table:
     """Dispatch one pipeline run; deterministic for a fixed configuration."""
-    if verb == "auto":
-        verb = "sweep" if cfg.sweep is not None else "phase"
     if verb == "evolve":
         return run_evolve(cfg)
     if verb == "phase":
@@ -579,8 +575,8 @@ def validation_report(
 
     special = ModelParams(omega=p.omega, j_vdw=p.j_vdw, lambda_c=p.omega / 8.0, alpha=1.0)
     state = macro_both_initial(math.pi / 4, special, tail_tol)
-    oracle_c = purity_oracle(state, "qubits").value
-    t0 = partial_trace(state).mat
+    oracle_c = purity_oracle(state, "qubits")
+    t0 = partial_trace(state)
     overlap = t0[0, 1] / (0.5 * math.sin(math.pi / 2))
     hybrid = hybrid_concurrence(math.pi / 4, overlap)
     lines.append(
@@ -609,11 +605,11 @@ def validation_report(
     )
 
     for scenario in (Scenario.MACRO_BOTH, Scenario.MACRO_SINGLE):
-        res = phase_macro_closed(scenario, math.pi / 4, special)
+        kin = converge_phase(analytic_path_builder(scenario, math.pi / 4, special))
         lines.append(
             f"special-point phase: scenario={scenario.value:<12s} "
-            f"closed form = {res.closed_form:.9f}, kinematic principal = "
-            f"{res.kinematic.principal:.9f}, unwrapped = {res.kinematic.unwrapped:.9f}"
+            f"closed form = {phase_macro_closed(scenario, math.pi / 4, special):.9f}, "
+            f"kinematic principal = {kin.principal:.9f}, unwrapped = {kin.unwrapped:.9f}"
         )
     lines.append("")
     lines.extend(resolutions)

@@ -43,8 +43,6 @@ class DecayPhase:
     """Scenario off-diagonal phase Lambda(t) and decay Gamma(t), with their
     time derivative of the phase for quadrature use."""
 
-    scenario: Scenario
-    variant: str
     lambda_fn: Callable[[np.ndarray], np.ndarray]
     gamma_fn: Callable[[np.ndarray], np.ndarray]
     lambda_dot_fn: Callable[[np.ndarray], np.ndarray]
@@ -74,16 +72,12 @@ def decay_phase(scenario: Scenario, p: ModelParams, variant: str = "corrected") 
     w, lam = p.omega, p.lambda_c
     if scenario == Scenario.MICRO_MICRO:
         return DecayPhase(
-            scenario,
-            variant,
             lambda t: 2 * w * t + a2 * np.sin(2 * lam * t),
             lambda t: 2 * a2 * np.sin(lam * t) ** 2,
             lambda t: 2 * w + 2 * lam * a2 * np.cos(2 * lam * t),
         )
     if scenario == Scenario.MACRO_BOTH:
         return DecayPhase(
-            scenario,
-            variant,
             lambda t: 2 * w * t - a2 * np.sin(2 * lam * t),
             lambda t: 2 * a2 * np.cos(lam * t) ** 2,
             lambda t: 2 * w - 2 * lam * a2 * np.cos(2 * lam * t),
@@ -91,15 +85,11 @@ def decay_phase(scenario: Scenario, p: ModelParams, variant: str = "corrected") 
     if scenario == Scenario.MACRO_SINGLE:
         if variant == "corrected":
             return DecayPhase(
-                scenario,
-                variant,
                 lambda t: detuning * t - a2 * np.sin(lam * t),
                 lambda t: 2 * a2 * np.cos(lam * t / 2) ** 2,
                 lambda t: detuning - lam * a2 * np.cos(lam * t),
             )
         return DecayPhase(
-            scenario,
-            variant,
             lambda t: detuning * t - a2 * np.sin(2 * lam * t),
             lambda t: 2 * a2 * np.cos(lam * t) ** 2,
             lambda t: detuning - 2 * lam * a2 * np.cos(2 * lam * t),
@@ -107,22 +97,8 @@ def decay_phase(scenario: Scenario, p: ModelParams, variant: str = "corrected") 
     raise ValueError(f"unknown scenario {scenario!r}")
 
 
-@dataclass(frozen=True)
-class QubitDensity:
-    """4x4 reduced density matrix of the qubit pair in (|00>,|11>,|01>,|10>) order."""
-
-    mat: np.ndarray
-    timestamp: float = 0.0
-
-    def __post_init__(self) -> None:
-        mat = np.asarray(self.mat, dtype=complex)
-        if mat.shape != (4, 4):
-            raise ValueError("density matrix must be 4x4")
-        object.__setattr__(self, "mat", mat)
-
-
 def validate_density(
-    rho: QubitDensity | np.ndarray,
+    rho: np.ndarray,
     herm_tol: float = HERMITICITY_TOL,
     trace_tol: float = TRACE_TOL,
     eig_tol: float = POSITIVITY_TOL,
@@ -130,7 +106,7 @@ def validate_density(
     """Check Hermiticity, unit trace and positivity of a 4x4 density matrix or
     of every matrix of a (..., 4, 4) stack; return the `eigh` decomposition
     that the positivity check computes."""
-    m = rho.mat if isinstance(rho, QubitDensity) else np.asarray(rho, dtype=complex)
+    m = np.asarray(rho, dtype=complex)
     if m.shape[-2:] != (4, 4):
         raise ValueError(f"density matrices must be 4x4, got shape {m.shape}")
     herm = np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2))))
@@ -146,14 +122,13 @@ def validate_density(
     return evals, evecs
 
 
-def partial_trace(state: JointState, timestamp: float = 0.0) -> QubitDensity:
-    """Trace out the mode: mat[i, j] = c_i conj(c_j) <phi_j|phi_i>."""
+def partial_trace(state: JointState) -> np.ndarray:
+    """Trace out the mode: the 4x4 matrix rho[i, j] = c_i conj(c_j) <phi_j|phi_i>
+    in (|00>,|11>,|01>,|10>) order."""
     validate_joint(state)
-    amps = np.stack([b.amps for b in state.branches])
-    gram = amps.conj() @ amps.T  # gram[j, i] = <phi_j|phi_i>
+    gram = state.amps.conj() @ state.amps.T  # gram[j, i] = <phi_j|phi_i>
     c = state.coeffs
-    mat = np.outer(c, c.conj()) * gram.T
-    return QubitDensity(mat, timestamp)
+    return np.outer(c, c.conj()) * gram.T
 
 
 def oracle_rho_path(state0: JointState, times: np.ndarray, p: ModelParams) -> np.ndarray:
@@ -162,7 +137,7 @@ def oracle_rho_path(state0: JointState, times: np.ndarray, p: ModelParams) -> np
     most RHO_CHUNK_CELLS (time, branch, Fock) cells."""
     validate_joint(state0)
     times = np.asarray(times, dtype=float)
-    amps = np.stack([b.amps for b in state0.branches])  # (4, D)
+    amps = state0.amps
     n = np.arange(state0.n_max + 1)
     thetas = np.stack([branch_frequency(b, n, p) for b in range(4)])  # (4, D)
     c = state0.coeffs

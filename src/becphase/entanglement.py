@@ -9,11 +9,8 @@ import numpy as np
 
 from .model import BRANCH_LABELS, ModelParams
 from .dynamics import JointState, validate_joint
-from .density import QubitDensity, Scenario, detuning_factor, partial_trace, validate_density
-
-# Module basis order (|00>,|11>,|01>,|10>) maps onto the computational
-# product order (|00>,|01>,|10>,|11>) through this index list.
-MODULE_TO_COMPUTATIONAL = (0, 3, 1, 2)
+from .density import Scenario, detuning_factor, partial_trace, validate_density
+from .geomphase import special_point_phase
 
 # sigma_y (x) sigma_y expressed in the module basis order.
 SIGMA_YY = np.array(
@@ -29,25 +26,7 @@ SIGMA_YY = np.array(
 EIGENVALUE_CLAMP = 1e-12
 
 
-@dataclass(frozen=True)
-class ConcurrenceValue:
-    value: float | np.ndarray
-    method: str
-
-
-def to_computational(mat: np.ndarray) -> np.ndarray:
-    """Reorder a module-basis 4x4 matrix into computational product order."""
-    perm = np.asarray(MODULE_TO_COMPUTATIONAL)
-    inv = np.argsort(perm)
-    return mat[np.ix_(inv, inv)]
-
-
-def from_computational(mat: np.ndarray) -> np.ndarray:
-    perm = np.asarray(MODULE_TO_COMPUTATIONAL)
-    return mat[np.ix_(perm, perm)]
-
-
-def concurrence_wootters(rho: QubitDensity | np.ndarray) -> ConcurrenceValue:
+def concurrence_wootters(rho: np.ndarray) -> float | np.ndarray:
     """Two-qubit concurrence max{0, l1 - l2 - l3 - l4} of one 4x4 matrix (a
     float) or of every matrix of an (M, 4, 4) stack (an array of M values).
 
@@ -63,28 +42,7 @@ def concurrence_wootters(rho: QubitDensity | np.ndarray) -> ConcurrenceValue:
     flipped_root = sqrt_rho @ SIGMA_YY @ sqrt_rho.conj()
     lam = np.linalg.svd(flipped_root, compute_uv=False)
     value = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
-    return ConcurrenceValue(float(value) if value.ndim == 0 else value, "wootters")
-
-
-def x_state_density(w: float, x: float, y: float, z: complex) -> QubitDensity:
-    """Assemble the cross-shaped density matrix with corner coherence z."""
-    if min(w, x, y) < -1e-12:
-        raise ValueError("populations must be non-negative")
-    if abs(w + 2 * x + y - 1.0) > 1e-9:
-        raise ValueError(f"populations must satisfy w + 2x + y = 1, got {w + 2 * x + y}")
-    if abs(z) > math.sqrt(max(w * y, 0.0)) + 1e-12:
-        raise ValueError("coherence |z| exceeds sqrt(w y)")
-    mat = np.zeros((4, 4), dtype=complex)
-    mat[0, 0], mat[1, 1] = w, y
-    mat[2, 2] = mat[3, 3] = x
-    mat[0, 1], mat[1, 0] = z, np.conj(z)
-    return QubitDensity(mat)
-
-
-def concurrence_x_state(w: float, x: float, y: float, z: complex) -> ConcurrenceValue:
-    """Closed form max{0, 2|z| - 2x} for the cross-shaped family."""
-    x_state_density(w, x, y, z)
-    return ConcurrenceValue(float(max(0.0, 2.0 * abs(z) - 2.0 * x)), "x_state")
+    return float(value) if value.ndim == 0 else value
 
 
 @dataclass(frozen=True)
@@ -117,7 +75,7 @@ _QUBIT1 = tuple(lbl[0] for lbl in BRANCH_LABELS)
 _QUBIT2 = tuple(lbl[1] for lbl in BRANCH_LABELS)
 
 
-def purity_oracle(state: JointState, cut: str = "qubits") -> ConcurrenceValue:
+def purity_oracle(state: JointState, cut: str = "qubits") -> float:
     """Bipartite concurrence sqrt(2 (1 - Tr rho^2)) of a pure state across a cut.
 
     cut = "qubits" reduces the qubit pair (support must be at most rank 2),
@@ -125,7 +83,7 @@ def purity_oracle(state: JointState, cut: str = "qubits") -> ConcurrenceValue:
     """
     validate_joint(state)
     if cut == "qubits":
-        rho = partial_trace(state).mat
+        rho = partial_trace(state)
         ev = np.sort(np.linalg.eigvalsh(rho))[::-1]
         if ev[2:].max() > 1e-10:
             raise ValueError(
@@ -134,8 +92,7 @@ def purity_oracle(state: JointState, cut: str = "qubits") -> ConcurrenceValue:
     elif cut in ("qubit1", "qubit2"):
         labels = _QUBIT1 if cut == "qubit1" else _QUBIT2
         other = _QUBIT2 if cut == "qubit1" else _QUBIT1
-        amps = np.stack([b.amps for b in state.branches])
-        gram = amps.conj() @ amps.T  # gram[j, i] = <phi_j|phi_i>
+        gram = state.amps.conj() @ state.amps.T  # gram[j, i] = <phi_j|phi_i>
         c = state.coeffs
         rho = np.zeros((2, 2), dtype=complex)
         for i in range(4):
@@ -145,9 +102,7 @@ def purity_oracle(state: JointState, cut: str = "qubits") -> ConcurrenceValue:
     else:
         raise ValueError(f"unknown cut {cut!r}")
     purity = float(np.real(np.trace(rho @ rho)))
-    return ConcurrenceValue(
-        math.sqrt(max(0.0, 2.0 * (1.0 - purity))), "purity_oracle"
-    )
+    return math.sqrt(max(0.0, 2.0 * (1.0 - purity)))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +120,6 @@ class WitnessResult:
 
     consistent: float
     verbatim: float
-    scenario: Scenario
 
 
 def witness_micro_micro(phase: float, p: ModelParams) -> WitnessResult:
@@ -179,7 +133,7 @@ def witness_micro_micro(phase: float, p: ModelParams) -> WitnessResult:
     # 1 - (1 - r)^2 written as r (2 - r), which does not cancel for small r
     verbatim = ratio * (2.0 - ratio)
     consistent = math.sqrt(verbatim)
-    return WitnessResult(consistent, verbatim, Scenario.MICRO_MICRO)
+    return WitnessResult(consistent, verbatim)
 
 
 def witness_micro_macro(
@@ -197,7 +151,7 @@ def witness_micro_macro(
         if arg > 1e-12:
             raise ValueError("phase out of range: concurrence would be imaginary")
         val = math.sqrt(max(0.0, 1.0 - math.exp(min(arg, 0.0))))
-        return WitnessResult(val, val, scenario)
+        return WitnessResult(val, val)
     if scenario == Scenario.MACRO_SINGLE:
         k = detuning_factor(variant)
         arg_consistent = 4.0 * phase + 4.0 * math.pi - 4.0 * math.pi * k * p.j_vdw / p.omega
@@ -206,19 +160,16 @@ def witness_micro_macro(
         consistent = math.sqrt(max(0.0, 1.0 - math.exp(min(arg_consistent, 0.0))))
         arg_verbatim = 4.0 * phase - 16.0 * p.j_vdw * math.pi / p.omega
         verbatim = math.sqrt(max(0.0, 1.0 - math.exp(min(arg_verbatim, 0.0))))
-        return WitnessResult(consistent, verbatim, scenario)
+        return WitnessResult(consistent, verbatim)
     raise ValueError("witness inversions exist for the hybrid scenarios only")
 
 
 def macro_phase_relation(
     concurrence: float, scenario: Scenario, p: ModelParams, variant: str = "verbatim"
 ) -> float:
-    """Closed-form special-point phase as a function of initial concurrence."""
+    """Closed-form special-point phase as a function of initial concurrence:
+    special_point_phase at the |alpha|^2 = -ln(1 - C^2) / 2 that gives the
+    hybrid state this concurrence."""
     if not 0.0 <= concurrence < 1.0:
         raise ValueError("concurrence must lie in [0, 1)")
-    log_term = math.log(1.0 - concurrence**2)
-    if scenario == Scenario.MACRO_BOTH:
-        return -(16.0 + p.omega) / 64.0 * log_term
-    if scenario == Scenario.MACRO_SINGLE:
-        return -math.pi * (1.0 - detuning_factor(variant) * p.j_vdw / p.omega) + 0.25 * log_term
-    raise ValueError("phase relations exist for the hybrid scenarios only")
+    return special_point_phase(scenario, -0.5 * math.log(1.0 - concurrence**2), p, variant)

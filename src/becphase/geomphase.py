@@ -14,9 +14,9 @@ between the link product and the endpoint overlap. The unwrapped value tracks
 the running argument of the partial-path sum, so totals beyond pi survive.
 
 Closed-form companions: the single-branch quadrature form for the two-qubit
-Bell scenario, the published weak-coupling and special-point shortcuts (kept
-verbatim for comparison even where they disagree with the path computation),
-and the factorization functions of the two-branch split.
+Bell scenario and the published weak-coupling and special-point shortcuts
+(kept verbatim for comparison even where they disagree with the path
+computation).
 """
 
 from __future__ import annotations
@@ -299,47 +299,6 @@ def _one_minus_sqrt_one_minus_sq(c: float) -> float:
     return c2 / (1.0 + math.sqrt(1.0 - c2))
 
 
-@dataclass(frozen=True)
-class FactorizationResult:
-    f1: float
-    f2: complex
-    f3: complex
-    phase_part2: float
-
-
-def factorization_functions(path: EigenPath) -> FactorizationResult:
-    """Two-branch split F1, F2, F3 and the second phase part arg(1 + F1 F2 F3).
-
-    F2 and F3 are reported in the gauge where the dominant component of each
-    eigenvector at t=0 is real positive along the whole path; their product
-    with F1 is gauge invariant.
-    """
-    if path.n_branches != 2:
-        raise ValueError("factorization functions need exactly two branches")
-    vals, vecs = path.values, path.vectors
-    denom = vals[0, 0] * vals[-1, 0]
-    if denom <= 0.0:
-        raise ZeroDivisionError("leading branch carries no endpoint weight")
-    f1 = math.sqrt(max(vals[0, 1] * vals[-1, 1], 0.0) / denom)
-
-    anchor = int(np.argmax(np.abs(vecs[0, :, 0])))
-    fixed = np.empty_like(vecs)
-    for k in range(2):
-        comp = vecs[:, anchor, k]
-        mags = np.abs(comp)
-        phase = np.where(mags > 0, comp / np.where(mags > 0, mags, 1.0), 1.0)
-        fixed[:, :, k] = vecs[:, :, k] / phase[:, None]
-
-    endpoint = np.einsum("ak,ak->k", fixed[0].conj(), fixed[-1])
-    links = np.einsum("mak,mak->mk", fixed[:-1].conj(), fixed[1:])
-    unit = links / np.abs(links)
-    lprod = np.prod(unit, axis=0)
-    f2 = complex(endpoint[1] / endpoint[0])
-    f3 = complex(lprod[1].conj() * lprod[0])
-    phase_part2 = float(np.angle(1.0 + f1 * f2 * f3))
-    return FactorizationResult(f1, f2, f3, phase_part2)
-
-
 SPECIAL_POINT_TOL = 1e-9
 
 
@@ -351,42 +310,34 @@ def at_special_point(eta0: float, p: ModelParams) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class MacroClosedResult:
-    """Published special-point value next to the path-computed phase."""
-
-    closed_form: float
-    kinematic: PhaseResult
-
-
-def phase_macro_closed(
-    scenario: Scenario,
-    eta0: float,
-    p: ModelParams,
-    variant: str = "verbatim",
-    n_start: int = 2048,
-    phase_tol: float = PHASE_TOL,
-) -> MacroClosedResult:
-    """Special-point closed forms of the two hybrid scenarios, paired with the
-    independently computed kinematic phase so their disagreement is visible.
+def special_point_phase(
+    scenario: Scenario, a2: float, p: ModelParams, variant: str = "verbatim"
+) -> float:
+    """Published special-point phase of a hybrid scenario at mode intensity
+    a2 = |alpha|^2.
 
     For MACRO_SINGLE the closed form exists in the published detuning variant
     ("verbatim", prefactor omega - 4J) and the spectrum-derived one
-    ("corrected", omega - 2J); the kinematic value always follows the density
-    path that matches the numerical evolution.
+    ("corrected", omega - 2J).
+    """
+    if scenario == Scenario.MACRO_BOTH:
+        return (16.0 + p.omega) / 32.0 * a2
+    if scenario == Scenario.MACRO_SINGLE:
+        return -math.pi * (1.0 - detuning_factor(variant) * p.j_vdw / p.omega) - 0.5 * a2
+    raise ValueError("special-point closed forms exist for the two hybrid scenarios only")
+
+
+def phase_macro_closed(
+    scenario: Scenario, eta0: float, p: ModelParams, variant: str = "verbatim"
+) -> float:
+    """Special-point closed form of a hybrid scenario's phase at the |alpha| of p.
+
+    It disagrees with the kinematic phase of the same path; `becphase
+    validate` prints the two side by side.
     """
     if not at_special_point(eta0, p):
         raise ValueError(
             f"special point requires eta0 = pi/4 and lambda * tau = pi/4, "
             f"got {eta0} and {p.lambda_c * quasicycle_period(p)}"
         )
-    a2 = abs(p.alpha) ** 2
-    if scenario == Scenario.MACRO_BOTH:
-        closed = 2.0 * math.pi * (0.25 + p.omega / 64.0) * a2 / math.pi
-    elif scenario == Scenario.MACRO_SINGLE:
-        closed = -math.pi * (1.0 - detuning_factor(variant) * p.j_vdw / p.omega) - 0.5 * a2
-    else:
-        raise ValueError("closed forms exist for the two hybrid scenarios only")
-    build = analytic_path_builder(scenario, eta0, p, variant="corrected")
-    kin = converge_phase(build, n_start=n_start, phase_tol=phase_tol)
-    return MacroClosedResult(closed_form=closed, kinematic=kin)
+    return special_point_phase(scenario, abs(p.alpha) ** 2, p, variant)

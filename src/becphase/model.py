@@ -7,9 +7,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# sigma_z eigenvalue per qubit label: |0> -> -1, |1> -> +1 (fixed globally)
-SPIN_VALUE = {0: -1, 1: +1}
-
 # Branch ordering |00>, |11>, |01>, |10> shared by every module.
 BRANCH_LABELS = ((0, 0), (1, 1), (0, 1), (1, 0))
 N_BRANCHES = 4
@@ -46,29 +43,10 @@ class ModelParams:
             raise ValueError(f"omega must be positive, got {self.omega}")
 
 
-def energy(s1: int, s2: int, n, p: ModelParams):
-    """Eigenenergy of |s1 s2> x |n| under the diagonal Hamiltonian.
-
-    s1, s2 are qubit labels in {0, 1}; n is a Fock index (scalar or array).
-    """
-    if s1 not in SPIN_VALUE or s2 not in SPIN_VALUE:
-        raise ValueError(f"qubit labels must be 0 or 1, got ({s1}, {s2})")
-    n = np.asarray(n)
-    if np.any(n < 0):
-        raise ValueError("Fock index must be non-negative")
-    a, b = SPIN_VALUE[s1], SPIN_VALUE[s2]
-    e = (
-        0.5 * p.omega * (a + b)
-        + p.omega_b * n
-        + p.j_vdw * a * b
-        + 0.5 * p.lambda_c * (a + b) * n
-        + p.chi * n * (n - 1)
-    )
-    return float(e) if np.ndim(e) == 0 else e
-
-
 def branch_frequency(branch: int, n, p: ModelParams):
-    """Running frequency theta_branch(n) of one qubit branch, vectorized over n.
+    """Running frequency theta_branch(n) of one qubit branch, vectorized over n:
+    the eigenenergy of |branch> x |n> under the diagonal Hamiltonian, with
+    sigma_z |0> = -|0> and sigma_z |1> = +|1>.
 
     Branches are indexed 0..3 for |00>, |11>, |01>, |10>.
     """

@@ -1,0 +1,121 @@
+"""Reference implementations that the tests compare the library against.
+
+- evolve_branch / evolve_joint / branch_overlap: point-by-point evolution
+  and overlaps on the truncated Fock basis, the reference for the vectorized
+  `oracle_rho_path`.
+- to_computational / from_computational: the module basis order
+  (|00>,|11>,|01>,|10>) against the computational product order.
+- x_state_density / concurrence_x_state: the closed-form concurrence of the
+  cross-shaped family, a cross-check of Wootters' formula.
+- factorization_functions: the paper's two-branch split F1 F2 F3 of the
+  kinematic phase.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from becphase import EigenPath, JointState, ModelParams, branch_frequency, validate_joint
+
+
+def evolve_branch(phi0: np.ndarray, branch: int, t: float, p: ModelParams) -> np.ndarray:
+    """Apply the per-Fock-index phase e^{-i t theta_branch(n)}; norm is unchanged."""
+    n = np.arange(phi0.size)
+    return phi0 * np.exp(-1j * t * branch_frequency(branch, n, p))
+
+
+def evolve_joint(state0: JointState, t: float, p: ModelParams) -> JointState:
+    """Evolve each branch by its own running frequency; coefficients are untouched."""
+    validate_joint(state0)
+    amps = np.stack([evolve_branch(a, k, t, p) for k, a in enumerate(state0.amps)])
+    return JointState(state0.coeffs.copy(), amps)
+
+
+def branch_overlap(a: np.ndarray, b: np.ndarray) -> complex:
+    """Inner product <a|b> over the shared truncated basis."""
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return complex(np.vdot(a, b))
+
+
+# Module basis order (|00>,|11>,|01>,|10>) maps onto the computational
+# product order (|00>,|01>,|10>,|11>) through this index list.
+MODULE_TO_COMPUTATIONAL = (0, 3, 1, 2)
+
+
+def to_computational(mat: np.ndarray) -> np.ndarray:
+    """Reorder a module-basis 4x4 matrix into computational product order."""
+    inv = np.argsort(MODULE_TO_COMPUTATIONAL)
+    return mat[np.ix_(inv, inv)]
+
+
+def from_computational(mat: np.ndarray) -> np.ndarray:
+    perm = np.asarray(MODULE_TO_COMPUTATIONAL)
+    return mat[np.ix_(perm, perm)]
+
+
+def x_state_density(w: float, x: float, y: float, z: complex) -> np.ndarray:
+    """Assemble the cross-shaped density matrix with corner coherence z."""
+    if min(w, x, y) < -1e-12:
+        raise ValueError("populations must be non-negative")
+    if abs(w + 2 * x + y - 1.0) > 1e-9:
+        raise ValueError(f"populations must satisfy w + 2x + y = 1, got {w + 2 * x + y}")
+    if abs(z) > math.sqrt(max(w * y, 0.0)) + 1e-12:
+        raise ValueError("coherence |z| exceeds sqrt(w y)")
+    mat = np.zeros((4, 4), dtype=complex)
+    mat[0, 0], mat[1, 1] = w, y
+    mat[2, 2] = mat[3, 3] = x
+    mat[0, 1], mat[1, 0] = z, np.conj(z)
+    return mat
+
+
+def concurrence_x_state(w: float, x: float, y: float, z: complex) -> float:
+    """Closed form max{0, 2|z| - 2x} for the cross-shaped family."""
+    x_state_density(w, x, y, z)
+    return float(max(0.0, 2.0 * abs(z) - 2.0 * x))
+
+
+@dataclass(frozen=True)
+class FactorizationResult:
+    f1: float
+    f2: complex
+    f3: complex
+    phase_part2: float
+
+
+def factorization_functions(path: EigenPath) -> FactorizationResult:
+    """Two-branch split F1, F2, F3 and the second phase part arg(1 + F1 F2 F3).
+
+    With z_k the contribution of branch k to the kinematic phase sum,
+    z_1 / z_0 = F1 F2 F3, so the phase is arg(z_0) + arg(1 + F1 F2 F3).
+    F2 and F3 are reported in the gauge where the dominant component of each
+    eigenvector at t=0 is real positive along the whole path; their product
+    with F1 is gauge invariant.
+    """
+    if path.n_branches != 2:
+        raise ValueError("factorization functions need exactly two branches")
+    vals, vecs = path.values, path.vectors
+    denom = vals[0, 0] * vals[-1, 0]
+    if denom <= 0.0:
+        raise ZeroDivisionError("leading branch carries no endpoint weight")
+    f1 = math.sqrt(max(vals[0, 1] * vals[-1, 1], 0.0) / denom)
+
+    anchor = int(np.argmax(np.abs(vecs[0, :, 0])))
+    fixed = np.empty_like(vecs)
+    for k in range(2):
+        comp = vecs[:, anchor, k]
+        mags = np.abs(comp)
+        phase = np.where(mags > 0, comp / np.where(mags > 0, mags, 1.0), 1.0)
+        fixed[:, :, k] = vecs[:, :, k] / phase[:, None]
+
+    endpoint = np.einsum("ak,ak->k", fixed[0].conj(), fixed[-1])
+    links = np.einsum("mak,mak->mk", fixed[:-1].conj(), fixed[1:])
+    unit = links / np.abs(links)
+    lprod = np.prod(unit, axis=0)
+    f2 = complex(endpoint[1] / endpoint[0])
+    f3 = complex(lprod[1].conj() * lprod[0])
+    phase_part2 = float(np.angle(1.0 + f1 * f2 * f3))
+    return FactorizationResult(f1, f2, f3, phase_part2)

@@ -26,9 +26,7 @@ from becphase import (
     analytic_path_builder,
     analytic_rho_path,
     bell_initial,
-    branch_overlap,
     concurrence_wootters,
-    concurrence_x_state,
     converge_phase,
     eigen_path,
     hybrid_concurrence,
@@ -47,10 +45,9 @@ from becphase import (
     weak_coupling_phase_limit,
     witness_micro_macro,
     witness_micro_micro,
-    x_state_density,
 )
 from becphase.density import EigenPath
-from becphase.entanglement import from_computational
+from oracles import branch_overlap, concurrence_x_state, x_state_density
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -211,7 +208,7 @@ def test_criterion_4_concurrence_identities():
         mat[0, 0] = math.cos(eta0) ** 2
         mat[1, 1] = math.sin(eta0) ** 2
         mat[0, 1] = mat[1, 0] = 0.5 * math.sin(2 * eta0)
-        c = concurrence_wootters(mat).value
+        c = concurrence_wootters(mat)
         worst_bell = max(worst_bell, abs(c - abs(math.sin(2 * eta0))))
     rng = np.random.default_rng(42)
     worst_x = 0.0
@@ -220,8 +217,8 @@ def test_criterion_4_concurrence_identities():
         w, y = probs[0], probs[1]
         x = (probs[2] + probs[3]) / 2
         z = rng.uniform(0, math.sqrt(w * y)) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
-        shortcut = concurrence_x_state(w, x, y, z).value
-        full = concurrence_wootters(x_state_density(w, x, y, z)).value
+        shortcut = concurrence_x_state(w, x, y, z)
+        full = concurrence_wootters(x_state_density(w, x, y, z))
         worst_x = max(worst_x, abs(shortcut - full))
     ok = worst_bell < 1e-12 and worst_x < 1e-10
     report(
@@ -238,8 +235,8 @@ def test_criterion_5_hybrid_concurrence_adjudication():
     linear-overlap value is reported, not hidden."""
     p = ModelParams(omega=1.0, alpha=1.0)
     state = macro_both_initial(math.pi / 4, p, 1e-12)
-    oracle = purity_oracle(state, "qubits").value
-    overlap = branch_overlap(state.branches[0], state.branches[1])
+    oracle = purity_oracle(state, "qubits")
+    overlap = branch_overlap(state.amps[0], state.amps[1])
     forms = hybrid_concurrence(math.pi / 4, overlap)
     dev = abs(oracle - forms.general)
     published_gap = abs(oracle - forms.verbatim)

@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import becphase
 from becphase import Table, emit, parse_config, run_scenario, validation_report
-from becphase import cli
+from becphase import cli, geomphase
 from becphase.cli import _fmt, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -356,6 +358,36 @@ class TestMainEntry:
         cfg.write_text(cfg_text())
         assert main(["evolve", "--config", str(cfg), "--steps", "3"]) == 1
         assert "n_steps must be an even integer >= 2, got 3" in capsys.readouterr().err
+
+    def test_alpha_beyond_the_fock_basis_exits_1_at_once(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        for alpha in (40, 1e5, 1e200):
+            cfg.write_text(cfg_text(alpha=alpha))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                start = time.perf_counter()
+                assert main(["phase", "--config", str(cfg)]) == 1
+                assert time.perf_counter() - start < 1.0
+            assert caught == []
+            assert "alpha" in capsys.readouterr().err
+        cfg.write_text(cfg_text(alpha=30, grid={"n_steps": 256}))
+        assert main(["phase", "--config", str(cfg)]) == 0
+
+    def test_special_point_phase_converges_once(self, monkeypatch, capsys):
+        calls = []
+        converge = geomphase.converge_phase
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return converge(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "converge_phase", counting)
+        monkeypatch.setattr(geomphase, "converge_phase", counting)
+        for name in ("macro_both", "macro_single"):
+            calls.clear()
+            assert main(["phase", "--config", str(CONFIG_DIR / f"{name}.json")]) == 0
+            assert len(calls) == 1
+            assert capsys.readouterr().out.splitlines()[1].split(",")[8] != ""
 
     def test_missing_config_file(self, capsys):
         assert main(["phase", "--config", "/nonexistent/x.json"]) == 1

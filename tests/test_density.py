@@ -1,5 +1,7 @@
 import cmath
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,6 @@ import pytest
 from becphase import (
     EigenPath,
     ModelParams,
-    QubitDensity,
     Scenario,
     analytic_block,
     analytic_rho_path,
@@ -15,7 +16,6 @@ from becphase import (
     decay_phase,
     eigen_path,
     embed_block,
-    evolve_joint,
     macro_both_initial,
     macro_single_initial,
     oracle_rho_path,
@@ -24,7 +24,10 @@ from becphase import (
     validate_density,
 )
 from becphase import density
+from becphase.cli import initial_state, parse_config
+from oracles import evolve_joint
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 P = ModelParams(omega=1.0, j_vdw=0.07, omega_b=0.9, chi=0.003, lambda_c=0.05, alpha=1.2)
 
 BUILDERS = {
@@ -70,7 +73,7 @@ class TestDecayPhase:
 class TestPartialTrace:
     def test_bell_t0_block(self):
         eta0 = 0.6
-        rho = partial_trace(bell_initial(eta0, P)).mat
+        rho = partial_trace(bell_initial(eta0, P))
         c2, s2 = math.cos(eta0) ** 2, math.sin(eta0) ** 2
         half = 0.5 * math.sin(2 * eta0)
         expected = np.zeros((4, 4))
@@ -79,27 +82,27 @@ class TestPartialTrace:
         np.testing.assert_allclose(rho, expected, atol=1e-11)
 
     def test_bell_quarter_pi_offdiagonal_half(self):
-        rho = partial_trace(bell_initial(math.pi / 4, P)).mat
+        rho = partial_trace(bell_initial(math.pi / 4, P))
         assert rho[0, 1] == pytest.approx(0.5, abs=1e-11)
 
     def test_bell_offdiagonal_modulus_at_t(self):
         p = ModelParams(omega=1.0, lambda_c=0.1, alpha=1.0)
         eta0 = 0.5
-        rho = partial_trace(evolve_joint(bell_initial(eta0, p), 1.0, p)).mat
+        rho = partial_trace(evolve_joint(bell_initial(eta0, p), 1.0, p))
         expected = 0.5 * math.sin(2 * eta0) * math.exp(-2 * math.sin(0.1) ** 2)
         assert abs(rho[0, 1]) == pytest.approx(expected, abs=1e-11)
 
     def test_hermitian_and_valid(self):
         state = evolve_joint(macro_both_initial(0.7, P), 2.3, P)
-        rho = partial_trace(state, 2.3)
-        assert rho.timestamp == 2.3
+        rho = partial_trace(state)
+        assert rho.shape == (4, 4)
         validate_density(rho)
-        np.testing.assert_array_equal(rho.mat, rho.mat.conj().T)
+        np.testing.assert_array_equal(rho, rho.conj().T)
 
     def test_macro_both_t0_offdiagonal(self):
         # off-diagonal e^{-Gamma(0)}/2 = e^{-2|alpha|^2}/2 at eta0 = pi/4
         p = ModelParams(omega=1.0, lambda_c=0.125, alpha=1.0)
-        rho = partial_trace(macro_both_initial(math.pi / 4, p)).mat
+        rho = partial_trace(macro_both_initial(math.pi / 4, p))
         assert rho[0, 1] == pytest.approx(0.5 * math.exp(-2.0), abs=1e-11)
 
 
@@ -126,7 +129,7 @@ class TestOracleVsAnalytic:
         for t in (0.0, 0.9, 3.3):
             rho = partial_trace(evolve_joint(state0, t, P))
             batched = oracle_rho_path(state0, np.array([t]), P)[0]
-            np.testing.assert_allclose(rho.mat, batched, atol=1e-13)
+            np.testing.assert_allclose(rho, batched, atol=1e-13)
 
     def test_chunks_equal_one_chunk(self, monkeypatch):
         state0 = macro_both_initial(0.7, P)
@@ -155,7 +158,7 @@ class TestOracleVsAnalytic:
         p = ModelParams(omega=1.0, j_vdw=0.2, lambda_c=0.08, alpha=1.1)
         state0 = macro_single_initial(0.6, p)
         t = 1.7
-        rho = partial_trace(evolve_joint(state0, t, p)).mat
+        rho = partial_trace(evolve_joint(state0, t, p))
         a2 = abs(p.alpha) ** 2
         lam3 = (p.omega - 2 * p.j_vdw) * t - a2 * math.sin(p.lambda_c * t)
         gam3 = 2 * a2 * math.cos(p.lambda_c * t / 2) ** 2
@@ -163,6 +166,22 @@ class TestOracleVsAnalytic:
         assert rho[0, 2] == pytest.approx(expected, abs=1e-11)
         wrong = (p.omega - 4 * p.j_vdw) * t - a2 * math.sin(2 * p.lambda_c * t)
         assert abs(cmath.phase(rho[0, 2]) - wrong) > 1e-2
+
+
+@pytest.mark.parametrize("name", ["micro_micro", "macro_both", "macro_single", "general"])
+def test_kerr_and_mode_frequency_drop_out_of_rho(name):
+    # chi n(n-1) and omega_b n are the same for every branch, so they cancel
+    # from every branch overlap <phi_j(t)|phi_i(t)> and hence from rho
+    cfg = parse_config((CONFIG_DIR / f"{name}.json").read_text())
+    times = np.linspace(0.0, quasicycle_period(cfg.params), cfg.n_steps + 1)
+    state0 = initial_state(cfg)
+
+    def rhos(chi, omega_b):
+        return oracle_rho_path(state0, times, replace(cfg.params, chi=chi, omega_b=omega_b))
+
+    reference = rhos(0.0, 0.0)
+    for chi, omega_b in ((0.5, 7.0), (0.002, 0.9), (-0.3, -2.0)):
+        assert np.max(np.abs(rhos(chi, omega_b) - reference)) <= 1e-12
 
 
 class TestAnalyticBlock:
@@ -336,4 +355,4 @@ def test_validate_density_checks_every_matrix_of_a_stack():
 def test_validate_density_rejects_bad_trace():
     mat = np.eye(4, dtype=complex)
     with pytest.raises(ValueError, match="trace"):
-        validate_density(QubitDensity(mat))
+        validate_density(mat)

@@ -11,10 +11,7 @@ from becphase import (
     Scenario,
     SIGMA_YY,
     bell_initial,
-    branch_overlap,
     concurrence_wootters,
-    concurrence_x_state,
-    evolve_joint,
     general_initial,
     hybrid_concurrence,
     macro_both_initial,
@@ -25,12 +22,18 @@ from becphase import (
     weak_coupling_phase,
     witness_micro_macro,
     witness_micro_micro,
-    x_state_density,
 )
 from becphase.cli import initial_state, parse_config
 from becphase.density import oracle_rho_path
-from becphase.entanglement import from_computational, to_computational
 from becphase.model import quasicycle_period
+from oracles import (
+    branch_overlap,
+    concurrence_x_state,
+    evolve_joint,
+    from_computational,
+    to_computational,
+    x_state_density,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -66,18 +69,18 @@ class TestSigmaYY:
 
 class TestWootters:
     def test_bell_state_maximal(self):
-        assert concurrence_wootters(bell_block(math.pi / 4)).value == pytest.approx(
+        assert concurrence_wootters(bell_block(math.pi / 4)) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_product_state_zero(self):
         mat = np.zeros((4, 4), dtype=complex)
         mat[0, 0] = 1.0
-        assert concurrence_wootters(mat).value == 0.0
+        assert concurrence_wootters(mat) == 0.0
 
     def test_initial_bell_family(self):
         for eta0 in np.linspace(0.05, 1.5, 20):
-            c = concurrence_wootters(bell_block(eta0)).value
+            c = concurrence_wootters(bell_block(eta0))
             assert c == pytest.approx(abs(math.sin(2 * eta0)), abs=1e-12)
 
     def test_oracle_state_matches_decay_law(self):
@@ -87,7 +90,7 @@ class TestWootters:
         t = math.pi / 2 / p.lambda_c / 2  # lambda t = pi/4
         rho = partial_trace(evolve_joint(bell_initial(eta0, p), t, p))
         gamma = 2 * abs(p.alpha) ** 2 * math.sin(p.lambda_c * t) ** 2
-        assert concurrence_wootters(rho).value == pytest.approx(
+        assert concurrence_wootters(rho) == pytest.approx(
             abs(math.sin(2 * eta0)) * math.exp(-gamma), abs=1e-10
         )
 
@@ -97,7 +100,7 @@ class TestWootters:
         eta0 = 0.6
         t = math.pi / 2 / p.lambda_c
         rho = partial_trace(evolve_joint(bell_initial(eta0, p), t, p))
-        assert concurrence_wootters(rho).value == pytest.approx(
+        assert concurrence_wootters(rho) == pytest.approx(
             abs(math.sin(2 * eta0)) * math.exp(-2.0), abs=1e-10
         )
 
@@ -109,7 +112,7 @@ class TestWootters:
             u2, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
             u = np.kron(u1, u2)
             rot = from_computational(u @ rho0 @ u.conj().T)
-            assert concurrence_wootters(rot).value == pytest.approx(
+            assert concurrence_wootters(rot) == pytest.approx(
                 math.sin(1.0), abs=1e-9
             )
 
@@ -124,14 +127,14 @@ class TestStackedWootters:
         cfg = parse_config((CONFIG_DIR / f"{name}.json").read_text())
         times = np.linspace(0.0, quasicycle_period(cfg.params), cfg.n_steps + 1)
         rhos = oracle_rho_path(initial_state(cfg), times, cfg.params)
-        stacked = concurrence_wootters(rhos).value
+        stacked = concurrence_wootters(rhos)
         assert stacked.dtype == np.float64 and stacked.shape == (times.size,)
-        assert np.array_equal(stacked, [concurrence_wootters(r).value for r in rhos])
+        assert np.array_equal(stacked, [concurrence_wootters(r) for r in rhos])
 
     def test_single_matrix_is_a_float(self):
-        value = concurrence_wootters(bell_block(0.3)).value
+        value = concurrence_wootters(bell_block(0.3))
         assert type(value) is float
-        assert concurrence_wootters(bell_block(0.3)[None]).value.tolist() == [value]
+        assert concurrence_wootters(bell_block(0.3)[None]).tolist() == [value]
 
     def test_one_non_hermitian_matrix_rejects_the_stack(self):
         stack = np.stack([bell_block(eta0) for eta0 in np.linspace(0.1, 1.4, 5)])
@@ -148,10 +151,10 @@ class TestStackedWootters:
 
 class TestXState:
     def test_zero_coherence(self):
-        assert concurrence_x_state(0.5, 0.1, 0.3, 0.0).value == 0.0
+        assert concurrence_x_state(0.5, 0.1, 0.3, 0.0) == 0.0
 
     def test_bell_corner(self):
-        assert concurrence_x_state(0.5, 0.0, 0.5, 0.5).value == pytest.approx(1.0)
+        assert concurrence_x_state(0.5, 0.0, 0.5, 0.5) == pytest.approx(1.0)
 
     def test_unphysical_rejected(self):
         with pytest.raises(ValueError):
@@ -165,8 +168,8 @@ class TestXState:
         rng = np.random.default_rng(42)
         for _ in range(200):
             w, x, y, z = random_x_state(rng)
-            shortcut = concurrence_x_state(w, x, y, z).value
-            full = concurrence_wootters(x_state_density(w, x, y, z)).value
+            shortcut = concurrence_x_state(w, x, y, z)
+            full = concurrence_wootters(x_state_density(w, x, y, z))
             assert abs(shortcut - full) < 1e-10
 
     @given(
@@ -181,8 +184,8 @@ class TestXState:
         y = (1.0 - w) * y_frac
         x = (1.0 - w - y) / 2
         z = z_frac * math.sqrt(w * y) * cmath.exp(1j * z_arg)
-        shortcut = concurrence_x_state(w, x, y, z).value
-        full = concurrence_wootters(x_state_density(w, x, y, z)).value
+        shortcut = concurrence_x_state(w, x, y, z)
+        full = concurrence_wootters(x_state_density(w, x, y, z))
         assert abs(shortcut - full) < 1e-10
 
 
@@ -211,19 +214,19 @@ class TestPurityOracle:
     def test_product_state(self):
         p = ModelParams(omega=1.0, alpha=1.0)
         state = general_initial([1.0, 0.0, 0.0, 0.0], p)
-        assert purity_oracle(state, "qubits").value < 1e-5
+        assert purity_oracle(state, "qubits") < 1e-5
 
     def test_macro_both_large_alpha_saturates(self):
         p = ModelParams(omega=1.0, alpha=3.0)
         state = macro_both_initial(math.pi / 4, p)
-        assert purity_oracle(state, "qubits").value == pytest.approx(1.0, abs=1e-6)
+        assert purity_oracle(state, "qubits") == pytest.approx(1.0, abs=1e-6)
 
     def test_adjudicates_overlap_exponent(self):
         # the reduced-purity value equals |sin 2 eta0| sqrt(1 - |overlap|^2)
         p = ModelParams(omega=1.0, alpha=1.0)
         state = macro_both_initial(math.pi / 4, p)
-        oracle = purity_oracle(state, "qubits").value
-        overlap = branch_overlap(state.branches[0], state.branches[1])
+        oracle = purity_oracle(state, "qubits")
+        overlap = branch_overlap(state.amps[0], state.amps[1])
         res = hybrid_concurrence(math.pi / 4, overlap)
         assert oracle == pytest.approx(res.general, abs=1e-9)
         assert abs(oracle - res.verbatim) > 0.05
@@ -232,17 +235,17 @@ class TestPurityOracle:
         p = ModelParams(omega=1.0, alpha=1.0)
         state = macro_single_initial(math.pi / 4, p)
         # qubit 2 carries the mode entanglement, qubit 1 none
-        assert purity_oracle(state, "qubit2").value == pytest.approx(
+        assert purity_oracle(state, "qubit2") == pytest.approx(
             math.sqrt(1 - math.exp(-4.0)), abs=1e-6
         )
-        assert purity_oracle(state, "qubit1").value < 1e-5
+        assert purity_oracle(state, "qubit1") < 1e-5
 
     def test_eta0_scaling(self):
         p = ModelParams(omega=1.0, alpha=1.0)
         eta0 = 0.4
         state = macro_both_initial(eta0, p)
-        overlap = branch_overlap(state.branches[0], state.branches[1])
-        assert purity_oracle(state, "qubits").value == pytest.approx(
+        overlap = branch_overlap(state.amps[0], state.amps[1])
+        assert purity_oracle(state, "qubits") == pytest.approx(
             abs(math.sin(2 * eta0)) * math.sqrt(1 - abs(overlap) ** 2), abs=1e-9
         )
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,6 @@ from becphase import (
     converge_phase,
     decay_phase,
     eigen_path,
-    factorization_functions,
     kinematic_phase,
     oracle_rho_path,
     parse_config,
@@ -27,6 +27,7 @@ from becphase import (
 )
 from becphase.cli import compute_phase, oracle_path_builder
 from becphase.geomphase import PHASE_TOL
+from oracles import factorization_functions
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 TWO_PI = 2 * math.pi
@@ -310,6 +311,17 @@ class TestFactorization:
         assert res.f1 == pytest.approx(0.0, abs=1e-12)
         assert res.phase_part2 == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("name", ["macro_both", "macro_single", "micro_micro"])
+    def test_split_reproduces_kinematic_phase(self, name):
+        # z_1 / z_0 = F1 F2 F3, so the phase is arg(z_0) + arg(1 + F1 F2 F3)
+        cfg = parse_config((CONFIG_DIR / f"{name}.json").read_text())
+        for eta0 in (cfg.eta0, 0.5):
+            path = oracle_path_builder(replace(cfg, eta0=eta0))(cfg.n_steps)
+            assert path.n_branches == 2
+            res = kinematic_phase(path)
+            split = np.angle(res.per_branch[0]) + factorization_functions(path).phase_part2
+            assert abs(math.remainder(res.principal - split, TWO_PI)) < 1e-12
+
     def test_requires_two_branches(self):
         p = ModelParams(omega=1.0, lambda_c=0.0, alpha=1.0)
         path = analytic_path_builder(Scenario.MICRO_MICRO, 0.5, p)(128)
@@ -321,29 +333,29 @@ class TestMacroClosedForms:
     def test_macro_both_printed_value(self):
         p = ModelParams(omega=1.0, lambda_c=0.125, alpha=1.0)
         res = phase_macro_closed(Scenario.MACRO_BOTH, math.pi / 4, p)
-        assert res.closed_form == pytest.approx(0.53125, abs=1e-12)
-        assert isinstance(res.kinematic.unwrapped, float)
+        assert res == pytest.approx(0.53125, abs=1e-12)
+        assert isinstance(res, float)
 
     def test_macro_single_quarter_j(self):
         # J = omega/4 removes the pi term of the printed form
         p = ModelParams(omega=1.0, j_vdw=0.25, lambda_c=0.125, alpha=1.4)
         res = phase_macro_closed(Scenario.MACRO_SINGLE, math.pi / 4, p, variant="verbatim")
-        assert res.closed_form == pytest.approx(-0.5 * 1.4**2, abs=1e-12)
+        assert res == pytest.approx(-0.5 * 1.4**2, abs=1e-12)
 
     def test_macro_single_corrected_variant(self):
         p = ModelParams(omega=1.0, j_vdw=0.1, lambda_c=0.125, alpha=1.0)
         verb = phase_macro_closed(Scenario.MACRO_SINGLE, math.pi / 4, p, variant="verbatim")
         corr = phase_macro_closed(Scenario.MACRO_SINGLE, math.pi / 4, p, variant="corrected")
-        assert verb.closed_form == pytest.approx(-math.pi * 0.6 - 0.5, abs=1e-12)
-        assert corr.closed_form == pytest.approx(-math.pi * 0.8 - 0.5, abs=1e-12)
-        # both pair against the same path-computed phase
-        assert verb.kinematic.unwrapped == pytest.approx(corr.kinematic.unwrapped, abs=1e-9)
+        assert verb == pytest.approx(-math.pi * 0.6 - 0.5, abs=1e-12)
+        assert corr == pytest.approx(-math.pi * 0.8 - 0.5, abs=1e-12)
 
     def test_small_amplitude_limit(self):
         p = ModelParams(omega=1.0, lambda_c=0.125, alpha=1e-4)
-        res = phase_macro_closed(Scenario.MACRO_BOTH, math.pi / 4, p)
-        assert res.closed_form == pytest.approx(0.0, abs=1e-7)
-        assert res.kinematic.principal == pytest.approx(0.0, abs=1e-6)
+        assert phase_macro_closed(Scenario.MACRO_BOTH, math.pi / 4, p) == pytest.approx(
+            0.0, abs=1e-7
+        )
+        kin = converge_phase(analytic_path_builder(Scenario.MACRO_BOTH, math.pi / 4, p))
+        assert kin.principal == pytest.approx(0.0, abs=1e-6)
 
     def test_special_point_preconditions(self):
         p = ModelParams(omega=1.0, lambda_c=0.1, alpha=1.0)
@@ -357,5 +369,5 @@ class TestMacroClosedForms:
 
     def test_origin_crossing_is_flagged_at_special_point(self):
         p = ModelParams(omega=1.0, lambda_c=0.125, alpha=1.0)
-        res = phase_macro_closed(Scenario.MACRO_BOTH, math.pi / 4, p)
-        assert any("origin" in w for w in res.kinematic.warnings)
+        kin = converge_phase(analytic_path_builder(Scenario.MACRO_BOTH, math.pi / 4, p))
+        assert any("origin" in w for w in kin.warnings)

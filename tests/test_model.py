@@ -8,7 +8,6 @@ from becphase import (
     BRANCH_LABELS,
     ModelParams,
     branch_frequency,
-    energy,
     quasicycle_period,
 )
 
@@ -16,35 +15,42 @@ freqs = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 pos_freqs = st.floats(min_value=0.05, max_value=5.0, allow_nan=False)
 
 
+def hamiltonian_energy(s1: int, s2: int, n: int, p: ModelParams) -> float:
+    """Eigenenergy of |s1 s2> x |n> written out from the README Hamiltonian,
+    with sigma_z |0> = -|0> and sigma_z |1> = +|1>."""
+    a, b = 2 * s1 - 1, 2 * s2 - 1
+    return (
+        0.5 * p.omega * (a + b)
+        + p.omega_b * n
+        + p.j_vdw * a * b
+        + 0.5 * p.lambda_c * (a + b) * n
+        + p.chi * n * (n - 1)
+    )
+
+
 def test_energy_direct_substitution():
     # |11>, n = 0: all n terms vanish
     p = ModelParams(omega=1.3, j_vdw=0.2, omega_b=2.0, chi=0.4, lambda_c=0.7)
-    assert energy(1, 1, 0, p) == pytest.approx(1.3 + 0.2, abs=1e-15)
+    assert branch_frequency(1, 0, p) == pytest.approx(1.3 + 0.2, abs=1e-15)
     # |00>, n = 2 summed term by term
     p = ModelParams(omega=1.0, j_vdw=0.1, omega_b=2.0, chi=0.01, lambda_c=0.05)
-    assert energy(0, 0, 2, p) == pytest.approx(3.02, abs=1e-14)
+    assert branch_frequency(0, 2, p) == pytest.approx(3.02, abs=1e-14)
 
 
 def test_energy_rejects_negative_fock_index():
     p = ModelParams(omega=1.0)
     with pytest.raises(ValueError):
-        energy(0, 1, -1, p)
-    with pytest.raises(ValueError):
         branch_frequency(2, -3, p)
-
-
-def test_energy_rejects_bad_labels():
-    p = ModelParams(omega=1.0)
     with pytest.raises(ValueError):
-        energy(2, 0, 0, p)
+        branch_frequency(0, np.array([0, 1, -1]), p)
 
 
 def test_opposite_spin_branch_is_j_independent_of_omega():
     p = ModelParams(omega=1.7, j_vdw=0.3, omega_b=0.8, chi=0.02, lambda_c=0.4)
     for n in range(6):
         expected = -0.3 + 0.8 * n + 0.02 * n * (n - 1)
-        assert energy(0, 1, n, p) == pytest.approx(expected, abs=1e-14)
         assert branch_frequency(2, n, p) == pytest.approx(expected, abs=1e-14)
+        assert branch_frequency(3, n, p) == pytest.approx(expected, abs=1e-14)
 
 
 @given(pos_freqs, freqs, freqs, freqs, freqs, st.integers(0, 50), st.integers(0, 3))
@@ -52,7 +58,7 @@ def test_branch_frequency_matches_energy(w, j, wb, chi, lam, n, branch):
     p = ModelParams(omega=w, j_vdw=j, omega_b=wb, chi=chi, lambda_c=lam)
     s1, s2 = BRANCH_LABELS[branch]
     assert branch_frequency(branch, n, p) == pytest.approx(
-        energy(s1, s2, n, p), abs=1e-10, rel=1e-12
+        hamiltonian_energy(s1, s2, n, p), abs=1e-10, rel=1e-12
     )
 
 
