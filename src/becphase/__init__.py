@@ -22,11 +22,9 @@ from .density import (
     DecayPhase,
     EigenPath,
     Scenario,
-    analytic_block,
     analytic_rho_path,
     decay_phase,
     eigen_path,
-    embed_block,
     oracle_rho_path,
     partial_trace,
     validate_density,

@@ -19,6 +19,7 @@ import numpy as np
 
 from .model import ModelParams, quasicycle_period
 from .dynamics import (
+    TAIL_TOL,
     JointState,
     bell_initial,
     check_coefficients,
@@ -38,6 +39,7 @@ from .density import (
     partial_trace,
 )
 from .geomphase import (
+    N_STEPS,
     PHASE_TOL,
     ConvergenceError,
     PhaseResult,
@@ -60,14 +62,10 @@ from .entanglement import (
     witness_micro_micro,
 )
 
-DEFAULT_N_STEPS = 2048
-DEFAULT_TAIL_TOL = 1e-12
-
 PARAM_KEYS = ("omega", "j_vdw", "omega_b", "chi", "lambda_c", "alpha")
-TOP_KEYS = set(PARAM_KEYS) | {"scenario", "eta0", "coefficients", "grid", "sweep", "output", "phase"}
+TOP_KEYS = set(PARAM_KEYS) | {"scenario", "eta0", "coefficients", "grid", "sweep", "phase"}
 GRID_KEYS = {"n_steps", "tail_tol", "phase_tol", "degeneracy_tol"}
 SWEEP_KEYS = {"variable", "start", "stop", "count"}
-OUTPUT_KEYS = {"path", "format"}
 SWEEP_VARIABLES = ("concurrence", "alpha", "lambda_c", "eta0")
 MANDATORY = {
     "micro_micro": ("omega", "lambda_c", "alpha", "eta0"),
@@ -92,13 +90,11 @@ class RunConfig:
     params: ModelParams
     eta0: float | None = None
     coefficients: np.ndarray | None = None
-    n_steps: int = DEFAULT_N_STEPS
-    tail_tol: float = DEFAULT_TAIL_TOL
+    n_steps: int = N_STEPS
+    tail_tol: float = TAIL_TOL
     phase_tol: float = PHASE_TOL
     degeneracy_tol: float = DEGENERACY_TOL
     sweep: SweepSpec | None = None
-    output_path: str | None = None
-    output_format: str = "csv"
     phase: float | None = None
 
     def __post_init__(self) -> None:
@@ -170,8 +166,8 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(grid, dict):
         raise ValueError("grid must be an object")
     _check_keys(grid, GRID_KEYS, "grid")
-    n_steps = _integer(grid.get("n_steps", DEFAULT_N_STEPS), "grid.n_steps")
-    tail_tol = _real(grid.get("tail_tol", DEFAULT_TAIL_TOL), "grid.tail_tol")
+    n_steps = _integer(grid.get("n_steps", N_STEPS), "grid.n_steps")
+    tail_tol = _real(grid.get("tail_tol", TAIL_TOL), "grid.tail_tol")
     phase_tol = _real(grid.get("phase_tol", PHASE_TOL), "grid.phase_tol")
     degeneracy_tol = _real(grid.get("degeneracy_tol", DEGENERACY_TOL), "grid.degeneracy_tol")
     if not 0 < tail_tol < 1:
@@ -201,19 +197,6 @@ def parse_config(text: str) -> RunConfig:
             variable, _real(sdoc["start"], "sweep.start"), _real(sdoc["stop"], "sweep.stop"), count
         )
 
-    output_path, output_format = None, "csv"
-    if "output" in doc:
-        odoc = doc["output"]
-        if not isinstance(odoc, dict):
-            raise ValueError("output must be an object")
-        _check_keys(odoc, OUTPUT_KEYS, "output")
-        output_path = odoc.get("path")
-        if not isinstance(output_path, (str, type(None))):
-            raise ValueError(f"output.path must be a string, got {output_path!r}")
-        output_format = odoc.get("format", "csv")
-        if output_format not in ("csv", "tsv"):
-            raise ValueError(f"format must be csv or tsv, got {output_format!r}")
-
     eta0 = _real(doc["eta0"], "eta0") if "eta0" in doc else None
     phase = _real(doc["phase"], "phase") if "phase" in doc else None
     return RunConfig(
@@ -226,8 +209,6 @@ def parse_config(text: str) -> RunConfig:
         phase_tol=phase_tol,
         degeneracy_tol=degeneracy_tol,
         sweep=sweep,
-        output_path=output_path,
-        output_format=output_format,
         phase=phase,
     )
 
@@ -467,9 +448,7 @@ def _override_variable(cfg: RunConfig, value: float) -> RunConfig:
         return replace(cfg, params=replace(cfg.params, alpha=complex(value)))
     if var == "lambda_c":
         return replace(cfg, params=replace(cfg.params, lambda_c=value))
-    if var == "eta0":
-        return replace(cfg, eta0=value)
-    raise ValueError(f"cannot override sweep variable {var!r}")
+    return replace(cfg, eta0=value)
 
 
 def run_sweep(cfg: RunConfig, workers: int = 1) -> Table:
@@ -504,12 +483,10 @@ def run_sweep(cfg: RunConfig, workers: int = 1) -> Table:
         raise ValueError("sweeps are defined for the three named scenarios")
     if cfg.sweep.variable == "concurrence" and not (0.0 <= values.min() and values.max() < 1.0):
         raise ValueError("concurrence sweep values must lie in [0, 1)")
-    workers = min(workers, values.size, os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda v: point_fn(cfg, float(v)), values))
-    else:
-        rows = [point_fn(cfg, float(v)) for v in values]
+    # One worker runs the points in order; more share them, rows stay in order.
+    workers = max(1, min(workers, values.size, os.cpu_count() or 1))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        rows = list(pool.map(lambda v: point_fn(cfg, float(v)), values))
     return Table(columns, rows)
 
 
@@ -531,25 +508,11 @@ def run_scenario(cfg: RunConfig, verb: str, workers: int = 1) -> Table:
 # ---------------------------------------------------------------------------
 
 ORACLE_MATCH_TOL = 1e-9
+REPORT_ETA0 = 0.5
+REPORT_POINTS = 100
 
 
-def _oracle_vs_analytic(
-    scenario: Scenario, eta0: float, p: ModelParams, variant: str, n_points: int, tail_tol: float
-) -> float:
-    state0 = initial_state(RunConfig(scenario.value, p, eta0=eta0, tail_tol=tail_tol))
-    tau = quasicycle_period(p)
-    times = np.linspace(0.0, tau, n_points)
-    numeric = oracle_rho_path(state0, times, p)
-    analytic = analytic_rho_path(scenario, eta0, p, times, variant)
-    return float(np.max(np.abs(numeric - analytic)))
-
-
-def validation_report(
-    p: ModelParams | None = None,
-    eta0: float = 0.5,
-    n_points: int = 100,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> str:
+def validation_report(p: ModelParams | None = None) -> str:
     """Analytic-vs-numeric discrepancy report over all scenarios and variants."""
     if p is None:
         p = ModelParams(
@@ -557,9 +520,13 @@ def validation_report(
         )
     lines = ["validation report (numerical evolution is the reference)", ""]
     resolutions = []
+    times = np.linspace(0.0, quasicycle_period(p), REPORT_POINTS)
     for scenario in Scenario:
+        state0 = initial_state(RunConfig(scenario.value, p, eta0=REPORT_ETA0))
+        numeric = oracle_rho_path(state0, times, p)
         for variant in ("corrected", "verbatim"):
-            dev = _oracle_vs_analytic(scenario, eta0, p, variant, n_points, tail_tol)
+            analytic = analytic_rho_path(scenario, REPORT_ETA0, p, times, variant)
+            dev = float(np.max(np.abs(numeric - analytic)))
             verdict = "MATCH" if dev < ORACLE_MATCH_TOL else "MISMATCH"
             lines.append(
                 f"reduced density: scenario={scenario.value:<12s} variant={variant:<9s} "
@@ -574,8 +541,8 @@ def validation_report(
     lines.append("")
 
     special = ModelParams(omega=p.omega, j_vdw=p.j_vdw, lambda_c=p.omega / 8.0, alpha=1.0)
-    state = macro_both_initial(math.pi / 4, special, tail_tol)
-    oracle_c = purity_oracle(state, "qubits")
+    state = macro_both_initial(math.pi / 4, special)
+    oracle_c = purity_oracle(state)
     t0 = partial_trace(state)
     overlap = t0[0, 1] / (0.5 * math.sin(math.pi / 2))
     hybrid = hybrid_concurrence(math.pi / 4, overlap)
@@ -591,7 +558,7 @@ def validation_report(
 
     weak = ModelParams(omega=1.0, lambda_c=1e-4 / (2 * math.pi), alpha=1.0)
     conc = 0.5
-    cfg = RunConfig("micro_micro", weak, eta0=0.5 * math.asin(conc), tail_tol=tail_tol)
+    cfg = RunConfig("micro_micro", weak, eta0=0.5 * math.asin(conc))
     kin = compute_phase(cfg)
     lines.append(
         f"weak-coupling phase at C={conc}: kinematic = {kin.unwrapped:.9f}, "
@@ -637,7 +604,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(verb, help=text)
         sp.add_argument("--config", required=True, help="path to a JSON configuration")
         sp.add_argument("--output", help="output file (default: stdout)")
-        sp.add_argument("--format", choices=("csv", "tsv"), help="output format")
+        sp.add_argument("--format", choices=("csv", "tsv"), default="csv", help="output format")
         sp.add_argument("--steps", type=int, help="override grid n_steps")
         sp.add_argument("--workers", type=int, default=1, help="sweep worker threads")
     vp = sub.add_parser("validate", help="print the analytic-vs-numeric discrepancy report")
@@ -653,11 +620,11 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(validation_report(p))
             return 0
         cfg = parse_config(Path(args.config).read_text())
-        flags = {"n_steps": args.steps, "output_path": args.output, "output_format": args.format}
-        cfg = replace(cfg, **{k: v for k, v in flags.items() if v is not None})
-        table = run_scenario(cfg, args.verb, workers=max(1, args.workers))
-        text = emit(table, cfg.output_format, cfg.output_path)
-        if cfg.output_path is None:
+        if args.steps is not None:
+            cfg = replace(cfg, n_steps=args.steps)
+        table = run_scenario(cfg, args.verb, workers=args.workers)
+        text = emit(table, args.format, args.output)
+        if args.output is None:
             sys.stdout.write(text)
         return 0
     except ConvergenceError as exc:

@@ -97,12 +97,7 @@ def decay_phase(scenario: Scenario, p: ModelParams, variant: str = "corrected") 
     raise ValueError(f"unknown scenario {scenario!r}")
 
 
-def validate_density(
-    rho: np.ndarray,
-    herm_tol: float = HERMITICITY_TOL,
-    trace_tol: float = TRACE_TOL,
-    eig_tol: float = POSITIVITY_TOL,
-) -> tuple[np.ndarray, np.ndarray]:
+def validate_density(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Check Hermiticity, unit trace and positivity of a 4x4 density matrix or
     of every matrix of a (..., 4, 4) stack; return the `eigh` decomposition
     that the positivity check computes."""
@@ -110,14 +105,14 @@ def validate_density(
     if m.shape[-2:] != (4, 4):
         raise ValueError(f"density matrices must be 4x4, got shape {m.shape}")
     herm = np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2))))
-    if herm > herm_tol:
+    if herm > HERMITICITY_TOL:
         raise ValueError(f"density matrix not Hermitian: deviation {herm:g}")
     traces = np.trace(m, axis1=-2, axis2=-1).ravel()
     worst = complex(traces[np.argmax(np.abs(traces - 1.0))])
-    if abs(worst - 1.0) > trace_tol:
+    if abs(worst - 1.0) > TRACE_TOL:
         raise ValueError(f"density matrix trace is {worst!r}, expected 1")
     evals, evecs = np.linalg.eigh(m)
-    if evals.min() < -eig_tol:
+    if evals.min() < -POSITIVITY_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {evals.min():g}")
     return evals, evecs
 
@@ -153,32 +148,6 @@ def oracle_rho_path(state0: JointState, times: np.ndarray, p: ModelParams) -> np
     return out
 
 
-def analytic_block(dp: DecayPhase, eta0: float, t) -> np.ndarray:
-    """Occupied 2x2 block [[cos^2, off],[conj(off), sin^2]] with
-    off = sin(2 eta0)/2 * exp(i Lambda - Gamma), vectorized over t."""
-    t = np.asarray(t, dtype=float)
-    lam = dp.lambda_fn(t)
-    gam = dp.gamma_fn(t)
-    off = 0.5 * math.sin(2 * eta0) * np.exp(1j * lam - gam)
-    block = np.zeros(t.shape + (2, 2), dtype=complex)
-    block[..., 0, 0] = math.cos(eta0) ** 2
-    block[..., 1, 1] = math.sin(eta0) ** 2
-    block[..., 0, 1] = off
-    block[..., 1, 0] = np.conj(off)
-    return block
-
-
-def embed_block(block: np.ndarray, scenario: Scenario) -> np.ndarray:
-    """Place a (...,2,2) block at the scenario's index pair of a 4x4 matrix."""
-    i0, i1 = BLOCK_INDEX[scenario]
-    out = np.zeros(block.shape[:-2] + (4, 4), dtype=complex)
-    out[..., i0, i0] = block[..., 0, 0]
-    out[..., i0, i1] = block[..., 0, 1]
-    out[..., i1, i0] = block[..., 1, 0]
-    out[..., i1, i1] = block[..., 1, 1]
-    return out
-
-
 def analytic_rho_path(
     scenario: Scenario,
     eta0: float,
@@ -186,8 +155,19 @@ def analytic_rho_path(
     times: np.ndarray,
     variant: str = "corrected",
 ) -> np.ndarray:
+    """Closed-form reduced density matrices, vectorized over times: the
+    occupied block [[cos^2 eta0, off], [conj(off), sin^2 eta0]] with
+    off = sin(2 eta0)/2 * exp(i Lambda - Gamma), at the scenario's index pair."""
     dp = decay_phase(scenario, p, variant)
-    return embed_block(analytic_block(dp, eta0, times), scenario)
+    t = np.asarray(times, dtype=float)
+    off = 0.5 * math.sin(2 * eta0) * np.exp(1j * dp.lambda_fn(t) - dp.gamma_fn(t))
+    i0, i1 = BLOCK_INDEX[scenario]
+    out = np.zeros(t.shape + (4, 4), dtype=complex)
+    out[..., i0, i0] = math.cos(eta0) ** 2
+    out[..., i1, i1] = math.sin(eta0) ** 2
+    out[..., i0, i1] = off
+    out[..., i1, i0] = np.conj(off)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +216,6 @@ def eigen_path(
     times: np.ndarray,
     rhos: np.ndarray,
     degeneracy_tol: float = DEGENERACY_TOL,
-    support_tol: float = SUPPORT_TOL,
     coarse: EigenPath | None = None,
 ) -> EigenPath:
     """Spectrally decompose a time-ordered family of 4x4 density matrices.
@@ -290,7 +269,7 @@ def eigen_path(
     vals = np.take_along_axis(evals, col, axis=1)
     vecs = np.take_along_axis(evecs, col[:, None, :], axis=2)
 
-    keep = np.flatnonzero(vals.max(axis=0) > support_tol)
+    keep = np.flatnonzero(vals.max(axis=0) > SUPPORT_TOL)
     if keep.size == 0:
         raise ValueError("no branch carries weight above the support cutoff")
     vals = vals[:, keep]

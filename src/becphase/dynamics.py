@@ -17,6 +17,7 @@ import numpy as np
 from .model import N_BRANCHES, ModelParams
 
 JOINT_NORM_TOL = 1e-10
+TAIL_TOL = 1e-12
 # Largest |alpha| whose vacuum amplitude exp(-|alpha|^2 / 2) is a normal
 # double: beyond it the amplitudes underflow and their recurrence overflows.
 MAX_ALPHA = math.sqrt(-2.0 * math.log(sys.float_info.min))
@@ -48,17 +49,18 @@ class JointState:
         return float(np.sum(np.abs(self.coeffs) ** 2 * np.sum(np.abs(self.amps) ** 2, axis=1)))
 
 
-def validate_joint(state: JointState, tol: float = JOINT_NORM_TOL) -> None:
+def validate_joint(state: JointState) -> None:
     norm2 = state.norm2()
-    if abs(norm2 - 1.0) > tol:
+    if abs(norm2 - 1.0) > JOINT_NORM_TOL:
         raise ValueError(f"joint state is not normalized: |psi|^2 = {norm2!r}")
 
 
-def truncation_dim(alpha: complex, tail_tol: float, floor: int = 4) -> int:
-    """Smallest n_max with Poissonian tail mass below tail_tol (never below `floor`).
+def truncation_dim(alpha: complex, tail_tol: float) -> int:
+    """Smallest n_max >= 4 with Poissonian tail mass below tail_tol.
 
     The search is capped at ceil(|alpha|^2 + 10 |alpha| + 20), which always
-    dominates the requested quantile for tail_tol >= 1e-15. An |alpha| above
+    dominates the requested quantile for tail_tol >= 1e-15, and returns the cap
+    where its start exp(-|alpha|^2) is not a normal double. An |alpha| above
     MAX_ALPHA is refused before the search starts.
     """
     if not 0.0 < tail_tol < 1.0:
@@ -71,14 +73,16 @@ def truncation_dim(alpha: complex, tail_tol: float, floor: int = 4) -> int:
     mu = abs(alpha) ** 2
     bound = math.ceil(mu + 10.0 * abs(alpha) + 20.0)
     p = math.exp(-mu)
+    if p < sys.float_info.min:
+        return bound
     cum = p
     if 1.0 - cum < tail_tol:
-        return max(0, floor)
+        return 4
     for n in range(1, bound + 1):
         p *= mu / n
         cum += p
         if 1.0 - cum < tail_tol:
-            return max(n, floor)
+            return max(n, 4)
     return bound
 
 
@@ -109,19 +113,19 @@ def _coherent_branches(alpha: complex, signs: tuple[int, ...], tail_tol: float) 
     return amps
 
 
-def bell_initial(eta0: float, p: ModelParams, tail_tol: float = 1e-12) -> JointState:
+def bell_initial(eta0: float, p: ModelParams, tail_tol: float = TAIL_TOL) -> JointState:
     """(cos eta0 |00> + sin eta0 |11>) with the mode in one coherent state."""
     coeffs = [math.cos(eta0), math.sin(eta0), 0.0, 0.0]
     return JointState(coeffs, _coherent_branches(p.alpha, (1, 1, 0, 0), tail_tol))
 
 
-def macro_both_initial(eta0: float, p: ModelParams, tail_tol: float = 1e-12) -> JointState:
+def macro_both_initial(eta0: float, p: ModelParams, tail_tol: float = TAIL_TOL) -> JointState:
     """cos eta0 |00>|alpha> + sin eta0 |11>|-alpha>: both qubits tied to the mode."""
     coeffs = [math.cos(eta0), math.sin(eta0), 0.0, 0.0]
     return JointState(coeffs, _coherent_branches(p.alpha, (1, -1, 0, 0), tail_tol))
 
 
-def macro_single_initial(eta0: float, p: ModelParams, tail_tol: float = 1e-12) -> JointState:
+def macro_single_initial(eta0: float, p: ModelParams, tail_tol: float = TAIL_TOL) -> JointState:
     """cos eta0 |00>|alpha> + sin eta0 |01>|-alpha>: one qubit tied to the mode."""
     coeffs = [math.cos(eta0), 0.0, math.sin(eta0), 0.0]
     return JointState(coeffs, _coherent_branches(p.alpha, (1, 0, -1, 0), tail_tol))
@@ -140,7 +144,7 @@ def check_coefficients(coeffs) -> np.ndarray:
     return coeffs
 
 
-def general_initial(coeffs, p: ModelParams, tail_tol: float = 1e-12) -> JointState:
+def general_initial(coeffs, p: ModelParams, tail_tol: float = TAIL_TOL) -> JointState:
     """Arbitrary normalized four-branch superposition with a shared coherent mode."""
     coeffs = check_coefficients(coeffs)
     return JointState(coeffs, _coherent_branches(p.alpha, (1, 1, 1, 1), tail_tol))

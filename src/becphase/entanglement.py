@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BRANCH_LABELS, ModelParams
-from .dynamics import JointState, validate_joint
+from .model import ModelParams
+from .dynamics import JointState
 from .density import Scenario, detuning_factor, partial_trace, validate_density
 from .geomphase import special_point_phase
 
@@ -71,36 +71,14 @@ def hybrid_concurrence(eta0: float, overlap: complex) -> HybridConcurrence:
     )
 
 
-_QUBIT1 = tuple(lbl[0] for lbl in BRANCH_LABELS)
-_QUBIT2 = tuple(lbl[1] for lbl in BRANCH_LABELS)
-
-
-def purity_oracle(state: JointState, cut: str = "qubits") -> float:
-    """Bipartite concurrence sqrt(2 (1 - Tr rho^2)) of a pure state across a cut.
-
-    cut = "qubits" reduces the qubit pair (support must be at most rank 2),
-    "qubit1"/"qubit2" reduce a single qubit against everything else.
-    """
-    validate_joint(state)
-    if cut == "qubits":
-        rho = partial_trace(state)
-        ev = np.sort(np.linalg.eigvalsh(rho))[::-1]
-        if ev[2:].max() > 1e-10:
-            raise ValueError(
-                "qubit-pair support exceeds two dimensions across this cut"
-            )
-    elif cut in ("qubit1", "qubit2"):
-        labels = _QUBIT1 if cut == "qubit1" else _QUBIT2
-        other = _QUBIT2 if cut == "qubit1" else _QUBIT1
-        gram = state.amps.conj() @ state.amps.T  # gram[j, i] = <phi_j|phi_i>
-        c = state.coeffs
-        rho = np.zeros((2, 2), dtype=complex)
-        for i in range(4):
-            for j in range(4):
-                if other[i] == other[j]:
-                    rho[labels[i], labels[j]] += c[i] * np.conj(c[j]) * gram[j, i]
-    else:
-        raise ValueError(f"unknown cut {cut!r}")
+def purity_oracle(state: JointState) -> float:
+    """Concurrence sqrt(2 (1 - Tr rho^2)) of a pure state across the cut
+    between the qubit pair and the mode; the reduced qubit-pair support must
+    be at most rank 2."""
+    rho = partial_trace(state)
+    ev = np.sort(np.linalg.eigvalsh(rho))[::-1]
+    if ev[2:].max() > 1e-10:
+        raise ValueError("qubit-pair support exceeds two dimensions across this cut")
     purity = float(np.real(np.trace(rho @ rho)))
     return math.sqrt(max(0.0, 2.0 * (1.0 - purity)))
 

@@ -41,6 +41,7 @@ from .density import (
 )
 
 PHASE_TOL = 1e-7
+N_STEPS = 2048
 COARSE_LINK_WARNING = 0.9
 ORIGIN_WARNING_RATIO = 1e-6
 # Extrapolated acceptance in converge_phase: the window of d_{k-1} / d_k
@@ -136,7 +137,7 @@ def kinematic_phase(path: EigenPath) -> PhaseResult:
 
 def converge_phase(
     build_path: Callable[[int], EigenPath],
-    n_start: int = 2048,
+    n_start: int = N_STEPS,
     phase_tol: float = PHASE_TOL,
     max_doublings: int = 10,
 ) -> PhaseResult:
@@ -218,13 +219,12 @@ def analytic_path_builder(
     scenario: Scenario,
     eta0: float,
     p: ModelParams,
-    variant: str = "corrected",
     degeneracy_tol: float = DEGENERACY_TOL,
 ) -> Callable[[int], EigenPath]:
-    """Path factory over one quasicycle from the closed-form density matrices."""
+    """Path factory over one quasicycle from the corrected closed-form density matrices."""
     return refining_path_builder(
         quasicycle_period(p),
-        lambda times: analytic_rho_path(scenario, eta0, p, times, variant),
+        lambda times: analytic_rho_path(scenario, eta0, p, times),
         partial(eigen_path, degeneracy_tol=degeneracy_tol),
     )
 

@@ -9,6 +9,8 @@
   cross-shaped family, a cross-check of Wootters' formula.
 - factorization_functions: the paper's two-branch split F1 F2 F3 of the
   kinematic phase.
+- single_qubit_concurrence: the purity concurrence of one qubit against the
+  other qubit and the mode, a cut that `purity_oracle` does not take.
 """
 
 from __future__ import annotations
@@ -18,7 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from becphase import EigenPath, JointState, ModelParams, branch_frequency, validate_joint
+from becphase import (
+    BRANCH_LABELS,
+    EigenPath,
+    JointState,
+    ModelParams,
+    branch_frequency,
+    validate_joint,
+)
 
 
 def evolve_branch(phi0: np.ndarray, branch: int, t: float, p: ModelParams) -> np.ndarray:
@@ -119,3 +128,24 @@ def factorization_functions(path: EigenPath) -> FactorizationResult:
     f3 = complex(lprod[1].conj() * lprod[0])
     phase_part2 = float(np.angle(1.0 + f1 * f2 * f3))
     return FactorizationResult(f1, f2, f3, phase_part2)
+
+
+_QUBIT1 = tuple(lbl[0] for lbl in BRANCH_LABELS)
+_QUBIT2 = tuple(lbl[1] for lbl in BRANCH_LABELS)
+
+
+def single_qubit_concurrence(state: JointState, cut: str) -> float:
+    """Concurrence sqrt(2 (1 - Tr rho^2)) of a pure state across the cut
+    "qubit1" or "qubit2": one qubit against the other qubit and the mode."""
+    validate_joint(state)
+    labels = _QUBIT1 if cut == "qubit1" else _QUBIT2
+    other = _QUBIT2 if cut == "qubit1" else _QUBIT1
+    gram = state.amps.conj() @ state.amps.T  # gram[j, i] = <phi_j|phi_i>
+    c = state.coeffs
+    rho = np.zeros((2, 2), dtype=complex)
+    for i in range(4):
+        for j in range(4):
+            if other[i] == other[j]:
+                rho[labels[i], labels[j]] += c[i] * np.conj(c[j]) * gram[j, i]
+    purity = float(np.real(np.trace(rho @ rho)))
+    return math.sqrt(max(0.0, 2.0 * (1.0 - purity)))

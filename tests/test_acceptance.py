@@ -186,7 +186,7 @@ def test_criterion_3_oracle_equivalence():
             or devs[(Scenario.MACRO_SINGLE, "corrected")] < 1e-9
         )
     )
-    rep = validation_report(p, eta0, 100)
+    rep = validation_report(p)
     printed = "omega - 2J" in rep and "MISMATCH" in rep
     detail = (
         f"micro={devs[(Scenario.MICRO_MICRO, 'verbatim')]:.2e}, "
@@ -235,7 +235,7 @@ def test_criterion_5_hybrid_concurrence_adjudication():
     linear-overlap value is reported, not hidden."""
     p = ModelParams(omega=1.0, alpha=1.0)
     state = macro_both_initial(math.pi / 4, p, 1e-12)
-    oracle = purity_oracle(state, "qubits")
+    oracle = purity_oracle(state)
     overlap = branch_overlap(state.amps[0], state.amps[1])
     forms = hybrid_concurrence(math.pi / 4, overlap)
     dev = abs(oracle - forms.general)

@@ -36,7 +36,6 @@ class TestParseConfig:
         assert cfg.phase_tol == 1e-7
         assert cfg.degeneracy_tol == 1e-9
         assert cfg.params.j_vdw == 0.0
-        assert cfg.output_format == "csv"
 
     def test_unknown_keys_listed(self):
         with pytest.raises(ValueError, match="unknown configuration keys: blah, zeta"):
@@ -141,7 +140,7 @@ def test_any_json_value_in_a_numeric_key_parses_or_is_a_value_error(path, value)
         ({"grid": {"n_steps": None}}, "n_steps"),
         ({"grid": {"n_steps": 2.5}}, "n_steps"),
         ({"sweep": dict(SWEEP, count=None)}, "count"),
-        ({"output": {"path": 5}}, "path"),
+        ({"output": {"path": 5}}, "unknown configuration keys: output"),
         ({"grid": {"phase_tol": -1}}, "grid.phase_tol"),
         ({"grid": {"phase_tol": 0}}, "grid.phase_tol"),
         ({"grid": {"degeneracy_tol": -1e-9}}, "grid.degeneracy_tol"),
@@ -300,6 +299,8 @@ class TestRunScenario:
         rows = run_scenario(cfg, "sweep", workers=10**6).rows
         assert requested == [2]
         assert rows == run_scenario(cfg, "sweep", workers=1).rows
+        assert rows == run_scenario(cfg, "sweep", workers=0).rows
+        assert requested == [2, 1, 1]
 
     def test_sweep_workers_preserve_order(self):
         cfg = parse_config(
@@ -373,6 +374,14 @@ class TestMainEntry:
         cfg.write_text(cfg_text(alpha=30, grid={"n_steps": 256}))
         assert main(["phase", "--config", str(cfg)]) == 0
 
+    def test_alpha_with_a_subnormal_vacuum_mass_runs(self, tmp_path, capsys):
+        # exp(-|alpha|^2) is subnormal at alpha = 27; the Fock basis still holds the state
+        cfg = tmp_path / "c.json"
+        cfg.write_text(cfg_text(alpha=27, grid={"n_steps": 256}))
+        assert main(["phase", "--config", str(cfg)]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert abs(float(row[1]) - float(row[5])) < 1e-6
+
     def test_special_point_phase_converges_once(self, monkeypatch, capsys):
         calls = []
         converge = geomphase.converge_phase
@@ -423,7 +432,7 @@ class TestMainEntry:
 
 class TestValidationReport:
     def test_report_structure(self):
-        text = validation_report(n_points=40)
+        text = validation_report()
         matches = [ln for ln in text.splitlines() if "-> MATCH" in ln]
         mismatches = [ln for ln in text.splitlines() if "-> MISMATCH" in ln]
         assert len(matches) == 5

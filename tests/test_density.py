@@ -10,12 +10,10 @@ from becphase import (
     EigenPath,
     ModelParams,
     Scenario,
-    analytic_block,
     analytic_rho_path,
     bell_initial,
     decay_phase,
     eigen_path,
-    embed_block,
     macro_both_initial,
     macro_single_initial,
     oracle_rho_path,
@@ -187,19 +185,19 @@ def test_kerr_and_mode_frequency_drop_out_of_rho(name):
 class TestAnalyticBlock:
     def test_micro_zero_coupling_modulus_constant(self):
         p = ModelParams(omega=1.0, lambda_c=0.0, alpha=1.0)
-        dp = decay_phase(Scenario.MICRO_MICRO, p)
         t = np.linspace(0, 7, 60)
-        block = analytic_block(dp, 0.4, t)
+        rhos = analytic_rho_path(Scenario.MICRO_MICRO, 0.4, p, t)
         np.testing.assert_allclose(
-            np.abs(block[:, 0, 1]), 0.5 * abs(math.sin(0.8)), atol=1e-13
+            np.abs(rhos[:, 0, 1]), 0.5 * abs(math.sin(0.8)), atol=1e-13
         )
 
     def test_embedding_index_pairs(self):
         dp = decay_phase(Scenario.MACRO_SINGLE, P)
-        block = analytic_block(dp, 0.3, np.array(1.0))
-        full = embed_block(block, Scenario.MACRO_SINGLE)
-        assert full[0, 2] == block[0, 1]
-        assert full[2, 2] == block[1, 1]
+        t, eta0 = 1.0, 0.3
+        full = analytic_rho_path(Scenario.MACRO_SINGLE, eta0, P, np.array(t))
+        off = 0.5 * math.sin(2 * eta0) * cmath.exp(1j * dp.lambda_fn(t) - dp.gamma_fn(t))
+        assert full[0, 2] == pytest.approx(off, abs=1e-15)
+        assert full[2, 2] == math.sin(eta0) ** 2
         assert full[1, 1] == 0.0
 
 

@@ -17,6 +17,7 @@ from becphase import (
     truncation_dim,
     validate_joint,
 )
+from becphase.dynamics import TAIL_TOL
 from oracles import branch_overlap, evolve_branch, evolve_joint
 
 
@@ -33,6 +34,16 @@ def poisson_tail(alpha: complex, n_max: int) -> float:
         p *= mu / n
         cum += p
     return 1.0 - cum
+
+
+def log_space_tail(alpha: complex, n_max: int) -> float:
+    """Poisson mass above n_max summed from log-space terms, which stay
+    normal doubles where exp(-|alpha|^2) does not."""
+    mu = abs(alpha) ** 2
+    return math.fsum(
+        math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
+        for n in range(n_max + 1, n_max + 4000)
+    )
 
 
 class TestTruncation:
@@ -62,6 +73,11 @@ class TestTruncation:
         assert truncation_dim(37.6, 1e-12) > 1400
         with pytest.raises(ValueError, match="alpha"):
             truncation_dim(37.7j, 1e-12)
+
+    def test_tail_where_the_vacuum_mass_is_subnormal(self):
+        # exp(-|alpha|^2) is subnormal for 26.6 < |alpha| < 27.3
+        for mod in (26.7, 27.0, 27.2):
+            assert log_space_tail(mod, truncation_dim(mod, TAIL_TOL)) < TAIL_TOL
 
     @given(
         st.floats(min_value=0.0, max_value=4.0),

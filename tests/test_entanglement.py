@@ -31,6 +31,7 @@ from oracles import (
     concurrence_x_state,
     evolve_joint,
     from_computational,
+    single_qubit_concurrence,
     to_computational,
     x_state_density,
 )
@@ -214,18 +215,18 @@ class TestPurityOracle:
     def test_product_state(self):
         p = ModelParams(omega=1.0, alpha=1.0)
         state = general_initial([1.0, 0.0, 0.0, 0.0], p)
-        assert purity_oracle(state, "qubits") < 1e-5
+        assert purity_oracle(state) < 1e-5
 
     def test_macro_both_large_alpha_saturates(self):
         p = ModelParams(omega=1.0, alpha=3.0)
         state = macro_both_initial(math.pi / 4, p)
-        assert purity_oracle(state, "qubits") == pytest.approx(1.0, abs=1e-6)
+        assert purity_oracle(state) == pytest.approx(1.0, abs=1e-6)
 
     def test_adjudicates_overlap_exponent(self):
         # the reduced-purity value equals |sin 2 eta0| sqrt(1 - |overlap|^2)
         p = ModelParams(omega=1.0, alpha=1.0)
         state = macro_both_initial(math.pi / 4, p)
-        oracle = purity_oracle(state, "qubits")
+        oracle = purity_oracle(state)
         overlap = branch_overlap(state.amps[0], state.amps[1])
         res = hybrid_concurrence(math.pi / 4, overlap)
         assert oracle == pytest.approx(res.general, abs=1e-9)
@@ -235,31 +236,25 @@ class TestPurityOracle:
         p = ModelParams(omega=1.0, alpha=1.0)
         state = macro_single_initial(math.pi / 4, p)
         # qubit 2 carries the mode entanglement, qubit 1 none
-        assert purity_oracle(state, "qubit2") == pytest.approx(
+        assert single_qubit_concurrence(state, "qubit2") == pytest.approx(
             math.sqrt(1 - math.exp(-4.0)), abs=1e-6
         )
-        assert purity_oracle(state, "qubit1") < 1e-5
+        assert single_qubit_concurrence(state, "qubit1") < 1e-5
 
     def test_eta0_scaling(self):
         p = ModelParams(omega=1.0, alpha=1.0)
         eta0 = 0.4
         state = macro_both_initial(eta0, p)
         overlap = branch_overlap(state.amps[0], state.amps[1])
-        assert purity_oracle(state, "qubits") == pytest.approx(
+        assert purity_oracle(state) == pytest.approx(
             abs(math.sin(2 * eta0)) * math.sqrt(1 - abs(overlap) ** 2), abs=1e-9
         )
-
-    def test_unsupported_cut(self):
-        p = ModelParams(omega=1.0, alpha=1.0)
-        state = macro_both_initial(0.5, p)
-        with pytest.raises(ValueError):
-            purity_oracle(state, "mode")
 
     def test_rank_gate_on_qubits_cut(self):
         p = ModelParams(omega=1.0, lambda_c=0.1, omega_b=0.7, alpha=1.0)
         state = evolve_joint(general_initial([0.5, 0.5, 0.5, 0.5], p), 1.0, p)
         with pytest.raises(ValueError, match="support"):
-            purity_oracle(state, "qubits")
+            purity_oracle(state)
 
 
 class TestWitnessMicroMicro:
