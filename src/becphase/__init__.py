@@ -9,6 +9,7 @@ from .model import (
     quasicycle_period,
 )
 from .dynamics import (
+    CoherentBranches,
     JointState,
     bell_initial,
     coherent,
@@ -23,6 +24,7 @@ from .density import (
     EigenPath,
     Scenario,
     analytic_rho_path,
+    coherent_rho_path,
     decay_phase,
     eigen_path,
     oracle_rho_path,

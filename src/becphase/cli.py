@@ -19,7 +19,7 @@ import numpy as np
 
 from .model import ModelParams, quasicycle_period
 from .dynamics import (
-    TAIL_TOL,
+    CoherentBranches,
     JointState,
     bell_initial,
     check_coefficients,
@@ -33,6 +33,7 @@ from .density import (
     EigenPath,
     Scenario,
     analytic_rho_path,
+    coherent_rho_path,
     decay_phase,
     eigen_path,
     oracle_rho_path,
@@ -64,7 +65,7 @@ from .entanglement import (
 
 PARAM_KEYS = ("omega", "j_vdw", "omega_b", "chi", "lambda_c", "alpha")
 TOP_KEYS = set(PARAM_KEYS) | {"scenario", "eta0", "coefficients", "grid", "sweep", "phase"}
-GRID_KEYS = {"n_steps", "tail_tol", "phase_tol", "degeneracy_tol"}
+GRID_KEYS = {"n_steps", "phase_tol", "degeneracy_tol"}
 SWEEP_KEYS = {"variable", "start", "stop", "count"}
 SWEEP_VARIABLES = ("concurrence", "alpha", "lambda_c", "eta0")
 MANDATORY = {
@@ -91,7 +92,6 @@ class RunConfig:
     eta0: float | None = None
     coefficients: np.ndarray | None = None
     n_steps: int = N_STEPS
-    tail_tol: float = TAIL_TOL
     phase_tol: float = PHASE_TOL
     degeneracy_tol: float = DEGENERACY_TOL
     sweep: SweepSpec | None = None
@@ -167,11 +167,8 @@ def parse_config(text: str) -> RunConfig:
         raise ValueError("grid must be an object")
     _check_keys(grid, GRID_KEYS, "grid")
     n_steps = _integer(grid.get("n_steps", N_STEPS), "grid.n_steps")
-    tail_tol = _real(grid.get("tail_tol", TAIL_TOL), "grid.tail_tol")
     phase_tol = _real(grid.get("phase_tol", PHASE_TOL), "grid.phase_tol")
     degeneracy_tol = _real(grid.get("degeneracy_tol", DEGENERACY_TOL), "grid.degeneracy_tol")
-    if not 0 < tail_tol < 1:
-        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
     if not phase_tol > 0:
         raise ValueError(f"grid.phase_tol must be positive, got {phase_tol}")
     if not degeneracy_tol >= 0:
@@ -205,7 +202,6 @@ def parse_config(text: str) -> RunConfig:
         eta0=eta0,
         coefficients=coefficients,
         n_steps=n_steps,
-        tail_tol=tail_tol,
         phase_tol=phase_tol,
         degeneracy_tol=degeneracy_tol,
         sweep=sweep,
@@ -217,23 +213,30 @@ def parse_config(text: str) -> RunConfig:
 # Pipelines.
 # ---------------------------------------------------------------------------
 
-def initial_state(cfg: RunConfig) -> JointState:
+def initial_branches(cfg: RunConfig) -> CoherentBranches:
     if cfg.scenario == "micro_micro":
-        return bell_initial(cfg.eta0, cfg.params, cfg.tail_tol)
+        return bell_initial(cfg.eta0, cfg.params)
     if cfg.scenario == "macro_both":
-        return macro_both_initial(cfg.eta0, cfg.params, cfg.tail_tol)
+        return macro_both_initial(cfg.eta0, cfg.params)
     if cfg.scenario == "macro_single":
-        return macro_single_initial(cfg.eta0, cfg.params, cfg.tail_tol)
-    return general_initial(cfg.coefficients, cfg.params, cfg.tail_tol)
+        return macro_single_initial(cfg.eta0, cfg.params)
+    return general_initial(cfg.coefficients, cfg.params)
 
 
-def oracle_path_builder(cfg: RunConfig) -> Callable[[int], EigenPath]:
-    state0 = initial_state(cfg)
-    # oracle_rho_path and eigen_path are looked up here at call time, so
-    # that a caller may replace them on this module (perfbench traces them).
+def initial_state(cfg: RunConfig) -> JointState:
+    """The configured state on the truncated Fock basis, for the ground-truth
+    oracle_rho_path."""
+    return initial_branches(cfg).fock()
+
+
+def path_builder(cfg: RunConfig) -> Callable[[int], EigenPath]:
+    state0 = initial_branches(cfg)
+    # coherent_rho_path and eigen_path are looked up here at call time, so
+    # that a caller may replace them on this module, as perfbench does to
+    # trace its layers.
     return refining_path_builder(
         quasicycle_period(cfg.params),
-        lambda times: oracle_rho_path(state0, times, cfg.params),
+        lambda times: coherent_rho_path(state0, times, cfg.params),
         lambda times, rhos, coarse=None: eigen_path(
             times, rhos, degeneracy_tol=cfg.degeneracy_tol, coarse=coarse
         ),
@@ -243,7 +246,7 @@ def oracle_path_builder(cfg: RunConfig) -> Callable[[int], EigenPath]:
 def compute_phase(cfg: RunConfig) -> PhaseResult:
     """Converged kinematic phase of the configured scenario over one quasicycle."""
     return converge_phase(
-        oracle_path_builder(cfg), n_start=cfg.n_steps, phase_tol=cfg.phase_tol
+        path_builder(cfg), n_start=cfg.n_steps, phase_tol=cfg.phase_tol
     )
 
 
@@ -286,8 +289,7 @@ def emit(table: Table, fmt: str = "csv", path: str | None = None) -> str:
 def run_evolve(cfg: RunConfig) -> Table:
     tau = quasicycle_period(cfg.params)
     times = np.linspace(0.0, tau, cfg.n_steps + 1)
-    state0 = initial_state(cfg)
-    rhos = oracle_rho_path(state0, times, cfg.params)
+    rhos = coherent_rho_path(initial_branches(cfg), times, cfg.params)
     path = eigen_path(times, rhos, degeneracy_tol=cfg.degeneracy_tol)
     running = phase_trace(path)
     warnings = "; ".join(path.flags)
@@ -304,7 +306,10 @@ def run_evolve(cfg: RunConfig) -> Table:
     eps = np.zeros((times.size, 2))
     eps[:, : min(2, path.n_branches)] = path.values[:, :2]
     purity = np.real(np.einsum("mij,mji->m", rhos, rhos))
-    conc = concurrence_wootters(rhos)
+    if purity.max() > 1.0 + 1e-12:
+        raise ValueError(f"purity must not exceed 1, got {purity.max()!r}")
+    purity = np.minimum(purity, 1.0)
+    conc = concurrence_wootters(rhos, frames=path.frames)
     offdiag = np.abs(rhos[:, i0, i1])
 
     columns = [
@@ -510,6 +515,7 @@ def run_scenario(cfg: RunConfig, verb: str, workers: int = 1) -> Table:
 ORACLE_MATCH_TOL = 1e-9
 REPORT_ETA0 = 0.5
 REPORT_POINTS = 100
+REPORT_COEFFICIENTS = np.array([0.5, 0.5j, -0.5, 0.5])
 
 
 def validation_report(p: ModelParams | None = None) -> str:
@@ -539,9 +545,18 @@ def validation_report(p: ModelParams | None = None) -> str:
                     "the printed omega - 4J form does not"
                 )
     lines.append("")
+    for name in SCENARIOS:
+        cfg = RunConfig(name, p, eta0=REPORT_ETA0, coefficients=REPORT_COEFFICIENTS)
+        fock = oracle_rho_path(initial_state(cfg), times, p)
+        dev = float(np.max(np.abs(coherent_rho_path(initial_branches(cfg), times, p) - fock)))
+        lines.append(
+            f"exact coherent-overlap density: scenario={name:<12s} "
+            f"max entrywise deviation from the Fock path = {dev:.3e}"
+        )
+    lines.append("")
 
     special = ModelParams(omega=p.omega, j_vdw=p.j_vdw, lambda_c=p.omega / 8.0, alpha=1.0)
-    state = macro_both_initial(math.pi / 4, special)
+    state = macro_both_initial(math.pi / 4, special).fock()
     oracle_c = purity_oracle(state)
     t0 = partial_trace(state)
     overlap = t0[0, 1] / (0.5 * math.sin(math.pi / 2))

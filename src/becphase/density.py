@@ -1,5 +1,6 @@
-"""Reduced qubit-pair density matrices: numeric partial trace, analytic forms,
-and eigen-decomposition with branch continuity along a time path."""
+"""Reduced qubit-pair density matrices: the exact coherent-overlap path, the
+truncated-Fock partial trace that checks it, analytic forms, and
+eigen-decomposition with branch continuity along a time path."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .model import ModelParams, branch_frequency
-from .dynamics import JointState, validate_joint
+from .dynamics import CoherentBranches, JointState, validate_joint
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
@@ -126,10 +127,38 @@ def partial_trace(state: JointState) -> np.ndarray:
     return np.outer(c, c.conj()) * gram.T
 
 
+def coherent_rho_path(state0: CoherentBranches, times: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Reduced density matrices at many times from Glauber's coherent-state
+    overlap, exact and with no Fock basis.
+
+    Branch k evolves as exp(-i theta_k(n) t) with theta_k(n) = E_k + mu_k n
+    plus a Kerr term that all branches share, so up to that common factor it
+    stays the coherent state b_k exp(-i mu_k t), b_k = state0.betas[k], and
+    rho_ij(t) = c_i conj(c_j) exp(-i (E_i - E_j) t + G_ij(t)) with
+    G_ij = -|b_i - b_j|^2 / 2 + i Im(b_i conj(b_j))
+           - b_i conj(b_j) (2 sin^2(mu_ij t / 2) + i sin(mu_ij t)),
+    mu_ij = mu_i - mu_j: the form of the log of Glauber's overlap that does
+    not cancel when |b|^2 is large (R. J. Glauber, Phys. Rev. 131, 2766 (1963)).
+    """
+    t = np.asarray(times, dtype=float)[:, None, None]
+    energy = np.array([branch_frequency(k, 0, p) for k in range(4)])
+    slope = np.array([branch_frequency(k, 1, p) for k in range(4)]) - energy
+    b = state0.betas
+    cross = np.outer(b, b.conj())  # b_i conj(b_j)
+    g0 = -0.5 * np.abs(b[:, None] - b[None, :]) ** 2 + 1j * cross.imag
+    mu = slope[:, None] - slope[None, :]
+    de = energy[:, None] - energy[None, :]
+    c = state0.coeffs
+    weight = np.outer(c, c.conj())
+    g = g0 - cross * (2.0 * np.sin(0.5 * mu * t) ** 2 + 1j * np.sin(mu * t))
+    return weight * np.exp(g - 1j * de * t)
+
+
 def oracle_rho_path(state0: JointState, times: np.ndarray, p: ModelParams) -> np.ndarray:
-    """Reduced density matrices at many times, identical to evolving and
-    partial-tracing point by point but computed in vectorized chunks of at
-    most RHO_CHUNK_CELLS (time, branch, Fock) cells."""
+    """Reduced density matrices at many times on the truncated Fock basis,
+    identical to evolving and partial-tracing point by point but computed in
+    vectorized chunks of at most RHO_CHUNK_CELLS (time, branch, Fock) cells:
+    the ground truth that checks coherent_rho_path."""
     validate_joint(state0)
     times = np.asarray(times, dtype=float)
     amps = state0.amps

@@ -1,9 +1,14 @@
-"""Truncated-Fock coherent states of the qubit pair and the mode.
+"""The qubit pair and the mode as four coherent branches, and their
+truncated-Fock form.
 
-Every qubit branch evolves under its own diagonal spectrum, so evolution is a
-pure per-Fock-index phase, which density.oracle_rho_path applies. The partial
-trace of these states is the numerical ground truth against which every
-analytic shortcut in the package is checked.
+Each initial state is a superposition of four qubit branches, branch k
+holding the coherent mode state |sign_k alpha>. Every branch evolves under its
+own diagonal spectrum, so it stays coherent up to a Kerr factor that all
+branches share: density.coherent_rho_path reads the reduced state off that in
+closed form. On the truncated Fock basis the evolution is a pure
+per-Fock-index phase, which density.oracle_rho_path applies; that partial
+trace is the numerical ground truth against which every shortcut in the
+package is checked.
 """
 
 from __future__ import annotations
@@ -19,7 +24,9 @@ from .model import N_BRANCHES, ModelParams
 JOINT_NORM_TOL = 1e-10
 TAIL_TOL = 1e-12
 # Largest |alpha| whose vacuum amplitude exp(-|alpha|^2 / 2) is a normal
-# double: beyond it the amplitudes underflow and their recurrence overflows.
+# double: beyond it the Fock amplitudes underflow and their recurrence
+# overflows. States are refused beyond it, so that every accepted input stays
+# checkable against the truncated-Fock ground truth.
 MAX_ALPHA = math.sqrt(-2.0 * math.log(sys.float_info.min))
 
 
@@ -55,35 +62,38 @@ def validate_joint(state: JointState) -> None:
         raise ValueError(f"joint state is not normalized: |psi|^2 = {norm2!r}")
 
 
-def truncation_dim(alpha: complex, tail_tol: float) -> int:
-    """Smallest n_max >= 4 with Poissonian tail mass below tail_tol.
-
-    The search is capped at ceil(|alpha|^2 + 10 |alpha| + 20), which always
-    dominates the requested quantile for tail_tol >= 1e-15, and returns the cap
-    where its start exp(-|alpha|^2) is not a normal double. An |alpha| above
-    MAX_ALPHA is refused before the search starts.
-    """
-    if not 0.0 < tail_tol < 1.0:
-        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
+def _check_alpha(alpha: complex) -> None:
     if abs(alpha) > MAX_ALPHA:
         raise ValueError(
             f"alpha = {alpha} is too large for the truncated Fock basis: "
             f"|alpha| must not exceed {MAX_ALPHA:.4g}"
         )
+
+
+def truncation_dim(alpha: complex, tail_tol: float) -> int:
+    """Smallest n_max >= 4 with Poissonian tail mass below tail_tol.
+
+    The tail is summed from the top, term by term in log space, starting at
+    the cap ceil(|alpha|^2 + 10 |alpha| + 20), whose own tail lies below
+    1e-23 for every accepted |alpha|; a tail_tol smaller still gets the cap.
+    An |alpha| above MAX_ALPHA is refused before the search starts.
+    """
+    if not 0.0 < tail_tol < 1.0:
+        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
+    _check_alpha(alpha)
     mu = abs(alpha) ** 2
-    bound = math.ceil(mu + 10.0 * abs(alpha) + 20.0)
-    p = math.exp(-mu)
-    if p < sys.float_info.min:
-        return bound
-    cum = p
-    if 1.0 - cum < tail_tol:
+    if mu == 0.0:
         return 4
-    for n in range(1, bound + 1):
-        p *= mu / n
-        cum += p
-        if 1.0 - cum < tail_tol:
-            return max(n, 4)
-    return bound
+    n = math.ceil(mu + 10.0 * abs(alpha) + 20.0)
+    log_mu = math.log(mu)
+    tail = 0.0  # Poisson mass above n
+    while n > 4:
+        p_n = math.exp(n * log_mu - mu - math.lgamma(n + 1))
+        if tail + p_n >= tail_tol:
+            break
+        tail += p_n
+        n -= 1
+    return n
 
 
 def coherent(alpha: complex, n_max: int) -> np.ndarray:
@@ -99,36 +109,57 @@ def coherent(alpha: complex, n_max: int) -> np.ndarray:
     return amps
 
 
+@dataclass(frozen=True)
+class CoherentBranches:
+    """Four branch coefficients, branch k holding the coherent mode state
+    |signs[k] alpha>, or no mode state where signs[k] is 0 (its coefficient
+    is then 0 too)."""
+
+    coeffs: np.ndarray
+    signs: tuple[int, ...]
+    alpha: complex
+
+    def __post_init__(self) -> None:
+        _check_alpha(self.alpha)
+        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex))
+
+    @property
+    def betas(self) -> np.ndarray:
+        """Coherent amplitude of each branch, 0 where a branch is empty."""
+        return np.array(self.signs) * self.alpha
+
+    @property
+    def n_max(self) -> int:
+        """Fock truncation of the ground-truth form, at tail mass TAIL_TOL."""
+        return truncation_dim(self.alpha, TAIL_TOL)
+
+    def fock(self) -> JointState:
+        """The same state on the truncated Fock basis 0..n_max."""
+        n_max = self.n_max
+        amps = np.zeros((N_BRANCHES, n_max + 1), dtype=complex)
+        for k, sign in enumerate(self.signs):
+            if sign:
+                amps[k] = coherent(sign * self.alpha, n_max)
+        return JointState(self.coeffs, amps)
+
+
 # ---------------------------------------------------------------------------
 # Initial states of the three scenarios plus the general four-branch state.
 # ---------------------------------------------------------------------------
 
-def _coherent_branches(alpha: complex, signs: tuple[int, ...], tail_tol: float) -> np.ndarray:
-    """(4, D) amplitudes: branch k holds |signs[k] alpha>, or nothing where signs[k] is 0."""
-    n_max = truncation_dim(alpha, tail_tol)
-    amps = np.zeros((N_BRANCHES, n_max + 1), dtype=complex)
-    for k, sign in enumerate(signs):
-        if sign:
-            amps[k] = coherent(sign * alpha, n_max)
-    return amps
-
-
-def bell_initial(eta0: float, p: ModelParams, tail_tol: float = TAIL_TOL) -> JointState:
+def bell_initial(eta0: float, p: ModelParams) -> CoherentBranches:
     """(cos eta0 |00> + sin eta0 |11>) with the mode in one coherent state."""
-    coeffs = [math.cos(eta0), math.sin(eta0), 0.0, 0.0]
-    return JointState(coeffs, _coherent_branches(p.alpha, (1, 1, 0, 0), tail_tol))
+    return CoherentBranches([math.cos(eta0), math.sin(eta0), 0.0, 0.0], (1, 1, 0, 0), p.alpha)
 
 
-def macro_both_initial(eta0: float, p: ModelParams, tail_tol: float = TAIL_TOL) -> JointState:
+def macro_both_initial(eta0: float, p: ModelParams) -> CoherentBranches:
     """cos eta0 |00>|alpha> + sin eta0 |11>|-alpha>: both qubits tied to the mode."""
-    coeffs = [math.cos(eta0), math.sin(eta0), 0.0, 0.0]
-    return JointState(coeffs, _coherent_branches(p.alpha, (1, -1, 0, 0), tail_tol))
+    return CoherentBranches([math.cos(eta0), math.sin(eta0), 0.0, 0.0], (1, -1, 0, 0), p.alpha)
 
 
-def macro_single_initial(eta0: float, p: ModelParams, tail_tol: float = TAIL_TOL) -> JointState:
+def macro_single_initial(eta0: float, p: ModelParams) -> CoherentBranches:
     """cos eta0 |00>|alpha> + sin eta0 |01>|-alpha>: one qubit tied to the mode."""
-    coeffs = [math.cos(eta0), 0.0, math.sin(eta0), 0.0]
-    return JointState(coeffs, _coherent_branches(p.alpha, (1, 0, -1, 0), tail_tol))
+    return CoherentBranches([math.cos(eta0), 0.0, math.sin(eta0), 0.0], (1, 0, -1, 0), p.alpha)
 
 
 def check_coefficients(coeffs) -> np.ndarray:
@@ -144,7 +175,6 @@ def check_coefficients(coeffs) -> np.ndarray:
     return coeffs
 
 
-def general_initial(coeffs, p: ModelParams, tail_tol: float = TAIL_TOL) -> JointState:
+def general_initial(coeffs, p: ModelParams) -> CoherentBranches:
     """Arbitrary normalized four-branch superposition with a shared coherent mode."""
-    coeffs = check_coefficients(coeffs)
-    return JointState(coeffs, _coherent_branches(p.alpha, (1, 1, 1, 1), tail_tol))
+    return CoherentBranches(check_coefficients(coeffs), (1, 1, 1, 1), p.alpha)

@@ -26,7 +26,9 @@ SIGMA_YY = np.array(
 EIGENVALUE_CLAMP = 1e-12
 
 
-def concurrence_wootters(rho: np.ndarray) -> float | np.ndarray:
+def concurrence_wootters(
+    rho: np.ndarray, frames: tuple[np.ndarray, np.ndarray] | None = None
+) -> float | np.ndarray:
     """Two-qubit concurrence max{0, l1 - l2 - l3 - l4} of one 4x4 matrix (a
     float) or of every matrix of an (M, 4, 4) stack (an array of M values).
 
@@ -35,8 +37,12 @@ def concurrence_wootters(rho: np.ndarray) -> float | np.ndarray:
     values of sqrt(rho) (sy x sy) conj(sqrt(rho)). The two spectra coincide,
     but the singular-value route stays accurate for (near-)pure states where
     the non-Hermitian product has defective zero eigenvalues.
+
+    frames, when given, is rho's (values, vectors) eigen-decomposition as
+    validate_density returns it and EigenPath.frames keeps it; rho is then
+    neither checked nor decomposed again.
     """
-    evals, evecs = validate_density(rho)
+    evals, evecs = validate_density(rho) if frames is None else frames
     evals = np.where(evals < EIGENVALUE_CLAMP, np.maximum(evals, 0.0), evals)
     sqrt_rho = (evecs * np.sqrt(evals)[..., None, :]) @ np.conj(np.swapaxes(evecs, -1, -2))
     flipped_root = sqrt_rho @ SIGMA_YY @ sqrt_rho.conj()

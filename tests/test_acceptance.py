@@ -53,7 +53,7 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def oracle_path_builder(builder, eta0, p):
-    state0 = builder(eta0, p, 1e-12)
+    state0 = builder(eta0, p).fock()
     tau = quasicycle_period(p)
 
     def build(n):
@@ -174,7 +174,7 @@ def test_criterion_3_oracle_equivalence():
     }
     devs = {}
     for scen, builder in builders.items():
-        numeric = oracle_rho_path(builder(eta0, p, 1e-12), times, p)
+        numeric = oracle_rho_path(builder(eta0, p).fock(), times, p)
         for variant in ("corrected", "verbatim"):
             analytic = analytic_rho_path(scen, eta0, p, times, variant)
             devs[(scen, variant)] = float(np.max(np.abs(numeric - analytic)))
@@ -234,7 +234,7 @@ def test_criterion_5_hybrid_concurrence_adjudication():
     """Purity oracle equals the overlap-squared form at 1e-9; the published
     linear-overlap value is reported, not hidden."""
     p = ModelParams(omega=1.0, alpha=1.0)
-    state = macro_both_initial(math.pi / 4, p, 1e-12)
+    state = macro_both_initial(math.pi / 4, p).fock()
     oracle = purity_oracle(state)
     overlap = branch_overlap(state.amps[0], state.amps[1])
     forms = hybrid_concurrence(math.pi / 4, overlap)

@@ -32,7 +32,6 @@ class TestParseConfig:
     def test_minimal_defaults(self):
         cfg = parse_config(cfg_text())
         assert cfg.n_steps == 2048
-        assert cfg.tail_tol == 1e-12
         assert cfg.phase_tol == 1e-7
         assert cfg.degeneracy_tol == 1e-9
         assert cfg.params.j_vdw == 0.0
@@ -101,8 +100,8 @@ SWEEP = {"variable": "concurrence", "start": 0.0, "stop": 0.5, "count": 3}
 # Every key that parse_config reads as a number, as a path into the document.
 NUMERIC_KEYS = (
     ("omega",), ("j_vdw",), ("omega_b",), ("chi",), ("lambda_c",), ("alpha",), ("eta0",),
-    ("phase",), ("grid", "n_steps"), ("grid", "tail_tol"), ("grid", "phase_tol"),
-    ("grid", "degeneracy_tol"), ("sweep", "start"), ("sweep", "stop"), ("sweep", "count"),
+    ("phase",), ("grid", "n_steps"), ("grid", "phase_tol"), ("grid", "degeneracy_tol"),
+    ("sweep", "start"), ("sweep", "stop"), ("sweep", "count"),
 )
 
 
@@ -144,9 +143,11 @@ def test_any_json_value_in_a_numeric_key_parses_or_is_a_value_error(path, value)
         ({"grid": {"phase_tol": -1}}, "grid.phase_tol"),
         ({"grid": {"phase_tol": 0}}, "grid.phase_tol"),
         ({"grid": {"degeneracy_tol": -1e-9}}, "grid.degeneracy_tol"),
+        ({"grid": {"tail_tol": 1e-12}}, "unknown grid keys: tail_tol"),
     ],
     ids=["omega-null", "eta0-null", "eta0-nan", "n_steps-null", "n_steps-2.5", "count-null",
-         "path-5", "phase_tol-negative", "phase_tol-zero", "degeneracy_tol-negative"],
+         "path-5", "phase_tol-negative", "phase_tol-zero", "degeneracy_tol-negative",
+         "tail_tol-removed"],
 )
 def test_malformed_number_exits_1_naming_the_key(tmp_path, capsys, overrides, key):
     cfg = tmp_path / "c.json"
@@ -213,6 +214,34 @@ class TestRunScenario:
         purity = np.array([r[idx["purity[1]"]] for r in table.rows])
         assert np.all(purity > 0.5 - 1e-10)
         assert np.all(purity < 1.0 + 1e-10)
+
+    def test_evolve_purity_never_exceeds_one(self):
+        # the exact path gives Tr rho^2 = 1 + 2.2e-16 at t = 0 for some eta0;
+        # the grid includes eta0 = pi/4
+        docs = [dict(MINIMAL, eta0=eta0) for eta0 in np.linspace(0.0, math.pi / 2, 41)]
+        docs.append(json.loads((CONFIG_DIR / "general.json").read_text()))
+        for doc in docs:
+            doc["grid"] = {"n_steps": 256}
+            table = run_scenario(parse_config(json.dumps(doc, default=float)), "evolve")
+            column = table.columns.index("purity[1]")
+            assert max(row[column] for row in table.rows) <= 1.0
+
+    @pytest.mark.parametrize("name", ["micro_micro", "macro_both", "macro_single", "general"])
+    def test_evolve_concurrence_equals_a_fresh_decomposition(self, name):
+        # run_evolve reuses the phase path's eigen-decomposition; the column
+        # must equal the concurrence of the same matrices decomposed anew
+        cfg = parse_config((CONFIG_DIR / f"{name}.json").read_text())
+        table = run_scenario(cfg, "evolve")
+        times = np.linspace(0.0, cli.quasicycle_period(cfg.params), cfg.n_steps + 1)
+        rhos = cli.coherent_rho_path(cli.initial_branches(cfg), times, cfg.params)
+        column = table.columns.index("concurrence[1]")
+        assert [row[column] for row in table.rows] == cli.concurrence_wootters(rhos).tolist()
+
+    def test_evolve_refuses_purity_beyond_rounding(self, monkeypatch):
+        exact = cli.coherent_rho_path
+        monkeypatch.setattr(cli, "coherent_rho_path", lambda *a: exact(*a) * (1.0 + 1e-11))
+        with pytest.raises(ValueError, match="purity"):
+            run_scenario(parse_config(cfg_text(grid={"n_steps": 64})), "evolve")
 
     def test_witness_requires_phase(self):
         cfg = parse_config(cfg_text())
@@ -373,6 +402,22 @@ class TestMainEntry:
             assert "alpha" in capsys.readouterr().err
         cfg.write_text(cfg_text(alpha=30, grid={"n_steps": 256}))
         assert main(["phase", "--config", str(cfg)]) == 0
+
+    def test_verbs_run_on_the_exact_path(self, tmp_path, monkeypatch, capsys):
+        def fock_path(*args):
+            raise AssertionError("the truncated-Fock path ran")
+
+        monkeypatch.setattr(cli, "oracle_rho_path", fock_path)
+        for verb in ("evolve", "phase"):
+            assert main([verb, "--config", str(CONFIG_DIR / "general.json"), "--steps", "64"]) == 0
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(cfg_text(sweep=dict(SWEEP, count=2)))
+        assert main(["sweep", "--config", str(sweep)]) == 0
+
+    def test_micro_phase_near_the_alpha_cap_matches_the_closed_form(self):
+        cfg = parse_config(cfg_text(alpha=37.5))
+        res = cli.compute_phase(cfg)
+        assert abs(res.unwrapped - cli.phase_micro_micro_closed(cfg.eta0, cfg.params)) < 1e-10
 
     def test_alpha_with_a_subnormal_vacuum_mass_runs(self, tmp_path, capsys):
         # exp(-|alpha|^2) is subnormal at alpha = 27; the Fock basis still holds the state

@@ -12,8 +12,10 @@ from becphase import (
     Scenario,
     analytic_rho_path,
     bell_initial,
+    coherent_rho_path,
     decay_phase,
     eigen_path,
+    general_initial,
     macro_both_initial,
     macro_single_initial,
     oracle_rho_path,
@@ -21,8 +23,8 @@ from becphase import (
     quasicycle_period,
     validate_density,
 )
-from becphase import density
-from becphase.cli import initial_state, parse_config
+from becphase import density, dynamics
+from becphase.cli import initial_branches, initial_state, parse_config
 from oracles import evolve_joint
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -71,7 +73,7 @@ class TestDecayPhase:
 class TestPartialTrace:
     def test_bell_t0_block(self):
         eta0 = 0.6
-        rho = partial_trace(bell_initial(eta0, P))
+        rho = partial_trace(bell_initial(eta0, P).fock())
         c2, s2 = math.cos(eta0) ** 2, math.sin(eta0) ** 2
         half = 0.5 * math.sin(2 * eta0)
         expected = np.zeros((4, 4))
@@ -80,18 +82,18 @@ class TestPartialTrace:
         np.testing.assert_allclose(rho, expected, atol=1e-11)
 
     def test_bell_quarter_pi_offdiagonal_half(self):
-        rho = partial_trace(bell_initial(math.pi / 4, P))
+        rho = partial_trace(bell_initial(math.pi / 4, P).fock())
         assert rho[0, 1] == pytest.approx(0.5, abs=1e-11)
 
     def test_bell_offdiagonal_modulus_at_t(self):
         p = ModelParams(omega=1.0, lambda_c=0.1, alpha=1.0)
         eta0 = 0.5
-        rho = partial_trace(evolve_joint(bell_initial(eta0, p), 1.0, p))
+        rho = partial_trace(evolve_joint(bell_initial(eta0, p).fock(), 1.0, p))
         expected = 0.5 * math.sin(2 * eta0) * math.exp(-2 * math.sin(0.1) ** 2)
         assert abs(rho[0, 1]) == pytest.approx(expected, abs=1e-11)
 
     def test_hermitian_and_valid(self):
-        state = evolve_joint(macro_both_initial(0.7, P), 2.3, P)
+        state = evolve_joint(macro_both_initial(0.7, P).fock(), 2.3, P)
         rho = partial_trace(state)
         assert rho.shape == (4, 4)
         validate_density(rho)
@@ -100,7 +102,7 @@ class TestPartialTrace:
     def test_macro_both_t0_offdiagonal(self):
         # off-diagonal e^{-Gamma(0)}/2 = e^{-2|alpha|^2}/2 at eta0 = pi/4
         p = ModelParams(omega=1.0, lambda_c=0.125, alpha=1.0)
-        rho = partial_trace(macro_both_initial(math.pi / 4, p))
+        rho = partial_trace(macro_both_initial(math.pi / 4, p).fock())
         assert rho[0, 1] == pytest.approx(0.5 * math.exp(-2.0), abs=1e-11)
 
 
@@ -108,7 +110,7 @@ class TestOracleVsAnalytic:
     @pytest.mark.parametrize("scenario", list(Scenario))
     def test_corrected_matches_oracle(self, scenario):
         eta0 = 0.5
-        state0 = BUILDERS[scenario](eta0, P, 1e-12)
+        state0 = BUILDERS[scenario](eta0, P).fock()
         times = np.linspace(0.0, quasicycle_period(P), 100)
         numeric = oracle_rho_path(state0, times, P)
         analytic = analytic_rho_path(scenario, eta0, P, times, "corrected")
@@ -116,21 +118,21 @@ class TestOracleVsAnalytic:
 
     def test_macro_single_verbatim_disagrees(self):
         eta0 = 0.5
-        state0 = macro_single_initial(eta0, P, 1e-12)
+        state0 = macro_single_initial(eta0, P).fock()
         times = np.linspace(0.0, quasicycle_period(P), 100)
         numeric = oracle_rho_path(state0, times, P)
         analytic = analytic_rho_path(Scenario.MACRO_SINGLE, eta0, P, times, "verbatim")
         assert np.max(np.abs(numeric - analytic)) > 1e-3
 
     def test_pointwise_equals_batched(self):
-        state0 = bell_initial(0.43, P)
+        state0 = bell_initial(0.43, P).fock()
         for t in (0.0, 0.9, 3.3):
             rho = partial_trace(evolve_joint(state0, t, P))
             batched = oracle_rho_path(state0, np.array([t]), P)[0]
             np.testing.assert_allclose(rho, batched, atol=1e-13)
 
     def test_chunks_equal_one_chunk(self, monkeypatch):
-        state0 = macro_both_initial(0.7, P)
+        state0 = macro_both_initial(0.7, P).fock()
         times = np.linspace(0.0, quasicycle_period(P), 1001)
         whole = oracle_rho_path(state0, times, P)
         monkeypatch.setattr(density, "RHO_CHUNK_CELLS", 7 * 4 * (state0.n_max + 1))
@@ -140,7 +142,7 @@ class TestOracleVsAnalytic:
         # the decaying factor keeps the off-diagonal modulus bounded by 1/2;
         # the sign-flipped exponent would exceed it
         p = ModelParams(omega=1.0, lambda_c=0.125, alpha=1.0)
-        state0 = macro_both_initial(math.pi / 4, p)
+        state0 = macro_both_initial(math.pi / 4, p).fock()
         times = np.linspace(0.0, quasicycle_period(p), 50)
         rhos = oracle_rho_path(state0, times, p)
         mods = np.abs(rhos[:, 0, 1])
@@ -154,7 +156,7 @@ class TestOracleVsAnalytic:
         # corrected detuning omega - 2J: the off-diagonal phase advances by
         # (omega - 2J) t - |alpha|^2 sin(lambda t)
         p = ModelParams(omega=1.0, j_vdw=0.2, lambda_c=0.08, alpha=1.1)
-        state0 = macro_single_initial(0.6, p)
+        state0 = macro_single_initial(0.6, p).fock()
         t = 1.7
         rho = partial_trace(evolve_joint(state0, t, p))
         a2 = abs(p.alpha) ** 2
@@ -180,6 +182,60 @@ def test_kerr_and_mode_frequency_drop_out_of_rho(name):
     reference = rhos(0.0, 0.0)
     for chi, omega_b in ((0.5, 7.0), (0.002, 0.9), (-0.3, -2.0)):
         assert np.max(np.abs(rhos(chi, omega_b) - reference)) <= 1e-12
+
+
+class TestCoherentPath:
+    """The exact coherent-overlap path against the truncated-Fock ground truth."""
+
+    def test_seeded_draws_agree_with_the_fock_path(self, monkeypatch):
+        # A Fock tail of 1e-14 keeps the checker's own truncation below the
+        # 1e-12 bound. |chi| stays at 0.01: the Fock phases chi n(n-1) t
+        # reach ~1e5 rad at |alpha| = 30, and their rounding moves the Fock
+        # path by a few 1e-12 at chi = 0.1, although chi drops out of rho.
+        monkeypatch.setattr(dynamics, "TAIL_TOL", 1e-14)
+        rng = np.random.default_rng(20261018)
+        builders = (bell_initial, macro_both_initial, macro_single_initial)
+        worst = 0.0
+        for k in range(150):
+            p = ModelParams(
+                omega=rng.uniform(0.5, 2.0),
+                j_vdw=rng.uniform(-0.2, 0.2),
+                omega_b=rng.uniform(-1.0, 1.0),
+                chi=rng.uniform(-0.01, 0.01),
+                lambda_c=rng.uniform(-0.2, 0.2),
+                alpha=30.0 * rng.random() * cmath.exp(1j * rng.uniform(-math.pi, math.pi)),
+            )
+            if k % 4 == 3:
+                c = rng.normal(size=4) + 1j * rng.normal(size=4)
+                state0 = general_initial(c / np.linalg.norm(c), p)
+            else:
+                state0 = builders[k % 4](rng.uniform(0.0, math.pi / 2), p)
+            times = np.linspace(0.0, quasicycle_period(p), 65)
+            dev = np.max(np.abs(coherent_rho_path(state0, times, p) - oracle_rho_path(state0.fock(), times, p)))
+            worst = max(worst, dev)
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("name", ["micro_micro", "macro_both", "macro_single", "general"])
+    def test_shipped_configs_agree_at_the_default_tail(self, name):
+        cfg = parse_config((CONFIG_DIR / f"{name}.json").read_text())
+        times = np.linspace(0.0, quasicycle_period(cfg.params), cfg.n_steps + 1)
+        exact = coherent_rho_path(initial_branches(cfg), times, cfg.params)
+        assert np.max(np.abs(exact - oracle_rho_path(initial_state(cfg), times, cfg.params))) <= 1e-12
+
+    def test_empty_branches_stay_empty(self):
+        state0 = macro_single_initial(0.6, P)
+        np.testing.assert_array_equal(state0.betas, [P.alpha, 0.0, -P.alpha, 0.0])
+        assert not np.any(state0.fock().amps[[1, 3]])
+        rhos = coherent_rho_path(state0, np.linspace(0.0, 3.0, 7), P)
+        assert not np.any(rhos[:, [1, 3], :]) and not np.any(rhos[:, :, [1, 3]])
+
+    def test_micro_off_diagonal_matches_its_closed_form_near_the_alpha_cap(self):
+        p = ModelParams(omega=1.0, lambda_c=1e-3, alpha=37.5)
+        times = np.linspace(0.0, quasicycle_period(p), 9)
+        dp = decay_phase(Scenario.MICRO_MICRO, p)
+        off = 0.5 * math.sin(0.6) * np.exp(1j * dp.lambda_fn(times) - dp.gamma_fn(times))
+        exact = coherent_rho_path(bell_initial(0.3, p), times, p)
+        np.testing.assert_allclose(exact[:, 0, 1], off, rtol=0, atol=1e-12)
 
 
 class TestAnalyticBlock:

@@ -17,7 +17,7 @@ from becphase import (
     truncation_dim,
     validate_joint,
 )
-from becphase.dynamics import TAIL_TOL
+from becphase.dynamics import MAX_ALPHA, TAIL_TOL
 from oracles import branch_overlap, evolve_branch, evolve_joint
 
 
@@ -78,6 +78,14 @@ class TestTruncation:
         # exp(-|alpha|^2) is subnormal for 26.6 < |alpha| < 27.3
         for mod in (26.7, 27.0, 27.2):
             assert log_space_tail(mod, truncation_dim(mod, TAIL_TOL)) < TAIL_TOL
+
+    @pytest.mark.parametrize("tol", [1e-14, 1e-13])
+    def test_tight_tails_up_to_the_alpha_cap(self, tol):
+        # the smallest n_max whose log-space tail lies below tol, everywhere
+        # up to MAX_ALPHA, including where exp(-|alpha|^2) underflows
+        for mod in np.linspace(MAX_ALPHA / 100, MAX_ALPHA, 100):
+            n = truncation_dim(mod, tol)
+            assert log_space_tail(mod, n) < tol <= log_space_tail(mod, n - 1)
 
     @given(
         st.floats(min_value=0.0, max_value=4.0),
@@ -176,16 +184,16 @@ class TestEvolveBranch:
 class TestJointState:
     def test_bell_normalized(self):
         p = ModelParams(omega=1.0, alpha=1.0)
-        state = bell_initial(0.4, p)
+        state = bell_initial(0.4, p).fock()
         validate_joint(state)
 
     def test_all_builders_normalized(self):
         p = ModelParams(omega=1.0, alpha=1.5)
         for state in (
-            bell_initial(0.8, p),
-            macro_both_initial(0.8, p),
-            macro_single_initial(0.8, p),
-            general_initial([0.5, 0.5, 0.5, 0.5], p),
+            bell_initial(0.8, p).fock(),
+            macro_both_initial(0.8, p).fock(),
+            macro_single_initial(0.8, p).fock(),
+            general_initial([0.5, 0.5, 0.5, 0.5], p).fock(),
         ):
             validate_joint(state)
 
@@ -196,29 +204,37 @@ class TestJointState:
 
     def test_evolve_joint_preserves_norm_and_coeffs(self):
         p = ModelParams(omega=1.0, j_vdw=0.1, omega_b=0.5, chi=0.01, lambda_c=0.2, alpha=1.3)
-        s0 = bell_initial(0.6, p)
+        s0 = bell_initial(0.6, p).fock()
         st1 = evolve_joint(s0, 2.1, p)
         np.testing.assert_array_equal(st1.coeffs, s0.coeffs)
         assert abs(st1.norm2() - 1.0) < 1e-10
 
     def test_evolve_joint_rejects_unnormalized(self):
         p = ModelParams(omega=1.0)
-        bad = bell_initial(0.6, p)
+        bad = bell_initial(0.6, p).fock()
         bad = JointState(bad.coeffs * 0.9, bad.amps)
         with pytest.raises(ValueError):
             evolve_joint(bad, 1.0, p)
 
     def test_product_state_stays_product(self):
         p = ModelParams(omega=1.0, lambda_c=0.3, chi=0.02, omega_b=0.7, alpha=1.0)
-        s0 = general_initial([1.0, 0.0, 0.0, 0.0], p)
+        s0 = general_initial([1.0, 0.0, 0.0, 0.0], p).fock()
         rho = partial_trace(evolve_joint(s0, 1.7, p))
         target = np.zeros((4, 4))
         target[0, 0] = 1.0
         np.testing.assert_allclose(rho, target, atol=1e-12)
 
+    def test_branches_refuse_alpha_beyond_the_cap(self):
+        p = ModelParams(omega=1.0, alpha=37.7j)
+        for build in (bell_initial, macro_both_initial, macro_single_initial):
+            with pytest.raises(ValueError, match="alpha"):
+                build(0.4, p)
+        with pytest.raises(ValueError, match="alpha"):
+            general_initial([0.5, 0.5, 0.5, 0.5], p)
+
     def test_macro_both_branch_overlap_at_t0(self):
         p = ModelParams(omega=1.0, alpha=1.0)
-        s = macro_both_initial(math.pi / 4, p)
+        s = macro_both_initial(math.pi / 4, p).fock()
         ov = branch_overlap(s.amps[0], s.amps[1])
         assert ov == pytest.approx(math.exp(-2.0), abs=1e-12)
 

@@ -89,7 +89,7 @@ class TestWootters:
         p = ModelParams(omega=1.0, lambda_c=0.2, alpha=1.0)
         eta0 = 0.5
         t = math.pi / 2 / p.lambda_c / 2  # lambda t = pi/4
-        rho = partial_trace(evolve_joint(bell_initial(eta0, p), t, p))
+        rho = partial_trace(evolve_joint(bell_initial(eta0, p).fock(), t, p))
         gamma = 2 * abs(p.alpha) ** 2 * math.sin(p.lambda_c * t) ** 2
         assert concurrence_wootters(rho) == pytest.approx(
             abs(math.sin(2 * eta0)) * math.exp(-gamma), abs=1e-10
@@ -100,7 +100,7 @@ class TestWootters:
         p = ModelParams(omega=1.0, lambda_c=0.2, alpha=1.0)
         eta0 = 0.6
         t = math.pi / 2 / p.lambda_c
-        rho = partial_trace(evolve_joint(bell_initial(eta0, p), t, p))
+        rho = partial_trace(evolve_joint(bell_initial(eta0, p).fock(), t, p))
         assert concurrence_wootters(rho) == pytest.approx(
             abs(math.sin(2 * eta0)) * math.exp(-2.0), abs=1e-10
         )
@@ -214,18 +214,18 @@ class TestHybridConcurrence:
 class TestPurityOracle:
     def test_product_state(self):
         p = ModelParams(omega=1.0, alpha=1.0)
-        state = general_initial([1.0, 0.0, 0.0, 0.0], p)
+        state = general_initial([1.0, 0.0, 0.0, 0.0], p).fock()
         assert purity_oracle(state) < 1e-5
 
     def test_macro_both_large_alpha_saturates(self):
         p = ModelParams(omega=1.0, alpha=3.0)
-        state = macro_both_initial(math.pi / 4, p)
+        state = macro_both_initial(math.pi / 4, p).fock()
         assert purity_oracle(state) == pytest.approx(1.0, abs=1e-6)
 
     def test_adjudicates_overlap_exponent(self):
         # the reduced-purity value equals |sin 2 eta0| sqrt(1 - |overlap|^2)
         p = ModelParams(omega=1.0, alpha=1.0)
-        state = macro_both_initial(math.pi / 4, p)
+        state = macro_both_initial(math.pi / 4, p).fock()
         oracle = purity_oracle(state)
         overlap = branch_overlap(state.amps[0], state.amps[1])
         res = hybrid_concurrence(math.pi / 4, overlap)
@@ -234,7 +234,7 @@ class TestPurityOracle:
 
     def test_single_qubit_cut(self):
         p = ModelParams(omega=1.0, alpha=1.0)
-        state = macro_single_initial(math.pi / 4, p)
+        state = macro_single_initial(math.pi / 4, p).fock()
         # qubit 2 carries the mode entanglement, qubit 1 none
         assert single_qubit_concurrence(state, "qubit2") == pytest.approx(
             math.sqrt(1 - math.exp(-4.0)), abs=1e-6
@@ -244,7 +244,7 @@ class TestPurityOracle:
     def test_eta0_scaling(self):
         p = ModelParams(omega=1.0, alpha=1.0)
         eta0 = 0.4
-        state = macro_both_initial(eta0, p)
+        state = macro_both_initial(eta0, p).fock()
         overlap = branch_overlap(state.amps[0], state.amps[1])
         assert purity_oracle(state) == pytest.approx(
             abs(math.sin(2 * eta0)) * math.sqrt(1 - abs(overlap) ** 2), abs=1e-9
@@ -252,7 +252,7 @@ class TestPurityOracle:
 
     def test_rank_gate_on_qubits_cut(self):
         p = ModelParams(omega=1.0, lambda_c=0.1, omega_b=0.7, alpha=1.0)
-        state = evolve_joint(general_initial([0.5, 0.5, 0.5, 0.5], p), 1.0, p)
+        state = evolve_joint(general_initial([0.5, 0.5, 0.5, 0.5], p).fock(), 1.0, p)
         with pytest.raises(ValueError, match="support"):
             purity_oracle(state)
 

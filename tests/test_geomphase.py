@@ -25,7 +25,7 @@ from becphase import (
     weak_coupling_phase,
     weak_coupling_phase_limit,
 )
-from becphase.cli import compute_phase, oracle_path_builder
+from becphase.cli import compute_phase, path_builder
 from becphase.geomphase import PHASE_TOL
 from oracles import factorization_functions
 
@@ -144,7 +144,7 @@ class TestKinematicPhase:
         p = ModelParams(omega=1.0, j_vdw=0.05, omega_b=0.8, chi=0.002, lambda_c=0.08, alpha=1.2)
         eta0 = 0.45
         tau = quasicycle_period(p)
-        state0 = bell_initial(eta0, p)
+        state0 = bell_initial(eta0, p).fock()
 
         def build(n):
             times = np.linspace(0.0, tau, n + 1)
@@ -194,8 +194,8 @@ class TestExtrapolatedConvergence:
         res = compute_phase(cfg)
         assert any(w.startswith("branch-ambiguity") for w in res.warnings)
         assert res.n_steps == 16384
-        fine = kinematic_phase(oracle_path_builder(cfg)(res.n_steps))
-        half = kinematic_phase(oracle_path_builder(cfg)(res.n_steps // 2))
+        fine = kinematic_phase(path_builder(cfg)(res.n_steps))
+        half = kinematic_phase(path_builder(cfg)(res.n_steps // 2))
         assert res.unwrapped == fine.unwrapped
         assert res.principal == fine.principal
         assert res.error_estimate == abs(fine.unwrapped - half.unwrapped)
@@ -211,7 +211,7 @@ class TestExtrapolatedConvergence:
         cfg = config("general")
         for make in (
             lambda: analytic_path_builder(Scenario.MICRO_MICRO, 0.5, p),
-            lambda: oracle_path_builder(cfg),
+            lambda: path_builder(cfg),
         ):
             build = make()
             for n in (1024, 2048, 4096):
@@ -316,7 +316,7 @@ class TestFactorization:
         # z_1 / z_0 = F1 F2 F3, so the phase is arg(z_0) + arg(1 + F1 F2 F3)
         cfg = parse_config((CONFIG_DIR / f"{name}.json").read_text())
         for eta0 in (cfg.eta0, 0.5):
-            path = oracle_path_builder(replace(cfg, eta0=eta0))(cfg.n_steps)
+            path = path_builder(replace(cfg, eta0=eta0))(cfg.n_steps)
             assert path.n_branches == 2
             res = kinematic_phase(path)
             split = np.angle(res.per_branch[0]) + factorization_functions(path).phase_part2
