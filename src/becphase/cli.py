@@ -257,19 +257,19 @@ class Table:
 
 
 def _fmt(value) -> str:
-    if type(value) is float:
-        return "%.17g" % value
-    if value is None or value == "":
+    """A non-string cell: 17 significant digits, integers as such, None empty."""
+    if value is None:
         return ""
-    if isinstance(value, str):
-        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return f"{float(value):.17g}"
+    return "%.17g" % float(value)
 
 
 def emit(table: Table, fmt: str = "csv", path: str | None = None) -> str:
-    """Render a table with 17-significant-digit floats; refuse empty tables."""
+    """Render a table with 17-significant-digit floats; refuse empty tables.
+
+    Cells are formatted a column at a time; each distinct string cell goes
+    through csv.writer once, so that its quoting is the writer's."""
     if not table.rows:
         raise ValueError("refusing to emit an empty table")
     if fmt not in ("csv", "tsv"):
@@ -278,9 +278,24 @@ def emit(table: Table, fmt: str = "csv", path: str | None = None) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, delimiter=delim, lineterminator="\n")
     writer.writerow(table.columns)
-    for row in table.rows:
-        writer.writerow([_fmt(v) for v in row])
-    text = buf.getvalue()
+    quoted: dict[str, str] = {}
+
+    def quote(cell: str) -> str:
+        if cell not in quoted:
+            one = io.StringIO()
+            # A trailing empty field keeps the writer from quoting a lone "".
+            csv.writer(one, delimiter=delim, lineterminator="\n").writerow([cell, ""])
+            quoted[cell] = one.getvalue()[:-2]
+        return quoted[cell]
+
+    cells = []
+    for col in zip(*table.rows):
+        if all(type(v) is float for v in col):
+            cells.append(map("%.17g".__mod__, col))
+        else:
+            cells.append([quote(v) if isinstance(v, str) else _fmt(v) for v in col])
+    lines = map(delim.join, zip(*cells))
+    text = buf.getvalue() + "\n".join(lines) + "\n"
     if path is not None:
         Path(path).write_text(text)
     return text

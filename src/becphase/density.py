@@ -139,19 +139,26 @@ def coherent_rho_path(state0: CoherentBranches, times: np.ndarray, p: ModelParam
            - b_i conj(b_j) (2 sin^2(mu_ij t / 2) + i sin(mu_ij t)),
     mu_ij = mu_i - mu_j: the form of the log of Glauber's overlap that does
     not cancel when |b|^2 is large (R. J. Glauber, Phys. Rev. 131, 2766 (1963)).
+    Only the block of occupied branches (c_k != 0) is evaluated; every
+    other entry carries a zero weight and is written as 0.
     """
     t = np.asarray(times, dtype=float)[:, None, None]
-    energy = np.array([branch_frequency(k, 0, p) for k in range(4)])
-    slope = np.array([branch_frequency(k, 1, p) for k in range(4)]) - energy
-    b = state0.betas
+    occ = np.flatnonzero(state0.coeffs)
+    c, b = state0.coeffs[occ], state0.betas[occ]
+    energy = np.array([branch_frequency(k, 0, p) for k in occ])
+    slope = np.array([branch_frequency(k, 1, p) for k in occ]) - energy
     cross = np.outer(b, b.conj())  # b_i conj(b_j)
     g0 = -0.5 * np.abs(b[:, None] - b[None, :]) ** 2 + 1j * cross.imag
     mu = slope[:, None] - slope[None, :]
     de = energy[:, None] - energy[None, :]
-    c = state0.coeffs
     weight = np.outer(c, c.conj())
     g = g0 - cross * (2.0 * np.sin(0.5 * mu * t) ** 2 + 1j * np.sin(mu * t))
-    return weight * np.exp(g - 1j * de * t)
+    rho = weight * np.exp(g - 1j * de * t)
+    if occ.size == 4:
+        return rho
+    out = np.zeros((t.shape[0], 4, 4), dtype=complex)
+    out[:, occ[:, None], occ] = rho
+    return out
 
 
 def oracle_rho_path(state0: JointState, times: np.ndarray, p: ModelParams) -> np.ndarray:
@@ -232,6 +239,9 @@ class EigenPath:
 
 
 _PERMS = np.array(list(itertools.permutations(range(4))))  # _PERMS[0] is the identity
+# A step whose diagonal squared overlaps all exceed 1/2 + MATCH_MARGIN keeps
+# the identity without scoring the permutations; see _step_permutations.
+MATCH_MARGIN = 1e-6
 
 
 def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
@@ -239,6 +249,30 @@ def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
     out[0::2] = even
     out[1::2] = odd
     return out
+
+
+def _step_permutations(evecs: np.ndarray) -> np.ndarray:
+    """Index into _PERMS of the column permutation that maximizes the summed
+    squared overlaps between the eigenframes evecs[m] and evecs[m + 1].
+
+    Only steps where some diagonal squared overlap is at most
+    1/2 + MATCH_MARGIN are scored; every other step gets the identity, which
+    is what the scoring would pick. The squared overlaps of two orthonormal
+    frames form a doubly stochastic matrix. If every diagonal entry exceeds
+    1/2 + d, each off-diagonal entry is below 1/2 - d, so a permutation that
+    moves columns f and g loses more than 2d on each of them: the identity
+    beats every other permutation by more than 4d, far above the rounding of
+    a four-term sum.
+    """
+    a, b = evecs[:-1], evecs[1:]
+    diag = np.abs(np.einsum("maf,maf->mf", a.conj(), b)) ** 2
+    best = np.zeros(diag.shape[0], dtype=int)
+    steps = np.flatnonzero((diag <= 0.5 + MATCH_MARGIN).any(axis=1))
+    if steps.size:
+        ov2 = np.abs(np.einsum("maf,mag->mfg", a[steps].conj(), b[steps])) ** 2
+        rows = np.broadcast_to(np.arange(4), _PERMS.shape)
+        best[steps] = np.argmax(ov2[:, rows, _PERMS].sum(axis=2), axis=1)
+    return best
 
 
 def eigen_path(
@@ -251,8 +285,14 @@ def eigen_path(
 
     Validates Hermiticity, unit trace and positivity of every matrix, then
     assigns eigenvector columns across neighboring times by the permutation
-    that maximizes the summed squared overlaps. Near-degenerate eigenvalue
-    pairs among retained branches are flagged, not fatal.
+    that maximizes the summed squared overlaps (_step_permutations).
+    Near-degenerate eigenvalue pairs among retained branches are flagged,
+    not fatal.
+
+    Branches are ordered by descending eigenvalue at the first time.
+    Eigenvalues below SUPPORT_TOL there count as tied, and their branches
+    are ordered by their matched eigenvalue one grid step later, so that the
+    order of a pure initial state's null branches does not rest on rounding.
 
     With `coarse`, `times` and `rhos` are the midpoints of coarse's grid
     steps: only they are validated and decomposed, coarse's frames fill the
@@ -275,15 +315,14 @@ def eigen_path(
         evecs = _interleave(coarse.frames[1], evecs)
 
     m_total = times.size
-    order0 = np.argsort(evals[0])[::-1]
-
-    # Squared overlaps between consecutive raw eigenframes, then the best
-    # column permutation per step; identities of branches are composed along
-    # the path afterwards.
-    ov2 = np.abs(np.einsum("maf,mag->mfg", evecs[:-1].conj(), evecs[1:])) ** 2
-    rows = np.broadcast_to(np.arange(4), _PERMS.shape)
-    perm_scores = ov2[:, rows, _PERMS].sum(axis=2)  # (M-1, 24)
-    best = np.argmax(perm_scores, axis=1)
+    # Identities of branches are composed along the path from the best
+    # column permutation of every step.
+    best = _step_permutations(evecs)
+    # Descending sort keys of the first frame's columns; equal keys put the
+    # higher column first.
+    tied = evals[0] < SUPPORT_TOL
+    key = np.where(tied, evals[1, _PERMS[best[0]]], evals[0])
+    order0 = np.lexsort((-np.arange(4), -key, tied))
 
     # The order changes only after steps whose best permutation is not the
     # identity; in between it is constant.
@@ -296,13 +335,11 @@ def eigen_path(
     col[start:] = current
 
     vals = np.take_along_axis(evals, col, axis=1)
-    vecs = np.take_along_axis(evecs, col[:, None, :], axis=2)
-
     keep = np.flatnonzero(vals.max(axis=0) > SUPPORT_TOL)
     if keep.size == 0:
         raise ValueError("no branch carries weight above the support cutoff")
     vals = vals[:, keep]
-    vecs = vecs[:, :, keep]
+    vecs = np.take_along_axis(evecs, col[:, None, keep], axis=2)
 
     flags: list[str] = []
     if vals.shape[1] >= 2:

@@ -11,10 +11,19 @@
   kinematic phase.
 - single_qubit_concurrence: the purity concurrence of one qubit against the
   other qubit and the mode, a cut that `purity_oracle` does not take.
+- exhaustive_step_permutations: scores all 24 column permutations on every
+  step, the reference for the shortcut of `density._step_permutations`.
+- coherent_rho_full: the coherent-overlap density on all 16 entries, the
+  reference for the occupied-block evaluation of `coherent_rho_path`.
+- emit_rowwise: one `csv.writer` row per table row, the reference for the
+  column-wise `emit`.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,12 +31,15 @@ import numpy as np
 
 from becphase import (
     BRANCH_LABELS,
+    CoherentBranches,
     EigenPath,
     JointState,
     ModelParams,
+    Table,
     branch_frequency,
     validate_joint,
 )
+from becphase.cli import _fmt
 
 
 def evolve_branch(phi0: np.ndarray, branch: int, t: float, p: ModelParams) -> np.ndarray:
@@ -149,3 +161,41 @@ def single_qubit_concurrence(state: JointState, cut: str) -> float:
                 rho[labels[i], labels[j]] += c[i] * np.conj(c[j]) * gram[j, i]
     purity = float(np.real(np.trace(rho @ rho)))
     return math.sqrt(max(0.0, 2.0 * (1.0 - purity)))
+
+
+PERMUTATIONS = np.array(list(itertools.permutations(range(4))))  # [0] is the identity
+
+
+def exhaustive_step_permutations(evecs: np.ndarray) -> np.ndarray:
+    """Index into PERMUTATIONS of the column permutation that maximizes the
+    summed squared overlaps between evecs[m] and evecs[m + 1], scored over
+    all 24 permutations on every step."""
+    ov2 = np.abs(np.einsum("maf,mag->mfg", evecs[:-1].conj(), evecs[1:])) ** 2
+    rows = np.broadcast_to(np.arange(4), PERMUTATIONS.shape)
+    return np.argmax(ov2[:, rows, PERMUTATIONS].sum(axis=2), axis=1)
+
+
+def coherent_rho_full(state0: CoherentBranches, times: np.ndarray, p: ModelParams) -> np.ndarray:
+    """rho_ij(t) = c_i conj(c_j) exp(-i (E_i - E_j) t + G_ij(t)) on every
+    entry, empty branches included (their weight is 0)."""
+    t = np.asarray(times, dtype=float)[:, None, None]
+    energy = np.array([branch_frequency(k, 0, p) for k in range(4)])
+    slope = np.array([branch_frequency(k, 1, p) for k in range(4)]) - energy
+    b = state0.betas
+    cross = np.outer(b, b.conj())
+    g0 = -0.5 * np.abs(b[:, None] - b[None, :]) ** 2 + 1j * cross.imag
+    mu = slope[:, None] - slope[None, :]
+    de = energy[:, None] - energy[None, :]
+    weight = np.outer(state0.coeffs, state0.coeffs.conj())
+    g = g0 - cross * (2.0 * np.sin(0.5 * mu * t) ** 2 + 1j * np.sin(mu * t))
+    return weight * np.exp(g - 1j * de * t)
+
+
+def emit_rowwise(table: Table, fmt: str) -> str:
+    """The table written one `csv.writer` row at a time, strings as they are."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter="," if fmt == "csv" else "\t", lineterminator="\n")
+    writer.writerow(table.columns)
+    for row in table.rows:
+        writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
+    return buf.getvalue()

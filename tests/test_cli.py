@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ import becphase
 from becphase import Table, emit, parse_config, run_scenario, validation_report
 from becphase import cli, geomphase
 from becphase.cli import _fmt, main
+from oracles import emit_rowwise
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -190,6 +192,27 @@ class TestEmit:
     def test_bad_format(self):
         with pytest.raises(ValueError):
             emit(Table(["a"], [[1.0]]), "xml")
+
+    @pytest.mark.parametrize("fmt", ["csv", "tsv"])
+    def test_columns_render_as_rows_do(self, fmt):
+        # float, mixed and string columns; cells that need quoting in either format
+        strings = ["", "plain", "a,b", "tab\there", 'say "x"', "two\nlines", "cr\r", " pad "]
+        rows = [
+            [0.1 * k, [1.5, "", None, 7, np.int64(-3), np.float64(2.5), True, math.nan][k], s, "w; x, y"]
+            for k, s in enumerate(strings)
+        ]
+        rows[0][0] = -0.0
+        rows[1][0] = math.inf
+        table = Table(["t[1]", "mixed", "text", "warnings"], rows)
+        assert emit(table, fmt) == emit_rowwise(table, fmt)
+
+    @pytest.mark.parametrize("verb", ["evolve", "phase"])
+    @pytest.mark.parametrize("fmt", ["csv", "tsv"])
+    def test_pipeline_tables_render_as_rows_do(self, verb, fmt):
+        cfg = parse_config((CONFIG_DIR / "general.json").read_text())
+        table = run_scenario(replace(cfg, n_steps=64), verb)
+        table.rows[0][-1] = "branch-ambiguity: gap, with comma"
+        assert emit(table, fmt) == emit_rowwise(table, fmt)
 
 
 class TestRunScenario:

@@ -23,9 +23,9 @@ from becphase import (
     quasicycle_period,
     validate_density,
 )
-from becphase import density, dynamics
-from becphase.cli import initial_branches, initial_state, parse_config
-from oracles import evolve_joint
+from becphase import cli, density, dynamics
+from becphase.cli import initial_branches, initial_state, parse_config, run_evolve
+from oracles import coherent_rho_full, evolve_joint, exhaustive_step_permutations
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 P = ModelParams(omega=1.0, j_vdw=0.07, omega_b=0.9, chi=0.003, lambda_c=0.05, alpha=1.2)
@@ -229,6 +229,36 @@ class TestCoherentPath:
         rhos = coherent_rho_path(state0, np.linspace(0.0, 3.0, 7), P)
         assert not np.any(rhos[:, [1, 3], :]) and not np.any(rhos[:, :, [1, 3]])
 
+    @pytest.mark.parametrize("name", ["micro_micro", "macro_both", "macro_single", "general"])
+    def test_occupied_block_equals_the_full_formula(self, name):
+        cfg = parse_config((CONFIG_DIR / f"{name}.json").read_text())
+        rng = np.random.default_rng(7)
+        states = [initial_branches(cfg)]
+        if cfg.scenario != "general":
+            # eta0 = 0 and pi/2 leave a single occupied branch
+            states += [initial_branches(replace(cfg, eta0=e)) for e in (0.0, math.pi / 2, rng.uniform(0, 1.5))]
+        times = np.sort(rng.uniform(0.0, 40.0, 301))
+        for state0 in states:
+            occ = np.flatnonzero(state0.coeffs)
+            empty = np.flatnonzero(state0.coeffs == 0)
+            rhos = coherent_rho_path(state0, times, cfg.params)
+            full = coherent_rho_full(state0, times, cfg.params)
+            assert np.array_equal(rhos[:, occ[:, None], occ], full[:, occ[:, None], occ])
+            assert not np.any(rhos[:, empty, :]) and not np.any(rhos[:, :, empty])
+
+    def test_general_eps2_does_not_rest_on_rounding(self, monkeypatch):
+        # The general state starts pure: three eigenvalues are 0 up to
+        # rounding, and eps2 must follow the branch that grows first, not the
+        # one that rounding orders second at t = 0.
+        cfg = parse_config((CONFIG_DIR / "general.json").read_text())
+        exact = run_evolve(cfg)
+        monkeypatch.setattr(cli, "coherent_rho_path", lambda s, t, p: oracle_rho_path(s.fock(), t, p))
+        fock = run_evolve(cfg)
+        j = exact.columns.index("eps2[1]")
+        eps2 = np.array([[a[j], b[j]] for a, b in zip(exact.rows, fock.rows)])
+        assert np.max(np.abs(eps2[:, 0] - eps2[:, 1])) <= 1e-9
+        assert eps2[1, 0] > 1e-9
+
     def test_micro_off_diagonal_matches_its_closed_form_near_the_alpha_cap(self):
         p = ModelParams(omega=1.0, lambda_c=1e-3, alpha=37.5)
         times = np.linspace(0.0, quasicycle_period(p), 9)
@@ -395,6 +425,104 @@ class TestBranchOrder:
         bare = EigenPath(coarse.times, coarse.values, coarse.vectors)
         with pytest.raises(ValueError, match="midpoint"):
             eigen_path(times[1:], rhos[1:], coarse=bare)
+
+
+def assert_same_path(a: EigenPath, b: EigenPath) -> None:
+    for name in ("times", "values", "vectors"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.flags == b.flags
+    assert all(np.array_equal(x, y) for x, y in zip(a.frames, b.frames))
+
+
+def random_unitary(rng, scale=1.0):
+    z = np.eye(4) + scale * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    return np.linalg.qr(z)[0]
+
+
+def planted_frames(rng, m):
+    """Orthonormal frames along a walk of small unitary steps, with planted
+    column swaps and two-column rotations whose diagonal squared overlap
+    cos^2(theta) lies within a few MATCH_MARGIN of 1/2, on both sides."""
+    frames = np.empty((m, 4, 4), dtype=complex)
+    v = random_unitary(rng)
+    for k in range(m):
+        frames[k] = v
+        kind = rng.integers(6)
+        if kind == 0:
+            v = v[:, rng.permutation(4)]
+        elif kind == 1:
+            i, j = rng.choice(4, size=2, replace=False)
+            shift = rng.choice([0.0, 1.0, -1.0, 0.5, 1.5, 3.0, -3.0]) * density.MATCH_MARGIN
+            theta = math.acos(math.sqrt(0.5 + shift))
+            phase = cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            vi, vj = v[:, i].copy(), v[:, j].copy()
+            v = v.copy()
+            v[:, i] = math.cos(theta) * vi + math.sin(theta) * phase * vj
+            v[:, j] = -math.sin(theta) * phase.conjugate() * vi + math.cos(theta) * vj
+        else:
+            v = v @ random_unitary(rng, 0.05)
+    return frames
+
+
+class TestMatchingShortcut:
+    """eigen_path skips the permutation scoring where the identity must win;
+    its result must equal that of scoring every step."""
+
+    @staticmethod
+    def reference(monkeypatch, *args, **kwargs):
+        with monkeypatch.context() as mp:
+            mp.setattr(density, "_step_permutations", exhaustive_step_permutations)
+            return eigen_path(*args, **kwargs)
+
+    def test_planted_frames(self):
+        rng = np.random.default_rng(20261018)
+        frames = planted_frames(rng, 3000)
+        best = density._step_permutations(frames)
+        assert np.array_equal(best, exhaustive_step_permutations(frames))
+        diag = np.abs(np.einsum("maf,maf->mf", frames[:-1].conj(), frames[1:])) ** 2
+        near_half = np.abs(diag.min(axis=1) - 0.5) <= 4 * density.MATCH_MARGIN
+        assert near_half.sum() > 100
+        assert 0 < np.count_nonzero(best[near_half]) < near_half.sum()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_planted_density_paths(self, monkeypatch, seed):
+        # eigenvalues that cross, and stretches with an exactly or nearly
+        # degenerate pair or two empty branches
+        rng = np.random.default_rng(seed)
+        m = 1201
+        frames = planted_frames(rng, m)
+        x = np.linspace(0.0, 6.0, m)[:, None]
+        pops = 1.0 + 0.8 * np.cos(rng.uniform(0.5, 2.0, 4) * x + rng.uniform(0, 6, 4))
+        pops[200:400, 1] = pops[200:400, 0]
+        pops[500:700, 2] = pops[500:700, 3] + 1e-13
+        pops[800:1000, 2:] = 0.0
+        pops /= pops.sum(axis=1, keepdims=True)
+        rhos = np.einsum("mak,mk,mbk->mab", frames, pops, frames.conj())
+        rhos = 0.5 * (rhos + np.conj(np.swapaxes(rhos, 1, 2)))
+        times = np.linspace(0.0, 1.0, m)
+        path = eigen_path(times, rhos)
+        assert path.flags
+        assert_same_path(path, self.reference(monkeypatch, times, rhos))
+        coarse = eigen_path(times[::2], rhos[::2])
+        assert_same_path(
+            eigen_path(times[1::2], rhos[1::2], coarse=coarse),
+            self.reference(monkeypatch, times[1::2], rhos[1::2],
+                           coarse=self.reference(monkeypatch, times[::2], rhos[::2])),
+        )
+
+    @pytest.mark.parametrize("name", ["micro_micro", "macro_both", "macro_single", "general"])
+    def test_shipped_configs(self, monkeypatch, name):
+        cfg = parse_config((CONFIG_DIR / f"{name}.json").read_text())
+        state0 = initial_branches(cfg)
+        times = np.linspace(0.0, quasicycle_period(cfg.params), 4097)
+        rhos = coherent_rho_path(state0, times, cfg.params)
+        coarse = eigen_path(times[::2], rhos[::2])
+        reference = self.reference(monkeypatch, times[::2], rhos[::2])
+        assert_same_path(coarse, reference)
+        assert_same_path(
+            eigen_path(times[1::2], rhos[1::2], coarse=coarse),
+            self.reference(monkeypatch, times[1::2], rhos[1::2], coarse=reference),
+        )
 
 
 def test_validate_density_checks_every_matrix_of_a_stack():
