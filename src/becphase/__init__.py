@@ -20,7 +20,6 @@ from .dynamics import (
     validate_joint,
 )
 from .density import (
-    DecayPhase,
     EigenPath,
     Scenario,
     analytic_rho_path,

@@ -8,7 +8,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -39,62 +38,32 @@ BLOCK_INDEX = {
 }
 
 
-@dataclass(frozen=True)
-class DecayPhase:
-    """Scenario off-diagonal phase Lambda(t) and decay Gamma(t), with their
-    time derivative of the phase for quadrature use."""
-
-    lambda_fn: Callable[[np.ndarray], np.ndarray]
-    gamma_fn: Callable[[np.ndarray], np.ndarray]
-    lambda_dot_fn: Callable[[np.ndarray], np.ndarray]
-
-
-def detuning_factor(variant: str) -> float:
-    """k of the single-qubit hybrid detuning omega - k J: 2 in the
-    spectrum-derived ("corrected") form, 4 in the published ("verbatim") one."""
-    if variant == "corrected":
-        return 2.0
-    if variant == "verbatim":
-        return 4.0
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def decay_phase(scenario: Scenario, p: ModelParams, variant: str = "corrected") -> DecayPhase:
-    """Closed-form phase/decay pair of the off-diagonal element for a scenario.
+def decay_phase(
+    scenario: Scenario, p: ModelParams, t: np.ndarray, variant: str = "corrected"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form phase Lambda(t) and decay Gamma(t) of the off-diagonal
+    element of a scenario at the times t.
 
     For MACRO_SINGLE two variants exist: "corrected" is the one derived from
     the branch spectrum (detuning omega - 2J, coupling-frequency factors) and
     matches the numerical evolution; "verbatim" keeps the published printed
     form (detuning omega - 4J, doubled-frequency factors) for comparison.
-    For the other scenarios both variant names return the same functions.
+    For the other scenarios both variant names give the same values.
     """
-    detuning = p.omega - detuning_factor(variant) * p.j_vdw
+    if variant not in ("corrected", "verbatim"):
+        raise ValueError(f"unknown variant {variant!r}")
     a2 = abs(p.alpha) ** 2
     w, lam = p.omega, p.lambda_c
     if scenario == Scenario.MICRO_MICRO:
-        return DecayPhase(
-            lambda t: 2 * w * t + a2 * np.sin(2 * lam * t),
-            lambda t: 2 * a2 * np.sin(lam * t) ** 2,
-            lambda t: 2 * w + 2 * lam * a2 * np.cos(2 * lam * t),
-        )
+        return 2 * w * t + a2 * np.sin(2 * lam * t), 2 * a2 * np.sin(lam * t) ** 2
     if scenario == Scenario.MACRO_BOTH:
-        return DecayPhase(
-            lambda t: 2 * w * t - a2 * np.sin(2 * lam * t),
-            lambda t: 2 * a2 * np.cos(lam * t) ** 2,
-            lambda t: 2 * w - 2 * lam * a2 * np.cos(2 * lam * t),
-        )
+        return 2 * w * t - a2 * np.sin(2 * lam * t), 2 * a2 * np.cos(lam * t) ** 2
     if scenario == Scenario.MACRO_SINGLE:
         if variant == "corrected":
-            return DecayPhase(
-                lambda t: detuning * t - a2 * np.sin(lam * t),
-                lambda t: 2 * a2 * np.cos(lam * t / 2) ** 2,
-                lambda t: detuning - lam * a2 * np.cos(lam * t),
-            )
-        return DecayPhase(
-            lambda t: detuning * t - a2 * np.sin(2 * lam * t),
-            lambda t: 2 * a2 * np.cos(lam * t) ** 2,
-            lambda t: detuning - 2 * lam * a2 * np.cos(2 * lam * t),
-        )
+            detuning = w - 2.0 * p.j_vdw
+            return detuning * t - a2 * np.sin(lam * t), 2 * a2 * np.cos(lam * t / 2) ** 2
+        detuning = w - 4.0 * p.j_vdw
+        return detuning * t - a2 * np.sin(2 * lam * t), 2 * a2 * np.cos(lam * t) ** 2
     raise ValueError(f"unknown scenario {scenario!r}")
 
 
@@ -194,9 +163,9 @@ def analytic_rho_path(
     """Closed-form reduced density matrices, vectorized over times: the
     occupied block [[cos^2 eta0, off], [conj(off), sin^2 eta0]] with
     off = sin(2 eta0)/2 * exp(i Lambda - Gamma), at the scenario's index pair."""
-    dp = decay_phase(scenario, p, variant)
     t = np.asarray(times, dtype=float)
-    off = 0.5 * math.sin(2 * eta0) * np.exp(1j * dp.lambda_fn(t) - dp.gamma_fn(t))
+    lam, gam = decay_phase(scenario, p, t, variant)
+    off = 0.5 * math.sin(2 * eta0) * np.exp(1j * lam - gam)
     i0, i1 = BLOCK_INDEX[scenario]
     out = np.zeros(t.shape + (4, 4), dtype=complex)
     out[..., i0, i0] = math.cos(eta0) ** 2

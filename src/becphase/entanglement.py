@@ -9,7 +9,7 @@ import numpy as np
 
 from .model import ModelParams
 from .dynamics import JointState
-from .density import Scenario, detuning_factor, partial_trace, validate_density
+from .density import Scenario, partial_trace, validate_density
 from .geomphase import special_point_phase
 
 # sigma_y (x) sigma_y expressed in the module basis order.
@@ -120,15 +120,13 @@ def witness_micro_micro(phase: float, p: ModelParams) -> WitnessResult:
     return WitnessResult(consistent, verbatim)
 
 
-def witness_micro_macro(
-    phase: float, scenario: Scenario, p: ModelParams, variant: str = "verbatim"
-) -> WitnessResult:
+def witness_micro_macro(phase: float, scenario: Scenario, p: ModelParams) -> WitnessResult:
     """Invert the hybrid special-point phase relations.
 
     For MACRO_BOTH the published inversion is the exact algebraic inverse of
     its phase relation, so both fields agree. For MACRO_SINGLE the published
-    inversion drops an additive contribution; `consistent` restores it (in the
-    chosen detuning variant) and is the one that round-trips.
+    inversion drops an additive contribution; `consistent` restores it (with
+    the published detuning omega - 4J) and is the one that round-trips.
     """
     if scenario == Scenario.MACRO_BOTH:
         arg = -64.0 * phase / (16.0 + p.omega)
@@ -137,23 +135,21 @@ def witness_micro_macro(
         val = math.sqrt(max(0.0, 1.0 - math.exp(min(arg, 0.0))))
         return WitnessResult(val, val)
     if scenario == Scenario.MACRO_SINGLE:
-        k = detuning_factor(variant)
-        arg_consistent = 4.0 * phase + 4.0 * math.pi - 4.0 * math.pi * k * p.j_vdw / p.omega
+        j_shift = 16.0 * math.pi * p.j_vdw / p.omega
+        arg_consistent = 4.0 * phase + 4.0 * math.pi - j_shift
         if arg_consistent > 1e-12:
             raise ValueError("phase out of range: concurrence would be imaginary")
         consistent = math.sqrt(max(0.0, 1.0 - math.exp(min(arg_consistent, 0.0))))
-        arg_verbatim = 4.0 * phase - 16.0 * p.j_vdw * math.pi / p.omega
+        arg_verbatim = 4.0 * phase - j_shift
         verbatim = math.sqrt(max(0.0, 1.0 - math.exp(min(arg_verbatim, 0.0))))
         return WitnessResult(consistent, verbatim)
     raise ValueError("witness inversions exist for the hybrid scenarios only")
 
 
-def macro_phase_relation(
-    concurrence: float, scenario: Scenario, p: ModelParams, variant: str = "verbatim"
-) -> float:
+def macro_phase_relation(concurrence: float, scenario: Scenario, p: ModelParams) -> float:
     """Closed-form special-point phase as a function of initial concurrence:
     special_point_phase at the |alpha|^2 = -ln(1 - C^2) / 2 that gives the
     hybrid state this concurrence."""
     if not 0.0 <= concurrence < 1.0:
         raise ValueError("concurrence must lie in [0, 1)")
-    return special_point_phase(scenario, -0.5 * math.log(1.0 - concurrence**2), p, variant)
+    return special_point_phase(scenario, -0.5 * math.log(1.0 - concurrence**2), p)

@@ -31,17 +31,16 @@ import numpy as np
 from .model import ModelParams, quasicycle_period
 from .density import (
     DEGENERACY_TOL,
-    DecayPhase,
     EigenPath,
     Scenario,
     analytic_rho_path,
     decay_phase,
-    detuning_factor,
     eigen_path,
 )
 
 PHASE_TOL = 1e-7
 N_STEPS = 2048
+MAX_DOUBLINGS = 10
 COARSE_LINK_WARNING = 0.9
 ORIGIN_WARNING_RATIO = 1e-6
 # Extrapolated acceptance in converge_phase: the window of d_{k-1} / d_k
@@ -139,9 +138,9 @@ def converge_phase(
     build_path: Callable[[int], EigenPath],
     n_start: int = N_STEPS,
     phase_tol: float = PHASE_TOL,
-    max_doublings: int = 10,
 ) -> PhaseResult:
-    """Double the grid until the unwrapped phase is settled to phase_tol.
+    """Double the grid, at most MAX_DOUBLINGS times, until the unwrapped
+    phase is settled to phase_tol.
 
     The link product's grid error is O(h^2), so consecutive deltas
     d_k = P_k - P_{k-1} shrink by 4 and R_k = P_k + d_k / 3 removes the
@@ -159,7 +158,7 @@ def converge_phase(
     prev = kinematic_phase(build_path(n))
     prev_delta = prev_extrapolated = None
     delta = math.inf
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         n *= 2
         cur = kinematic_phase(build_path(n))
         delta = cur.unwrapped - prev.unwrapped
@@ -181,7 +180,7 @@ def converge_phase(
             return replace(cur, error_estimate=abs(delta))
         prev, prev_delta, prev_extrapolated = cur, delta, extrapolated
     raise ConvergenceError(
-        f"phase did not converge to {phase_tol:g} within {max_doublings} doublings "
+        f"phase did not converge to {phase_tol:g} within {MAX_DOUBLINGS} doublings "
         f"(last delta {abs(delta):g} at {n} steps)"
     )
 
@@ -233,16 +232,6 @@ def analytic_path_builder(
 # Closed forms.
 # ---------------------------------------------------------------------------
 
-def _mixing_angles(dp: DecayPhase, eta0: float, t: np.ndarray):
-    gam = dp.gamma_fn(t)
-    s2 = math.sin(2 * eta0) ** 2
-    e = np.sqrt(1.0 + s2 * (np.exp(-2.0 * gam) - 1.0))
-    c2e = math.cos(2 * eta0)
-    cos_theta = np.sqrt(np.clip((e + c2e) / (2.0 * e), 0.0, None))
-    sin_theta = np.sqrt(np.clip((e - c2e) / (2.0 * e), 0.0, None))
-    return e, cos_theta, sin_theta
-
-
 def phase_micro_micro_closed(eta0: float, p: ModelParams, n_quad: int = 4096) -> float:
     """Single-branch closed form of the Bell-scenario phase by quadrature.
 
@@ -256,10 +245,17 @@ def phase_micro_micro_closed(eta0: float, p: ModelParams, n_quad: int = 4096) ->
         n_quad += 1
     tau = quasicycle_period(p)
     t = np.linspace(0.0, tau, n_quad + 1)
-    dp = decay_phase(Scenario.MICRO_MICRO, p)
-    lam = dp.lambda_fn(t)
-    _, cos_theta, sin_theta = _mixing_angles(dp, eta0, t)
-    integrand = dp.lambda_dot_fn(t) * sin_theta**2
+    lam, gam = decay_phase(Scenario.MICRO_MICRO, p, t)
+    # Mixing angle of eps1 = cos theta |00> + sin theta e^{-i Lambda} |11>.
+    # The eigenvalue gap e is summed from its two positive terms: as
+    # 1 - sin^2 2 eta0 (1 - e^{-2 Gamma}) it cancels to 0 at eta0 = pi/4.
+    c2e = math.cos(2 * eta0)
+    e = np.sqrt(c2e**2 + math.sin(2 * eta0) ** 2 * np.exp(-2.0 * gam))
+    cos_theta = np.sqrt(np.clip((e + c2e) / (2.0 * e), 0.0, None))
+    sin_theta = np.sqrt(np.clip((e - c2e) / (2.0 * e), 0.0, None))
+    a2 = abs(p.alpha) ** 2
+    lambda_dot = 2 * p.omega + 2 * p.lambda_c * a2 * np.cos(2 * p.lambda_c * t)
+    integrand = lambda_dot * sin_theta**2
     h = tau / n_quad
     integral = (h / 3.0) * (
         integrand[0]
@@ -310,26 +306,17 @@ def at_special_point(eta0: float, p: ModelParams) -> bool:
     )
 
 
-def special_point_phase(
-    scenario: Scenario, a2: float, p: ModelParams, variant: str = "verbatim"
-) -> float:
+def special_point_phase(scenario: Scenario, a2: float, p: ModelParams) -> float:
     """Published special-point phase of a hybrid scenario at mode intensity
-    a2 = |alpha|^2.
-
-    For MACRO_SINGLE the closed form exists in the published detuning variant
-    ("verbatim", prefactor omega - 4J) and the spectrum-derived one
-    ("corrected", omega - 2J).
-    """
+    a2 = |alpha|^2; MACRO_SINGLE's keeps the published detuning omega - 4J."""
     if scenario == Scenario.MACRO_BOTH:
         return (16.0 + p.omega) / 32.0 * a2
     if scenario == Scenario.MACRO_SINGLE:
-        return -math.pi * (1.0 - detuning_factor(variant) * p.j_vdw / p.omega) - 0.5 * a2
+        return -math.pi * (1.0 - 4.0 * p.j_vdw / p.omega) - 0.5 * a2
     raise ValueError("special-point closed forms exist for the two hybrid scenarios only")
 
 
-def phase_macro_closed(
-    scenario: Scenario, eta0: float, p: ModelParams, variant: str = "verbatim"
-) -> float:
+def phase_macro_closed(scenario: Scenario, eta0: float, p: ModelParams) -> float:
     """Special-point closed form of a hybrid scenario's phase at the |alpha| of p.
 
     It disagrees with the kinematic phase of the same path; `becphase
@@ -340,4 +327,4 @@ def phase_macro_closed(
             f"special point requires eta0 = pi/4 and lambda * tau = pi/4, "
             f"got {eta0} and {p.lambda_c * quasicycle_period(p)}"
         )
-    return special_point_phase(scenario, abs(p.alpha) ** 2, p, variant)
+    return special_point_phase(scenario, abs(p.alpha) ** 2, p)

@@ -263,8 +263,8 @@ def test_criterion_6_witness_round_trips():
         rel = macro_phase_relation(conc, Scenario.MACRO_BOTH, p_macro)
         rt = witness_micro_macro(rel, Scenario.MACRO_BOTH, p_macro).consistent
         worst["macro_both"] = max(worst["macro_both"], abs(rt - conc))
-        rel = macro_phase_relation(conc, Scenario.MACRO_SINGLE, p_macro, "verbatim")
-        rt = witness_micro_macro(rel, Scenario.MACRO_SINGLE, p_macro, "verbatim").consistent
+        rel = macro_phase_relation(conc, Scenario.MACRO_SINGLE, p_macro)
+        rt = witness_micro_macro(rel, Scenario.MACRO_SINGLE, p_macro).consistent
         worst["macro_single"] = max(worst["macro_single"], abs(rt - conc))
     ok = all(v < 1e-10 for v in worst.values())
     report(

@@ -508,6 +508,18 @@ class TestValidationReport:
         assert "macro_single" in mismatches[0]
         assert "verbatim" in mismatches[0]
 
+    def test_one_fock_path_per_scenario(self, monkeypatch):
+        calls = []
+        fock = cli.oracle_rho_path
+
+        def counting(state0, times, p):
+            calls.append(state0)
+            return fock(state0, times, p)
+
+        monkeypatch.setattr(cli, "oracle_rho_path", counting)
+        validation_report()
+        assert len(calls) == 4
+
 
 def test_shipped_scenario_configs_run(tmp_path):
     # each shipped scenario config drives a small end-to-end run

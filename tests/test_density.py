@@ -39,35 +39,25 @@ BUILDERS = {
 
 class TestDecayPhase:
     def test_micro_forms(self):
-        dp = decay_phase(Scenario.MICRO_MICRO, P)
         t = np.linspace(0, 5, 11)
+        lam, gam = decay_phase(Scenario.MICRO_MICRO, P, t)
         a2 = abs(P.alpha) ** 2
         np.testing.assert_allclose(
-            dp.lambda_fn(t), 2 * P.omega * t + a2 * np.sin(2 * P.lambda_c * t), atol=1e-14
+            lam, 2 * P.omega * t + a2 * np.sin(2 * P.lambda_c * t), atol=1e-14
         )
-        np.testing.assert_allclose(
-            dp.gamma_fn(t), 2 * a2 * np.sin(P.lambda_c * t) ** 2, atol=1e-14
-        )
+        np.testing.assert_allclose(gam, 2 * a2 * np.sin(P.lambda_c * t) ** 2, atol=1e-14)
 
     def test_phase_starts_at_zero_and_decay_nonnegative(self):
         t = np.linspace(0, 4 * math.pi, 300)
         for scen in Scenario:
             for variant in ("corrected", "verbatim"):
-                dp = decay_phase(scen, P, variant)
-                assert dp.lambda_fn(np.array(0.0)) == pytest.approx(0.0, abs=1e-14)
-                assert np.all(dp.gamma_fn(t) >= -1e-14)
-
-    def test_lambda_dot_matches_derivative(self):
-        t = np.linspace(0.1, 5, 40)
-        h = 1e-6
-        for scen in Scenario:
-            dp = decay_phase(scen, P, "corrected")
-            fd = (dp.lambda_fn(t + h) - dp.lambda_fn(t - h)) / (2 * h)
-            np.testing.assert_allclose(dp.lambda_dot_fn(t), fd, atol=1e-6)
+                lam, gam = decay_phase(scen, P, t, variant)
+                assert lam[0] == pytest.approx(0.0, abs=1e-14)
+                assert np.all(gam >= -1e-14)
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
-            decay_phase(Scenario.MICRO_MICRO, P, "other")
+            decay_phase(Scenario.MICRO_MICRO, P, np.zeros(1), "other")
 
 
 class TestPartialTrace:
@@ -262,8 +252,8 @@ class TestCoherentPath:
     def test_micro_off_diagonal_matches_its_closed_form_near_the_alpha_cap(self):
         p = ModelParams(omega=1.0, lambda_c=1e-3, alpha=37.5)
         times = np.linspace(0.0, quasicycle_period(p), 9)
-        dp = decay_phase(Scenario.MICRO_MICRO, p)
-        off = 0.5 * math.sin(0.6) * np.exp(1j * dp.lambda_fn(times) - dp.gamma_fn(times))
+        lam, gam = decay_phase(Scenario.MICRO_MICRO, p, times)
+        off = 0.5 * math.sin(0.6) * np.exp(1j * lam - gam)
         exact = coherent_rho_path(bell_initial(0.3, p), times, p)
         np.testing.assert_allclose(exact[:, 0, 1], off, rtol=0, atol=1e-12)
 
@@ -278,10 +268,10 @@ class TestAnalyticBlock:
         )
 
     def test_embedding_index_pairs(self):
-        dp = decay_phase(Scenario.MACRO_SINGLE, P)
         t, eta0 = 1.0, 0.3
+        lam, gam = decay_phase(Scenario.MACRO_SINGLE, P, t)
         full = analytic_rho_path(Scenario.MACRO_SINGLE, eta0, P, np.array(t))
-        off = 0.5 * math.sin(2 * eta0) * cmath.exp(1j * dp.lambda_fn(t) - dp.gamma_fn(t))
+        off = 0.5 * math.sin(2 * eta0) * cmath.exp(1j * lam - gam)
         assert full[0, 2] == pytest.approx(off, abs=1e-15)
         assert full[2, 2] == math.sin(eta0) ** 2
         assert full[1, 1] == 0.0
@@ -311,10 +301,8 @@ class TestEigenPath:
         # gap = e^{-Gamma(t)} when the two populations are equal
         p = ModelParams(omega=1.0, lambda_c=0.3, alpha=1.0)
         times, _, path = two_branch_path(Scenario.MICRO_MICRO, math.pi / 4, p)
-        dp = decay_phase(Scenario.MICRO_MICRO, p)
-        np.testing.assert_allclose(
-            path.values[:, 0] - path.values[:, 1], np.exp(-dp.gamma_fn(times)), atol=1e-10
-        )
+        _, gam = decay_phase(Scenario.MICRO_MICRO, p, times)
+        np.testing.assert_allclose(path.values[:, 0] - path.values[:, 1], np.exp(-gam), atol=1e-10)
 
     def test_macro_both_endpoint_gaps(self):
         # gap(0) = e^{-2 |alpha|^2}, gap(tau) = e^{-|alpha|^2} at the special point
@@ -341,9 +329,7 @@ class TestEigenPath:
         p = ModelParams(omega=1.0, lambda_c=0.2, alpha=1.0)
         eta0 = 0.55
         times, _, path = two_branch_path(Scenario.MICRO_MICRO, eta0, p, 200)
-        dp = decay_phase(Scenario.MICRO_MICRO, p)
-        gam = dp.gamma_fn(times)
-        lam = dp.lambda_fn(times)
+        lam, gam = decay_phase(Scenario.MICRO_MICRO, p, times)
         s2 = math.sin(2 * eta0) ** 2
         e = np.sqrt(1 + s2 * (np.exp(-2 * gam) - 1))
         c2e = math.cos(2 * eta0)

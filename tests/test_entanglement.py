@@ -325,17 +325,16 @@ class TestWitnessMicroMacro:
 
     def test_macro_single_round_trip_consistent_inverse(self):
         p = ModelParams(omega=1.0, j_vdw=0.2, alpha=1.0)
-        for variant in ("verbatim", "corrected"):
-            for conc in (0.2, 0.5, 0.8):
-                phase = macro_phase_relation(conc, Scenario.MACRO_SINGLE, p, variant)
-                res = witness_micro_macro(phase, Scenario.MACRO_SINGLE, p, variant)
-                assert res.consistent == pytest.approx(conc, abs=1e-10)
+        for conc in (0.2, 0.5, 0.8):
+            phase = macro_phase_relation(conc, Scenario.MACRO_SINGLE, p)
+            res = witness_micro_macro(phase, Scenario.MACRO_SINGLE, p)
+            assert res.consistent == pytest.approx(conc, abs=1e-10)
 
     def test_macro_single_printed_inverse_fails_round_trip(self):
         # the printed inversion omits an additive term and saturates near 1
         p = ModelParams(omega=1.0, j_vdw=0.2, alpha=1.0)
-        phase = macro_phase_relation(0.5, Scenario.MACRO_SINGLE, p, "verbatim")
-        res = witness_micro_macro(phase, Scenario.MACRO_SINGLE, p, "verbatim")
+        phase = macro_phase_relation(0.5, Scenario.MACRO_SINGLE, p)
+        res = witness_micro_macro(phase, Scenario.MACRO_SINGLE, p)
         assert abs(res.verbatim - 0.5) > 0.4
 
     def test_zero_exponent_gives_zero(self):
@@ -348,10 +347,3 @@ class TestWitnessMicroMacro:
             witness_micro_macro(-0.5, Scenario.MACRO_BOTH, p)
         with pytest.raises(ValueError):
             witness_micro_macro(0.0, Scenario.MICRO_MICRO, p)
-
-    def test_unknown_variant_rejected_by_inversion_and_relation(self):
-        p = ModelParams(omega=1.0, j_vdw=0.2, alpha=1.0)
-        with pytest.raises(ValueError, match="unknown variant 'bogus'"):
-            witness_micro_macro(-2.5, Scenario.MACRO_SINGLE, p, "bogus")
-        with pytest.raises(ValueError, match="unknown variant 'bogus'"):
-            macro_phase_relation(0.5, Scenario.MACRO_SINGLE, p, "bogus")

@@ -25,7 +25,8 @@ from becphase import (
     weak_coupling_phase,
     weak_coupling_phase_limit,
 )
-from becphase.cli import compute_phase, path_builder
+from becphase import geomphase
+from becphase.cli import RunConfig, compute_phase, path_builder
 from becphase.geomphase import PHASE_TOL
 from oracles import factorization_functions
 
@@ -39,9 +40,7 @@ def micro_path(eta0, p, n_steps=2048):
 
 def smooth_branch_vectors(eta0, p, times):
     """Closed-form leading eigenvector in an explicitly smooth gauge."""
-    dp = decay_phase(Scenario.MICRO_MICRO, p)
-    gam = dp.gamma_fn(times)
-    lam = dp.lambda_fn(times)
+    lam, gam = decay_phase(Scenario.MICRO_MICRO, p, times)
     s2 = math.sin(2 * eta0) ** 2
     e = np.sqrt(1 + s2 * (np.exp(-2 * gam) - 1))
     c2e = math.cos(2 * eta0)
@@ -154,11 +153,12 @@ class TestKinematicPhase:
         kin_analytic = converge_phase(analytic_path_builder(Scenario.MICRO_MICRO, eta0, p), 2048)
         assert kin_oracle.unwrapped == pytest.approx(kin_analytic.unwrapped, abs=1e-6)
 
-    def test_convergence_error(self):
+    def test_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(geomphase, "MAX_DOUBLINGS", 3)
         p = ModelParams(omega=1.0, lambda_c=0.05, alpha=1.0)
         build = analytic_path_builder(Scenario.MICRO_MICRO, 0.5, p)
         with pytest.raises(ConvergenceError):
-            converge_phase(build, 4, phase_tol=1e-30, max_doublings=3)
+            converge_phase(build, 4, phase_tol=1e-30)
 
     def test_phase_trace_starts_at_zero(self):
         p = ModelParams(omega=1.0, lambda_c=0.05, alpha=1.0)
@@ -200,11 +200,12 @@ class TestExtrapolatedConvergence:
         assert res.principal == fine.principal
         assert res.error_estimate == abs(fine.unwrapped - half.unwrapped)
 
-    def test_unreachable_tolerance_still_raises(self):
+    def test_unreachable_tolerance_still_raises(self, monkeypatch):
+        monkeypatch.setattr(geomphase, "MAX_DOUBLINGS", 3)
         p = ModelParams(omega=1.0, lambda_c=0.05, alpha=1.0)
         build = analytic_path_builder(Scenario.MICRO_MICRO, 0.5, p)
         with pytest.raises(ConvergenceError):
-            converge_phase(build, 2048, phase_tol=1e-30, max_doublings=3)
+            converge_phase(build, 2048, phase_tol=1e-30)
 
     def test_refined_path_equals_scratch(self):
         p = ModelParams(omega=1.0, lambda_c=0.05, alpha=1.0)
@@ -229,6 +230,22 @@ class TestClosedFormEquivalence:
                 kin = converge_phase(analytic_path_builder(Scenario.MICRO_MICRO, eta0, p), 2048)
                 closed = phase_micro_micro_closed(eta0, p, 8192)
                 assert abs(kin.unwrapped - closed) < 1e-6, (eta0, lam)
+
+    @pytest.mark.parametrize("alpha", [20.0, 30.0])
+    def test_matches_converged_phase_at_large_decay(self, alpha):
+        # Gamma reaches 2 |alpha|^2 here; the mixing angle must not lose
+        # digits to 1 - sin^2 2 eta0 (1 - e^{-2 Gamma})
+        p = ModelParams(omega=1.0, lambda_c=0.1, alpha=alpha)
+        kin = compute_phase(RunConfig("micro_micro", p, eta0=0.7, phase_tol=1e-10))
+        assert abs(kin.unwrapped - phase_micro_micro_closed(0.7, p)) < 1e-10
+
+    def test_quarter_pi_at_large_decay_is_finite_and_exact(self):
+        # 21.991159383076784243 is the same Simpson sum and tracked argument
+        # evaluated with 50-digit mpmath arithmetic
+        p = ModelParams(omega=1.0, lambda_c=0.1, alpha=6.0)
+        with np.errstate(all="raise"):
+            closed = phase_micro_micro_closed(math.pi / 4, p)
+        assert closed == pytest.approx(21.991159383076784243, rel=1e-14)
 
     def test_zero_mixing_gives_zero(self):
         p = ModelParams(omega=1.0, lambda_c=0.05, alpha=1.0)
@@ -339,15 +356,13 @@ class TestMacroClosedForms:
     def test_macro_single_quarter_j(self):
         # J = omega/4 removes the pi term of the printed form
         p = ModelParams(omega=1.0, j_vdw=0.25, lambda_c=0.125, alpha=1.4)
-        res = phase_macro_closed(Scenario.MACRO_SINGLE, math.pi / 4, p, variant="verbatim")
+        res = phase_macro_closed(Scenario.MACRO_SINGLE, math.pi / 4, p)
         assert res == pytest.approx(-0.5 * 1.4**2, abs=1e-12)
 
     def test_macro_single_corrected_variant(self):
         p = ModelParams(omega=1.0, j_vdw=0.1, lambda_c=0.125, alpha=1.0)
-        verb = phase_macro_closed(Scenario.MACRO_SINGLE, math.pi / 4, p, variant="verbatim")
-        corr = phase_macro_closed(Scenario.MACRO_SINGLE, math.pi / 4, p, variant="corrected")
+        verb = phase_macro_closed(Scenario.MACRO_SINGLE, math.pi / 4, p)
         assert verb == pytest.approx(-math.pi * 0.6 - 0.5, abs=1e-12)
-        assert corr == pytest.approx(-math.pi * 0.8 - 0.5, abs=1e-12)
 
     def test_small_amplitude_limit(self):
         p = ModelParams(omega=1.0, lambda_c=0.125, alpha=1e-4)
