@@ -3,7 +3,6 @@ kinematic geometric phase of the qubit pair over one quasicycle, and the
 inversion of that phase into entanglement witnesses."""
 
 from .model import (
-    BRANCH_LABELS,
     ModelParams,
     branch_frequency,
     quasicycle_period,

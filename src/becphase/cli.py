@@ -12,6 +12,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -502,11 +503,14 @@ def run_sweep(cfg: RunConfig, workers: int = 1) -> Table:
         raise ValueError("sweeps are defined for the three named scenarios")
     if cfg.sweep.variable == "concurrence" and not (0.0 <= values.min() and values.max() < 1.0):
         raise ValueError("concurrence sweep values must lie in [0, 1)")
-    # One worker runs the points in order; more share them, rows stay in order.
+    # One worker runs the points in order in this thread; more share them
+    # through a pool, and the rows stay in order.
     workers = max(1, min(workers, values.size, os.cpu_count() or 1))
+    run_point = partial(point_fn, cfg)
+    if workers == 1:
+        return Table(columns, list(map(run_point, values.tolist())))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(lambda v: point_fn(cfg, float(v)), values))
-    return Table(columns, rows)
+        return Table(columns, list(pool.map(run_point, values.tolist())))
 
 
 def run_scenario(cfg: RunConfig, verb: str, workers: int = 1) -> Table:

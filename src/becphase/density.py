@@ -67,6 +67,11 @@ def decay_phase(
     raise ValueError(f"unknown scenario {scenario!r}")
 
 
+# Flat indices of the entries (i, j) and (j, i), i < j, of a 4x4 matrix.
+_UPPER = np.array([1, 2, 3, 6, 7, 11])
+_LOWER = np.array([4, 8, 12, 9, 13, 14])
+
+
 def validate_density(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Check Hermiticity, unit trace and positivity of a 4x4 density matrix or
     of every matrix of a (..., 4, 4) stack; return the `eigh` decomposition
@@ -74,7 +79,14 @@ def validate_density(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = np.asarray(rho, dtype=complex)
     if m.shape[-2:] != (4, 4):
         raise ValueError(f"density matrices must be 4x4, got shape {m.shape}")
-    herm = np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2))))
+    # The largest entry of |m - m^H| without forming it: |m_ij - conj(m_ji)|
+    # over the six pairs i < j, and 2 |Im m_ii|.
+    flat = m.reshape(-1, 16)
+    pairs = np.take(flat, _UPPER, axis=1) - np.conj(np.take(flat, _LOWER, axis=1))
+    herm = max(
+        np.max(np.abs(pairs)),
+        2.0 * np.max(np.abs(np.diagonal(m, axis1=-2, axis2=-1).imag)),
+    )
     if herm > HERMITICITY_TOL:
         raise ValueError(f"density matrix not Hermitian: deviation {herm:g}")
     traces = np.trace(m, axis1=-2, axis2=-1).ravel()

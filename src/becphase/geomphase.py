@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,14 +39,16 @@ from .density import (
 )
 
 PHASE_TOL = 1e-7
-N_STEPS = 2048
-MAX_DOUBLINGS = 10
+N_STEPS = 256
+MAX_DOUBLINGS = 13
 COARSE_LINK_WARNING = 0.9
 ORIGIN_WARNING_RATIO = 1e-6
-# Extrapolated acceptance in converge_phase: the window of d_{k-1} / d_k
-# around the O(h^2) ratio 4, and the warnings under which the grid error is
-# not known to be O(h^2).
-RATIO_WINDOW = (3.5, 4.5)
+# Romberg acceptance in converge_phase: the table's deepest column (h^2, h^4,
+# h^6 removed), the window of a column's delta ratio relative to the ratio
+# 4^j that its child column j assumes, and the warnings under which the grid
+# error is not known to be a series in h^2.
+ROMBERG_DEPTH = 3
+RATIO_WINDOW = (0.875, 1.125)
 EXTRAPOLATION_BLOCKERS = ("branch-ambiguity", "coarse-grid", "phase-origin-crossing")
 
 
@@ -134,6 +136,49 @@ def kinematic_phase(path: EigenPath) -> PhaseResult:
     )
 
 
+def romberg_acceptance(
+    levels: Sequence[float], phase_tol: float, extrapolate: bool = True
+) -> tuple[int, float, float] | None:
+    """Whether the last of the level values P_0..P_k, each on twice the
+    previous grid, settles the phase to phase_tol.
+
+    The Romberg table has T[k][0] = P_k and, up to ROMBERG_DEPTH,
+    T[k][j] = T[k][j-1] + (T[k][j-1] - T[k-1][j-1]) / (4^j - 1). With
+    extrapolate, column j >= 1 is accepted at level k when the deltas of its
+    parent column, T[k-1][j-1] - T[k-2][j-1] over T[k][j-1] - T[k-1][j-1],
+    have a ratio inside RATIO_WINDOW times 4^j and |T[k][j] - T[k-1][j]| <
+    phase_tol. The deepest accepted column gives the error estimate, and the
+    value is the deepest column of level k. Otherwise column 0 is accepted
+    when |P_k - P_{k-1}| < phase_tol, with the value P_k. A difference is
+    taken as at least one ulp of the newer value: levels that agree to the
+    last bit agree to rounding, not exactly. Returns (accepted column, value,
+    error estimate), or None.
+    """
+    rows: list[list[float]] = []
+    for value in levels:
+        row = [value]
+        for j in range(1, min(len(rows), ROMBERG_DEPTH) + 1):
+            row.append(row[j - 1] + (row[j - 1] - rows[-1][j - 1]) / (4**j - 1))
+        rows.append(row)
+    if len(rows) < 2:
+        return None
+    cur, prev = rows[-1], rows[-2]
+    if extrapolate and len(rows) > 2:
+        before = rows[-3]
+        for j in range(len(prev) - 1, 0, -1):
+            delta = cur[j - 1] - prev[j - 1]
+            error = max(abs(cur[j] - prev[j]), math.ulp(cur[j]))
+            if (
+                delta != 0.0
+                and RATIO_WINDOW[0] * 4**j <= (prev[j - 1] - before[j - 1]) / delta
+                <= RATIO_WINDOW[1] * 4**j
+                and error < phase_tol
+            ):
+                return j, cur[-1], error
+    error = max(abs(cur[0] - prev[0]), math.ulp(cur[0]))
+    return (0, cur[0], error) if error < phase_tol else None
+
+
 def converge_phase(
     build_path: Callable[[int], EigenPath],
     n_start: int = N_STEPS,
@@ -142,46 +187,35 @@ def converge_phase(
     """Double the grid, at most MAX_DOUBLINGS times, until the unwrapped
     phase is settled to phase_tol.
 
-    The link product's grid error is O(h^2), so consecutive deltas
-    d_k = P_k - P_{k-1} shrink by 4 and R_k = P_k + d_k / 3 removes the
-    leading error. From the third level on, a level is accepted with R_k
-    when d_{k-1} / d_k lies in RATIO_WINDOW, the finest path carries none of
-    the EXTRAPOLATION_BLOCKERS warnings and |R_k - R_{k-1}| < phase_tol; the
-    principal value is shifted by R_k - P_k and wrapped, and error_estimate
-    is |R_k - R_{k-1}|. Otherwise a level is accepted when |d_k| < phase_tol,
-    with P_k and error_estimate |d_k|. per_branch and n_steps are those of the
-    finest grid.
+    The link product's grid error is a series in h^2, so each level is
+    judged by romberg_acceptance over the unwrapped phases of all levels so
+    far; extrapolation is off when the finest path carries one of the
+    EXTRAPOLATION_BLOCKERS warnings. The accepted value is the unwrapped
+    phase, the principal value is shifted by the same amount from the finest
+    grid's and wrapped, and error_estimate is the accepted column's last
+    delta. per_branch and n_steps are those of the finest grid.
     """
     if n_start < 2 or n_start % 2:
         raise ValueError("n_start must be an even integer >= 2")
     n = n_start
-    prev = kinematic_phase(build_path(n))
-    prev_delta = prev_extrapolated = None
-    delta = math.inf
+    levels = [kinematic_phase(build_path(n)).unwrapped]
     for _ in range(MAX_DOUBLINGS):
         n *= 2
         cur = kinematic_phase(build_path(n))
-        delta = cur.unwrapped - prev.unwrapped
-        extrapolated = cur.unwrapped + delta / 3.0
-        if (
-            prev_delta is not None
-            and delta != 0.0
-            and RATIO_WINDOW[0] <= prev_delta / delta <= RATIO_WINDOW[1]
-            and not any(w.startswith(EXTRAPOLATION_BLOCKERS) for w in cur.warnings)
-            and abs(extrapolated - prev_extrapolated) < phase_tol
-        ):
+        levels.append(cur.unwrapped)
+        blocked = any(w.startswith(EXTRAPOLATION_BLOCKERS) for w in cur.warnings)
+        accepted = romberg_acceptance(levels, phase_tol, extrapolate=not blocked)
+        if accepted is not None:
+            _, value, error = accepted
             return replace(
                 cur,
-                unwrapped=extrapolated,
-                principal=math.remainder(cur.principal + delta / 3.0, 2.0 * math.pi),
-                error_estimate=abs(extrapolated - prev_extrapolated),
+                unwrapped=value,
+                principal=math.remainder(cur.principal + (value - cur.unwrapped), 2.0 * math.pi),
+                error_estimate=error,
             )
-        if abs(delta) < phase_tol:
-            return replace(cur, error_estimate=abs(delta))
-        prev, prev_delta, prev_extrapolated = cur, delta, extrapolated
     raise ConvergenceError(
         f"phase did not converge to {phase_tol:g} within {MAX_DOUBLINGS} doublings "
-        f"(last delta {abs(delta):g} at {n} steps)"
+        f"(last delta {abs(levels[-1] - levels[-2]):g} at {n} steps)"
     )
 
 

@@ -7,8 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Branch ordering |00>, |11>, |01>, |10> shared by every module.
-BRANCH_LABELS = ((0, 0), (1, 1), (0, 1), (1, 0))
+# Branches |00>, |11>, |01>, |10>, indexed 0..3 in every module.
 N_BRANCHES = 4
 
 

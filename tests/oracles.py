@@ -11,12 +11,17 @@
   kinematic phase.
 - single_qubit_concurrence: the purity concurrence of one qubit against the
   other qubit and the mode, a cut that `purity_oracle` does not take.
+- BRANCH_LABELS: the qubit states (s1, s2) of the branches |00>, |11>,
+  |01>, |10>, for Hamiltonian energies and single-qubit cuts.
 - exhaustive_step_permutations: scores all 24 column permutations on every
   step, the reference for the shortcut of `density._step_permutations`.
 - coherent_rho_full: the coherent-overlap density on all 16 entries, the
   reference for the occupied-block evaluation of `coherent_rho_path`.
 - emit_rowwise: one `csv.writer` row per table row, the reference for the
   column-wise `emit`.
+- converge_phase_h2: grid doubling from 2,048 steps with one h^2
+  extrapolation step, the reference for the Romberg acceptance of
+  `converge_phase`.
 """
 
 from __future__ import annotations
@@ -25,21 +30,22 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from becphase import (
-    BRANCH_LABELS,
     CoherentBranches,
     EigenPath,
     JointState,
     ModelParams,
     Table,
     branch_frequency,
+    kinematic_phase,
     validate_joint,
 )
 from becphase.cli import _fmt
+from becphase.geomphase import EXTRAPOLATION_BLOCKERS, PHASE_TOL, ConvergenceError, PhaseResult
 
 
 def evolve_branch(phi0: np.ndarray, branch: int, t: float, p: ModelParams) -> np.ndarray:
@@ -142,6 +148,8 @@ def factorization_functions(path: EigenPath) -> FactorizationResult:
     return FactorizationResult(f1, f2, f3, phase_part2)
 
 
+# Qubit states (s1, s2) of the branches |00>, |11>, |01>, |10>.
+BRANCH_LABELS = ((0, 0), (1, 1), (0, 1), (1, 0))
 _QUBIT1 = tuple(lbl[0] for lbl in BRANCH_LABELS)
 _QUBIT2 = tuple(lbl[1] for lbl in BRANCH_LABELS)
 
@@ -199,3 +207,35 @@ def emit_rowwise(table: Table, fmt: str) -> str:
     for row in table.rows:
         writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
     return buf.getvalue()
+
+
+def converge_phase_h2(build_path, n_start: int = 2048, phase_tol: float = PHASE_TOL) -> PhaseResult:
+    """Double the grid, at most 10 times. From the third level on, accept
+    R_k = P_k + d_k / 3 when d_{k-1} / d_k lies in [3.5, 4.5], the finest path
+    carries no extrapolation blocker and |R_k - R_{k-1}| < phase_tol;
+    otherwise accept P_k when |d_k| < phase_tol."""
+    n = n_start
+    prev = kinematic_phase(build_path(n))
+    prev_delta = prev_extrapolated = None
+    for _ in range(10):
+        n *= 2
+        cur = kinematic_phase(build_path(n))
+        delta = cur.unwrapped - prev.unwrapped
+        extrapolated = cur.unwrapped + delta / 3.0
+        if (
+            prev_delta is not None
+            and delta != 0.0
+            and 3.5 <= prev_delta / delta <= 4.5
+            and not any(w.startswith(EXTRAPOLATION_BLOCKERS) for w in cur.warnings)
+            and abs(extrapolated - prev_extrapolated) < phase_tol
+        ):
+            return replace(
+                cur,
+                unwrapped=extrapolated,
+                principal=math.remainder(cur.principal + delta / 3.0, 2.0 * math.pi),
+                error_estimate=abs(extrapolated - prev_extrapolated),
+            )
+        if abs(delta) < phase_tol:
+            return replace(cur, error_estimate=abs(delta))
+        prev, prev_delta, prev_extrapolated = cur, delta, extrapolated
+    raise ConvergenceError(f"phase did not converge to {phase_tol:g} within 10 doublings")

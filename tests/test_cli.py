@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from dataclasses import replace
@@ -33,7 +34,7 @@ def cfg_text(**overrides) -> str:
 class TestParseConfig:
     def test_minimal_defaults(self):
         cfg = parse_config(cfg_text())
-        assert cfg.n_steps == 2048
+        assert cfg.n_steps == 256
         assert cfg.phase_tol == 1e-7
         assert cfg.degeneracy_tol == 1e-9
         assert cfg.params.j_vdw == 0.0
@@ -352,7 +353,27 @@ class TestRunScenario:
         assert requested == [2]
         assert rows == run_scenario(cfg, "sweep", workers=1).rows
         assert rows == run_scenario(cfg, "sweep", workers=0).rows
-        assert requested == [2, 1, 1]
+        assert requested == [2]
+
+    def test_one_worker_sweep_starts_no_thread(self, monkeypatch):
+        started = []
+        real_start = threading.Thread.start
+
+        def start(thread):
+            started.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        cfg = parse_config(
+            cfg_text(
+                grid={"n_steps": 256},
+                sweep={"variable": "concurrence", "start": 0.1, "stop": 0.8, "count": 3},
+            )
+        )
+        assert len(run_scenario(cfg, "sweep", workers=1).rows) == 3
+        assert started == []
+        run_scenario(cfg, "sweep", workers=2)
+        assert started
 
     def test_sweep_workers_preserve_order(self):
         cfg = parse_config(

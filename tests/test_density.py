@@ -520,6 +520,19 @@ def test_validate_density_checks_every_matrix_of_a_stack():
         validate_density(rhos)
 
 
+def test_validate_density_reports_the_largest_hermiticity_deviation():
+    # one perturbed entry anywhere in one matrix of the stack; the reported
+    # deviation is the largest entry of |m - m^H|
+    base = analytic_rho_path(Scenario.MICRO_MICRO, 0.5, P, np.linspace(0, 1, 4))
+    for i in range(4):
+        for j in range(4):
+            rhos = base.copy()
+            rhos[2, i, j] += 1e-9j * (1 + i + 4 * j)
+            dev = np.max(np.abs(rhos - np.conj(np.swapaxes(rhos, -1, -2))))
+            with pytest.raises(ValueError, match=f"not Hermitian: deviation {dev:g}$"):
+                validate_density(rhos)
+
+
 def test_validate_density_rejects_bad_trace():
     mat = np.eye(4, dtype=complex)
     with pytest.raises(ValueError, match="trace"):

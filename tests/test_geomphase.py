@@ -27,8 +27,8 @@ from becphase import (
 )
 from becphase import geomphase
 from becphase.cli import RunConfig, compute_phase, path_builder
-from becphase.geomphase import PHASE_TOL
-from oracles import factorization_functions
+from becphase.geomphase import PHASE_TOL, romberg_acceptance
+from oracles import converge_phase_h2, factorization_functions
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 TWO_PI = 2 * math.pi
@@ -178,10 +178,10 @@ def assert_same_path(a, b):
 
 
 class TestExtrapolatedConvergence:
-    def test_micro_micro_accepted_at_8192(self):
+    def test_micro_micro_accepted_at_1024(self):
         cfg = config("micro_micro")
         res = compute_phase(cfg)
-        assert res.n_steps == 8192
+        assert res.n_steps == 1024
         assert res.error_estimate < cfg.phase_tol
         assert abs(res.unwrapped - phase_micro_micro_closed(cfg.eta0, cfg.params)) < 1e-10
         turns = (res.unwrapped - res.principal) / TWO_PI
@@ -218,6 +218,95 @@ class TestExtrapolatedConvergence:
             for n in (1024, 2048, 4096):
                 refined = build(n)
                 assert_same_path(refined, make()(n))
+
+
+def planted_levels(terms, count=24):
+    """P_k = sum of c h_k^q over the (c, q) in terms, on h_k = 2^-k."""
+    return [sum(c * 0.5 ** (k * q) for c, q in terms) for k in range(count)]
+
+
+def first_acceptance(levels, phase_tol=PHASE_TOL):
+    """The first level that romberg_acceptance accepts, and its verdict."""
+    for k in range(1, len(levels)):
+        accepted = romberg_acceptance(levels[: k + 1], phase_tol)
+        if accepted is not None:
+            return k, accepted
+    raise AssertionError("no level accepted")
+
+
+class TestRombergAcceptance:
+    def test_even_polynomial_is_taken_from_the_deepest_column(self):
+        # columns 1-3 remove h^2, h^4 and h^6, so column 3 is exact from
+        # level 3 on and its parent's deltas shrink by exactly 64
+        levels = planted_levels([(1.2345, 0), (0.8, 2), (-0.5, 4), (0.3, 6)])
+        k, (column, value, error) = first_acceptance(levels)
+        assert (k, column) == (4, 3)
+        assert value == pytest.approx(1.2345, abs=1e-13)
+        assert error < 1e-13
+
+    def test_pure_h2_accepts_column_1_at_the_third_level(self):
+        levels = planted_levels([(0.5, 0), (1.0, 2)])
+        k, (column, value, _) = first_acceptance(levels)
+        assert (k, column) == (2, 1)
+        assert value == pytest.approx(0.5, abs=1e-15)
+
+    @pytest.mark.parametrize("column", [1, 2, 3])
+    @pytest.mark.parametrize("edge", [0, 1])
+    def test_each_column_is_taken_only_inside_its_window(self, column, edge):
+        # Below column j, h^2 ... h^{2j-2} terms that column j removes keep
+        # the plain deltas large; the leftover h^q makes the deltas of
+        # column j - 1 shrink by exactly 2^q, set just inside or just outside
+        # the edge of column j's window [0.875, 1.125] 4^j.
+        bound = (0.875, 1.125)[edge] * 4**column
+        inward = 1.0 if edge == 0 else -1.0
+        lower = [(1.0, 2 * i) for i in range(1, column)]
+        for shift, inside in ((1e-3, True), (-1e-3, False)):
+            q = math.log2(bound * (1.0 + inward * shift))
+            levels = planted_levels([(0.5, 0), *lower, (1.0, q)])
+            assert (first_acceptance(levels)[1][0] == column) is inside, shift
+
+    def test_blocked_levels_take_the_plain_rule(self):
+        levels = planted_levels([(0.5, 0), (1.0, 2)], count=14)
+        assert romberg_acceptance(levels[:3], PHASE_TOL, extrapolate=False) is None
+        column, value, error = romberg_acceptance(levels, PHASE_TOL, extrapolate=False)
+        assert (column, value) == (0, levels[-1])
+        assert error == abs(levels[-1] - levels[-2])
+
+    def test_bitwise_equal_levels_are_settled_to_one_ulp(self):
+        assert romberg_acceptance([1.0, 1.0], 1e-30) is None
+        assert romberg_acceptance([1.0, 1.0], PHASE_TOL) == (0, 1.0, math.ulp(1.0))
+
+    def test_aliased_coarse_levels_are_not_accepted(self):
+        # at alpha = 30 the 256- and 512-step paths are tens of radians off
+        p = ModelParams(omega=1.0, lambda_c=0.1, alpha=30.0)
+        closed = phase_micro_micro_closed(0.7, p)
+        build = analytic_path_builder(Scenario.MICRO_MICRO, 0.7, p)
+        for n in (256, 512):
+            assert abs(kinematic_phase(build(n)).unwrapped - closed) > 1.0
+        res = compute_phase(RunConfig("micro_micro", p, eta0=0.7))
+        assert res.n_steps > 512
+        assert abs(res.unwrapped - closed) < 1e-9
+
+    def test_alpha_37_at_tight_tolerance(self):
+        p = ModelParams(omega=1.0, lambda_c=0.1, alpha=37.0)
+        res = compute_phase(RunConfig("micro_micro", p, eta0=0.7, phase_tol=1e-10))
+        assert res.n_steps <= 65536
+        assert abs(res.unwrapped - phase_micro_micro_closed(0.7, p)) < 1e-10
+
+    def test_agrees_with_the_h2_rule_from_2048_steps(self):
+        rng = np.random.default_rng(7)
+        for scenario in (Scenario.MICRO_MICRO, Scenario.MACRO_BOTH, Scenario.MACRO_SINGLE) * 4:
+            p = ModelParams(
+                omega=1.0,
+                j_vdw=rng.uniform(0.0, 0.1),
+                lambda_c=rng.uniform(0.005, 0.2),
+                alpha=rng.uniform(0.3, 3.0) * np.exp(1j * rng.uniform(-math.pi, math.pi)),
+            )
+            eta0 = rng.uniform(0.15, 1.4)
+            new = converge_phase(analytic_path_builder(scenario, eta0, p))
+            old = converge_phase_h2(analytic_path_builder(scenario, eta0, p))
+            assert abs(new.unwrapped - old.unwrapped) < 2 * PHASE_TOL, (scenario, p, eta0)
+            assert abs(math.remainder(new.principal - old.principal, TWO_PI)) < 2 * PHASE_TOL
 
 
 class TestClosedFormEquivalence:

@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from becphase import (
-    BRANCH_LABELS,
-    ModelParams,
-    branch_frequency,
-    quasicycle_period,
-)
+from becphase import ModelParams, branch_frequency, quasicycle_period
+from oracles import BRANCH_LABELS
 
 freqs = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 pos_freqs = st.floats(min_value=0.05, max_value=5.0, allow_nan=False)
