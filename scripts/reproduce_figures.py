@@ -24,14 +24,13 @@ SWEEPS = {
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="data", help="output directory")
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for out_name, cfg_name in SWEEPS.items():
         cfg = parse_config((CONFIG_DIR / cfg_name).read_text())
-        table = run_scenario(cfg, "sweep", workers=args.workers)
+        table = run_scenario(cfg, "sweep")
         path = outdir / out_name
         emit(table, "csv", str(path))
         print(f"wrote {path} ({len(table.rows)} rows)")

@@ -8,11 +8,8 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -41,6 +38,7 @@ from .density import (
     partial_trace,
 )
 from .geomphase import (
+    MAX_STEPS,
     N_STEPS,
     PHASE_TOL,
     ConvergenceError,
@@ -69,6 +67,8 @@ TOP_KEYS = set(PARAM_KEYS) | {"scenario", "eta0", "coefficients", "grid", "sweep
 GRID_KEYS = {"n_steps", "phase_tol", "degeneracy_tol"}
 SWEEP_KEYS = {"variable", "start", "stop", "count"}
 SWEEP_VARIABLES = ("concurrence", "alpha", "lambda_c", "eta0")
+# The most points a sweep may have; the shipped sweeps use 50.
+MAX_SWEEP_COUNT = 1000
 MANDATORY = {
     "micro_micro": ("omega", "lambda_c", "alpha", "eta0"),
     "macro_both": ("omega", "lambda_c", "alpha", "eta0"),
@@ -101,6 +101,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.n_steps < 2 or self.n_steps % 2:
             raise ValueError(f"n_steps must be an even integer >= 2, got {self.n_steps}")
+        if self.n_steps > MAX_STEPS:
+            raise ValueError(f"n_steps must be at most {MAX_STEPS}, got {self.n_steps}")
 
 
 def _real(value, key: str) -> float:
@@ -189,8 +191,8 @@ def parse_config(text: str) -> RunConfig:
                 f"sweep variable must be one of {SWEEP_VARIABLES}, got {variable!r}"
             )
         count = _integer(sdoc["count"], "sweep.count")
-        if count < 2:
-            raise ValueError("sweep count must be at least 2")
+        if not 2 <= count <= MAX_SWEEP_COUNT:
+            raise ValueError(f"sweep.count must lie in [2, {MAX_SWEEP_COUNT}], got {count}")
         sweep = SweepSpec(
             variable, _real(sdoc["start"], "sweep.start"), _real(sdoc["stop"], "sweep.stop"), count
         )
@@ -471,7 +473,7 @@ def _override_variable(cfg: RunConfig, value: float) -> RunConfig:
     return replace(cfg, eta0=value)
 
 
-def run_sweep(cfg: RunConfig, workers: int = 1) -> Table:
+def run_sweep(cfg: RunConfig) -> Table:
     if cfg.sweep is None:
         raise ValueError("sweep verb requires a 'sweep' block in the configuration")
     values = np.linspace(cfg.sweep.start, cfg.sweep.stop, cfg.sweep.count)
@@ -503,17 +505,10 @@ def run_sweep(cfg: RunConfig, workers: int = 1) -> Table:
         raise ValueError("sweeps are defined for the three named scenarios")
     if cfg.sweep.variable == "concurrence" and not (0.0 <= values.min() and values.max() < 1.0):
         raise ValueError("concurrence sweep values must lie in [0, 1)")
-    # One worker runs the points in order in this thread; more share them
-    # through a pool, and the rows stay in order.
-    workers = max(1, min(workers, values.size, os.cpu_count() or 1))
-    run_point = partial(point_fn, cfg)
-    if workers == 1:
-        return Table(columns, list(map(run_point, values.tolist())))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return Table(columns, list(pool.map(run_point, values.tolist())))
+    return Table(columns, [point_fn(cfg, v) for v in values.tolist()])
 
 
-def run_scenario(cfg: RunConfig, verb: str, workers: int = 1) -> Table:
+def run_scenario(cfg: RunConfig, verb: str) -> Table:
     """Dispatch one pipeline run; deterministic for a fixed configuration."""
     if verb == "evolve":
         return run_evolve(cfg)
@@ -522,7 +517,7 @@ def run_scenario(cfg: RunConfig, verb: str, workers: int = 1) -> Table:
     if verb == "witness":
         return run_witness(cfg)
     if verb == "sweep":
-        return run_sweep(cfg, workers=workers)
+        return run_sweep(cfg)
     raise ValueError(f"unknown verb {verb!r}")
 
 
@@ -640,7 +635,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", help="output file (default: stdout)")
         sp.add_argument("--format", choices=("csv", "tsv"), default="csv", help="output format")
         sp.add_argument("--steps", type=int, help="override grid n_steps")
-        sp.add_argument("--workers", type=int, default=1, help="sweep worker threads")
     vp = sub.add_parser("validate", help="print the analytic-vs-numeric discrepancy report")
     vp.add_argument("--config", help="optional JSON configuration for model parameters")
     return parser
@@ -656,7 +650,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = parse_config(Path(args.config).read_text())
         if args.steps is not None:
             cfg = replace(cfg, n_steps=args.steps)
-        table = run_scenario(cfg, args.verb, workers=args.workers)
+        table = run_scenario(cfg, args.verb)
         text = emit(table, args.format, args.output)
         if args.output is None:
             sys.stdout.write(text)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -151,7 +151,10 @@ def oracle_rho_path(state0: JointState, times: np.ndarray, p: ModelParams) -> np
     times = np.asarray(times, dtype=float)
     amps = state0.amps
     n = np.arange(state0.n_max + 1)
-    thetas = np.stack([branch_frequency(b, n, p) for b in range(4)])  # (4, D)
+    # omega_b n + chi n(n-1) is shared by all branches and cancels in rho; left
+    # out, its rounding at 1e5-1e6 rad (large |alpha|) cannot enter rho.
+    shared_free = replace(p, omega_b=0.0, chi=0.0)
+    thetas = np.stack([branch_frequency(b, n, shared_free) for b in range(4)])  # (4, D)
     c = state0.coeffs
     weight = np.outer(c, c.conj())
     chunk = max(1, RHO_CHUNK_CELLS // amps.size)

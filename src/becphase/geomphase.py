@@ -31,6 +31,7 @@ import numpy as np
 from .model import ModelParams, quasicycle_period
 from .density import (
     DEGENERACY_TOL,
+    SUPPORT_TOL,
     EigenPath,
     Scenario,
     analytic_rho_path,
@@ -41,8 +42,11 @@ from .density import (
 PHASE_TOL = 1e-7
 N_STEPS = 256
 MAX_DOUBLINGS = 13
+# The finest grid any run builds: the last level a default-start phase run reaches.
+MAX_STEPS = N_STEPS * 2**MAX_DOUBLINGS
 COARSE_LINK_WARNING = 0.9
 ORIGIN_WARNING_RATIO = 1e-6
+N_QUAD = 4096
 # Romberg acceptance in converge_phase: the table's deepest column (h^2, h^4,
 # h^6 removed), the window of a column's delta ratio relative to the ratio
 # 4^j that its child column j assumes, and the warnings under which the grid
@@ -78,7 +82,7 @@ def _branch_phasors(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray
     endpoint = np.einsum("ak,mak->mk", vectors[0].conj(), vectors)
     links = np.einsum("mak,mak->mk", vectors[:-1].conj(), vectors[1:])
     mods = np.abs(links)
-    live = w0 > 1e-12
+    live = w0 > SUPPORT_TOL
     min_link = float(mods[:, live].min()) if mods.size and live.any() else 1.0
     if min_link == 0.0:
         raise ConvergenceError("vanishing neighbor overlap: grid cannot resolve the path")
@@ -184,8 +188,8 @@ def converge_phase(
     n_start: int = N_STEPS,
     phase_tol: float = PHASE_TOL,
 ) -> PhaseResult:
-    """Double the grid, at most MAX_DOUBLINGS times, until the unwrapped
-    phase is settled to phase_tol.
+    """Double the grid, at most MAX_DOUBLINGS times and never beyond
+    MAX_STEPS, until the unwrapped phase is settled to phase_tol.
 
     The link product's grid error is a series in h^2, so each level is
     judged by romberg_acceptance over the unwrapped phases of all levels so
@@ -197,9 +201,11 @@ def converge_phase(
     """
     if n_start < 2 or n_start % 2:
         raise ValueError("n_start must be an even integer >= 2")
+    if 2 * n_start > MAX_STEPS:
+        raise ConvergenceError(f"no doubling of {n_start} steps stays within {MAX_STEPS} steps")
     n = n_start
     levels = [kinematic_phase(build_path(n)).unwrapped]
-    for _ in range(MAX_DOUBLINGS):
+    while len(levels) <= MAX_DOUBLINGS and 2 * n <= MAX_STEPS:
         n *= 2
         cur = kinematic_phase(build_path(n))
         levels.append(cur.unwrapped)
@@ -214,8 +220,8 @@ def converge_phase(
                 error_estimate=error,
             )
     raise ConvergenceError(
-        f"phase did not converge to {phase_tol:g} within {MAX_DOUBLINGS} doublings "
-        f"(last delta {abs(levels[-1] - levels[-2]):g} at {n} steps)"
+        f"phase did not converge to {phase_tol:g} within {len(levels) - 1} doublings "
+        f"(last delta {abs(levels[-1] - levels[-2]):g} at {n} of at most {MAX_STEPS} steps)"
     )
 
 
@@ -266,19 +272,15 @@ def analytic_path_builder(
 # Closed forms.
 # ---------------------------------------------------------------------------
 
-def phase_micro_micro_closed(eta0: float, p: ModelParams, n_quad: int = 4096) -> float:
+def phase_micro_micro_closed(eta0: float, p: ModelParams) -> float:
     """Single-branch closed form of the Bell-scenario phase by quadrature.
 
     Evaluates arg<eps1(0)|eps1(tau)> (argument tracked continuously along the
-    cycle) plus the integral of dLambda/dt sin^2 theta(t) by Simpson's rule.
-    Agrees with kinematic_phase on the same path.
+    cycle) plus the integral of dLambda/dt sin^2 theta(t) by Simpson's rule
+    on N_QUAD intervals. Agrees with kinematic_phase on the same path.
     """
-    if n_quad < 16:
-        raise ValueError("n_quad must be at least 16")
-    if n_quad % 2:
-        n_quad += 1
     tau = quasicycle_period(p)
-    t = np.linspace(0.0, tau, n_quad + 1)
+    t = np.linspace(0.0, tau, N_QUAD + 1)
     lam, gam = decay_phase(Scenario.MICRO_MICRO, p, t)
     # Mixing angle of eps1 = cos theta |00> + sin theta e^{-i Lambda} |11>.
     # The eigenvalue gap e is summed from its two positive terms: as
@@ -290,7 +292,7 @@ def phase_micro_micro_closed(eta0: float, p: ModelParams, n_quad: int = 4096) ->
     a2 = abs(p.alpha) ** 2
     lambda_dot = 2 * p.omega + 2 * p.lambda_c * a2 * np.cos(2 * p.lambda_c * t)
     integrand = lambda_dot * sin_theta**2
-    h = tau / n_quad
+    h = tau / N_QUAD
     integral = (h / 3.0) * (
         integrand[0]
         + integrand[-1]

@@ -46,6 +46,7 @@ from becphase import (
     witness_micro_macro,
     witness_micro_micro,
 )
+from becphase import geomphase
 from becphase.density import EigenPath
 from oracles import branch_overlap, concurrence_x_state, x_state_density
 
@@ -139,8 +140,9 @@ def test_criterion_1b_weak_coupling_limit_form(weak_coupling_runs):
     assert ok
 
 
-def test_criterion_2_closed_form_path_equivalence():
+def test_criterion_2_closed_form_path_equivalence(monkeypatch):
     """One-branch quadrature form vs path functional, < 1e-6 rad on a 5x4 grid."""
+    monkeypatch.setattr(geomphase, "N_QUAD", 8192)
     t0 = time.perf_counter()
     worst = 0.0
     for eta0 in (0.15, 0.35, 0.55, 0.7, 1.0):
@@ -149,7 +151,7 @@ def test_criterion_2_closed_form_path_equivalence():
             kin = converge_phase(
                 analytic_path_builder(Scenario.MICRO_MICRO, eta0, p), n_start=4096
             )
-            closed = phase_micro_micro_closed(eta0, p, 8192)
+            closed = phase_micro_micro_closed(eta0, p)
             worst = max(worst, abs(kin.unwrapped - closed))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-6 and elapsed < 120.0

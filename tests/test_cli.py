@@ -89,6 +89,12 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="unknown grid keys"):
             parse_config(cfg_text(grid={"nstep": 8}))
 
+    def test_grid_bound_is_the_finest_default_grid(self):
+        cfg = parse_config(cfg_text(grid={"n_steps": geomphase.MAX_STEPS}))
+        assert cfg.n_steps == 2_097_152
+        with pytest.raises(ValueError, match="n_steps must be at most 2097152"):
+            replace(cfg, n_steps=geomphase.MAX_STEPS + 2)
+
     def test_not_json(self):
         with pytest.raises(ValueError, match="JSON"):
             parse_config("scenario: micro")
@@ -323,39 +329,8 @@ class TestRunScenario:
         assert np.all(np.diff(rel) > 0)
         np.testing.assert_allclose(wit, conc, atol=1e-10)
 
-    def test_sweep_workers_clamped_to_points(self, monkeypatch):
-        requested = []
-
-        class Recorder:
-            """Stands in for the thread pool; maps in the calling thread."""
-
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, values):
-                return map(fn, values)
-
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", Recorder)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
-        cfg = parse_config(
-            cfg_text(
-                grid={"n_steps": 256},
-                sweep={"variable": "concurrence", "start": 0.1, "stop": 0.8, "count": 2},
-            )
-        )
-        rows = run_scenario(cfg, "sweep", workers=10**6).rows
-        assert requested == [2]
-        assert rows == run_scenario(cfg, "sweep", workers=1).rows
-        assert rows == run_scenario(cfg, "sweep", workers=0).rows
-        assert requested == [2]
-
-    def test_one_worker_sweep_starts_no_thread(self, monkeypatch):
+    def test_sweep_starts_no_thread(self, monkeypatch):
+        # A thread would get its own malloc arena, a few MB of peak RSS.
         started = []
         real_start = threading.Thread.start
 
@@ -370,22 +345,8 @@ class TestRunScenario:
                 sweep={"variable": "concurrence", "start": 0.1, "stop": 0.8, "count": 3},
             )
         )
-        assert len(run_scenario(cfg, "sweep", workers=1).rows) == 3
+        assert len(run_scenario(cfg, "sweep").rows) == 3
         assert started == []
-        run_scenario(cfg, "sweep", workers=2)
-        assert started
-
-    def test_sweep_workers_preserve_order(self):
-        cfg = parse_config(
-            cfg_text(
-                lambda_c=1e-3,
-                grid={"n_steps": 256},
-                sweep={"variable": "concurrence", "start": 0.1, "stop": 0.8, "count": 4},
-            )
-        )
-        serial = run_scenario(cfg, "sweep", workers=1)
-        threaded = run_scenario(cfg, "sweep", workers=3)
-        assert serial.rows == threaded.rows
 
 
 class TestMainEntry:
@@ -432,6 +393,48 @@ class TestMainEntry:
         cfg.write_text(cfg_text())
         assert main(["evolve", "--config", str(cfg), "--steps", "3"]) == 1
         assert "n_steps must be an even integer >= 2, got 3" in capsys.readouterr().err
+
+    def test_sweep_has_no_workers_option_and_prints_rows_in_order(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(
+            cfg_text(
+                grid={"n_steps": 256},
+                sweep={"variable": "concurrence", "start": 0.1, "stop": 0.8, "count": 3},
+            )
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg), "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("concurrence[1],")
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            "%.17g" % v for v in np.linspace(0.1, 0.8, 3)
+        ]
+
+    @pytest.mark.parametrize(
+        "argv, overrides, key",
+        [
+            (["phase", "--steps", str(2**50)], {}, "n_steps"),
+            (["evolve", "--steps", str(2**50)], {}, "n_steps"),
+            (["phase"], {"grid": {"n_steps": 2**50}}, "n_steps"),
+            (
+                ["sweep"],
+                {"sweep": {"variable": "concurrence", "start": 0.1, "stop": 0.8, "count": 2**50}},
+                "sweep.count",
+            ),
+        ],
+    )
+    def test_unbounded_grids_and_sweeps_exit_1_naming_the_key(
+        self, tmp_path, capsys, argv, overrides, key
+    ):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(cfg_text(**overrides))
+        start = time.perf_counter()
+        assert main([*argv, "--config", str(cfg)]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert f"{key} must" in capsys.readouterr().err
 
     def test_alpha_beyond_the_fock_basis_exits_1_at_once(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

@@ -179,9 +179,8 @@ class TestCoherentPath:
 
     def test_seeded_draws_agree_with_the_fock_path(self, monkeypatch):
         # A Fock tail of 1e-14 keeps the checker's own truncation below the
-        # 1e-12 bound. |chi| stays at 0.01: the Fock phases chi n(n-1) t
-        # reach ~1e5 rad at |alpha| = 30, and their rounding moves the Fock
-        # path by a few 1e-12 at chi = 0.1, although chi drops out of rho.
+        # 1e-12 bound. chi n(n-1) t reaches ~1e5 rad at |alpha| = 30 and
+        # chi = 0.1; the checker leaves that branch-shared phase out.
         monkeypatch.setattr(dynamics, "TAIL_TOL", 1e-14)
         rng = np.random.default_rng(20261018)
         builders = (bell_initial, macro_both_initial, macro_single_initial)
@@ -191,7 +190,7 @@ class TestCoherentPath:
                 omega=rng.uniform(0.5, 2.0),
                 j_vdw=rng.uniform(-0.2, 0.2),
                 omega_b=rng.uniform(-1.0, 1.0),
-                chi=rng.uniform(-0.01, 0.01),
+                chi=rng.uniform(-0.1, 0.1),
                 lambda_c=rng.uniform(-0.2, 0.2),
                 alpha=30.0 * rng.random() * cmath.exp(1j * rng.uniform(-math.pi, math.pi)),
             )
@@ -204,6 +203,15 @@ class TestCoherentPath:
             dev = np.max(np.abs(coherent_rho_path(state0, times, p) - oracle_rho_path(state0.fock(), times, p)))
             worst = max(worst, dev)
         assert worst <= 1e-12
+
+    def test_strong_kerr_at_large_alpha_agrees_with_the_fock_path(self):
+        # chi n(n-1) t reaches ~1e5 rad here; the checker leaves that
+        # branch-shared phase out, so its rounding does not enter rho.
+        p = replace(P, chi=0.1, alpha=28.5)
+        state0 = general_initial(np.array([0.5, 0.5j, -0.5, 0.5]), p)
+        times = np.linspace(0.0, quasicycle_period(p), 200)
+        dev = np.max(np.abs(coherent_rho_path(state0, times, p) - oracle_rho_path(state0.fock(), times, p)))
+        assert dev <= 5e-13
 
     @pytest.mark.parametrize("name", ["micro_micro", "macro_both", "macro_single", "general"])
     def test_shipped_configs_agree_at_the_default_tail(self, name):

@@ -200,6 +200,23 @@ class TestExtrapolatedConvergence:
         assert res.principal == fine.principal
         assert res.error_estimate == abs(fine.unwrapped - half.unwrapped)
 
+    def test_no_grid_beyond_the_step_limit(self, monkeypatch):
+        p = ModelParams(omega=1.0, lambda_c=0.05, alpha=1.0)
+        inner = analytic_path_builder(Scenario.MICRO_MICRO, 0.5, p)
+        built = []
+
+        def build(n):
+            built.append(n)
+            return inner(n)
+
+        with pytest.raises(ConvergenceError, match="within 2097152 steps"):
+            converge_phase(build, 2**50)
+        assert built == []
+        monkeypatch.setattr(geomphase, "MAX_STEPS", 1024)
+        with pytest.raises(ConvergenceError, match="at 1024 of at most 1024 steps"):
+            converge_phase(build, 256, phase_tol=1e-30)
+        assert built == [256, 512, 1024]
+
     def test_unreachable_tolerance_still_raises(self, monkeypatch):
         monkeypatch.setattr(geomphase, "MAX_DOUBLINGS", 3)
         p = ModelParams(omega=1.0, lambda_c=0.05, alpha=1.0)
@@ -310,14 +327,15 @@ class TestRombergAcceptance:
 
 
 class TestClosedFormEquivalence:
-    def test_quadrature_matches_kinematic_on_grid(self):
+    def test_quadrature_matches_kinematic_on_grid(self, monkeypatch):
         # 20-point (eta0, lambda/omega) equivalence of the one-branch closed
         # form and the discretized path functional
+        monkeypatch.setattr(geomphase, "N_QUAD", 8192)
         for eta0 in (0.15, 0.35, 0.55, 0.7, 1.0):
             for lam in (0.01, 0.05, 0.1, 0.2):
                 p = ModelParams(omega=1.0, lambda_c=lam, alpha=1.0)
                 kin = converge_phase(analytic_path_builder(Scenario.MICRO_MICRO, eta0, p), 2048)
-                closed = phase_micro_micro_closed(eta0, p, 8192)
+                closed = phase_micro_micro_closed(eta0, p)
                 assert abs(kin.unwrapped - closed) < 1e-6, (eta0, lam)
 
     @pytest.mark.parametrize("alpha", [20.0, 30.0])
@@ -339,11 +357,6 @@ class TestClosedFormEquivalence:
     def test_zero_mixing_gives_zero(self):
         p = ModelParams(omega=1.0, lambda_c=0.05, alpha=1.0)
         assert phase_micro_micro_closed(0.0, p) == pytest.approx(0.0, abs=1e-12)
-
-    def test_quadrature_floor(self):
-        p = ModelParams(omega=1.0, lambda_c=0.05, alpha=1.0)
-        with pytest.raises(ValueError):
-            phase_micro_micro_closed(0.5, p, n_quad=8)
 
 
 class TestWeakCouplingLaw:
