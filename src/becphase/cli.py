@@ -69,6 +69,9 @@ SWEEP_KEYS = {"variable", "start", "stop", "count"}
 SWEEP_VARIABLES = ("concurrence", "alpha", "lambda_c", "eta0")
 # The most points a sweep may have; the shipped sweeps use 50.
 MAX_SWEEP_COUNT = 1000
+# The finest grid evolve prints: it holds whole-path arrays of about 2 KB
+# per grid point (peak RSS ~280 MB at this bound on micro_micro).
+MAX_EVOLVE_STEPS = 2**17
 MANDATORY = {
     "micro_micro": ("omega", "lambda_c", "alpha", "eta0"),
     "macro_both": ("omega", "lambda_c", "alpha", "eta0"),
@@ -305,6 +308,8 @@ def emit(table: Table, fmt: str = "csv", path: str | None = None) -> str:
 
 
 def run_evolve(cfg: RunConfig) -> Table:
+    if cfg.n_steps > MAX_EVOLVE_STEPS:
+        raise ValueError(f"n_steps must be at most {MAX_EVOLVE_STEPS} for evolve, got {cfg.n_steps}")
     tau = quasicycle_period(cfg.params)
     times = np.linspace(0.0, tau, cfg.n_steps + 1)
     rhos = coherent_rho_path(initial_branches(cfg), times, cfg.params)
@@ -641,7 +646,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of non-convergence here.
+        return 0 if exc.code in (0, None) else 1
     try:
         if args.verb == "validate":
             p = parse_config(Path(args.config).read_text()).params if args.config else None

@@ -74,8 +74,20 @@ _LOWER = np.array([4, 8, 12, 9, 13, 14])
 
 def validate_density(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Check Hermiticity, unit trace and positivity of a 4x4 density matrix or
-    of every matrix of a (..., 4, 4) stack; return the `eigh` decomposition
-    that the positivity check computes."""
+    of every matrix of a (..., 4, 4) stack; return the eigen-decomposition
+    (values, vectors) that the positivity check computes.
+
+    When every matrix is supported on the same two basis states or one, the
+    decomposition is _block_frames' closed form; otherwise it is `eigh`'s,
+    with ascending values.
+    """
+    evals, evecs, _ = _checked_frames(rho)
+    return evals, evecs
+
+
+def _checked_frames(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[int, int] | None]:
+    """validate_density's checks and decomposition, and the index pair of the
+    block decomposed in closed form (None when `eigh` ran)."""
     m = np.asarray(rho, dtype=complex)
     if m.shape[-2:] != (4, 4):
         raise ValueError(f"density matrices must be 4x4, got shape {m.shape}")
@@ -87,15 +99,76 @@ def validate_density(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.max(np.abs(pairs)),
         2.0 * np.max(np.abs(np.diagonal(m, axis1=-2, axis2=-1).imag)),
     )
-    if herm > HERMITICITY_TOL:
+    if not herm <= HERMITICITY_TOL:
         raise ValueError(f"density matrix not Hermitian: deviation {herm:g}")
     traces = np.trace(m, axis1=-2, axis2=-1).ravel()
     worst = complex(traces[np.argmax(np.abs(traces - 1.0))])
-    if abs(worst - 1.0) > TRACE_TOL:
+    if not abs(worst - 1.0) <= TRACE_TOL:
         raise ValueError(f"density matrix trace is {worst!r}, expected 1")
-    evals, evecs = np.linalg.eigh(m)
-    if evals.min() < -POSITIVITY_TOL:
+    # Basis states whose row or column holds a nonzero entry in some matrix.
+    nonzero = flat.any(axis=0).reshape(4, 4)
+    support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    if support.size == 1:  # a lone basis state is paired with an empty one
+        support = np.union1d(support, [1 if support[0] == 0 else 0])
+    block = (int(support[0]), int(support[1])) if support.size == 2 else None
+    if block is None:
+        evals, evecs = np.linalg.eigh(m)
+    else:
+        evals, evecs = _block_frames(m, block)
+    if not evals.min() >= -POSITIVITY_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {evals.min():g}")
+    return evals, evecs, block
+
+
+def _direction(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) / hypot(x, y), and (1, 0) where x = y = 0. The division is
+    done twice: the first brings subnormal inputs, whose hypot carries few
+    digits, to the normal range, and the second gives a unit vector."""
+    for _ in range(2):
+        n = np.hypot(x, y)
+        safe = np.where(n > 0.0, n, 1.0)
+        x, y = np.where(n > 0.0, x / safe, 1.0), y / safe
+    return x, y
+
+
+def _block_frames(m: np.ndarray, block: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form eigen-decomposition of matrices whose entries outside the
+    rows and columns of block = (i, j) are 0.
+
+    The block [[a, b], [conj b, d]] has the eigenvalues mean +- r, with
+    r = hypot((a - d)/2, |b|), and the eigenvectors
+    v+ = cos(t) |i> + sin(t) u |j> and v- = sin(t) |i> - cos(t) u |j>, where
+    (cos 2t, sin 2t) = ((a - d)/2, |b|) / r and u = conj(b) / |b|. Columns 0
+    and 1 hold v+ and v-, columns 2 and 3 the two other basis states with
+    eigenvalue 0. Only sqrt, hypot and division enter, so a matrix gives the
+    same bits alone as in a stack.
+    """
+    i, j = block
+    a, d, b = m[..., i, i].real, m[..., j, j].real, m[..., i, j]
+    half = 0.5 * (a - d)
+    mod_b = np.abs(b)
+    cos2, sin2 = _direction(half, mod_b)
+    # The larger of cos(t), sin(t) is sqrt((1 + |cos 2t|) / 2) >= sqrt(1/2); the
+    # smaller, sin 2t / (2 larger), does not cancel the way sqrt((1 - |cos 2t|) / 2) does.
+    larger = np.sqrt(0.5 * (1.0 + np.abs(cos2)))
+    smaller = sin2 / (2.0 * larger)
+    cos = np.where(cos2 >= 0.0, larger, smaller)
+    sin = np.where(cos2 >= 0.0, smaller, larger)
+    # From real divisions: numpy's complex division takes 1 / |b|, which
+    # overflows for a subnormal b.
+    u_re, u_im = _direction(b.real, -b.imag)
+    u = u_re + 1j * u_im
+    mean, r = 0.5 * (a + d), np.hypot(half, mod_b)
+    evals = np.zeros(a.shape + (4,))
+    evals[..., 0] = mean + r
+    evals[..., 1] = mean - r
+    evecs = np.zeros(a.shape + (4, 4), dtype=complex)
+    evecs[..., i, 0] = cos
+    evecs[..., j, 0] = sin * u
+    evecs[..., i, 1] = sin
+    evecs[..., j, 1] = -cos * u
+    for col, k in enumerate(sorted({0, 1, 2, 3} - {i, j}), start=2):
+        evecs[..., k, col] = 1.0
     return evals, evecs
 
 
@@ -200,11 +273,13 @@ class EigenPath:
 
     values[m, k] and vectors[m, :, k] describe branch k at times[m]. Branches
     are ordered by descending eigenvalue at the first time and then followed
-    by maximal-overlap matching; spectator branches whose eigenvalue never
+    by maximal-overlap matching, or on a closed-form block stay the larger
+    and the smaller block eigenvalue; spectator branches whose eigenvalue never
     exceeds the support cutoff are dropped. flags carries warnings about
     near-degenerate stretches where the matching is ill-conditioned. frames
-    holds the raw eigh output (ascending values, their vectors) at every grid
-    point, which a refinement of the path reuses.
+    holds validate_density's decomposition (values, vectors) at every grid
+    point, and block the index pair it decomposed in closed form (None when
+    `eigh` ran); a refinement of the path reuses both.
     """
 
     times: np.ndarray
@@ -212,6 +287,7 @@ class EigenPath:
     vectors: np.ndarray
     flags: tuple[str, ...] = ()
     frames: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
+    block: tuple[int, int] | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_steps(self) -> int:
@@ -259,6 +335,29 @@ def _step_permutations(evecs: np.ndarray) -> np.ndarray:
     return best
 
 
+def _matched_branches(evals: np.ndarray, evecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalue and eigenvector columns of every frame reordered so that
+    column k follows one branch: descending at the first frame, then
+    composed along the path from the best permutation of every step."""
+    best = _step_permutations(evecs)
+    # Descending sort keys of the first frame's columns; equal keys put the
+    # higher column first.
+    tied = evals[0] < SUPPORT_TOL
+    key = np.where(tied, evals[1, _PERMS[best[0]]], evals[0])
+    order0 = np.lexsort((-np.arange(4), -key, tied))
+
+    # The order changes only after steps whose best permutation is not the
+    # identity; in between it is constant.
+    col = np.empty(evals.shape, dtype=int)
+    current, start = order0, 0
+    for m in np.flatnonzero(best) + 1:
+        col[start:m] = current
+        current = _PERMS[best[m - 1]][current]
+        start = m
+    col[start:] = current
+    return np.take_along_axis(evals, col, axis=1), np.take_along_axis(evecs, col[:, None, :], axis=2)
+
+
 def eigen_path(
     times: np.ndarray,
     rhos: np.ndarray,
@@ -272,6 +371,12 @@ def eigen_path(
     that maximizes the summed squared overlaps (_step_permutations).
     Near-degenerate eigenvalue pairs among retained branches are flagged,
     not fatal.
+
+    When every matrix is supported on the same two basis states (or one),
+    validate_density decomposes the block in closed form and no matching
+    runs: the branches are the larger and the smaller block eigenvalue,
+    whose gap 2 hypot((a - d)/2, |b|) is positive unless the block is a
+    multiple of the identity, so they never cross.
 
     Branches are ordered by descending eigenvalue at the first time.
     Eigenvalues below SUPPORT_TOL there count as tied, and their branches
@@ -292,38 +397,23 @@ def eigen_path(
         raise ValueError("refinement needs one midpoint per step of a path that keeps its frames")
     if rhos.shape != (times.size, 4, 4):
         raise ValueError(f"expected shape {(times.size, 4, 4)}, got {rhos.shape}")
-    evals, evecs = validate_density(rhos)
+    evals, evecs, block = _checked_frames(rhos)
     if coarse is not None:
         times = _interleave(coarse.times, times)
         evals = _interleave(coarse.frames[0], evals)
         evecs = _interleave(coarse.frames[1], evecs)
+        if coarse.block != block:
+            block = None
 
     m_total = times.size
-    # Identities of branches are composed along the path from the best
-    # column permutation of every step.
-    best = _step_permutations(evecs)
-    # Descending sort keys of the first frame's columns; equal keys put the
-    # higher column first.
-    tied = evals[0] < SUPPORT_TOL
-    key = np.where(tied, evals[1, _PERMS[best[0]]], evals[0])
-    order0 = np.lexsort((-np.arange(4), -key, tied))
-
-    # The order changes only after steps whose best permutation is not the
-    # identity; in between it is constant.
-    col = np.empty((m_total, 4), dtype=int)
-    current, start = order0, 0
-    for m in np.flatnonzero(best) + 1:
-        col[start:m] = current
-        current = _PERMS[best[m - 1]][current]
-        start = m
-    col[start:] = current
-
-    vals = np.take_along_axis(evals, col, axis=1)
+    if block is None:
+        vals, vecs = _matched_branches(evals, evecs)
+    else:
+        vals, vecs = evals, evecs
     keep = np.flatnonzero(vals.max(axis=0) > SUPPORT_TOL)
     if keep.size == 0:
         raise ValueError("no branch carries weight above the support cutoff")
-    vals = vals[:, keep]
-    vecs = np.take_along_axis(evecs, col[:, None, keep], axis=2)
+    vals, vecs = vals[:, keep], vecs[:, :, keep]
 
     flags: list[str] = []
     if vals.shape[1] >= 2:
@@ -338,4 +428,4 @@ def eigen_path(
                 f"{degeneracy_tol:g} on {idx.size} of {m_total} grid points, "
                 f"t in [{times[idx[0]]:.6g}, {times[idx[-1]]:.6g}]"
             )
-    return EigenPath(times, vals, vecs, tuple(flags), frames=(evals, evecs))
+    return EigenPath(times, vals, vecs, tuple(flags), frames=(evals, evecs), block=block)

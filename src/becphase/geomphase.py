@@ -73,16 +73,17 @@ class PhaseResult:
 def _branch_phasors(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, float]:
     """Partial-path branch contributions z[m, k]; also the smallest link modulus.
 
-    The link modulus is tracked only over branches with nonzero initial
-    weight, since a branch with eps(0) = 0 contributes nothing to any sum.
+    A branch whose initial weight eps(0) is at most SUPPORT_TOL is null: it
+    gets weight 0, so that the rounding noise of a pure state's zero
+    eigenvalue adds nothing to the sum, and its link modulus is not tracked.
     """
-    w0 = np.clip(values[0], 0.0, None)
+    w0 = values[0]
+    live = w0 > SUPPORT_TOL
     wt = np.clip(values, 0.0, None)
-    weights = np.sqrt(w0[None, :] * wt)
+    weights = np.sqrt(np.where(live, w0, 0.0)[None, :] * wt)
     endpoint = np.einsum("ak,mak->mk", vectors[0].conj(), vectors)
     links = np.einsum("mak,mak->mk", vectors[:-1].conj(), vectors[1:])
     mods = np.abs(links)
-    live = w0 > SUPPORT_TOL
     min_link = float(mods[:, live].min()) if mods.size and live.any() else 1.0
     if min_link == 0.0:
         raise ConvergenceError("vanishing neighbor overlap: grid cannot resolve the path")

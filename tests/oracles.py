@@ -45,6 +45,7 @@ from becphase import (
     validate_joint,
 )
 from becphase.cli import _fmt
+from becphase.density import SUPPORT_TOL
 from becphase.geomphase import EXTRAPOLATION_BLOCKERS, PHASE_TOL, ConvergenceError, PhaseResult
 
 
@@ -128,7 +129,8 @@ def factorization_functions(path: EigenPath) -> FactorizationResult:
     denom = vals[0, 0] * vals[-1, 0]
     if denom <= 0.0:
         raise ZeroDivisionError("leading branch carries no endpoint weight")
-    f1 = math.sqrt(max(vals[0, 1] * vals[-1, 1], 0.0) / denom)
+    # A branch with eps(0) <= SUPPORT_TOL is null and weighs 0, as in the library.
+    f1 = math.sqrt(max(vals[0, 1] * vals[-1, 1], 0.0) / denom) if vals[0, 1] > SUPPORT_TOL else 0.0
 
     anchor = int(np.argmax(np.abs(vecs[0, :, 0])))
     fixed = np.empty_like(vecs)

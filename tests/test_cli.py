@@ -402,9 +402,8 @@ class TestMainEntry:
                 sweep={"variable": "concurrence", "start": 0.1, "stop": 0.8, "count": 3},
             )
         )
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--config", str(cfg), "--workers", "2"])
-        assert exc.value.code == 2
+        # a usage error exits 1; 2 means non-convergence
+        assert main(["sweep", "--config", str(cfg), "--workers", "2"]) == 1
         assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
         assert main(["sweep", "--config", str(cfg)]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -418,6 +417,7 @@ class TestMainEntry:
         [
             (["phase", "--steps", str(2**50)], {}, "n_steps"),
             (["evolve", "--steps", str(2**50)], {}, "n_steps"),
+            (["evolve", "--steps", str(2**17 + 2)], {}, "n_steps"),
             (["phase"], {"grid": {"n_steps": 2**50}}, "n_steps"),
             (
                 ["sweep"],
@@ -435,6 +435,22 @@ class TestMainEntry:
         assert main([*argv, "--config", str(cfg)]) == 1
         assert time.perf_counter() - start < 1.0
         assert f"{key} must" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [([], 1), (["phase"], 1), (["bogus"], 1), (["--help"], 0), (["sweep", "--help"], 0)],
+    )
+    def test_usage_errors_exit_1_and_help_exits_0(self, capsys, argv, code):
+        assert main(argv) == code
+        assert ("usage: becphase" in capsys.readouterr().err) == (code == 1)
+
+    def test_evolve_at_its_step_bound_is_accepted(self, monkeypatch, tmp_path):
+        # refused above cli.MAX_EVOLVE_STEPS only; the bound itself runs
+        monkeypatch.setattr(cli, "MAX_EVOLVE_STEPS", 256)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(cfg_text())
+        assert main(["evolve", "--config", str(cfg), "--steps", "256", "--output", str(tmp_path / "o.csv")]) == 0
+        assert main(["evolve", "--config", str(cfg), "--steps", "258"]) == 1
 
     def test_alpha_beyond_the_fock_basis_exits_1_at_once(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

@@ -545,3 +545,112 @@ def test_validate_density_rejects_bad_trace():
     mat = np.eye(4, dtype=complex)
     with pytest.raises(ValueError, match="trace"):
         validate_density(mat)
+
+
+def block_stack(rng, m, block=(0, 1)):
+    """m random density matrices supported on the basis states of block."""
+    i, j = block
+    a = rng.uniform(0.0, 1.0, m)
+    b = np.sqrt(a * (1.0 - a)) * rng.uniform(0.0, 1.0, m) * np.exp(1j * rng.uniform(-4, 4, m))
+    rhos = np.zeros((m, 4, 4), dtype=complex)
+    rhos[:, i, i], rhos[:, j, j] = a, 1.0 - a
+    rhos[:, i, j], rhos[:, j, i] = b, np.conj(b)
+    return rhos
+
+
+class TestBlockFrames:
+    """validate_density's closed-form decomposition of a 2x2 block."""
+
+    @pytest.mark.parametrize("block", [(0, 1), (0, 2), (1, 3), (2, 3)])
+    def test_eigenpairs_and_orthonormality(self, block):
+        rhos = block_stack(np.random.default_rng(7), 500, block)
+        rhos[:3, block[0], block[1]] = rhos[:3, block[1], block[0]] = 0.0
+        rhos[0, block[0], block[0]] = rhos[0, block[1], block[1]] = 0.5
+        # a coherence far below the population difference: the small
+        # eigenvector component must not cancel to 0
+        rhos[3, block[0], block[1]] = 1e-9j
+        rhos[3, block[1], block[0]] = -1e-9j
+        evals, evecs = validate_density(rhos)
+        residual = rhos @ evecs - evecs * evals[:, None, :]
+        assert np.max(np.abs(residual)) < 1e-15
+        gram = np.conj(np.swapaxes(evecs, 1, 2)) @ evecs
+        assert np.max(np.abs(gram - np.eye(4))) < 1e-15
+        assert np.all(evals[:, 0] >= evals[:, 1]) and np.all(evals[:, 2:] == 0.0)
+        np.testing.assert_allclose(np.sort(evals, axis=1), np.linalg.eigvalsh(rhos), atol=1e-15)
+
+    def test_one_matrix_gives_the_bits_of_the_stack(self):
+        rhos = block_stack(np.random.default_rng(8), 64, (0, 2))
+        evals, evecs = validate_density(rhos)
+        for m in range(rhos.shape[0]):
+            one_vals, one_vecs = validate_density(rhos[m])
+            assert np.array_equal(one_vals, evals[m]) and np.array_equal(one_vecs, evecs[m])
+
+    def test_one_occupied_state_and_tiny_coherences(self):
+        # a lone basis state pairs with an empty one; a subnormal coherence
+        # and a degenerate block (a = d, b = 0) divide by nothing
+        lone = np.zeros((2, 4, 4), dtype=complex)
+        lone[:, 3, 3] = 1.0
+        evals, evecs = validate_density(lone)
+        assert np.array_equal(evals, [[1.0, 0.0, 0.0, 0.0]] * 2)
+        assert np.array_equal(np.abs(evecs[:, :, 0]), [[0.0, 0.0, 0.0, 1.0]] * 2)
+        tiny = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)[None].repeat(3, axis=0)
+        # |b| of this subnormal b rounds to 6 units of 5e-324, not 6.08
+        tiny[1, 0, 1] = complex(6, 1) * 5e-324
+        tiny[1, 1, 0] = np.conj(tiny[1, 0, 1])
+        tiny[2, 0, 0], tiny[2, 1, 1] = 0.75, 0.25
+        tiny[2, 0, 1] = tiny[2, 1, 0] = 1e-310
+        evals, evecs = validate_density(tiny)
+        gram = np.conj(np.swapaxes(evecs, 1, 2)) @ evecs
+        assert np.max(np.abs(gram - np.eye(4))) < 1e-15
+        # equal populations mix at 45 degrees however small the coherence
+        expected = [np.eye(2), np.full((2, 2), math.sqrt(0.5)), np.eye(2)]
+        np.testing.assert_allclose(np.abs(evecs[:, :2, :2]), expected, atol=1e-15)
+        assert np.array_equal(evals[:, :2], [[0.5, 0.5], [0.5, 0.5], [0.75, 0.25]])
+
+    def test_entries_off_the_block_take_eigh(self):
+        rhos = block_stack(np.random.default_rng(9), 10)
+        assert eigen_path(np.linspace(0, 1, 10), rhos).block == (0, 1)
+        rhos[4, 2, 2] = 1e-300
+        rhos[4, 0, 0] -= 1e-300
+        path = eigen_path(np.linspace(0, 1, 10), rhos)
+        assert path.block is None
+        np.testing.assert_allclose(path.frames[0], np.linalg.eigvalsh(rhos), atol=1e-15)
+
+    def test_checks_still_run(self):
+        rhos = block_stack(np.random.default_rng(10), 4)
+        bad = rhos.copy()
+        bad[2, 0, 1] += 1e-9
+        with pytest.raises(ValueError, match="Hermitian"):
+            validate_density(bad)
+        bad = rhos.copy()
+        bad[1, 0, 0] += 1e-6
+        with pytest.raises(ValueError, match="trace"):
+            validate_density(bad)
+        bad = rhos.copy()
+        bad[3, 0, 1] = bad[3, 1, 0] = 0.6
+        bad[3, 0, 0] = bad[3, 1, 1] = 0.5
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            validate_density(bad)
+        bad = rhos.copy()
+        bad[0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="trace"):
+            validate_density(bad)
+
+    def test_refinement_of_an_eigh_level_runs_the_matching(self):
+        # a coarse level that eigh decomposed and block midpoints: the merged
+        # grid goes through matching and gives the block path's branches
+        times, rhos = np.linspace(0.0, 1.0, 513), block_stack(np.random.default_rng(11), 513)
+        rhos[:, 0, 1] = rhos[:, 1, 0] = 0.3
+        rhos[:, 0, 0] = 0.4 + 0.2 * np.cos(times)
+        rhos[:, 1, 1] = 1.0 - rhos[:, 0, 0]
+        coarse = eigen_path(times[::2], rhos[::2])
+        eigh_level = EigenPath(
+            coarse.times, coarse.values, coarse.vectors,
+            frames=tuple(np.linalg.eigh(rhos[::2])),
+        )
+        merged = eigen_path(times[1::2], rhos[1::2], coarse=eigh_level)
+        scratch = eigen_path(times, rhos)
+        assert merged.block is None and scratch.block == (0, 1)
+        np.testing.assert_allclose(merged.values, scratch.values, atol=1e-15)
+        overlap = np.abs(np.einsum("mak,mak->mk", merged.vectors.conj(), scratch.vectors))
+        np.testing.assert_allclose(overlap, 1.0, atol=1e-14)

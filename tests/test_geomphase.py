@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -12,6 +13,8 @@ from becphase import (
     Scenario,
     analytic_path_builder,
     bell_initial,
+    coherent_rho_path,
+    concurrence_wootters,
     converge_phase,
     decay_phase,
     eigen_path,
@@ -26,9 +29,9 @@ from becphase import (
     weak_coupling_phase_limit,
 )
 from becphase import geomphase
-from becphase.cli import RunConfig, compute_phase, path_builder
-from becphase.geomphase import PHASE_TOL, romberg_acceptance
-from oracles import converge_phase_h2, factorization_functions
+from becphase.cli import RunConfig, compute_phase, initial_branches, path_builder
+from becphase.geomphase import PHASE_TOL, refining_path_builder, romberg_acceptance
+from oracles import converge_phase_h2, factorization_functions, from_computational
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 TWO_PI = 2 * math.pi
@@ -111,6 +114,17 @@ class TestKinematicPhase:
         path = micro_path(0.4, p, 512)
         res = kinematic_phase(path)
         assert abs(res.per_branch[1]) == pytest.approx(0.0, abs=1e-12)
+
+    def test_null_branch_rounding_gets_no_weight(self):
+        # eps(0) at or below SUPPORT_TOL is a pure state's null eigenvalue
+        # in rounding; above it the branch weighs sqrt(eps(0) eps(tau))
+        p = ModelParams(omega=1.0, lambda_c=0.05, alpha=1.0)
+        path = micro_path(0.4, p, 512)
+        for eps0, null in ((5e-17, True), (1e-12, True), (2e-12, False)):
+            values = path.values.copy()
+            values[0, 1] = eps0
+            res = kinematic_phase(replace(path, values=values))
+            assert (res.per_branch[1] == 0.0) == null
 
     def test_grid_convergence_at_least_linear(self):
         p = ModelParams(omega=1.0, j_vdw=0.1, lambda_c=0.125, alpha=1.1)
@@ -354,6 +368,13 @@ class TestClosedFormEquivalence:
             closed = phase_micro_micro_closed(math.pi / 4, p)
         assert closed == pytest.approx(21.991159383076784243, rel=1e-14)
 
+    def test_null_branch_near_the_alpha_cap_adds_nothing(self):
+        # the pure initial state's null eigenvalue, a few 1e-17, once moved
+        # the phase by 1.3e-9 through its weight sqrt(eps(0) eps(tau))
+        p = ModelParams(omega=1.0, lambda_c=1e-3, alpha=37.5)
+        kin = compute_phase(RunConfig("micro_micro", p, eta0=0.75))
+        assert abs(kin.unwrapped - phase_micro_micro_closed(0.75, p)) < 1e-12
+
     def test_zero_mixing_gives_zero(self):
         p = ModelParams(omega=1.0, lambda_c=0.05, alpha=1.0)
         assert phase_micro_micro_closed(0.0, p) == pytest.approx(0.0, abs=1e-12)
@@ -488,3 +509,80 @@ class TestMacroClosedForms:
         p = ModelParams(omega=1.0, lambda_c=0.125, alpha=1.0)
         kin = converge_phase(analytic_path_builder(Scenario.MACRO_BOTH, math.pi / 4, p))
         assert any("origin" in w for w in kin.warnings)
+
+
+QUARTER_PI = {"omega": 1.0, "lambda_c": 0.1, "alpha": 6.0, "grid": {"phase_tol": 1e-10}}
+
+
+class TestQuarterPi:
+    """eta0 = pi/4 at lambda = 0.1, alpha = 6: the block's eigenvalue gap
+    falls to e^(-Gamma(tau)) = 1.6e-11, where `eigh` loses arg rho_01."""
+
+    def test_equal_populations_converge_to_seven_pi(self):
+        h = math.sqrt(0.5)
+        doc = {"scenario": "general", "coefficients": [h, h, 0, 0], **QUARTER_PI}
+        res = compute_phase(parse_config(json.dumps(doc)))
+        assert abs(res.unwrapped - 7 * math.pi) < 1e-12
+
+    def test_rounded_quarter_pi_converges_and_is_flagged(self):
+        # one ulp between cos^2 and sin^2 of fl(pi/4) moves the phase by ~4e-5
+        doc = {"scenario": "micro_micro", "eta0": math.pi / 4, **QUARTER_PI}
+        res = compute_phase(parse_config(json.dumps(doc)))
+        assert abs(res.unwrapped - 7 * math.pi) < 1e-4
+        assert any(w.startswith("branch-ambiguity") for w in res.warnings)
+
+
+def local_unitary():
+    """A fixed u1 (x) u2 in the module basis order."""
+
+    def u(angle, phase):
+        c, s = math.cos(angle), math.sin(angle)
+        return np.array([[c, -s * np.exp(-1j * phase)], [s * np.exp(1j * phase), c]])
+
+    return from_computational(np.kron(u(0.7, 0.3), u(1.1, -0.8)))
+
+
+AGREEMENT_POINTS = [
+    "micro_micro",
+    "macro_both",
+    "macro_single",
+    # sweep_micro physics at C = 0.3 and 0.9
+    {"scenario": "micro_micro", "omega": 1.0, "lambda_c": 1.5915494309189535e-05,
+     "alpha": 1.0, "eta0": 0.5 * math.asin(0.3)},
+    {"scenario": "micro_micro", "omega": 1.0, "lambda_c": 1.5915494309189535e-05,
+     "alpha": 1.0, "eta0": 0.5 * math.asin(0.9)},
+    # phase_fock ranges: |alpha| in [8, 16], lambda in [0.02, 0.1]
+    {"scenario": "macro_both", "omega": 1.0, "j_vdw": 0.05, "lambda_c": 0.05,
+     "alpha": [6.0, 8.0], "eta0": 0.4},
+    {"scenario": "macro_single", "omega": 1.0, "j_vdw": 0.05, "lambda_c": 0.05,
+     "alpha": [-9.0, 5.0], "eta0": 0.3},
+]
+
+
+@pytest.mark.parametrize("point", AGREEMENT_POINTS)
+def test_block_and_eigh_paths_agree(point):
+    # U rho U^H spreads the support over all four basis states, so its path
+    # runs eigh and matching, while the kinematic phase and the concurrence
+    # are invariant under a fixed local unitary
+    doc = point if isinstance(point, dict) else json.loads((CONFIG_DIR / f"{point}.json").read_text())
+    cfg = parse_config(json.dumps(doc))
+    state0 = initial_branches(cfg)
+    tau, u = quasicycle_period(cfg.params), local_unitary()
+
+    def block_rhos(times):
+        return coherent_rho_path(state0, times, cfg.params)
+
+    def spread_rhos(times):
+        return u @ block_rhos(times) @ u.conj().T
+
+    times = np.linspace(0.0, tau, 257)
+    assert eigen_path(times, block_rhos(times)).block is not None
+    assert eigen_path(times, spread_rhos(times)).block is None
+    results = [
+        converge_phase(refining_path_builder(tau, rho_path, eigen_path), cfg.n_steps, cfg.phase_tol)
+        for rho_path in (block_rhos, spread_rhos)
+    ]
+    assert not any(w.startswith("branch-ambiguity") for r in results for w in r.warnings)
+    assert abs(results[0].unwrapped - results[1].unwrapped) < cfg.phase_tol
+    concurrence = [concurrence_wootters(f(times)) for f in (block_rhos, spread_rhos)]
+    assert np.max(np.abs(concurrence[0] - concurrence[1])) < 1e-12
