@@ -274,8 +274,10 @@ def _fmt(value) -> str:
 def emit(table: Table, fmt: str = "csv", path: str | None = None) -> str:
     """Render a table with 17-significant-digit floats; refuse empty tables.
 
-    Cells are formatted a column at a time; each distinct string cell goes
-    through csv.writer once, so that its quoting is the writer's."""
+    Each line is one row format applied to the row's cells: "%.17g" for an
+    all-float column, "%s" for a column rendered cell by cell. Each distinct
+    string cell goes through csv.writer once, so that its quoting is the
+    writer's."""
     if not table.rows:
         raise ValueError("refusing to emit an empty table")
     if fmt not in ("csv", "tsv"):
@@ -294,13 +296,16 @@ def emit(table: Table, fmt: str = "csv", path: str | None = None) -> str:
             quoted[cell] = one.getvalue()[:-2]
         return quoted[cell]
 
-    cells = []
+    specs, cells = [], []
     for col in zip(*table.rows):
         if all(type(v) is float for v in col):
-            cells.append(map("%.17g".__mod__, col))
+            specs.append("%.17g")
+            cells.append(col)
         else:
+            specs.append("%s")
             cells.append([quote(v) if isinstance(v, str) else _fmt(v) for v in col])
-    lines = map(delim.join, zip(*cells))
+    # Cells are arguments of the row format, never part of its text.
+    lines = map(delim.join(specs).__mod__, zip(*cells))
     text = buf.getvalue() + "\n".join(lines) + "\n"
     if path is not None:
         Path(path).write_text(text)
@@ -331,7 +336,7 @@ def run_evolve(cfg: RunConfig) -> Table:
     if purity.max() > 1.0 + 1e-12:
         raise ValueError(f"purity must not exceed 1, got {purity.max()!r}")
     purity = np.minimum(purity, 1.0)
-    conc = concurrence_wootters(rhos, frames=path.frames)
+    conc = concurrence_wootters(rhos, frames=path.frames, block=path.block)
     offdiag = np.abs(rhos[:, i0, i1])
 
     columns = [

@@ -67,9 +67,10 @@ def decay_phase(
     raise ValueError(f"unknown scenario {scenario!r}")
 
 
-# Flat indices of the entries (i, j) and (j, i), i < j, of a 4x4 matrix.
+# Flat indices of the entries (i, j) and (j, i), i < j, and (i, i) of a 4x4 matrix.
 _UPPER = np.array([1, 2, 3, 6, 7, 11])
 _LOWER = np.array([4, 8, 12, 9, 13, 14])
+_DIAGONAL = np.array([0, 5, 10, 15])
 
 
 def validate_density(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -91,26 +92,30 @@ def _checked_frames(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[int,
     m = np.asarray(rho, dtype=complex)
     if m.shape[-2:] != (4, 4):
         raise ValueError(f"density matrices must be 4x4, got shape {m.shape}")
-    # The largest entry of |m - m^H| without forming it: |m_ij - conj(m_ji)|
-    # over the six pairs i < j, and 2 |Im m_ii|.
     flat = m.reshape(-1, 16)
-    pairs = np.take(flat, _UPPER, axis=1) - np.conj(np.take(flat, _LOWER, axis=1))
-    herm = max(
-        np.max(np.abs(pairs)),
-        2.0 * np.max(np.abs(np.diagonal(m, axis1=-2, axis2=-1).imag)),
-    )
-    if not herm <= HERMITICITY_TOL:
-        raise ValueError(f"density matrix not Hermitian: deviation {herm:g}")
-    traces = np.trace(m, axis1=-2, axis2=-1).ravel()
-    worst = complex(traces[np.argmax(np.abs(traces - 1.0))])
-    if not abs(worst - 1.0) <= TRACE_TOL:
-        raise ValueError(f"density matrix trace is {worst!r}, expected 1")
     # Basis states whose row or column holds a nonzero entry in some matrix.
     nonzero = flat.any(axis=0).reshape(4, 4)
     support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
     if support.size == 1:  # a lone basis state is paired with an empty one
         support = np.union1d(support, [1 if support[0] == 0 else 0])
     block = (int(support[0]), int(support[1])) if support.size == 2 else None
+    # The largest entry of |m - m^H| without forming it: |m_ij - conj(m_ji)|
+    # over the pairs i < j, and 2 |Im m_ii|. On a block every other entry is
+    # an exact 0, so its entries alone give the same maxima and traces.
+    if block is None:
+        upper, lower, diagonal = _UPPER, _LOWER, _DIAGONAL
+    else:
+        i, j = block
+        upper, lower, diagonal = [4 * i + j], [4 * j + i], [5 * i, 5 * j]
+    pairs = np.take(flat, upper, axis=1) - np.conj(np.take(flat, lower, axis=1))
+    diag = np.take(flat, diagonal, axis=1)
+    herm = max(np.max(np.abs(pairs)), 2.0 * np.max(np.abs(diag.imag)))
+    if not herm <= HERMITICITY_TOL:
+        raise ValueError(f"density matrix not Hermitian: deviation {herm:g}")
+    traces = diag.sum(axis=1)
+    worst = complex(traces[np.argmax(np.abs(traces - 1.0))])
+    if not abs(worst - 1.0) <= TRACE_TOL:
+        raise ValueError(f"density matrix trace is {worst!r}, expected 1")
     if block is None:
         evals, evecs = np.linalg.eigh(m)
     else:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .model import ModelParams
 from .dynamics import JointState
-from .density import Scenario, partial_trace, validate_density
+from .density import Scenario, _checked_frames, partial_trace
 from .geomphase import special_point_phase
 
 # sigma_y (x) sigma_y expressed in the module basis order.
@@ -24,10 +24,14 @@ SIGMA_YY = np.array(
 )
 
 EIGENVALUE_CLAMP = 1e-12
+# Index pairs of the basis states that differ in both qubits: |00>,|11> and |01>,|10>.
+_ENTANGLED_BLOCKS = ((0, 1), (2, 3))
 
 
 def concurrence_wootters(
-    rho: np.ndarray, frames: tuple[np.ndarray, np.ndarray] | None = None
+    rho: np.ndarray,
+    frames: tuple[np.ndarray, np.ndarray] | None = None,
+    block: tuple[int, int] | None = None,
 ) -> float | np.ndarray:
     """Two-qubit concurrence max{0, l1 - l2 - l3 - l4} of one 4x4 matrix (a
     float) or of every matrix of an (M, 4, 4) stack (an array of M values).
@@ -38,16 +42,31 @@ def concurrence_wootters(
     but the singular-value route stays accurate for (near-)pure states where
     the non-Hermitian product has defective zero eigenvalues.
 
+    When every matrix is supported on the two basis states of a block (i, j),
+    the concurrence is 2 |rho_ij| if those states differ in both qubits
+    (|00>,|11> or |01>,|10>) and exactly 0 otherwise, where one qubit sits in
+    a basis state and the state is a product; no SVD runs.
+
     frames, when given, is rho's (values, vectors) eigen-decomposition as
-    validate_density returns it and EigenPath.frames keeps it; rho is then
-    neither checked nor decomposed again.
+    validate_density returns it and EigenPath.frames keeps it, and block the
+    pair EigenPath.block records; rho is then neither checked nor decomposed
+    again. Without frames, rho is checked here and its block found from the
+    data.
     """
-    evals, evecs = validate_density(rho) if frames is None else frames
-    evals = np.where(evals < EIGENVALUE_CLAMP, np.maximum(evals, 0.0), evals)
-    sqrt_rho = (evecs * np.sqrt(evals)[..., None, :]) @ np.conj(np.swapaxes(evecs, -1, -2))
-    flipped_root = sqrt_rho @ SIGMA_YY @ sqrt_rho.conj()
-    lam = np.linalg.svd(flipped_root, compute_uv=False)
-    value = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+    if frames is None:
+        evals, evecs, block = _checked_frames(rho)
+    else:
+        evals, evecs = frames
+    if block is None:
+        evals = np.where(evals < EIGENVALUE_CLAMP, np.maximum(evals, 0.0), evals)
+        sqrt_rho = (evecs * np.sqrt(evals)[..., None, :]) @ np.conj(np.swapaxes(evecs, -1, -2))
+        flipped_root = sqrt_rho @ SIGMA_YY @ sqrt_rho.conj()
+        lam = np.linalg.svd(flipped_root, compute_uv=False)
+        value = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+    elif block in _ENTANGLED_BLOCKS:
+        value = 2.0 * np.abs(np.asarray(rho)[..., block[0], block[1]])
+    else:
+        value = np.zeros(np.shape(rho)[:-2])
     return float(value) if value.ndim == 0 else value
 
 

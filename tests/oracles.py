@@ -5,6 +5,9 @@
   `oracle_rho_path`.
 - to_computational / from_computational: the module basis order
   (|00>,|11>,|01>,|10>) against the computational product order.
+- local_unitary: a fixed local unitary that spreads a two-state support over
+  all four basis states, so that `eigh` and the Wootters SVD run where the
+  closed forms would.
 - x_state_density / concurrence_x_state: the closed-form concurrence of the
   cross-shaped family, a cross-check of Wootters' formula.
 - factorization_functions: the paper's two-branch split F1 F2 F3 of the
@@ -83,6 +86,16 @@ def to_computational(mat: np.ndarray) -> np.ndarray:
 def from_computational(mat: np.ndarray) -> np.ndarray:
     perm = np.asarray(MODULE_TO_COMPUTATIONAL)
     return mat[np.ix_(perm, perm)]
+
+
+def local_unitary() -> np.ndarray:
+    """A fixed u1 (x) u2 in the module basis order."""
+
+    def u(angle, phase):
+        c, s = math.cos(angle), math.sin(angle)
+        return np.array([[c, -s * np.exp(-1j * phase)], [s * np.exp(1j * phase), c]])
+
+    return from_computational(np.kron(u(0.7, 0.3), u(1.1, -0.8)))
 
 
 def x_state_density(w: float, x: float, y: float, z: complex) -> np.ndarray:

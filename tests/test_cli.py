@@ -203,11 +203,13 @@ class TestEmit:
     @pytest.mark.parametrize("fmt", ["csv", "tsv"])
     def test_columns_render_as_rows_do(self, fmt):
         # float, mixed and string columns; cells that need quoting in either format
-        strings = ["", "plain", "a,b", "tab\there", 'say "x"', "two\nlines", "cr\r", " pad "]
-        rows = [
-            [0.1 * k, [1.5, "", None, 7, np.int64(-3), np.float64(2.5), True, math.nan][k], s, "w; x, y"]
-            for k, s in enumerate(strings)
+        # and cells holding % conversions, which must stay arguments of the row format
+        strings = [
+            "", "plain", "a,b", "tab\there", 'say "x"', "two\nlines", "cr\r", " pad ",
+            "100%", "%s", "%(x)d",
         ]
+        mixed = [1.5, "", None, 7, np.int64(-3), np.float64(2.5), True, math.nan, "%%", "%.17g", -2.0]
+        rows = [[0.1 * k, mixed[k], s, "w; x, y"] for k, s in enumerate(strings)]
         rows[0][0] = -0.0
         rows[1][0] = math.inf
         table = Table(["t[1]", "mixed", "text", "warnings"], rows)

@@ -636,6 +636,19 @@ class TestBlockFrames:
         with pytest.raises(ValueError, match="trace"):
             validate_density(bad)
 
+    @pytest.mark.parametrize("entry, block", [((1, 0), (0, 1)), ((2, 0), None)])
+    def test_hermiticity_on_and_off_the_block(self, entry, block):
+        # the block route checks the block's entries only; a bad entry off the
+        # block widens the support, so the full check runs. Either reports the
+        # largest entry of |m - m^H| over the whole stack.
+        rhos = block_stack(np.random.default_rng(12), 4)
+        rhos[2][entry] += 1e-7j
+        hermitian = (rhos + np.conj(np.swapaxes(rhos, -1, -2))) / 2
+        assert eigen_path(np.linspace(0, 1, 4), hermitian).block == block
+        dev = np.max(np.abs(rhos - np.conj(np.swapaxes(rhos, -1, -2))))
+        with pytest.raises(ValueError, match=f"not Hermitian: deviation {dev:g}$"):
+            validate_density(rhos)
+
     def test_refinement_of_an_eigh_level_runs_the_matching(self):
         # a coarse level that eigh decomposed and block midpoints: the merged
         # grid goes through matching and gives the block path's branches

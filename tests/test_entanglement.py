@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 from pathlib import Path
 
@@ -23,14 +24,15 @@ from becphase import (
     witness_micro_macro,
     witness_micro_micro,
 )
-from becphase.cli import initial_state, parse_config
-from becphase.density import oracle_rho_path
+from becphase.cli import initial_branches, initial_state, parse_config
+from becphase.density import coherent_rho_path, oracle_rho_path, validate_density
 from becphase.model import quasicycle_period
 from oracles import (
     branch_overlap,
     concurrence_x_state,
     evolve_joint,
     from_computational,
+    local_unitary,
     single_qubit_concurrence,
     to_computational,
     x_state_density,
@@ -148,6 +150,43 @@ class TestStackedWootters:
         stack[3] = np.diag([0.6, 0.5, -0.1, 0.0])
         with pytest.raises(ValueError, match="negative eigenvalue"):
             concurrence_wootters(stack)
+
+
+class TestBlockConcurrence:
+    """The closed form on a two-state block against the SVD route, which runs
+    on frames passed without a block and on a support spread by a local
+    unitary."""
+
+    def test_bell_family_on_every_route(self):
+        u = local_unitary()
+        for eta0 in np.linspace(0.05, 1.5, 20):
+            rho, expected = bell_block(eta0), abs(math.sin(2 * eta0))
+            assert concurrence_wootters(rho) == expected
+            svd = concurrence_wootters(rho, frames=validate_density(rho))
+            assert abs(svd - expected) < 1e-12
+            assert abs(concurrence_wootters(u @ rho @ u.conj().T) - expected) < 1e-12
+
+    @staticmethod
+    def general_path(coefficients):
+        doc = json.loads((CONFIG_DIR / "general.json").read_text())
+        cfg = parse_config(json.dumps(dict(doc, coefficients=coefficients)))
+        times = np.linspace(0.0, quasicycle_period(cfg.params), 257)
+        rhos = coherent_rho_path(initial_branches(cfg), times, cfg.params)
+        u = local_unitary()
+        return rhos, u @ rhos @ u.conj().T
+
+    def test_block_of_states_differing_in_both_qubits(self):
+        # |01>, |10>: the concurrence is 2 |rho_23|
+        rhos, spread = self.general_path([0.0, 0.0, 0.6, [0.0, 0.8]])
+        closed = concurrence_wootters(rhos)
+        assert np.array_equal(closed, 2.0 * np.abs(rhos[:, 2, 3])) and closed.min() > 0.9
+        assert np.max(np.abs(closed - concurrence_wootters(spread))) < 1e-12
+
+    def test_block_of_one_qubits_states_is_a_product(self):
+        # |00>, |01>: the first qubit stays in |0>
+        rhos, spread = self.general_path([0.6, 0.0, [0.0, 0.8], 0.0])
+        assert np.array_equal(concurrence_wootters(rhos), np.zeros(rhos.shape[0]))
+        assert np.max(concurrence_wootters(spread)) <= 1e-12
 
 
 class TestXState:

@@ -31,7 +31,7 @@ from becphase import (
 from becphase import geomphase
 from becphase.cli import RunConfig, compute_phase, initial_branches, path_builder
 from becphase.geomphase import PHASE_TOL, refining_path_builder, romberg_acceptance
-from oracles import converge_phase_h2, factorization_functions, from_computational
+from oracles import converge_phase_h2, factorization_functions, local_unitary
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 TWO_PI = 2 * math.pi
@@ -530,16 +530,6 @@ class TestQuarterPi:
         res = compute_phase(parse_config(json.dumps(doc)))
         assert abs(res.unwrapped - 7 * math.pi) < 1e-4
         assert any(w.startswith("branch-ambiguity") for w in res.warnings)
-
-
-def local_unitary():
-    """A fixed u1 (x) u2 in the module basis order."""
-
-    def u(angle, phase):
-        c, s = math.cos(angle), math.sin(angle)
-        return np.array([[c, -s * np.exp(-1j * phase)], [s * np.exp(1j * phase), c]])
-
-    return from_computational(np.kron(u(0.7, 0.3), u(1.1, -0.8)))
 
 
 AGREEMENT_POINTS = [
