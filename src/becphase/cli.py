@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -312,6 +313,13 @@ def emit(table: Table, fmt: str = "csv", path: str | None = None) -> str:
     return text
 
 
+def _at_most_one(values: np.ndarray, name: str) -> np.ndarray:
+    """values with rounding above 1 clipped to 1; more than 1e-12 above is an error."""
+    if values.max() > 1.0 + 1e-12:
+        raise ValueError(f"{name} must not exceed 1, got {values.max()!r}")
+    return np.minimum(values, 1.0)
+
+
 def run_evolve(cfg: RunConfig) -> Table:
     if cfg.n_steps > MAX_EVOLVE_STEPS:
         raise ValueError(f"n_steps must be at most {MAX_EVOLVE_STEPS} for evolve, got {cfg.n_steps}")
@@ -332,11 +340,10 @@ def run_evolve(cfg: RunConfig) -> Table:
 
     eps = np.zeros((times.size, 2))
     eps[:, : min(2, path.n_branches)] = path.values[:, :2]
-    purity = np.real(np.einsum("mij,mji->m", rhos, rhos))
-    if purity.max() > 1.0 + 1e-12:
-        raise ValueError(f"purity must not exceed 1, got {purity.max()!r}")
-    purity = np.minimum(purity, 1.0)
-    conc = concurrence_wootters(rhos, frames=path.frames, block=path.block)
+    purity = _at_most_one(np.real(np.einsum("mij,mji->m", rhos, rhos)), "purity")
+    conc = _at_most_one(
+        concurrence_wootters(rhos, frames=path.frames, block=path.block), "concurrence"
+    )
     offdiag = np.abs(rhos[:, i0, i1])
 
     columns = [
@@ -627,6 +634,7 @@ def validation_report(p: ModelParams | None = None) -> str:
 # Entry point.
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="becphase",

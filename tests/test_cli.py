@@ -25,6 +25,16 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 MINIMAL = {"scenario": "micro_micro", "omega": 1.0, "lambda_c": 0.001, "alpha": 1.0, "eta0": 0.3}
 
 
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports becphase from this source tree."""
+    src = str(Path(becphase.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+
+
 def cfg_text(**overrides) -> str:
     doc = dict(MINIMAL)
     doc.update(overrides)
@@ -527,17 +537,75 @@ class TestMainEntry:
 
     def test_python_m_entry_is_clean(self, capsys):
         argv = ["phase", "--config", str(CONFIG_DIR / "macro_both.json")]
-        src = str(Path(becphase.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
-        proc = subprocess.run(
-            [sys.executable, "-m", "becphase", *argv],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_python("-m", "becphase", *argv)
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert main(argv) == 0
         assert proc.stdout == capsys.readouterr().out
+
+    def test_evolve_concurrence_is_clamped_like_its_purity(self, tmp_path, capsys):
+        # equal coefficients at t = 0 round to a concurrence one ulp above 1
+        cfg = tmp_path / "c.json"
+        cfg.write_text(cfg_text(eta0=0.7853981663974483))
+        assert main(["evolve", "--config", str(cfg), "--steps", "2"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert rows[0][7] == "1"
+        assert all(float(row[7]) <= 1.0 for row in rows)
+
+    def test_evolve_concurrence_far_above_1_exits_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "concurrence_wootters", lambda rho, **kw: np.full(len(rho), 1.0 + 1e-9))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(cfg_text())
+        assert main(["evolve", "--config", str(cfg), "--steps", "2"]) == 1
+        assert "concurrence must not exceed 1" in capsys.readouterr().err
+
+
+class TestSharedParser:
+    """main builds its argparse parser once per process; no call may see another's state."""
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_parser_is_not_built_at_import(self):
+        code = "import becphase.cli as c; print(c._build_parser.cache_info().currsize)"
+        assert run_python("-c", code).stdout == "0\n"
+
+    def test_usage_error_and_help_leave_later_runs_unchanged(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(cfg_text(grid={"n_steps": 256}))
+        phase = ["phase", "--config", str(cfg)]
+        assert main(phase) == 0
+        first = capsys.readouterr().out
+        assert main([*phase, "--workers", "2"]) == 1
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: becphase")
+        assert main(phase) == 0
+        assert capsys.readouterr().out == first
+
+    def test_steps_of_one_call_do_not_reach_the_next(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(cfg_text(grid={"n_steps": 32}))
+        assert main(["evolve", "--config", str(cfg), "--steps", "64"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 65
+        assert main(["evolve", "--config", str(cfg)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 33
+
+    def test_each_usage_error_reports_its_own_message(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(cfg_text())
+        cases = [
+            ([], "the following arguments are required: verb"),
+            (["phase"], "the following arguments are required: --config"),
+            (["bogus"], "invalid choice: 'bogus'"),
+            (["phase", "--config", str(cfg), "--format", "xml"], "invalid choice: 'xml'"),
+            (["evolve", "--config", str(cfg), "--steps", "x"], "invalid int value: 'x'"),
+        ]
+        for argv, message in cases:
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert message in err
+            assert [m for _, m in cases if m in err] == [message]
 
 
 class TestValidationReport:
