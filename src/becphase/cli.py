@@ -548,6 +548,12 @@ REPORT_POINTS = 100
 REPORT_COEFFICIENTS = np.array([0.5, 0.5j, -0.5, 0.5])
 
 
+def _fixed9(value: float) -> str:
+    """value with 9 decimals; one that rounds to zero there prints unsigned."""
+    text = f"{value:.9f}"
+    return text.lstrip("-") if float(text) == 0.0 else text
+
+
 def validation_report(p: ModelParams | None = None) -> str:
     """Analytic-vs-numeric discrepancy report over all scenarios and variants."""
     if p is None:
@@ -622,7 +628,7 @@ def validation_report(p: ModelParams | None = None) -> str:
         lines.append(
             f"special-point phase: scenario={scenario.value:<12s} "
             f"closed form = {phase_macro_closed(scenario, math.pi / 4, special):.9f}, "
-            f"kinematic principal = {kin.principal:.9f}, unwrapped = {kin.unwrapped:.9f}"
+            f"kinematic principal = {_fixed9(kin.principal)}, unwrapped = {_fixed9(kin.unwrapped)}"
         )
     lines.append("")
     lines.extend(resolutions)

@@ -86,9 +86,13 @@ def validate_density(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return evals, evecs
 
 
-def _checked_frames(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[int, int] | None]:
+def _checked_frames(
+    rho: np.ndarray, block_vectors: bool = True
+) -> tuple[np.ndarray, np.ndarray | None, tuple[int, int] | None]:
     """validate_density's checks and decomposition, and the index pair of the
-    block decomposed in closed form (None when `eigh` ran)."""
+    block decomposed in closed form (None when `eigh` ran). Without
+    `block_vectors` a closed-form block yields its values and None for the
+    vectors."""
     m = np.asarray(rho, dtype=complex)
     if m.shape[-2:] != (4, 4):
         raise ValueError(f"density matrices must be 4x4, got shape {m.shape}")
@@ -119,7 +123,7 @@ def _checked_frames(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[int,
     if block is None:
         evals, evecs = np.linalg.eigh(m)
     else:
-        evals, evecs = _block_frames(m, block)
+        evals, evecs = _block_frames(m, block, block_vectors)
     if not evals.min() >= -POSITIVITY_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {evals.min():g}")
     return evals, evecs, block
@@ -136,7 +140,9 @@ def _direction(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _block_frames(m: np.ndarray, block: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+def _block_frames(
+    m: np.ndarray, block: tuple[int, int], vectors: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Closed-form eigen-decomposition of matrices whose entries outside the
     rows and columns of block = (i, j) are 0.
 
@@ -146,12 +152,19 @@ def _block_frames(m: np.ndarray, block: tuple[int, int]) -> tuple[np.ndarray, np
     (cos 2t, sin 2t) = ((a - d)/2, |b|) / r and u = conj(b) / |b|. Columns 0
     and 1 hold v+ and v-, columns 2 and 3 the two other basis states with
     eigenvalue 0. Only sqrt, hypot and division enter, so a matrix gives the
-    same bits alone as in a stack.
+    same bits alone as in a stack. Without `vectors` only the values are
+    computed, and None stands for the vectors.
     """
     i, j = block
     a, d, b = m[..., i, i].real, m[..., j, j].real, m[..., i, j]
     half = 0.5 * (a - d)
     mod_b = np.abs(b)
+    mean, r = 0.5 * (a + d), np.hypot(half, mod_b)
+    evals = np.zeros(a.shape + (4,))
+    evals[..., 0] = mean + r
+    evals[..., 1] = mean - r
+    if not vectors:
+        return evals, None
     cos2, sin2 = _direction(half, mod_b)
     # The larger of cos(t), sin(t) is sqrt((1 + |cos 2t|) / 2) >= sqrt(1/2); the
     # smaller, sin 2t / (2 larger), does not cancel the way sqrt((1 - |cos 2t|) / 2) does.
@@ -163,10 +176,6 @@ def _block_frames(m: np.ndarray, block: tuple[int, int]) -> tuple[np.ndarray, np
     # overflows for a subnormal b.
     u_re, u_im = _direction(b.real, -b.imag)
     u = u_re + 1j * u_im
-    mean, r = 0.5 * (a + d), np.hypot(half, mod_b)
-    evals = np.zeros(a.shape + (4,))
-    evals[..., 0] = mean + r
-    evals[..., 1] = mean - r
     evecs = np.zeros(a.shape + (4, 4), dtype=complex)
     evecs[..., i, 0] = cos
     evecs[..., j, 0] = sin * u
@@ -283,8 +292,10 @@ class EigenPath:
     exceeds the support cutoff are dropped. flags carries warnings about
     near-degenerate stretches where the matching is ill-conditioned. frames
     holds validate_density's decomposition (values, vectors) at every grid
-    point, and block the index pair it decomposed in closed form (None when
-    `eigh` ran); a refinement of the path reuses both.
+    point, block the index pair it decomposed in closed form (None when
+    `eigh` ran) and degeneracy_tol the gap below which flags were raised: a
+    refinement of the path reuses frames and block, and even_point_path
+    derives the path on every second grid point from all three.
     """
 
     times: np.ndarray
@@ -293,6 +304,7 @@ class EigenPath:
     flags: tuple[str, ...] = ()
     frames: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
     block: tuple[int, int] | None = field(default=None, repr=False, compare=False)
+    degeneracy_tol: float = field(default=DEGENERACY_TOL, repr=False, compare=False)
 
     @property
     def n_steps(self) -> int:
@@ -391,7 +403,9 @@ def eigen_path(
     With `coarse`, `times` and `rhos` are the midpoints of coarse's grid
     steps: only they are validated and decomposed, coarse's frames fill the
     even points, and matching and flags run over the merged grid, so the
-    result equals a decomposition of the merged grid from scratch.
+    result equals a decomposition of the merged grid from scratch. The
+    converse, the path on the even points of a decomposed grid, is
+    even_point_path's.
     """
     times = np.asarray(times, dtype=float)
     rhos = np.asarray(rhos, dtype=complex)
@@ -409,7 +423,36 @@ def eigen_path(
         evecs = _interleave(coarse.frames[1], evecs)
         if coarse.block != block:
             block = None
+    return _branch_path(times, evals, evecs, block, degeneracy_tol)
 
+
+def even_point_path(path: EigenPath) -> EigenPath:
+    """The path on every second grid point of `path`, from its frames: no
+    density matrix is validated or decomposed again.
+
+    Matching, support cut and flags run over the even points with the
+    path's degeneracy_tol, so the result equals eigen_path on those points
+    from scratch whenever they span the basis states that the whole grid
+    spans, as on every path whose support stays the same along the grid.
+    """
+    if path.frames is None or path.n_steps % 2:
+        raise ValueError("even points need an even number of steps on a path that keeps its frames")
+    # Contiguous, as a decomposition's own arrays: the matching's overlap
+    # sums then see the memory layout they see from scratch.
+    evals, evecs = (np.ascontiguousarray(f[::2]) for f in path.frames)
+    return _branch_path(path.times[::2], evals, evecs, path.block, path.degeneracy_tol)
+
+
+def _branch_path(
+    times: np.ndarray,
+    evals: np.ndarray,
+    evecs: np.ndarray,
+    block: tuple[int, int] | None,
+    degeneracy_tol: float,
+) -> EigenPath:
+    """The EigenPath of the frames (evals, evecs) on a grid: branches matched
+    across grid points unless a closed-form block keeps them apart, branches
+    that never exceed SUPPORT_TOL cut, and near-degenerate pairs flagged."""
     m_total = times.size
     if block is None:
         vals, vecs = _matched_branches(evals, evecs)
@@ -433,4 +476,7 @@ def eigen_path(
                 f"{degeneracy_tol:g} on {idx.size} of {m_total} grid points, "
                 f"t in [{times[idx[0]]:.6g}, {times[idx[-1]]:.6g}]"
             )
-    return EigenPath(times, vals, vecs, tuple(flags), frames=(evals, evecs), block=block)
+    return EigenPath(
+        times, vals, vecs, tuple(flags),
+        frames=(evals, evecs), block=block, degeneracy_tol=degeneracy_tol,
+    )

@@ -51,10 +51,11 @@ def concurrence_wootters(
     validate_density returns it and EigenPath.frames keeps it, and block the
     pair EigenPath.block records; rho is then neither checked nor decomposed
     again. Without frames, rho is checked here and its block found from the
-    data.
+    data; a block's eigenvectors are not built, since only the positivity
+    check needs its eigenvalues.
     """
     if frames is None:
-        evals, evecs, block = _checked_frames(rho)
+        evals, evecs, block = _checked_frames(rho, block_vectors=False)
     else:
         evals, evecs = frames
     if block is None:

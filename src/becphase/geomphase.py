@@ -37,6 +37,7 @@ from .density import (
     analytic_rho_path,
     decay_phase,
     eigen_path,
+    even_point_path,
 )
 
 PHASE_TOL = 1e-7
@@ -192,6 +193,11 @@ def converge_phase(
     """Double the grid, at most MAX_DOUBLINGS times and never beyond
     MAX_STEPS, until the unwrapped phase is settled to phase_tol.
 
+    The first two levels come from one path: build_path(2 n_start), whose
+    even grid points give the n_start level (even_point_path), so no density
+    matrix is evaluated or decomposed twice. Each further level is
+    build_path of twice the last n.
+
     The link product's grid error is a series in h^2, so each level is
     judged by romberg_acceptance over the unwrapped phases of all levels so
     far; extrapolation is off when the finest path carries one of the
@@ -204,11 +210,11 @@ def converge_phase(
         raise ValueError("n_start must be an even integer >= 2")
     if 2 * n_start > MAX_STEPS:
         raise ConvergenceError(f"no doubling of {n_start} steps stays within {MAX_STEPS} steps")
-    n = n_start
-    levels = [kinematic_phase(build_path(n)).unwrapped]
-    while len(levels) <= MAX_DOUBLINGS and 2 * n <= MAX_STEPS:
-        n *= 2
-        cur = kinematic_phase(build_path(n))
+    n = 2 * n_start
+    path = build_path(n)
+    levels = [kinematic_phase(even_point_path(path)).unwrapped]
+    while True:
+        cur = kinematic_phase(path)
         levels.append(cur.unwrapped)
         blocked = any(w.startswith(EXTRAPOLATION_BLOCKERS) for w in cur.warnings)
         accepted = romberg_acceptance(levels, phase_tol, extrapolate=not blocked)
@@ -220,6 +226,10 @@ def converge_phase(
                 principal=math.remainder(cur.principal + (value - cur.unwrapped), 2.0 * math.pi),
                 error_estimate=error,
             )
+        if len(levels) > MAX_DOUBLINGS or 2 * n > MAX_STEPS:
+            break
+        n *= 2
+        path = build_path(n)
     raise ConvergenceError(
         f"phase did not converge to {phase_tol:g} within {len(levels) - 1} doublings "
         f"(last delta {abs(levels[-1] - levels[-2]):g} at {n} of at most {MAX_STEPS} steps)"

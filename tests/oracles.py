@@ -25,6 +25,9 @@
 - converge_phase_h2: grid doubling from 2,048 steps with one h^2
   extrapolation step, the reference for the Romberg acceptance of
   `converge_phase`.
+- converge_phase_levels: the Romberg loop of `converge_phase` with every
+  level, the first included, built by its own `build_path` call; the
+  reference for deriving the first level from the second.
 """
 
 from __future__ import annotations
@@ -47,9 +50,16 @@ from becphase import (
     kinematic_phase,
     validate_joint,
 )
+from becphase import geomphase
 from becphase.cli import _fmt
 from becphase.density import SUPPORT_TOL
-from becphase.geomphase import EXTRAPOLATION_BLOCKERS, PHASE_TOL, ConvergenceError, PhaseResult
+from becphase.geomphase import (
+    EXTRAPOLATION_BLOCKERS,
+    PHASE_TOL,
+    ConvergenceError,
+    PhaseResult,
+    romberg_acceptance,
+)
 
 
 def evolve_branch(phi0: np.ndarray, branch: int, t: float, p: ModelParams) -> np.ndarray:
@@ -254,3 +264,25 @@ def converge_phase_h2(build_path, n_start: int = 2048, phase_tol: float = PHASE_
             return replace(cur, error_estimate=abs(delta))
         prev, prev_delta, prev_extrapolated = cur, delta, extrapolated
     raise ConvergenceError(f"phase did not converge to {phase_tol:g} within 10 doublings")
+
+
+def converge_phase_levels(build_path, n_start: int, phase_tol: float = PHASE_TOL) -> PhaseResult:
+    """Build the levels n_start, 2 n_start, ... one build_path call each and
+    accept as `converge_phase` does, within its MAX_DOUBLINGS and MAX_STEPS."""
+    n = n_start
+    levels = [kinematic_phase(build_path(n)).unwrapped]
+    while len(levels) <= geomphase.MAX_DOUBLINGS and 2 * n <= geomphase.MAX_STEPS:
+        n *= 2
+        cur = kinematic_phase(build_path(n))
+        levels.append(cur.unwrapped)
+        blocked = any(w.startswith(EXTRAPOLATION_BLOCKERS) for w in cur.warnings)
+        accepted = romberg_acceptance(levels, phase_tol, extrapolate=not blocked)
+        if accepted is not None:
+            _, value, error = accepted
+            return replace(
+                cur,
+                unwrapped=value,
+                principal=math.remainder(cur.principal + (value - cur.unwrapped), 2.0 * math.pi),
+                error_estimate=error,
+            )
+    raise ConvergenceError(f"phase did not converge to {phase_tol:g} at {n} steps")

@@ -618,6 +618,20 @@ class TestValidationReport:
         assert "macro_single" in mismatches[0]
         assert "verbatim" in mismatches[0]
 
+    def test_special_point_principal_prints_no_signed_zero(self):
+        # macro_both's principal value there is -1.6e-15
+        lines = [ln for ln in validation_report().splitlines() if ln.startswith("special-point")]
+        assert "scenario=macro_both" in lines[0]
+        assert "kinematic principal = 0.000000000," in lines[0]
+        assert not any("-0.000000000" in ln for ln in lines)
+
+    @pytest.mark.parametrize("value, text", [
+        (-1.6e-15, "0.000000000"), (-0.0, "0.000000000"), (-4.9e-10, "0.000000000"),
+        (-5.1e-10, "-0.000000001"), (-2.5, "-2.500000000"), (6.283185307179586, "6.283185307"),
+    ])
+    def test_report_values_that_round_to_zero_are_unsigned(self, value, text):
+        assert cli._fixed9(value) == text
+
     def test_one_fock_path_per_scenario(self, monkeypatch):
         calls = []
         fock = cli.oracle_rho_path

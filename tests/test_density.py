@@ -25,6 +25,7 @@ from becphase import (
 )
 from becphase import cli, density, dynamics
 from becphase.cli import initial_branches, initial_state, parse_config, run_evolve
+from becphase.density import DEGENERACY_TOL, even_point_path
 from oracles import coherent_rho_full, evolve_joint, exhaustive_step_permutations
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -426,6 +427,56 @@ def assert_same_path(a: EigenPath, b: EigenPath) -> None:
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert a.flags == b.flags
     assert all(np.array_equal(x, y) for x, y in zip(a.frames, b.frames))
+    assert a.block == b.block
+
+
+def config_path_rhos(name, n_steps):
+    """The grid of a shipped config's quasicycle and its coherent-overlap densities."""
+    cfg = parse_config((CONFIG_DIR / f"{name}.json").read_text())
+    times = np.linspace(0.0, quasicycle_period(cfg.params), n_steps + 1)
+    return times, coherent_rho_path(initial_branches(cfg), times, cfg.params)
+
+
+class TestEvenPointPath:
+    """even_point_path: the path on every second grid point, from the frames."""
+
+    @pytest.mark.parametrize(
+        "name, n_steps, block, degeneracy_tol",
+        [
+            ("micro_micro", 512, (0, 1), DEGENERACY_TOL),
+            ("macro_single", 512, (0, 2), DEGENERACY_TOL),
+            ("general", 512, None, DEGENERACY_TOL),
+            ("general", 512, None, 1e-4),
+            # the smallest start: 5 points give 3
+            ("macro_both", 4, (0, 1), DEGENERACY_TOL),
+            ("general", 4, None, DEGENERACY_TOL),
+        ],
+        ids=["micro_micro", "macro_single", "general", "general-tol-1e-4",
+             "macro_both-4-steps", "general-4-steps"],
+    )
+    def test_equals_a_decomposition_from_scratch(self, monkeypatch, name, n_steps, block,
+                                                 degeneracy_tol):
+        times, rhos = config_path_rhos(name, n_steps)
+        fine = eigen_path(times, rhos, degeneracy_tol=degeneracy_tol)
+        scratch = eigen_path(times[::2], rhos[::2], degeneracy_tol=degeneracy_tol)
+        # nothing is validated or decomposed again
+        monkeypatch.setattr(density, "_checked_frames", None)
+        even = even_point_path(fine)
+        assert_same_path(even, scratch)
+        assert even.block == scratch.block == block
+        assert even.degeneracy_tol == degeneracy_tol
+        if name == "general":
+            # the eigh route, with the pure state's null branches flagged
+            assert even.flags and even.flags[0].startswith("branch-ambiguity")
+            assert even.flags[0] != fine.flags[0]
+
+    def test_needs_frames_and_an_even_step_count(self):
+        times, rhos = config_path_rhos("micro_micro", 8)
+        path = eigen_path(times, rhos)
+        with pytest.raises(ValueError, match="even number of steps"):
+            even_point_path(eigen_path(times[:-1], rhos[:-1]))
+        with pytest.raises(ValueError, match="keeps its frames"):
+            even_point_path(EigenPath(path.times, path.values, path.vectors, path.flags))
 
 
 def random_unitary(rng, scale=1.0):

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from becphase import (
     witness_micro_micro,
 )
 from becphase.cli import initial_branches, initial_state, parse_config
-from becphase.density import coherent_rho_path, oracle_rho_path, validate_density
+from becphase.density import coherent_rho_path, eigen_path, oracle_rho_path, validate_density
 from becphase.model import quasicycle_period
 from oracles import (
     branch_overlap,
@@ -165,6 +166,22 @@ class TestBlockConcurrence:
             svd = concurrence_wootters(rho, frames=validate_density(rho))
             assert abs(svd - expected) < 1e-12
             assert abs(concurrence_wootters(u @ rho @ u.conj().T) - expected) < 1e-12
+
+    def test_frames_less_block_route_builds_no_eigenvectors(self):
+        # its positivity check needs the block's eigenvalues only; an (M, 4, 4)
+        # complex eigenvector array alone would be as large as the stack
+        cfg = parse_config((CONFIG_DIR / "micro_micro.json").read_text())
+        times = np.linspace(0.0, quasicycle_period(cfg.params), 16385)
+        rhos = coherent_rho_path(initial_branches(cfg), times, cfg.params)
+        path = eigen_path(times, rhos)
+        tracemalloc.start()
+        try:
+            value = concurrence_wootters(rhos)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rhos.nbytes
+        assert np.array_equal(value, concurrence_wootters(rhos, frames=path.frames, block=path.block))
 
     @staticmethod
     def general_path(coefficients):

@@ -28,10 +28,10 @@ from becphase import (
     weak_coupling_phase,
     weak_coupling_phase_limit,
 )
-from becphase import geomphase
+from becphase import density, geomphase
 from becphase.cli import RunConfig, compute_phase, initial_branches, path_builder
 from becphase.geomphase import PHASE_TOL, refining_path_builder, romberg_acceptance
-from oracles import converge_phase_h2, factorization_functions, local_unitary
+from oracles import converge_phase_h2, converge_phase_levels, factorization_functions, local_unitary
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 TWO_PI = 2 * math.pi
@@ -229,7 +229,7 @@ class TestExtrapolatedConvergence:
         monkeypatch.setattr(geomphase, "MAX_STEPS", 1024)
         with pytest.raises(ConvergenceError, match="at 1024 of at most 1024 steps"):
             converge_phase(build, 256, phase_tol=1e-30)
-        assert built == [256, 512, 1024]
+        assert built == [512, 1024]
 
     def test_unreachable_tolerance_still_raises(self, monkeypatch):
         monkeypatch.setattr(geomphase, "MAX_DOUBLINGS", 3)
@@ -249,6 +249,84 @@ class TestExtrapolatedConvergence:
             for n in (1024, 2048, 4096):
                 refined = build(n)
                 assert_same_path(refined, make()(n))
+
+
+def counting_builder(cfg, calls):
+    """path_builder(cfg) with the points of every density evaluation and
+    every decomposition recorded in calls["rho"] and calls["decompose"]."""
+    state0 = initial_branches(cfg)
+
+    def rho_path(times):
+        calls["rho"].append(times.size)
+        return coherent_rho_path(state0, times, cfg.params)
+
+    def decompose(times, rhos, coarse=None):
+        calls["decompose"].append(times.size)
+        return eigen_path(times, rhos, degeneracy_tol=cfg.degeneracy_tol, coarse=coarse)
+
+    return refining_path_builder(quasicycle_period(cfg.params), rho_path, decompose)
+
+
+def assert_same_result(a, b):
+    for name in ("principal", "unwrapped", "n_steps", "error_estimate", "warnings"):
+        assert getattr(a, name) == getattr(b, name), name
+    assert np.array_equal(a.per_branch, b.per_branch)
+
+
+class TestFirstTwoLevels:
+    """converge_phase builds the 2n grid once and takes level n from its even points."""
+
+    @pytest.mark.parametrize("name, levels, density_points", [
+        ("macro_both", 2, [513]),
+        ("micro_micro", 3, [513, 512]),
+    ])
+    def test_density_and_decomposition_calls(self, monkeypatch, name, levels, density_points):
+        checked = []
+        checked_frames = density._checked_frames
+
+        def counting_checked_frames(rho, *args, **kwargs):
+            checked.append(len(rho))
+            return checked_frames(rho, *args, **kwargs)
+
+        monkeypatch.setattr(density, "_checked_frames", counting_checked_frames)
+        cfg = config(name)
+        calls = {"rho": [], "decompose": []}
+        res = converge_phase(counting_builder(cfg, calls), cfg.n_steps, cfg.phase_tol)
+        assert res.n_steps == cfg.n_steps * 2 ** (levels - 1)
+        assert calls == {"rho": density_points, "decompose": density_points}
+        assert checked == density_points
+
+    @pytest.mark.parametrize("name, n_start", [
+        ("micro_micro", None), ("macro_both", None), ("macro_single", None), ("general", None),
+        ("micro_micro", 2), ("macro_both", 2), ("macro_single", 2), ("general", 2),
+    ])
+    def test_equals_levels_built_separately(self, name, n_start):
+        cfg = config(name)
+        n_start = n_start or cfg.n_steps
+        res = converge_phase(path_builder(cfg), n_start, cfg.phase_tol)
+        assert_same_result(res, converge_phase_levels(path_builder(cfg), n_start, cfg.phase_tol))
+
+    def test_equals_levels_built_separately_on_random_paths(self):
+        rng = np.random.default_rng(16)
+        for scenario in (Scenario.MICRO_MICRO, Scenario.MACRO_BOTH, Scenario.MACRO_SINGLE) * 2:
+            p = ModelParams(
+                omega=1.0,
+                j_vdw=rng.uniform(0.0, 0.1),
+                lambda_c=rng.uniform(0.005, 0.2),
+                alpha=rng.uniform(0.3, 3.0) * np.exp(1j * rng.uniform(-math.pi, math.pi)),
+            )
+            eta0 = rng.uniform(0.15, 1.4)
+            n_start = int(rng.choice([2, 16, 256]))
+            res = converge_phase(analytic_path_builder(scenario, eta0, p), n_start)
+            ref = converge_phase_levels(analytic_path_builder(scenario, eta0, p), n_start)
+            assert_same_result(res, ref)
+
+    def test_same_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(geomphase, "MAX_DOUBLINGS", 3)
+        build = path_builder(config("micro_micro"))
+        for converge in (converge_phase, converge_phase_levels):
+            with pytest.raises(ConvergenceError):
+                converge(build, 16, phase_tol=1e-30)
 
 
 def planted_levels(terms, count=24):
