@@ -55,10 +55,12 @@ from .geomphase import (
     weak_coupling_phase_limit,
 )
 from .entanglement import (
+    WitnessResult,
     concurrence_wootters,
     hybrid_concurrence,
     macro_phase_relation,
     purity_oracle,
+    special_point_intensity,
     witness_micro_macro,
     witness_micro_micro,
 )
@@ -105,8 +107,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.n_steps < 2 or self.n_steps % 2:
             raise ValueError(f"n_steps must be an even integer >= 2, got {self.n_steps}")
-        if self.n_steps > MAX_STEPS:
-            raise ValueError(f"n_steps must be at most {MAX_STEPS}, got {self.n_steps}")
+        # converge_phase needs room for at least one doubling within MAX_STEPS.
+        if self.n_steps > MAX_STEPS // 2:
+            raise ValueError(f"n_steps must be at most {MAX_STEPS // 2}, got {self.n_steps}")
 
 
 def _real(value, key: str) -> float:
@@ -366,15 +369,55 @@ def run_evolve(cfg: RunConfig) -> Table:
     return Table(columns, rows)
 
 
+def _point(cfg: RunConfig, value: float | None = None) -> tuple[RunConfig, float | None]:
+    """The config at one swept value (cfg itself for None) and the point's
+    initial concurrence: the swept C, else micro_micro's |sin 2 eta0|, else None.
+
+    A micro_micro C sets eta0 = asin(C) / 2. A hybrid C moves the point to the
+    special point: eta0 = pi/4, lambda = omega/8 and the |alpha|^2 of
+    special_point_intensity.
+    """
+    variable = None if value is None else cfg.sweep.variable
+    if variable == "concurrence":
+        if cfg.scenario == "micro_micro":
+            return replace(cfg, eta0=0.5 * math.asin(value)), value
+        # the intensity at C = 0 is -0.0, whose square root would be -0.0
+        alpha = math.sqrt(special_point_intensity(value)) if value > 0 else 0.0
+        params = replace(cfg.params, lambda_c=cfg.params.omega / 8.0, alpha=complex(alpha))
+        return replace(cfg, params=params, eta0=math.pi / 4), value
+    if variable == "alpha":
+        cfg = replace(cfg, params=replace(cfg.params, alpha=complex(value)))
+    elif variable == "lambda_c":
+        cfg = replace(cfg, params=replace(cfg.params, lambda_c=value))
+    elif variable == "eta0":
+        cfg = replace(cfg, eta0=value)
+    return cfg, abs(math.sin(2 * cfg.eta0)) if cfg.scenario == "micro_micro" else None
+
+
+def _micro_references(cfg: RunConfig, conc: float) -> tuple[float, float, float]:
+    """micro_micro's closed-form, weak-law and weak-limit phases."""
+    return (
+        phase_micro_micro_closed(cfg.eta0, cfg.params),
+        weak_coupling_phase(conc, cfg.params),
+        weak_coupling_phase_limit(conc),
+    )
+
+
+def _witness(cfg: RunConfig, phase: float) -> WitnessResult:
+    """The scenario's inversion of a phase into an initial concurrence."""
+    if cfg.scenario == "micro_micro":
+        return witness_micro_micro(phase, cfg.params)
+    if cfg.scenario == "general":
+        raise ValueError("witness inversions exist for the three named scenarios only")
+    return witness_micro_macro(phase, Scenario(cfg.scenario), cfg.params)
+
+
 def run_phase(cfg: RunConfig) -> Table:
     result = compute_phase(cfg)
     closed = weak_law = weak_limit = special = ""
     if cfg.scenario == "micro_micro":
-        closed = phase_micro_micro_closed(cfg.eta0, cfg.params)
-        conc0 = abs(math.sin(2 * cfg.eta0))
-        weak_law = weak_coupling_phase(conc0, cfg.params)
-        weak_limit = weak_coupling_phase_limit(conc0)
-    elif cfg.scenario in ("macro_both", "macro_single") and at_special_point(cfg.eta0, cfg.params):
+        closed, weak_law, weak_limit = _micro_references(*_point(cfg))
+    elif cfg.scenario != "general" and at_special_point(cfg.eta0, cfg.params):
         special = phase_macro_closed(Scenario(cfg.scenario), cfg.eta0, cfg.params)
     columns = [
         "tau[time]",
@@ -406,12 +449,7 @@ def run_phase(cfg: RunConfig) -> Table:
 def run_witness(cfg: RunConfig) -> Table:
     if cfg.phase is None:
         raise ValueError("witness verb requires a 'phase' value in the configuration")
-    if cfg.scenario == "micro_micro":
-        res = witness_micro_micro(cfg.phase, cfg.params)
-    elif cfg.scenario in ("macro_both", "macro_single"):
-        res = witness_micro_macro(cfg.phase, Scenario(cfg.scenario), cfg.params)
-    else:
-        raise ValueError("witness inversions exist for the three named scenarios only")
+    res = _witness(cfg, cfg.phase)
     columns = [
         "phase[rad]",
         "concurrence_consistent[1]",
@@ -421,108 +459,38 @@ def run_witness(cfg: RunConfig) -> Table:
     return Table(columns, [[cfg.phase, res.consistent, res.verbatim, cfg.scenario]])
 
 
-def _micro_sweep_point(cfg: RunConfig, value: float) -> list:
-    if cfg.sweep.variable == "concurrence":
-        eta0 = 0.5 * math.asin(value)
-        point = replace(cfg, eta0=eta0)
-        conc = value
-    else:
-        point = _override_variable(cfg, value)
-        eta0 = point.eta0
-        conc = abs(math.sin(2 * eta0))
+def _sweep_row(cfg: RunConfig, value: float) -> list:
+    """The swept value, the point's eta0 (micro_micro) or |alpha| (hybrids),
+    its phase, the published phase law and that law inverted, and warnings."""
+    point, conc = _point(cfg, value)
     result = compute_phase(point)
-    closed = phase_micro_micro_closed(point.eta0, point.params)
-    weak_law = weak_coupling_phase(conc, point.params)
-    weak_limit = weak_coupling_phase_limit(conc)
-    witness = witness_micro_micro(weak_law, point.params).consistent
-    return [
-        value,
-        eta0,
-        result.unwrapped,
-        result.principal,
-        closed,
-        weak_law,
-        weak_limit,
-        witness,
-        "; ".join(result.warnings),
-    ]
-
-
-def _macro_sweep_point(cfg: RunConfig, value: float) -> list:
-    scenario = Scenario(cfg.scenario)
-    if cfg.sweep.variable == "concurrence":
-        # Special-point mapping: eta0 = pi/4, lambda tau = pi/4, alpha set by C.
-        alpha = math.sqrt(-0.5 * math.log(1.0 - value**2)) if value > 0 else 0.0
-        params = replace(cfg.params, lambda_c=cfg.params.omega / 8.0, alpha=complex(alpha))
-        point = replace(cfg, params=params, eta0=math.pi / 4)
-        conc = value
+    if cfg.scenario == "micro_micro":
+        closed, law, limit = _micro_references(point, conc)
+        cells = [point.eta0, result.unwrapped, result.principal, closed, law, limit]
     else:
-        point = _override_variable(cfg, value)
-        conc = ""
-    result = compute_phase(point)
-    relation = (
-        macro_phase_relation(conc, scenario, point.params)
-        if isinstance(conc, float) and conc < 1.0
-        else ""
-    )
-    witness = (
-        witness_micro_macro(relation, scenario, point.params).consistent
-        if relation != ""
-        else ""
-    )
-    return [
-        value,
-        abs(point.params.alpha),
-        result.unwrapped,
-        result.principal,
-        relation,
-        witness,
-        "; ".join(result.warnings),
-    ]
-
-
-def _override_variable(cfg: RunConfig, value: float) -> RunConfig:
-    var = cfg.sweep.variable
-    if var == "alpha":
-        return replace(cfg, params=replace(cfg.params, alpha=complex(value)))
-    if var == "lambda_c":
-        return replace(cfg, params=replace(cfg.params, lambda_c=value))
-    return replace(cfg, eta0=value)
+        law = "" if conc is None else macro_phase_relation(conc, Scenario(cfg.scenario), point.params)
+        cells = [abs(point.params.alpha), result.unwrapped, result.principal, law]
+    witness = "" if law == "" else _witness(point, law).consistent
+    return [value, *cells, witness, "; ".join(result.warnings)]
 
 
 def run_sweep(cfg: RunConfig) -> Table:
     if cfg.sweep is None:
         raise ValueError("sweep verb requires a 'sweep' block in the configuration")
-    values = np.linspace(cfg.sweep.start, cfg.sweep.stop, cfg.sweep.count)
-    if cfg.scenario == "micro_micro":
-        point_fn = _micro_sweep_point
-        columns = [
-            f"{cfg.sweep.variable}[1]",
-            "eta0[rad]",
-            "phase_kinematic[rad]",
-            "phase_principal[rad]",
-            "phase_closed_form[rad]",
-            "phase_weak_law[rad]",
-            "phase_weak_limit[rad]",
-            "witness_from_law[1]",
-            "warnings",
-        ]
-    elif cfg.scenario in ("macro_both", "macro_single"):
-        point_fn = _macro_sweep_point
-        columns = [
-            f"{cfg.sweep.variable}[1]",
-            "alpha_abs[1]",
-            "phase_kinematic[rad]",
-            "phase_principal[rad]",
-            "phase_relation[rad]",
-            "witness_roundtrip[1]",
-            "warnings",
-        ]
-    else:
+    if cfg.scenario == "general":
         raise ValueError("sweeps are defined for the three named scenarios")
+    values = np.linspace(cfg.sweep.start, cfg.sweep.stop, cfg.sweep.count)
     if cfg.sweep.variable == "concurrence" and not (0.0 <= values.min() and values.max() < 1.0):
         raise ValueError("concurrence sweep values must lie in [0, 1)")
-    return Table(columns, [point_fn(cfg, v) for v in values.tolist()])
+    if cfg.scenario == "micro_micro":
+        middle = ["eta0[rad]", "phase_kinematic[rad]", "phase_principal[rad]",
+                  "phase_closed_form[rad]", "phase_weak_law[rad]", "phase_weak_limit[rad]",
+                  "witness_from_law[1]"]
+    else:
+        middle = ["alpha_abs[1]", "phase_kinematic[rad]", "phase_principal[rad]",
+                  "phase_relation[rad]", "witness_roundtrip[1]"]
+    columns = [f"{cfg.sweep.variable}[1]", *middle, "warnings"]
+    return Table(columns, [_sweep_row(cfg, v) for v in values.tolist()])
 
 
 def run_scenario(cfg: RunConfig, verb: str) -> Table:

@@ -166,10 +166,15 @@ def witness_micro_macro(phase: float, scenario: Scenario, p: ModelParams) -> Wit
     raise ValueError("witness inversions exist for the hybrid scenarios only")
 
 
-def macro_phase_relation(concurrence: float, scenario: Scenario, p: ModelParams) -> float:
-    """Closed-form special-point phase as a function of initial concurrence:
-    special_point_phase at the |alpha|^2 = -ln(1 - C^2) / 2 that gives the
-    hybrid state this concurrence."""
+def special_point_intensity(concurrence: float) -> float:
+    """The |alpha|^2 = -ln(1 - C^2) / 2 at which the hybrid state at eta0 =
+    pi/4 has initial concurrence C (-0.0 at C = 0)."""
     if not 0.0 <= concurrence < 1.0:
         raise ValueError("concurrence must lie in [0, 1)")
-    return special_point_phase(scenario, -0.5 * math.log(1.0 - concurrence**2), p)
+    return -0.5 * math.log(1.0 - concurrence**2)
+
+
+def macro_phase_relation(concurrence: float, scenario: Scenario, p: ModelParams) -> float:
+    """Closed-form special-point phase as a function of initial concurrence:
+    special_point_phase at the special_point_intensity of C."""
+    return special_point_phase(scenario, special_point_intensity(concurrence), p)

@@ -100,10 +100,13 @@ class TestParseConfig:
             parse_config(cfg_text(grid={"nstep": 8}))
 
     def test_grid_bound_is_the_finest_default_grid(self):
-        cfg = parse_config(cfg_text(grid={"n_steps": geomphase.MAX_STEPS}))
-        assert cfg.n_steps == 2_097_152
-        with pytest.raises(ValueError, match="n_steps must be at most 2097152"):
-            replace(cfg, n_steps=geomphase.MAX_STEPS + 2)
+        # the finest start grid that converge_phase can still double
+        cfg = parse_config(cfg_text(grid={"n_steps": geomphase.MAX_STEPS // 2}))
+        assert cfg.n_steps == 1_048_576
+        with pytest.raises(ValueError, match="n_steps must be at most 1048576"):
+            replace(cfg, n_steps=geomphase.MAX_STEPS // 2 + 2)
+        with pytest.raises(geomphase.ConvergenceError, match="no doubling"):
+            geomphase.converge_phase(lambda n: None, n_start=geomphase.MAX_STEPS // 2 + 2)
 
     def test_not_json(self):
         with pytest.raises(ValueError, match="JSON"):
@@ -341,6 +344,33 @@ class TestRunScenario:
         assert np.all(np.diff(rel) > 0)
         np.testing.assert_allclose(wit, conc, atol=1e-10)
 
+    @pytest.mark.parametrize("scenario", ["micro_micro", "macro_single"])
+    @pytest.mark.parametrize(
+        "variable, start, stop", [("alpha", 0.5, 1.5), ("lambda_c", 0.005, 0.05), ("eta0", 0.2, 0.7)]
+    )
+    def test_sweep_rows_equal_the_phase_of_each_point(self, scenario, variable, start, stop):
+        # each row is the phase run of the config with the swept key set to its value
+        doc = json.loads((CONFIG_DIR / f"{scenario}.json").read_text())
+        doc["grid"] = {"n_steps": 64}
+        sweep = run_scenario(
+            parse_config(json.dumps(dict(doc, sweep={"variable": variable, "start": start,
+                                                     "stop": stop, "count": 2}))),
+            "sweep",
+        )
+        for value, cells in zip(np.linspace(start, stop, 2).tolist(), sweep.rows):
+            row = dict(zip(sweep.columns, cells))
+            phase = run_scenario(parse_config(json.dumps(dict(doc, **{variable: value}))), "phase")
+            ref = dict(zip(phase.columns, phase.rows[0]))
+            assert row[f"{variable}[1]"] == value
+            assert row["phase_kinematic[rad]"] == ref["phase_unwrapped[rad]"]
+            assert row["phase_principal[rad]"] == ref["phase_principal[rad]"]
+            assert row["warnings"] == ref["warnings"]
+            if scenario == "micro_micro":
+                for key in ("phase_closed_form[rad]", "phase_weak_law[rad]", "phase_weak_limit[rad]"):
+                    assert row[key] == ref[key]
+            else:
+                assert row["phase_relation[rad]"] == row["witness_roundtrip[1]"] == ""
+
     def test_sweep_starts_no_thread(self, monkeypatch):
         # A thread would get its own malloc arena, a few MB of peak RSS.
         started = []
@@ -436,6 +466,8 @@ class TestMainEntry:
                 {"sweep": {"variable": "concurrence", "start": 0.1, "stop": 0.8, "count": 2**50}},
                 "sweep.count",
             ),
+            # a start grid that converge_phase cannot double
+            (["phase", "--steps", str(2**21)], {}, "n_steps"),
         ],
     )
     def test_unbounded_grids_and_sweeps_exit_1_naming_the_key(
@@ -447,6 +479,30 @@ class TestMainEntry:
         assert main([*argv, "--config", str(cfg)]) == 1
         assert time.perf_counter() - start < 1.0
         assert f"{key} must" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "verb, config, overrides, message",
+        [
+            ("sweep", "general", {"sweep": {"variable": "alpha", "start": 0.5, "stop": 1.0, "count": 2}},
+             "sweeps are defined for the three named scenarios"),
+            ("witness", "general", {"phase": 0.1},
+             "witness inversions exist for the three named scenarios only"),
+            ("sweep", "micro_micro",
+             {"sweep": {"variable": "concurrence", "start": 0.5, "stop": 1.0, "count": 3}},
+             "concurrence sweep values must lie in [0, 1)"),
+            ("sweep", "macro_both",
+             {"sweep": {"variable": "concurrence", "start": 0.5, "stop": 1.0, "count": 3}},
+             "concurrence sweep values must lie in [0, 1)"),
+        ],
+    )
+    def test_refused_sweeps_and_witnesses_exit_1_with_their_message(
+        self, tmp_path, capsys, verb, config, overrides, message
+    ):
+        doc = json.loads((CONFIG_DIR / f"{config}.json").read_text())
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(dict(doc, **overrides)))
+        assert main([verb, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "argv, code",

@@ -26,6 +26,8 @@ from becphase import (
     witness_micro_micro,
 )
 from becphase.cli import initial_branches, initial_state, parse_config
+from becphase.entanglement import special_point_intensity
+from becphase.geomphase import special_point_phase
 from becphase.density import coherent_rho_path, eigen_path, oracle_rho_path, validate_density
 from becphase.model import quasicycle_period
 from oracles import (
@@ -265,6 +267,25 @@ class TestHybridConcurrence:
     def test_overlap_bound(self):
         with pytest.raises(ValueError):
             hybrid_concurrence(0.5, 1.2)
+
+    @pytest.mark.parametrize("conc", [0.1, 0.5, 0.9])
+    def test_special_point_intensity_sets_the_printed_concurrence(self, conc):
+        # the hybrid sweeps' C is the linear-overlap form's; the purity
+        # oracle gives the same state sqrt(1 - (1 - C^2)^2)
+        a2 = special_point_intensity(conc)
+        state = macro_both_initial(math.pi / 4, ModelParams(omega=1.0, alpha=math.sqrt(a2))).fock()
+        res = hybrid_concurrence(math.pi / 4, branch_overlap(state.amps[0], state.amps[1]))
+        assert res.verbatim == pytest.approx(conc, abs=1e-9)
+        assert res.general == pytest.approx(math.sqrt(1 - (1 - conc**2) ** 2), abs=1e-9)
+        assert macro_phase_relation(conc, Scenario.MACRO_BOTH, ModelParams(omega=1.0)) == (
+            special_point_phase(Scenario.MACRO_BOTH, a2, ModelParams(omega=1.0))
+        )
+
+    def test_special_point_intensity_domain(self):
+        assert math.copysign(1.0, special_point_intensity(0.0)) == -1.0
+        for conc in (-0.1, 1.0):
+            with pytest.raises(ValueError, match=r"\[0, 1\)"):
+                special_point_intensity(conc)
 
 
 class TestPurityOracle:
