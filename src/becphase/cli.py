@@ -61,6 +61,7 @@ from .entanglement import (
     macro_phase_relation,
     purity_oracle,
     special_point_intensity,
+    weak_law_scale,
     witness_micro_macro,
     witness_micro_micro,
 )
@@ -239,7 +240,7 @@ def initial_state(cfg: RunConfig) -> JointState:
     return initial_branches(cfg).fock()
 
 
-def path_builder(cfg: RunConfig) -> Callable[[int], EigenPath]:
+def path_builder(cfg: RunConfig) -> Callable[..., EigenPath]:
     state0 = initial_branches(cfg)
     # coherent_rho_path and eigen_path are looked up here at call time, so
     # that a caller may replace them on this module, as perfbench does to
@@ -381,8 +382,7 @@ def _point(cfg: RunConfig, value: float | None = None) -> tuple[RunConfig, float
     if variable == "concurrence":
         if cfg.scenario == "micro_micro":
             return replace(cfg, eta0=0.5 * math.asin(value)), value
-        # the intensity at C = 0 is -0.0, whose square root would be -0.0
-        alpha = math.sqrt(special_point_intensity(value)) if value > 0 else 0.0
+        alpha = math.sqrt(special_point_intensity(value))
         params = replace(cfg.params, lambda_c=cfg.params.omega / 8.0, alpha=complex(alpha))
         return replace(cfg, params=params, eta0=math.pi / 4), value
     if variable == "alpha":
@@ -460,8 +460,9 @@ def run_witness(cfg: RunConfig) -> Table:
 
 
 def _sweep_row(cfg: RunConfig, value: float) -> list:
-    """The swept value, the point's eta0 (micro_micro) or |alpha| (hybrids),
-    its phase, the published phase law and that law inverted, and warnings."""
+    """The swept value, the point's eta0 (micro_micro) or |alpha| (hybrids), its
+    phase, the published phase law, that law inverted (empty if it has no
+    inverse) and warnings."""
     point, conc = _point(cfg, value)
     result = compute_phase(point)
     if cfg.scenario == "micro_micro":
@@ -470,7 +471,9 @@ def _sweep_row(cfg: RunConfig, value: float) -> list:
     else:
         law = "" if conc is None else macro_phase_relation(conc, Scenario(cfg.scenario), point.params)
         cells = [abs(point.params.alpha), result.unwrapped, result.principal, law]
-    witness = "" if law == "" else _witness(point, law).consistent
+    # micro_micro's weak law has no inverse where lambda |alpha|^2 <= 0
+    invertible = cfg.scenario != "micro_micro" or weak_law_scale(point.params) > 0.0
+    witness = _witness(point, law).consistent if law != "" and invertible else ""
     return [value, *cells, witness, "; ".join(result.warnings)]
 
 

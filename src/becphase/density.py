@@ -292,19 +292,17 @@ class EigenPath:
     exceeds the support cutoff are dropped. flags carries warnings about
     near-degenerate stretches where the matching is ill-conditioned. frames
     holds validate_density's decomposition (values, vectors) at every grid
-    point, block the index pair it decomposed in closed form (None when
-    `eigh` ran) and degeneracy_tol the gap below which flags were raised: a
-    refinement of the path reuses frames and block, and even_point_path
-    derives the path on every second grid point from all three.
+    point and block the index pair it decomposed in closed form (None when
+    `eigh` ran): a refinement of the path reuses both, and even_point_path
+    derives the path on every second grid point from them.
     """
 
     times: np.ndarray
     values: np.ndarray
     vectors: np.ndarray
-    flags: tuple[str, ...] = ()
-    frames: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
-    block: tuple[int, int] | None = field(default=None, repr=False, compare=False)
-    degeneracy_tol: float = field(default=DEGENERACY_TOL, repr=False, compare=False)
+    flags: tuple[str, ...]
+    frames: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
+    block: tuple[int, int] | None = field(repr=False, compare=False)
 
     @property
     def n_steps(self) -> int:
@@ -412,8 +410,8 @@ def eigen_path(
     if coarse is None:
         if times.ndim != 1 or times.size < 2:
             raise ValueError("need at least two time points")
-    elif coarse.frames is None or times.shape != (coarse.n_steps,):
-        raise ValueError("refinement needs one midpoint per step of a path that keeps its frames")
+    elif times.shape != (coarse.n_steps,):
+        raise ValueError("refinement needs one midpoint per step of the coarse path")
     if rhos.shape != (times.size, 4, 4):
         raise ValueError(f"expected shape {(times.size, 4, 4)}, got {rhos.shape}")
     evals, evecs, block = _checked_frames(rhos)
@@ -426,21 +424,21 @@ def eigen_path(
     return _branch_path(times, evals, evecs, block, degeneracy_tol)
 
 
-def even_point_path(path: EigenPath) -> EigenPath:
+def even_point_path(path: EigenPath, degeneracy_tol: float = DEGENERACY_TOL) -> EigenPath:
     """The path on every second grid point of `path`, from its frames: no
     density matrix is validated or decomposed again.
 
-    Matching, support cut and flags run over the even points with the
-    path's degeneracy_tol, so the result equals eigen_path on those points
-    from scratch whenever they span the basis states that the whole grid
+    Matching, support cut and flags run over the even points, so the result
+    equals eigen_path on those points from scratch, at the same
+    degeneracy_tol, whenever they span the basis states that the whole grid
     spans, as on every path whose support stays the same along the grid.
     """
-    if path.frames is None or path.n_steps % 2:
-        raise ValueError("even points need an even number of steps on a path that keeps its frames")
+    if path.n_steps % 2:
+        raise ValueError("even points need an even number of steps")
     # Contiguous, as a decomposition's own arrays: the matching's overlap
     # sums then see the memory layout they see from scratch.
     evals, evecs = (np.ascontiguousarray(f[::2]) for f in path.frames)
-    return _branch_path(path.times[::2], evals, evecs, path.block, path.degeneracy_tol)
+    return _branch_path(path.times[::2], evals, evecs, path.block, degeneracy_tol)
 
 
 def _branch_path(
@@ -476,7 +474,4 @@ def _branch_path(
                 f"{degeneracy_tol:g} on {idx.size} of {m_total} grid points, "
                 f"t in [{times[idx[0]]:.6g}, {times[idx[-1]]:.6g}]"
             )
-    return EigenPath(
-        times, vals, vecs, tuple(flags),
-        frames=(evals, evecs), block=block, degeneracy_tol=degeneracy_tol,
-    )
+    return EigenPath(times, vals, vecs, tuple(flags), frames=(evals, evecs), block=block)

@@ -126,9 +126,14 @@ class WitnessResult:
     verbatim: float
 
 
+def weak_law_scale(p: ModelParams) -> float:
+    """4 pi lambda |alpha|^2 / omega: the weak law at C = 1, invertible only if positive."""
+    return 4.0 * math.pi * p.lambda_c * abs(p.alpha) ** 2 / p.omega
+
+
 def witness_micro_micro(phase: float, p: ModelParams) -> WitnessResult:
     """Invert the weak-coupling phase relation of the Bell scenario."""
-    scale = 4.0 * math.pi * p.lambda_c * abs(p.alpha) ** 2 / p.omega
+    scale = weak_law_scale(p)
     if scale <= 0.0:
         raise ValueError("witness needs lambda_c > 0 and alpha != 0")
     if not -1e-12 <= phase <= scale * (1.0 + 1e-12):
@@ -149,29 +154,29 @@ def witness_micro_macro(phase: float, scenario: Scenario, p: ModelParams) -> Wit
     the published detuning omega - 4J) and is the one that round-trips.
     """
     if scenario == Scenario.MACRO_BOTH:
-        arg = -64.0 * phase / (16.0 + p.omega)
-        if arg > 1e-12:
-            raise ValueError("phase out of range: concurrence would be imaginary")
-        val = math.sqrt(max(0.0, 1.0 - math.exp(min(arg, 0.0))))
+        val = _root_of_one_minus_exp(-64.0 * phase / (16.0 + p.omega))
         return WitnessResult(val, val)
     if scenario == Scenario.MACRO_SINGLE:
         j_shift = 16.0 * math.pi * p.j_vdw / p.omega
-        arg_consistent = 4.0 * phase + 4.0 * math.pi - j_shift
-        if arg_consistent > 1e-12:
-            raise ValueError("phase out of range: concurrence would be imaginary")
-        consistent = math.sqrt(max(0.0, 1.0 - math.exp(min(arg_consistent, 0.0))))
-        arg_verbatim = 4.0 * phase - j_shift
-        verbatim = math.sqrt(max(0.0, 1.0 - math.exp(min(arg_verbatim, 0.0))))
-        return WitnessResult(consistent, verbatim)
+        consistent = _root_of_one_minus_exp(4.0 * phase + 4.0 * math.pi - j_shift)
+        return WitnessResult(consistent, _root_of_one_minus_exp(4.0 * phase - j_shift))
     raise ValueError("witness inversions exist for the hybrid scenarios only")
 
 
+def _root_of_one_minus_exp(arg: float) -> float:
+    """sqrt(1 - exp(arg)) as sqrt(-expm1(arg)), exact for small |arg| and never
+    -0.0; an arg up to 1e-12 counts as 0, a larger one is an error."""
+    if arg > 1e-12:
+        raise ValueError("phase out of range: concurrence would be imaginary")
+    return math.sqrt(max(0.0, -math.expm1(min(arg, 0.0))))
+
+
 def special_point_intensity(concurrence: float) -> float:
-    """The |alpha|^2 = -ln(1 - C^2) / 2 at which the hybrid state at eta0 =
-    pi/4 has initial concurrence C (-0.0 at C = 0)."""
+    """The |alpha|^2 = -ln(1 - C^2) / 2, as -log1p(-C^2) / 2, at which the
+    hybrid state at eta0 = pi/4 has initial concurrence C (+0.0 at C = 0)."""
     if not 0.0 <= concurrence < 1.0:
         raise ValueError("concurrence must lie in [0, 1)")
-    return -0.5 * math.log(1.0 - concurrence**2)
+    return -0.5 * math.log1p(-(concurrence**2))
 
 
 def macro_phase_relation(concurrence: float, scenario: Scenario, p: ModelParams) -> float:

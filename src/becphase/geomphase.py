@@ -186,7 +186,7 @@ def romberg_acceptance(
 
 
 def converge_phase(
-    build_path: Callable[[int], EigenPath],
+    build_path: Callable[..., EigenPath],
     n_start: int = N_STEPS,
     phase_tol: float = PHASE_TOL,
 ) -> PhaseResult:
@@ -196,7 +196,7 @@ def converge_phase(
     The first two levels come from one path: build_path(2 n_start), whose
     even grid points give the n_start level (even_point_path), so no density
     matrix is evaluated or decomposed twice. Each further level is
-    build_path of twice the last n.
+    build_path(2 n, coarse=path), which may refine the last level's path or ignore it.
 
     The link product's grid error is a series in h^2, so each level is
     judged by romberg_acceptance over the unwrapped phases of all levels so
@@ -229,7 +229,7 @@ def converge_phase(
         if len(levels) > MAX_DOUBLINGS or 2 * n > MAX_STEPS:
             break
         n *= 2
-        path = build_path(n)
+        path = build_path(n, coarse=path)
     raise ConvergenceError(
         f"phase did not converge to {phase_tol:g} within {len(levels) - 1} doublings "
         f"(last delta {abs(levels[-1] - levels[-2]):g} at {n} of at most {MAX_STEPS} steps)"
@@ -240,27 +240,20 @@ def refining_path_builder(
     tau: float,
     rho_path: Callable[[np.ndarray], np.ndarray],
     decompose: Callable[..., EigenPath],
-) -> Callable[[int], EigenPath]:
-    """Path factory on the grid linspace(0, tau, n + 1) for converge_phase.
-
-    rho_path(times) gives the density matrices and decompose(times, rhos,
-    coarse=None) their EigenPath, as eigen_path does. A call at twice the
-    previous call's n reuses that level, whose grid is the new grid's even
-    points: only the midpoints get a density matrix and an
-    eigen-decomposition, and the path equals one built from scratch. Any
-    other n starts afresh. Only the last level is kept.
+) -> Callable[..., EigenPath]:
+    """Path factory build(n, coarse=None) on linspace(0, tau, n + 1) for
+    converge_phase: rho_path(times) gives the density matrices and
+    decompose(times, rhos, coarse=None) their EigenPath, as eigen_path does.
+    Given coarse, the path on n / 2 steps, only the midpoints of its steps
+    are evaluated and decomposed, and the path equals one built from scratch.
     """
-    last: EigenPath | None = None
 
-    def build(n_steps: int) -> EigenPath:
-        nonlocal last
+    def build(n_steps: int, coarse: EigenPath | None = None) -> EigenPath:
         times = np.linspace(0.0, tau, n_steps + 1)
-        if last is not None and n_steps == 2 * last.n_steps:
-            mid = times[1::2]
-            last = decompose(mid, rho_path(mid), coarse=last)
-        else:
-            last = decompose(times, rho_path(times))
-        return last
+        if coarse is None:
+            return decompose(times, rho_path(times))
+        mid = times[1::2]
+        return decompose(mid, rho_path(mid), coarse=coarse)
 
     return build
 
@@ -270,7 +263,7 @@ def analytic_path_builder(
     eta0: float,
     p: ModelParams,
     degeneracy_tol: float = DEGENERACY_TOL,
-) -> Callable[[int], EigenPath]:
+) -> Callable[..., EigenPath]:
     """Path factory over one quasicycle from the corrected closed-form density matrices."""
     return refining_path_builder(
         quasicycle_period(p),

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -370,6 +372,36 @@ class TestRunScenario:
                     assert row[key] == ref[key]
             else:
                 assert row["phase_relation[rad]"] == row["witness_roundtrip[1]"] == ""
+
+    @pytest.mark.parametrize("variable, start, stop", [("alpha", 0.0, 1.0), ("lambda_c", -0.001, 0.001)])
+    def test_micro_sweep_through_zero_coupling(self, tmp_path, capsys, variable, start, stop):
+        # where lambda |alpha|^2 <= 0 the weak law has no inverse: its witness
+        # cell is empty, and every row is still the phase of its point
+        doc = json.loads((CONFIG_DIR / "micro_micro.json").read_text())
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(doc, sweep={"variable": variable, "start": start,
+                                                    "stop": stop, "count": 3})))
+        assert main(["sweep", "--config", str(path)]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 3
+        for row in rows:
+            point = dict(doc, **{variable: float(row[f"{variable}[1]"])})
+            path.write_text(json.dumps(point))
+            assert main(["phase", "--config", str(path)]) == 0
+            ref = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+            assert row["phase_kinematic[rad]"] == ref["phase_unwrapped[rad]"]
+            for key in ("phase_principal[rad]", "phase_closed_form[rad]", "phase_weak_law[rad]",
+                        "phase_weak_limit[rad]", "warnings"):
+                assert row[key] == ref[key], key
+            coupling = point["lambda_c"] * point["alpha"] ** 2
+            assert (row["witness_from_law[1]"] == "") == (coupling <= 0.0)
+
+    @pytest.mark.parametrize("name", ["sweep_entanglement_micro", "sweep_entanglement_macro"])
+    def test_shipped_sweeps_print_no_signed_zero(self, name):
+        text = emit(run_scenario(parse_config((CONFIG_DIR / f"{name}.json").read_text()), "sweep"))
+        rows = list(csv.reader(io.StringIO(text)))
+        assert len(rows) == 51
+        assert not [cell for row in rows for cell in row if cell.startswith("-0") and float(cell) == 0.0]
 
     def test_sweep_starts_no_thread(self, monkeypatch):
         # A thread would get its own malloc arena, a few MB of peak RSS.

@@ -8,7 +8,6 @@ import pytest
 
 from becphase import (
     ConvergenceError,
-    EigenPath,
     ModelParams,
     Scenario,
     analytic_path_builder,
@@ -105,7 +104,7 @@ class TestKinematicPhase:
         rephased = path.vectors * np.exp(
             1j * rng.uniform(-math.pi, math.pi, size=(path.times.size, 1, path.n_branches))
         )
-        res = kinematic_phase(EigenPath(path.times, path.values, rephased, path.flags))
+        res = kinematic_phase(replace(path, vectors=rephased))
         assert abs(res.unwrapped - base.unwrapped) < 1e-9
         assert np.max(np.abs(res.per_branch - base.per_branch)) < 1e-9
 
@@ -159,7 +158,7 @@ class TestKinematicPhase:
         tau = quasicycle_period(p)
         state0 = bell_initial(eta0, p).fock()
 
-        def build(n):
+        def build(n, coarse=None):  # every level from scratch
             times = np.linspace(0.0, tau, n + 1)
             return eigen_path(times, oracle_rho_path(state0, times, p))
 
@@ -189,6 +188,8 @@ def assert_same_path(a, b):
     for name in ("times", "values", "vectors"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert a.flags == b.flags
+    assert all(np.array_equal(x, y) for x, y in zip(a.frames, b.frames))
+    assert a.block == b.block
 
 
 class TestExtrapolatedConvergence:
@@ -219,9 +220,9 @@ class TestExtrapolatedConvergence:
         inner = analytic_path_builder(Scenario.MICRO_MICRO, 0.5, p)
         built = []
 
-        def build(n):
+        def build(n, coarse=None):
             built.append(n)
-            return inner(n)
+            return inner(n, coarse)
 
         with pytest.raises(ConvergenceError, match="within 2097152 steps"):
             converge_phase(build, 2**50)
@@ -241,14 +242,44 @@ class TestExtrapolatedConvergence:
     def test_refined_path_equals_scratch(self):
         p = ModelParams(omega=1.0, lambda_c=0.05, alpha=1.0)
         cfg = config("general")
-        for make in (
-            lambda: analytic_path_builder(Scenario.MICRO_MICRO, 0.5, p),
-            lambda: path_builder(cfg),
-        ):
-            build = make()
+        for build in (analytic_path_builder(Scenario.MICRO_MICRO, 0.5, p), path_builder(cfg)):
+            coarse = build(512)
             for n in (1024, 2048, 4096):
-                refined = build(n)
-                assert_same_path(refined, make()(n))
+                refined = build(n, coarse=coarse)
+                assert_same_path(refined, build(n))
+                coarse = refined
+
+    @pytest.mark.parametrize("name", ["micro_micro", "general"])
+    def test_builder_keeps_no_state(self, name):
+        # repeated and out-of-order calls give the paths of a fresh builder
+        cfg = config(name)
+        build = path_builder(cfg)
+        coarse = build(512)
+        for n in (1024, 1024, 256, 4096, 2048):
+            assert_same_path(build(n), path_builder(cfg)(n))
+            assert_same_path(build(1024, coarse=coarse), path_builder(cfg)(1024))
+
+    @pytest.mark.parametrize("name", ["micro_micro", "general"])
+    def test_each_doubling_refines_the_last_level(self, name):
+        cfg = config(name)
+        inner = path_builder(cfg)
+        calls = []
+
+        def build(n, coarse=None):
+            path = inner(n, coarse)
+            calls.append((n, coarse, path))
+            return path
+
+        def scratch(n, coarse=None):  # ignores coarse
+            return inner(n)
+
+        res = converge_phase(build, cfg.n_steps, cfg.phase_tol)
+        assert len(calls) >= 2
+        assert calls[0][:2] == (2 * cfg.n_steps, None)
+        for (n, _, last), (m, coarse, _) in zip(calls, calls[1:]):
+            assert m == 2 * n and coarse is last
+        assert res.n_steps == calls[-1][0]
+        assert_same_result(res, converge_phase(scratch, cfg.n_steps, cfg.phase_tol))
 
 
 def counting_builder(cfg, calls):
