@@ -20,6 +20,7 @@ from .dynamics import (
 )
 from .density import (
     EigenPath,
+    Frames,
     Scenario,
     analytic_rho_path,
     coherent_rho_path,

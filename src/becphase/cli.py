@@ -345,9 +345,7 @@ def run_evolve(cfg: RunConfig) -> Table:
     eps = np.zeros((times.size, 2))
     eps[:, : min(2, path.n_branches)] = path.values[:, :2]
     purity = _at_most_one(np.real(np.einsum("mij,mji->m", rhos, rhos)), "purity")
-    conc = _at_most_one(
-        concurrence_wootters(rhos, frames=path.frames, block=path.block), "concurrence"
-    )
+    conc = _at_most_one(concurrence_wootters(rhos, frames=path.frames), "concurrence")
     offdiag = np.abs(rhos[:, i0, i1])
 
     columns = [

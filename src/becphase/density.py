@@ -8,6 +8,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,26 +74,26 @@ _LOWER = np.array([4, 8, 12, 9, 13, 14])
 _DIAGONAL = np.array([0, 5, 10, 15])
 
 
-def validate_density(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class Frames(NamedTuple):
+    """An eigen-decomposition of a 4x4 density matrix or of every matrix of
+    a (..., 4, 4) stack: values[..., k] and vectors[..., :, k] are its
+    eigenpairs, and block is the index pair of the two-state support that
+    _block_frames decomposed in closed form, or None when `eigh` ran."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+    block: tuple[int, int] | None
+
+
+def validate_density(rho: np.ndarray) -> Frames:
     """Check Hermiticity, unit trace and positivity of a 4x4 density matrix or
-    of every matrix of a (..., 4, 4) stack; return the eigen-decomposition
-    (values, vectors) that the positivity check computes.
+    of every matrix of a (..., 4, 4) stack; return the Frames that the
+    positivity check computes.
 
     When every matrix is supported on the same two basis states or one, the
     decomposition is _block_frames' closed form; otherwise it is `eigh`'s,
     with ascending values.
     """
-    evals, evecs, _ = _checked_frames(rho)
-    return evals, evecs
-
-
-def _checked_frames(
-    rho: np.ndarray, block_vectors: bool = True
-) -> tuple[np.ndarray, np.ndarray | None, tuple[int, int] | None]:
-    """validate_density's checks and decomposition, and the index pair of the
-    block decomposed in closed form (None when `eigh` ran). Without
-    `block_vectors` a closed-form block yields its values and None for the
-    vectors."""
     m = np.asarray(rho, dtype=complex)
     if m.shape[-2:] != (4, 4):
         raise ValueError(f"density matrices must be 4x4, got shape {m.shape}")
@@ -123,10 +124,10 @@ def _checked_frames(
     if block is None:
         evals, evecs = np.linalg.eigh(m)
     else:
-        evals, evecs = _block_frames(m, block, block_vectors)
+        evals, evecs = _block_frames(m, block)
     if not evals.min() >= -POSITIVITY_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {evals.min():g}")
-    return evals, evecs, block
+    return Frames(evals, evecs, block)
 
 
 def _direction(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -140,9 +141,7 @@ def _direction(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _block_frames(
-    m: np.ndarray, block: tuple[int, int], vectors: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _block_frames(m: np.ndarray, block: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form eigen-decomposition of matrices whose entries outside the
     rows and columns of block = (i, j) are 0.
 
@@ -152,8 +151,7 @@ def _block_frames(
     (cos 2t, sin 2t) = ((a - d)/2, |b|) / r and u = conj(b) / |b|. Columns 0
     and 1 hold v+ and v-, columns 2 and 3 the two other basis states with
     eigenvalue 0. Only sqrt, hypot and division enter, so a matrix gives the
-    same bits alone as in a stack. Without `vectors` only the values are
-    computed, and None stands for the vectors.
+    same bits alone as in a stack.
     """
     i, j = block
     a, d, b = m[..., i, i].real, m[..., j, j].real, m[..., i, j]
@@ -163,8 +161,6 @@ def _block_frames(
     evals = np.zeros(a.shape + (4,))
     evals[..., 0] = mean + r
     evals[..., 1] = mean - r
-    if not vectors:
-        return evals, None
     cos2, sin2 = _direction(half, mod_b)
     # The larger of cos(t), sin(t) is sqrt((1 + |cos 2t|) / 2) >= sqrt(1/2); the
     # smaller, sin 2t / (2 larger), does not cancel the way sqrt((1 - |cos 2t|) / 2) does.
@@ -281,7 +277,7 @@ def analytic_rho_path(
 # Eigen-decomposition along a path with branch continuity.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenPath:
     """Continuity-ordered eigenvalue/eigenvector branches along a time grid.
 
@@ -291,18 +287,16 @@ class EigenPath:
     and the smaller block eigenvalue; spectator branches whose eigenvalue never
     exceeds the support cutoff are dropped. flags carries warnings about
     near-degenerate stretches where the matching is ill-conditioned. frames
-    holds validate_density's decomposition (values, vectors) at every grid
-    point and block the index pair it decomposed in closed form (None when
-    `eigh` ran): a refinement of the path reuses both, and even_point_path
-    derives the path on every second grid point from them.
+    holds validate_density's Frames at every grid point: a refinement of the
+    path reuses them, and even_point_path derives the path on every second
+    grid point from them. Paths compare by identity.
     """
 
     times: np.ndarray
     values: np.ndarray
     vectors: np.ndarray
     flags: tuple[str, ...]
-    frames: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
-    block: tuple[int, int] | None = field(repr=False, compare=False)
+    frames: Frames = field(repr=False)
 
     @property
     def n_steps(self) -> int:
@@ -414,48 +408,43 @@ def eigen_path(
         raise ValueError("refinement needs one midpoint per step of the coarse path")
     if rhos.shape != (times.size, 4, 4):
         raise ValueError(f"expected shape {(times.size, 4, 4)}, got {rhos.shape}")
-    evals, evecs, block = _checked_frames(rhos)
+    frames = validate_density(rhos)
     if coarse is not None:
         times = _interleave(coarse.times, times)
-        evals = _interleave(coarse.frames[0], evals)
-        evecs = _interleave(coarse.frames[1], evecs)
-        if coarse.block != block:
-            block = None
-    return _branch_path(times, evals, evecs, block, degeneracy_tol)
+        frames = Frames(
+            _interleave(coarse.frames.values, frames.values),
+            _interleave(coarse.frames.vectors, frames.vectors),
+            frames.block if coarse.frames.block == frames.block else None,
+        )
+    return _branch_path(times, frames, degeneracy_tol)
 
 
-def even_point_path(path: EigenPath, degeneracy_tol: float = DEGENERACY_TOL) -> EigenPath:
+def even_point_path(path: EigenPath) -> EigenPath:
     """The path on every second grid point of `path`, from its frames: no
     density matrix is validated or decomposed again.
 
     Matching, support cut and flags run over the even points, so the result
-    equals eigen_path on those points from scratch, at the same
-    degeneracy_tol, whenever they span the basis states that the whole grid
-    spans, as on every path whose support stays the same along the grid.
+    equals eigen_path on those points from scratch, flags at DEGENERACY_TOL,
+    whenever they span the basis states that the whole grid spans, as on
+    every path whose support stays the same along the grid.
     """
     if path.n_steps % 2:
         raise ValueError("even points need an even number of steps")
     # Contiguous, as a decomposition's own arrays: the matching's overlap
     # sums then see the memory layout they see from scratch.
-    evals, evecs = (np.ascontiguousarray(f[::2]) for f in path.frames)
-    return _branch_path(path.times[::2], evals, evecs, path.block, degeneracy_tol)
+    values, vectors, block = path.frames
+    frames = Frames(np.ascontiguousarray(values[::2]), np.ascontiguousarray(vectors[::2]), block)
+    return _branch_path(path.times[::2], frames, DEGENERACY_TOL)
 
 
-def _branch_path(
-    times: np.ndarray,
-    evals: np.ndarray,
-    evecs: np.ndarray,
-    block: tuple[int, int] | None,
-    degeneracy_tol: float,
-) -> EigenPath:
-    """The EigenPath of the frames (evals, evecs) on a grid: branches matched
-    across grid points unless a closed-form block keeps them apart, branches
-    that never exceed SUPPORT_TOL cut, and near-degenerate pairs flagged."""
+def _branch_path(times: np.ndarray, frames: Frames, degeneracy_tol: float) -> EigenPath:
+    """The EigenPath of frames on a grid: branches matched across grid points
+    unless a closed-form block keeps them apart, branches that never exceed
+    SUPPORT_TOL cut, and near-degenerate pairs flagged."""
     m_total = times.size
-    if block is None:
-        vals, vecs = _matched_branches(evals, evecs)
-    else:
-        vals, vecs = evals, evecs
+    vals, vecs = frames.values, frames.vectors
+    if frames.block is None:
+        vals, vecs = _matched_branches(vals, vecs)
     keep = np.flatnonzero(vals.max(axis=0) > SUPPORT_TOL)
     if keep.size == 0:
         raise ValueError("no branch carries weight above the support cutoff")
@@ -474,4 +463,4 @@ def _branch_path(
                 f"{degeneracy_tol:g} on {idx.size} of {m_total} grid points, "
                 f"t in [{times[idx[0]]:.6g}, {times[idx[-1]]:.6g}]"
             )
-    return EigenPath(times, vals, vecs, tuple(flags), frames=(evals, evecs), block=block)
+    return EigenPath(times, vals, vecs, tuple(flags), frames)

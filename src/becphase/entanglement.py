@@ -9,7 +9,7 @@ import numpy as np
 
 from .model import ModelParams
 from .dynamics import JointState
-from .density import Scenario, _checked_frames, partial_trace
+from .density import Frames, Scenario, partial_trace, validate_density
 from .geomphase import special_point_phase
 
 # sigma_y (x) sigma_y expressed in the module basis order.
@@ -28,11 +28,7 @@ EIGENVALUE_CLAMP = 1e-12
 _ENTANGLED_BLOCKS = ((0, 1), (2, 3))
 
 
-def concurrence_wootters(
-    rho: np.ndarray,
-    frames: tuple[np.ndarray, np.ndarray] | None = None,
-    block: tuple[int, int] | None = None,
-) -> float | np.ndarray:
+def concurrence_wootters(rho: np.ndarray, frames: Frames | None = None) -> float | np.ndarray:
     """Two-qubit concurrence max{0, l1 - l2 - l3 - l4} of one 4x4 matrix (a
     float) or of every matrix of an (M, 4, 4) stack (an array of M values).
 
@@ -47,17 +43,12 @@ def concurrence_wootters(
     (|00>,|11> or |01>,|10>) and exactly 0 otherwise, where one qubit sits in
     a basis state and the state is a product; no SVD runs.
 
-    frames, when given, is rho's (values, vectors) eigen-decomposition as
-    validate_density returns it and EigenPath.frames keeps it, and block the
-    pair EigenPath.block records; rho is then neither checked nor decomposed
-    again. Without frames, rho is checked here and its block found from the
-    data; a block's eigenvectors are not built, since only the positivity
-    check needs its eigenvalues.
+    frames, when given, is rho's Frames as validate_density returns them and
+    EigenPath.frames keeps them; rho is then neither checked nor decomposed
+    again, and the SVD route runs unless frames.block names a block. Without
+    frames, rho is checked and decomposed here by validate_density.
     """
-    if frames is None:
-        evals, evecs, block = _checked_frames(rho, block_vectors=False)
-    else:
-        evals, evecs = frames
+    evals, evecs, block = validate_density(rho) if frames is None else frames
     if block is None:
         evals = np.where(evals < EIGENVALUE_CLAMP, np.maximum(evals, 0.0), evals)
         sqrt_rho = (evecs * np.sqrt(evals)[..., None, :]) @ np.conj(np.swapaxes(evecs, -1, -2))

@@ -8,6 +8,7 @@ import pytest
 
 from becphase import (
     EigenPath,
+    Frames,
     ModelParams,
     Scenario,
     analytic_rho_path,
@@ -376,6 +377,13 @@ class TestEigenPath:
         assert np.all(purity > 0.5 - 1e-10)
         assert np.all(purity < 1.0 + 1e-10)
 
+    def test_paths_compare_by_identity(self):
+        # equal arrays in two paths: == must not ask numpy for an array's truth
+        a, b = (two_branch_path()[2] for _ in range(2))
+        assert_same_path(a, b)
+        assert a == a and a != b and not a == b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
 
 def crossing_path(n_steps=397):
     """Diagonal density path whose populations cross: the first crosses the
@@ -423,8 +431,9 @@ def assert_same_path(a: EigenPath, b: EigenPath) -> None:
     for name in ("times", "values", "vectors"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert a.flags == b.flags
-    assert all(np.array_equal(x, y) for x, y in zip(a.frames, b.frames))
-    assert a.block == b.block
+    assert np.array_equal(a.frames.values, b.frames.values)
+    assert np.array_equal(a.frames.vectors, b.frames.vectors)
+    assert a.frames.block == b.frames.block
 
 
 def config_path_rhos(name, n_steps):
@@ -438,11 +447,12 @@ class TestEvenPointPath:
     """even_point_path: the path on every second grid point, from the frames."""
 
     @pytest.mark.parametrize(
-        "name, n_steps, block, degeneracy_tol",
+        "name, n_steps, block, fine_tol",
         [
             ("micro_micro", 512, (0, 1), DEGENERACY_TOL),
             ("macro_single", 512, (0, 2), DEGENERACY_TOL),
             ("general", 512, None, DEGENERACY_TOL),
+            # the even points flag at DEGENERACY_TOL whatever the fine path's
             ("general", 512, None, 1e-4),
             # the smallest start: 5 points give 3
             ("macro_both", 4, (0, 1), DEGENERACY_TOL),
@@ -452,15 +462,15 @@ class TestEvenPointPath:
              "macro_both-4-steps", "general-4-steps"],
     )
     def test_equals_a_decomposition_from_scratch(self, monkeypatch, name, n_steps, block,
-                                                 degeneracy_tol):
+                                                 fine_tol):
         times, rhos = config_path_rhos(name, n_steps)
-        fine = eigen_path(times, rhos, degeneracy_tol=degeneracy_tol)
-        scratch = eigen_path(times[::2], rhos[::2], degeneracy_tol=degeneracy_tol)
+        fine = eigen_path(times, rhos, degeneracy_tol=fine_tol)
+        scratch = eigen_path(times[::2], rhos[::2])
         # nothing is validated or decomposed again
-        monkeypatch.setattr(density, "_checked_frames", None)
-        even = even_point_path(fine, degeneracy_tol)
+        monkeypatch.setattr(density, "validate_density", None)
+        even = even_point_path(fine)
         assert_same_path(even, scratch)
-        assert even.block == scratch.block == block
+        assert even.frames.block == block
         if name == "general":
             # the eigh route, with the pure state's null branches flagged
             assert even.flags and even.flags[0].startswith("branch-ambiguity")
@@ -565,8 +575,8 @@ class TestMatchingShortcut:
 
 def test_validate_density_checks_every_matrix_of_a_stack():
     rhos = analytic_rho_path(Scenario.MICRO_MICRO, 0.5, P, np.linspace(0, 1, 4))
-    evals, evecs = validate_density(rhos)
-    assert evals.shape == (4, 4) and evecs.shape == (4, 4, 4)
+    evals, evecs, block = validate_density(rhos)
+    assert evals.shape == (4, 4) and evecs.shape == (4, 4, 4) and block == (0, 1)
     rhos[2] *= 1.01
     with pytest.raises(ValueError, match="trace"):
         validate_density(rhos)
@@ -614,7 +624,8 @@ class TestBlockFrames:
         # eigenvector component must not cancel to 0
         rhos[3, block[0], block[1]] = 1e-9j
         rhos[3, block[1], block[0]] = -1e-9j
-        evals, evecs = validate_density(rhos)
+        evals, evecs, found = validate_density(rhos)
+        assert found == block
         residual = rhos @ evecs - evecs * evals[:, None, :]
         assert np.max(np.abs(residual)) < 1e-15
         gram = np.conj(np.swapaxes(evecs, 1, 2)) @ evecs
@@ -624,9 +635,9 @@ class TestBlockFrames:
 
     def test_one_matrix_gives_the_bits_of_the_stack(self):
         rhos = block_stack(np.random.default_rng(8), 64, (0, 2))
-        evals, evecs = validate_density(rhos)
+        evals, evecs, _ = validate_density(rhos)
         for m in range(rhos.shape[0]):
-            one_vals, one_vecs = validate_density(rhos[m])
+            one_vals, one_vecs, _ = validate_density(rhos[m])
             assert np.array_equal(one_vals, evals[m]) and np.array_equal(one_vecs, evecs[m])
 
     def test_one_occupied_state_and_tiny_coherences(self):
@@ -634,7 +645,8 @@ class TestBlockFrames:
         # and a degenerate block (a = d, b = 0) divide by nothing
         lone = np.zeros((2, 4, 4), dtype=complex)
         lone[:, 3, 3] = 1.0
-        evals, evecs = validate_density(lone)
+        evals, evecs, block = validate_density(lone)
+        assert block == (0, 3)
         assert np.array_equal(evals, [[1.0, 0.0, 0.0, 0.0]] * 2)
         assert np.array_equal(np.abs(evecs[:, :, 0]), [[0.0, 0.0, 0.0, 1.0]] * 2)
         tiny = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)[None].repeat(3, axis=0)
@@ -643,7 +655,7 @@ class TestBlockFrames:
         tiny[1, 1, 0] = np.conj(tiny[1, 0, 1])
         tiny[2, 0, 0], tiny[2, 1, 1] = 0.75, 0.25
         tiny[2, 0, 1] = tiny[2, 1, 0] = 1e-310
-        evals, evecs = validate_density(tiny)
+        evals, evecs, _ = validate_density(tiny)
         gram = np.conj(np.swapaxes(evecs, 1, 2)) @ evecs
         assert np.max(np.abs(gram - np.eye(4))) < 1e-15
         # equal populations mix at 45 degrees however small the coherence
@@ -653,12 +665,12 @@ class TestBlockFrames:
 
     def test_entries_off_the_block_take_eigh(self):
         rhos = block_stack(np.random.default_rng(9), 10)
-        assert eigen_path(np.linspace(0, 1, 10), rhos).block == (0, 1)
+        assert eigen_path(np.linspace(0, 1, 10), rhos).frames.block == (0, 1)
         rhos[4, 2, 2] = 1e-300
         rhos[4, 0, 0] -= 1e-300
         path = eigen_path(np.linspace(0, 1, 10), rhos)
-        assert path.block is None
-        np.testing.assert_allclose(path.frames[0], np.linalg.eigvalsh(rhos), atol=1e-15)
+        assert path.frames.block is None
+        np.testing.assert_allclose(path.frames.values, np.linalg.eigvalsh(rhos), atol=1e-15)
 
     def test_checks_still_run(self):
         rhos = block_stack(np.random.default_rng(10), 4)
@@ -688,7 +700,7 @@ class TestBlockFrames:
         rhos = block_stack(np.random.default_rng(12), 4)
         rhos[2][entry] += 1e-7j
         hermitian = (rhos + np.conj(np.swapaxes(rhos, -1, -2))) / 2
-        assert eigen_path(np.linspace(0, 1, 4), hermitian).block == block
+        assert eigen_path(np.linspace(0, 1, 4), hermitian).frames.block == block
         dev = np.max(np.abs(rhos - np.conj(np.swapaxes(rhos, -1, -2))))
         with pytest.raises(ValueError, match=f"not Hermitian: deviation {dev:g}$"):
             validate_density(rhos)
@@ -701,10 +713,10 @@ class TestBlockFrames:
         rhos[:, 0, 0] = 0.4 + 0.2 * np.cos(times)
         rhos[:, 1, 1] = 1.0 - rhos[:, 0, 0]
         coarse = eigen_path(times[::2], rhos[::2])
-        eigh_level = replace(coarse, frames=tuple(np.linalg.eigh(rhos[::2])), block=None)
+        eigh_level = replace(coarse, frames=Frames(*np.linalg.eigh(rhos[::2]), None))
         merged = eigen_path(times[1::2], rhos[1::2], coarse=eigh_level)
         scratch = eigen_path(times, rhos)
-        assert merged.block is None and scratch.block == (0, 1)
+        assert merged.frames.block is None and scratch.frames.block == (0, 1)
         np.testing.assert_allclose(merged.values, scratch.values, atol=1e-15)
         overlap = np.abs(np.einsum("mak,mak->mk", merged.vectors.conj(), scratch.vectors))
         np.testing.assert_allclose(overlap, 1.0, atol=1e-14)

@@ -1,7 +1,6 @@
 import cmath
 import json
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -157,33 +156,28 @@ class TestStackedWootters:
 
 class TestBlockConcurrence:
     """The closed form on a two-state block against the SVD route, which runs
-    on frames passed without a block and on a support spread by a local
-    unitary."""
+    on frames whose block is replaced by None and on a support spread by a
+    local unitary."""
 
     def test_bell_family_on_every_route(self):
         u = local_unitary()
         for eta0 in np.linspace(0.05, 1.5, 20):
             rho, expected = bell_block(eta0), abs(math.sin(2 * eta0))
             assert concurrence_wootters(rho) == expected
-            svd = concurrence_wootters(rho, frames=validate_density(rho))
+            svd = concurrence_wootters(rho, frames=validate_density(rho)._replace(block=None))
             assert abs(svd - expected) < 1e-12
             assert abs(concurrence_wootters(u @ rho @ u.conj().T) - expected) < 1e-12
 
-    def test_frames_less_block_route_builds_no_eigenvectors(self):
-        # its positivity check needs the block's eigenvalues only; an (M, 4, 4)
-        # complex eigenvector array alone would be as large as the stack
-        cfg = parse_config((CONFIG_DIR / "micro_micro.json").read_text())
+    @pytest.mark.parametrize("name, block", [("micro_micro", (0, 1)), ("general", None)])
+    def test_frames_less_call_equals_the_paths_frames(self, name, block):
+        # evolve passes its path's frames; a call without them decomposes the
+        # stack itself, on the block route (micro_micro) or eigh's (general)
+        cfg = parse_config((CONFIG_DIR / f"{name}.json").read_text())
         times = np.linspace(0.0, quasicycle_period(cfg.params), 16385)
         rhos = coherent_rho_path(initial_branches(cfg), times, cfg.params)
         path = eigen_path(times, rhos)
-        tracemalloc.start()
-        try:
-            value = concurrence_wootters(rhos)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < rhos.nbytes
-        assert np.array_equal(value, concurrence_wootters(rhos, frames=path.frames, block=path.block))
+        assert path.frames.block == block
+        assert np.array_equal(concurrence_wootters(rhos), concurrence_wootters(rhos, frames=path.frames))
 
     @staticmethod
     def general_path(coefficients):

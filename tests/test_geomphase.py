@@ -188,8 +188,9 @@ def assert_same_path(a, b):
     for name in ("times", "values", "vectors"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert a.flags == b.flags
-    assert all(np.array_equal(x, y) for x, y in zip(a.frames, b.frames))
-    assert a.block == b.block
+    assert np.array_equal(a.frames.values, b.frames.values)
+    assert np.array_equal(a.frames.vectors, b.frames.vectors)
+    assert a.frames.block == b.frames.block
 
 
 class TestExtrapolatedConvergence:
@@ -313,13 +314,13 @@ class TestFirstTwoLevels:
     ])
     def test_density_and_decomposition_calls(self, monkeypatch, name, levels, density_points):
         checked = []
-        checked_frames = density._checked_frames
+        validate_density = density.validate_density
 
-        def counting_checked_frames(rho, *args, **kwargs):
+        def counting_validate_density(rho):
             checked.append(len(rho))
-            return checked_frames(rho, *args, **kwargs)
+            return validate_density(rho)
 
-        monkeypatch.setattr(density, "_checked_frames", counting_checked_frames)
+        monkeypatch.setattr(density, "validate_density", counting_validate_density)
         cfg = config(name)
         calls = {"rho": [], "decompose": []}
         res = converge_phase(counting_builder(cfg, calls), cfg.n_steps, cfg.phase_tol)
@@ -675,8 +676,8 @@ def test_block_and_eigh_paths_agree(point):
         return u @ block_rhos(times) @ u.conj().T
 
     times = np.linspace(0.0, tau, 257)
-    assert eigen_path(times, block_rhos(times)).block is not None
-    assert eigen_path(times, spread_rhos(times)).block is None
+    assert eigen_path(times, block_rhos(times)).frames.block is not None
+    assert eigen_path(times, spread_rhos(times)).frames.block is None
     results = [
         converge_phase(refining_path_builder(tau, rho_path, eigen_path), cfg.n_steps, cfg.phase_tol)
         for rho_path in (block_rhos, spread_rhos)
