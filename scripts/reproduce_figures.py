@@ -33,7 +33,7 @@ def main() -> None:
         table = run_scenario(cfg, "sweep")
         path = outdir / out_name
         emit(table, "csv", str(path))
-        print(f"wrote {path} ({len(table.rows)} rows)")
+        print(f"wrote {path} ({len(table)} rows)")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -73,8 +73,10 @@ SWEEP_KEYS = {"variable", "start", "stop", "count"}
 SWEEP_VARIABLES = ("concurrence", "alpha", "lambda_c", "eta0")
 # The most points a sweep may have; the shipped sweeps use 50.
 MAX_SWEEP_COUNT = 1000
-# The finest grid evolve prints: it holds whole-path arrays of about 2 KB
-# per grid point (peak RSS ~280 MB at this bound on micro_micro).
+# The finest grid evolve prints: it holds whole-path arrays of up to about
+# 2 KB per grid point. Peak RSS at this bound, in a fresh process with stdout
+# captured: 162 MB on configs/micro_micro.json, 280 MB on configs/general.json
+# (its peak is in the SVD concurrence).
 MAX_EVOLVE_STEPS = 2**17
 MANDATORY = {
     "micro_micro": ("omega", "lambda_c", "alpha", "eta0"),
@@ -263,8 +265,16 @@ def compute_phase(cfg: RunConfig) -> PhaseResult:
 
 @dataclass
 class Table:
-    columns: list[str]
-    rows: list[list]
+    """Named columns of one length: a float64 array, a sequence of cells, or
+    one string that every row repeats."""
+
+    columns: dict[str, np.ndarray | Sequence | str]
+
+    def __len__(self) -> int:
+        lengths = {len(col) for col in self.columns.values() if not isinstance(col, str)}
+        if len(lengths) != 1:
+            raise ValueError(f"a table needs columns of one length, got {sorted(lengths)}")
+        return lengths.pop()
 
 
 def _fmt(value) -> str:
@@ -279,11 +289,12 @@ def _fmt(value) -> str:
 def emit(table: Table, fmt: str = "csv", path: str | None = None) -> str:
     """Render a table with 17-significant-digit floats; refuse empty tables.
 
-    Each line is one row format applied to the row's cells: "%.17g" for an
-    all-float column, "%s" for a column rendered cell by cell. Each distinct
-    string cell goes through csv.writer once, so that its quoting is the
-    writer's."""
-    if not table.rows:
+    Each line is one row format applied to the row's cells. A float64 array
+    column is a "%.17g"; a repeated string is quoted once and folded into the
+    format's text; any other column is rendered cell by cell into a "%s".
+    Each distinct string goes through csv.writer once, so that its quoting is
+    the writer's."""
+    if not len(table):
         raise ValueError("refusing to emit an empty table")
     if fmt not in ("csv", "tsv"):
         raise ValueError(f"format must be csv or tsv, got {fmt!r}")
@@ -302,10 +313,12 @@ def emit(table: Table, fmt: str = "csv", path: str | None = None) -> str:
         return quoted[cell]
 
     specs, cells = [], []
-    for col in zip(*table.rows):
-        if all(type(v) is float for v in col):
+    for col in table.columns.values():
+        if isinstance(col, str):
+            specs.append(quote(col).replace("%", "%%"))
+        elif isinstance(col, np.ndarray) and col.dtype == np.float64:
             specs.append("%.17g")
-            cells.append(col)
+            cells.append(col.tolist())
         else:
             specs.append("%s")
             cells.append([quote(v) if isinstance(v, str) else _fmt(v) for v in col])
@@ -332,10 +345,9 @@ def run_evolve(cfg: RunConfig) -> Table:
     rhos = coherent_rho_path(initial_branches(cfg), times, cfg.params)
     path = eigen_path(times, rhos, degeneracy_tol=cfg.degeneracy_tol)
     running = phase_trace(path)
-    warnings = "; ".join(path.flags)
 
     if cfg.scenario == "general":
-        lam = gam = [""] * times.size
+        lam = gam = ""
         i0, i1 = 0, 1
     else:
         scenario = Scenario(cfg.scenario)
@@ -346,26 +358,18 @@ def run_evolve(cfg: RunConfig) -> Table:
     eps[:, : min(2, path.n_branches)] = path.values[:, :2]
     purity = _at_most_one(np.real(np.einsum("mij,mji->m", rhos, rhos)), "purity")
     conc = _at_most_one(concurrence_wootters(rhos, frames=path.frames), "concurrence")
-    offdiag = np.abs(rhos[:, i0, i1])
-
-    columns = [
-        "t[time]",
-        "lambda_phase[rad]",
-        "gamma_decay[1]",
-        "eps1[1]",
-        "eps2[1]",
-        "offdiag_abs[1]",
-        "running_phase[rad]",
-        "concurrence[1]",
-        "purity[1]",
-        "warnings",
-    ]
-    values = (times, lam, gam, eps[:, 0], eps[:, 1], offdiag, running, conc, purity)
-    rows = [
-        [*row, warnings]
-        for row in zip(*(v.tolist() if isinstance(v, np.ndarray) else v for v in values))
-    ]
-    return Table(columns, rows)
+    return Table({
+        "t[time]": times,
+        "lambda_phase[rad]": lam,
+        "gamma_decay[1]": gam,
+        "eps1[1]": eps[:, 0],
+        "eps2[1]": eps[:, 1],
+        "offdiag_abs[1]": np.abs(rhos[:, i0, i1]),
+        "running_phase[rad]": running,
+        "concurrence[1]": conc,
+        "purity[1]": purity,
+        "warnings": "; ".join(path.flags),
+    })
 
 
 def _point(cfg: RunConfig, value: float | None = None) -> tuple[RunConfig, float | None]:
@@ -417,44 +421,31 @@ def run_phase(cfg: RunConfig) -> Table:
         closed, weak_law, weak_limit = _micro_references(*_point(cfg))
     elif cfg.scenario != "general" and at_special_point(cfg.eta0, cfg.params):
         special = phase_macro_closed(Scenario(cfg.scenario), cfg.eta0, cfg.params)
-    columns = [
-        "tau[time]",
-        "phase_unwrapped[rad]",
-        "phase_principal[rad]",
-        "n_steps[1]",
-        "error_estimate[rad]",
-        "phase_closed_form[rad]",
-        "phase_weak_law[rad]",
-        "phase_weak_limit[rad]",
-        "phase_special_point[rad]",
-        "warnings",
-    ]
-    row = [
-        quasicycle_period(cfg.params),
-        result.unwrapped,
-        result.principal,
-        result.n_steps,
-        result.error_estimate,
-        closed,
-        weak_law,
-        weak_limit,
-        special,
-        "; ".join(result.warnings),
-    ]
-    return Table(columns, [row])
+    cells = {
+        "tau[time]": quasicycle_period(cfg.params),
+        "phase_unwrapped[rad]": result.unwrapped,
+        "phase_principal[rad]": result.principal,
+        "n_steps[1]": result.n_steps,
+        "error_estimate[rad]": result.error_estimate,
+        "phase_closed_form[rad]": closed,
+        "phase_weak_law[rad]": weak_law,
+        "phase_weak_limit[rad]": weak_limit,
+        "phase_special_point[rad]": special,
+        "warnings": "; ".join(result.warnings),
+    }
+    return Table({name: [cell] for name, cell in cells.items()})
 
 
 def run_witness(cfg: RunConfig) -> Table:
     if cfg.phase is None:
         raise ValueError("witness verb requires a 'phase' value in the configuration")
     res = _witness(cfg, cfg.phase)
-    columns = [
-        "phase[rad]",
-        "concurrence_consistent[1]",
-        "concurrence_verbatim[1]",
-        "scenario",
-    ]
-    return Table(columns, [[cfg.phase, res.consistent, res.verbatim, cfg.scenario]])
+    return Table({
+        "phase[rad]": [cfg.phase],
+        "concurrence_consistent[1]": [res.consistent],
+        "concurrence_verbatim[1]": [res.verbatim],
+        "scenario": [cfg.scenario],
+    })
 
 
 def _sweep_row(cfg: RunConfig, value: float) -> list:
@@ -491,7 +482,8 @@ def run_sweep(cfg: RunConfig) -> Table:
         middle = ["alpha_abs[1]", "phase_kinematic[rad]", "phase_principal[rad]",
                   "phase_relation[rad]", "witness_roundtrip[1]"]
     columns = [f"{cfg.sweep.variable}[1]", *middle, "warnings"]
-    return Table(columns, [_sweep_row(cfg, v) for v in values.tolist()])
+    rows = [_sweep_row(cfg, v) for v in values.tolist()]
+    return Table(dict(zip(columns, zip(*rows))))
 
 
 def run_scenario(cfg: RunConfig, verb: str) -> Table:

@@ -225,11 +225,14 @@ def coherent_rho_full(state0: CoherentBranches, times: np.ndarray, p: ModelParam
 
 
 def emit_rowwise(table: Table, fmt: str) -> str:
-    """The table written one `csv.writer` row at a time, strings as they are."""
+    """The table written one `csv.writer` row at a time, strings as they are;
+    a string column repeats on every row."""
+    n = len(table)
+    columns = [[c] * n if isinstance(c, str) else list(c) for c in table.columns.values()]
     buf = io.StringIO()
     writer = csv.writer(buf, delimiter="," if fmt == "csv" else "\t", lineterminator="\n")
     writer.writerow(table.columns)
-    for row in table.rows:
+    for row in zip(*columns):
         writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
     return buf.getvalue()
 

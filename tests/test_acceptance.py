@@ -281,15 +281,13 @@ def test_criterion_7_sweep_monotonicity():
     """50-point sweeps strictly increasing in initial concurrence."""
     micro_cfg = parse_config((CONFIG_DIR / "sweep_entanglement_micro.json").read_text())
     micro = run_scenario(micro_cfg, "sweep")
-    idx = {c: i for i, c in enumerate(micro.columns)}
-    kin = np.array([r[idx["phase_kinematic[rad]"]] for r in micro.rows])
-    law = np.array([r[idx["phase_weak_law[rad]"]] for r in micro.rows])
+    kin = np.array(micro.columns["phase_kinematic[rad]"])
+    law = np.array(micro.columns["phase_weak_law[rad]"])
     micro_ok = bool(np.all(np.diff(kin) > 0) and np.all(np.diff(law) > 0))
 
     macro_cfg = parse_config((CONFIG_DIR / "sweep_entanglement_macro.json").read_text())
     macro = run_scenario(macro_cfg, "sweep")
-    idx = {c: i for i, c in enumerate(macro.columns)}
-    rel = np.array([r[idx["phase_relation[rad]"]] for r in macro.rows])
+    rel = np.array(macro.columns["phase_relation[rad]"])
     macro_ok = bool(np.all(np.diff(rel) > 0))
 
     ok = micro_ok and macro_ok

@@ -189,7 +189,7 @@ def test_fmt_float_fast_path_matches_numpy_scalars(value):
 
 class TestEmit:
     def test_three_rows_make_four_lines(self):
-        table = Table(["a[1]", "b[1]"], [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        table = Table({"a[1]": np.array([1.0, 3.0, 5.0]), "b[1]": np.array([2.0, 4.0, 6.0])})
         text = emit(table, "csv")
         assert text.endswith("\n")
         assert len(text.splitlines()) == 4
@@ -197,23 +197,23 @@ class TestEmit:
     def test_empty_table_errors(self, tmp_path):
         out = tmp_path / "empty.csv"
         with pytest.raises(ValueError, match="empty"):
-            emit(Table(["a"], []), "csv", str(out))
+            emit(Table({"a": []}), "csv", str(out))
         assert not out.exists()
 
     def test_seventeen_digit_round_trip(self):
         values = [math.pi, 1 / 3, 2e-17, 123456.789012345678, -math.e]
-        table = Table(["v[1]"], [[v] for v in values])
+        table = Table({"v[1]": np.array(values)})
         text = emit(table, "csv")
         parsed = [float(line) for line in text.splitlines()[1:]]
         assert parsed == values
 
     def test_tsv(self):
-        table = Table(["a[1]", "b[1]"], [[1.0, 2.0]])
+        table = Table({"a[1]": [1.0], "b[1]": [2.0]})
         assert "\t" in emit(table, "tsv")
 
     def test_bad_format(self):
         with pytest.raises(ValueError):
-            emit(Table(["a"], [[1.0]]), "xml")
+            emit(Table({"a": [1.0]}), "xml")
 
     @pytest.mark.parametrize("fmt", ["csv", "tsv"])
     def test_columns_render_as_rows_do(self, fmt):
@@ -224,41 +224,77 @@ class TestEmit:
             "100%", "%s", "%(x)d",
         ]
         mixed = [1.5, "", None, 7, np.int64(-3), np.float64(2.5), True, math.nan, "%%", "%.17g", -2.0]
-        rows = [[0.1 * k, mixed[k], s, "w; x, y"] for k, s in enumerate(strings)]
-        rows[0][0] = -0.0
-        rows[1][0] = math.inf
-        table = Table(["t[1]", "mixed", "text", "warnings"], rows)
+        t = np.arange(len(strings)) * 0.1
+        t[0] = -0.0
+        t[1] = math.inf
+        table = Table({"t[1]": t, "mixed": mixed, "text": strings, "warnings": "w; x, y"})
         assert emit(table, fmt) == emit_rowwise(table, fmt)
 
-    @pytest.mark.parametrize("verb", ["evolve", "phase"])
+    @pytest.mark.parametrize("fmt", ["csv", "tsv"])
+    def test_float_array_renders_as_its_floats_do(self, fmt):
+        values = [0.1, -0.0, 0.0, math.nan, math.inf, -math.inf, 2.0**-1074, 1e-300, -7.25e17, 1 / 3]
+        table = Table({"v[1]": np.array(values), "w[1]": np.array(values[::-1])})
+        floats = Table({"v[1]": values, "w[1]": values[::-1]})
+        assert emit(table, fmt) == emit(floats, fmt) == emit_rowwise(floats, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "tsv"])
+    @pytest.mark.parametrize(
+        "text", ["", "100%", "%s", "%(x)d", "a,b", "a\tb", 'say "x"', "two\nlines", "w; x, y"]
+    )
+    def test_repeated_string_renders_as_rows_do(self, fmt, text):
+        # the string is folded into the row format: its % signs must be escaped
+        # and its quoting must be the writer's
+        table = Table({"t[1]": np.array([0.5, -1.0, 2.0]), "warnings": text, "n[1]": [1, 2, 3]})
+        assert emit(table, fmt) == emit_rowwise(table, fmt)
+
+    def test_columns_of_unequal_length_are_refused(self):
+        with pytest.raises(ValueError, match="one length"):
+            emit(Table({"a[1]": np.zeros(2), "b[1]": [1.0]}))
+        with pytest.raises(ValueError, match="one length"):
+            emit(Table({"warnings": "only a repeated string"}))
+
+    @pytest.mark.parametrize("verb", ["evolve", "phase", "sweep", "witness"])
     @pytest.mark.parametrize("fmt", ["csv", "tsv"])
     def test_pipeline_tables_render_as_rows_do(self, verb, fmt):
-        cfg = parse_config((CONFIG_DIR / "general.json").read_text())
-        table = run_scenario(replace(cfg, n_steps=64), verb)
-        table.rows[0][-1] = "branch-ambiguity: gap, with comma"
-        assert emit(table, fmt) == emit_rowwise(table, fmt)
+        names = {
+            "evolve": ["micro_micro", "macro_both", "macro_single", "general"],
+            "phase": ["micro_micro", "macro_both", "macro_single", "general"],
+            "sweep": ["sweep_entanglement_micro", "sweep_entanglement_macro"],
+            "witness": ["micro_micro"],
+        }[verb]
+        for name in names:
+            doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+            doc["grid"] = {"n_steps": 64}
+            if verb == "sweep":
+                doc["sweep"]["count"] = 3
+            if verb == "witness":
+                doc["phase"] = 0.005
+            table = run_scenario(parse_config(json.dumps(doc)), verb)
+            if "warnings" in table.columns:
+                warnings = table.columns["warnings"]
+                comma = "branch-ambiguity: gap, with comma"
+                table.columns["warnings"] = comma if isinstance(warnings, str) else [comma, *warnings[1:]]
+            assert emit(table, fmt) == emit_rowwise(table, fmt), name
 
 
 class TestRunScenario:
     def test_phase_row(self):
         cfg = parse_config(cfg_text(grid={"n_steps": 512}))
         table = run_scenario(cfg, "phase")
-        assert len(table.rows) == 1
-        row = dict(zip(table.columns, table.rows[0]))
-        assert row["phase_unwrapped[rad]"] == pytest.approx(
-            row["phase_closed_form[rad]"], abs=1e-5
+        assert len(table) == 1
+        assert table.columns["phase_unwrapped[rad]"][0] == pytest.approx(
+            table.columns["phase_closed_form[rad]"][0], abs=1e-5
         )
 
     def test_evolve_rows_and_invariants(self):
         cfg = parse_config(cfg_text(grid={"n_steps": 64}))
         table = run_scenario(cfg, "evolve")
-        assert len(table.rows) == 65
-        idx = {c: i for i, c in enumerate(table.columns)}
-        eps1 = np.array([r[idx["eps1[1]"]] for r in table.rows])
-        eps2 = np.array([r[idx["eps2[1]"]] for r in table.rows])
+        assert len(table) == 65
+        eps1 = table.columns["eps1[1]"]
+        eps2 = table.columns["eps2[1]"]
         np.testing.assert_allclose(eps1 + eps2, 1.0, atol=1e-10)
         assert np.all(eps1 >= -1e-10)
-        purity = np.array([r[idx["purity[1]"]] for r in table.rows])
+        purity = table.columns["purity[1]"]
         assert np.all(purity > 0.5 - 1e-10)
         assert np.all(purity < 1.0 + 1e-10)
 
@@ -270,8 +306,7 @@ class TestRunScenario:
         for doc in docs:
             doc["grid"] = {"n_steps": 256}
             table = run_scenario(parse_config(json.dumps(doc, default=float)), "evolve")
-            column = table.columns.index("purity[1]")
-            assert max(row[column] for row in table.rows) <= 1.0
+            assert max(table.columns["purity[1]"]) <= 1.0
 
     @pytest.mark.parametrize("name", ["micro_micro", "macro_both", "macro_single", "general"])
     def test_evolve_concurrence_equals_a_fresh_decomposition(self, name):
@@ -281,8 +316,7 @@ class TestRunScenario:
         table = run_scenario(cfg, "evolve")
         times = np.linspace(0.0, cli.quasicycle_period(cfg.params), cfg.n_steps + 1)
         rhos = cli.coherent_rho_path(cli.initial_branches(cfg), times, cfg.params)
-        column = table.columns.index("concurrence[1]")
-        assert [row[column] for row in table.rows] == cli.concurrence_wootters(rhos).tolist()
+        assert table.columns["concurrence[1]"].tolist() == cli.concurrence_wootters(rhos).tolist()
 
     def test_evolve_refuses_purity_beyond_rounding(self, monkeypatch):
         exact = cli.coherent_rho_path
@@ -298,8 +332,7 @@ class TestRunScenario:
     def test_witness_row(self):
         cfg = parse_config(cfg_text(phase=0.002))
         table = run_scenario(cfg, "witness")
-        row = dict(zip(table.columns, table.rows[0]))
-        assert 0.0 < row["concurrence_consistent[1]"] <= 1.0
+        assert 0.0 < table.columns["concurrence_consistent[1]"][0] <= 1.0
 
     def test_sweep_requires_block(self):
         cfg = parse_config(cfg_text())
@@ -315,11 +348,10 @@ class TestRunScenario:
             )
         )
         table = run_scenario(cfg, "sweep")
-        idx = {c: i for i, c in enumerate(table.columns)}
-        conc = [r[idx["concurrence[1]"]] for r in table.rows]
-        kin = [r[idx["phase_kinematic[rad]"]] for r in table.rows]
-        law = [r[idx["phase_weak_law[rad]"]] for r in table.rows]
-        wit = [r[idx["witness_from_law[1]"]] for r in table.rows]
+        conc = table.columns["concurrence[1]"]
+        kin = table.columns["phase_kinematic[rad]"]
+        law = table.columns["phase_weak_law[rad]"]
+        wit = table.columns["witness_from_law[1]"]
         assert np.all(np.diff(kin) > 0)
         assert np.all(np.diff(law) > 0)
         np.testing.assert_allclose(wit, conc, atol=1e-10)
@@ -339,10 +371,9 @@ class TestRunScenario:
             )
         )
         table = run_scenario(cfg, "sweep")
-        idx = {c: i for i, c in enumerate(table.columns)}
-        conc = [r[idx["concurrence[1]"]] for r in table.rows]
-        rel = [r[idx["phase_relation[rad]"]] for r in table.rows]
-        wit = [r[idx["witness_roundtrip[1]"]] for r in table.rows]
+        conc = table.columns["concurrence[1]"]
+        rel = table.columns["phase_relation[rad]"]
+        wit = table.columns["witness_roundtrip[1]"]
         assert np.all(np.diff(rel) > 0)
         np.testing.assert_allclose(wit, conc, atol=1e-10)
 
@@ -359,10 +390,10 @@ class TestRunScenario:
                                                      "stop": stop, "count": 2}))),
             "sweep",
         )
-        for value, cells in zip(np.linspace(start, stop, 2).tolist(), sweep.rows):
-            row = dict(zip(sweep.columns, cells))
+        for k, value in enumerate(np.linspace(start, stop, 2).tolist()):
+            row = {name: column[k] for name, column in sweep.columns.items()}
             phase = run_scenario(parse_config(json.dumps(dict(doc, **{variable: value}))), "phase")
-            ref = dict(zip(phase.columns, phase.rows[0]))
+            ref = {name: column[0] for name, column in phase.columns.items()}
             assert row[f"{variable}[1]"] == value
             assert row["phase_kinematic[rad]"] == ref["phase_unwrapped[rad]"]
             assert row["phase_principal[rad]"] == ref["phase_principal[rad]"]
@@ -419,7 +450,7 @@ class TestRunScenario:
                 sweep={"variable": "concurrence", "start": 0.1, "stop": 0.8, "count": 3},
             )
         )
-        assert len(run_scenario(cfg, "sweep").rows) == 3
+        assert len(run_scenario(cfg, "sweep")) == 3
         assert started == []
 
 
@@ -740,6 +771,6 @@ def test_shipped_scenario_configs_run(tmp_path):
         doc["grid"] = {"n_steps": 256}
         cfg = parse_config(json.dumps(doc))
         table = run_scenario(cfg, "evolve")
-        assert len(table.rows) == 257
+        assert len(table) == 257
         table = run_scenario(cfg, "phase")
-        assert len(table.rows) == 1
+        assert len(table) == 1

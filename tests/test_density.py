@@ -254,8 +254,7 @@ class TestCoherentPath:
         exact = run_evolve(cfg)
         monkeypatch.setattr(cli, "coherent_rho_path", lambda s, t, p: oracle_rho_path(s.fock(), t, p))
         fock = run_evolve(cfg)
-        j = exact.columns.index("eps2[1]")
-        eps2 = np.array([[a[j], b[j]] for a, b in zip(exact.rows, fock.rows)])
+        eps2 = np.column_stack([exact.columns["eps2[1]"], fock.columns["eps2[1]"]])
         assert np.max(np.abs(eps2[:, 0] - eps2[:, 1])) <= 1e-9
         assert eps2[1, 0] > 1e-9
 
