@@ -73,10 +73,9 @@ SWEEP_KEYS = {"variable", "start", "stop", "count"}
 SWEEP_VARIABLES = ("concurrence", "alpha", "lambda_c", "eta0")
 # The most points a sweep may have; the shipped sweeps use 50.
 MAX_SWEEP_COUNT = 1000
-# The finest grid evolve prints: it holds whole-path arrays of up to about
-# 2 KB per grid point. Peak RSS at this bound, in a fresh process with stdout
-# captured: 162 MB on configs/micro_micro.json, 280 MB on configs/general.json
-# (its peak is in the SVD concurrence).
+# The finest grid evolve prints: it holds whole-path arrays of about 0.9 KB
+# per grid point. Peak RSS at this bound, in a fresh process with stdout
+# captured: 142 MB on configs/micro_micro.json, 149 MB on configs/general.json.
 MAX_EVOLVE_STEPS = 2**17
 MANDATORY = {
     "micro_micro": ("omega", "lambda_c", "alpha", "eta0"),

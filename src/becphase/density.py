@@ -23,6 +23,30 @@ SUPPORT_TOL = 1e-12
 # Cells of the (time, branch, Fock) arrays that oracle_rho_path holds per
 # chunk; each of its three complex temporaries then stays near 4 MB.
 RHO_CHUNK_CELLS = 2**18
+# Grid points per chunk of the kernels that run along a whole path
+# (coherent_rho_path, the phase sums, the SVD concurrence): their
+# temporaries stay near 2**11 points, whatever the grid.
+PATH_CHUNK_POINTS = 2**11
+
+
+def point_chunks(n_points: int) -> list[slice]:
+    """Consecutive slices of range(n_points), PATH_CHUNK_POINTS points each
+    but the first, which holds one more: a grid of 2 PATH_CHUNK_POINTS steps
+    has that many points plus one, and runs in one chunk."""
+    stops = range(PATH_CHUNK_POINTS + 1, n_points, PATH_CHUNK_POINTS)
+    return [slice(a, b) for a, b in zip([0, *stops], [*stops, n_points])]
+
+
+def gather_columns(part: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """part[m, ..., columns[m, k]] at every m and k: frame values (M, 4) or
+    vectors (M, 4, 4) reordered into branch columns. Columns that are the
+    same at every point take one index for all points: those of a block
+    path, one row broadcast along the grid (stride 0), and most stretches
+    of a matched path."""
+    if not columns.strides[0] or (columns == columns[0]).all():
+        return part[..., columns[0]]
+    index = columns.reshape(columns.shape[:1] + (1,) * (part.ndim - 2) + columns.shape[1:])
+    return np.take_along_axis(part, index, axis=-1)
 
 
 class Scenario(str, Enum):
@@ -203,10 +227,11 @@ def coherent_rho_path(state0: CoherentBranches, times: np.ndarray, p: ModelParam
            - b_i conj(b_j) (2 sin^2(mu_ij t / 2) + i sin(mu_ij t)),
     mu_ij = mu_i - mu_j: the form of the log of Glauber's overlap that does
     not cancel when |b|^2 is large (R. J. Glauber, Phys. Rev. 131, 2766 (1963)).
-    Only the block of occupied branches (c_k != 0) is evaluated; every
-    other entry carries a zero weight and is written as 0.
+    Only the block of occupied branches (c_k != 0) is evaluated, in chunks
+    of PATH_CHUNK_POINTS times; every other entry carries a zero weight and
+    is written as 0.
     """
-    t = np.asarray(times, dtype=float)[:, None, None]
+    times = np.asarray(times, dtype=float)
     occ = np.flatnonzero(state0.coeffs)
     c, b = state0.coeffs[occ], state0.betas[occ]
     energy = np.array([branch_frequency(k, 0, p) for k in occ])
@@ -216,12 +241,11 @@ def coherent_rho_path(state0: CoherentBranches, times: np.ndarray, p: ModelParam
     mu = slope[:, None] - slope[None, :]
     de = energy[:, None] - energy[None, :]
     weight = np.outer(c, c.conj())
-    g = g0 - cross * (2.0 * np.sin(0.5 * mu * t) ** 2 + 1j * np.sin(mu * t))
-    rho = weight * np.exp(g - 1j * de * t)
-    if occ.size == 4:
-        return rho
-    out = np.zeros((t.shape[0], 4, 4), dtype=complex)
-    out[:, occ[:, None], occ] = rho
+    out = np.zeros((times.size, 4, 4), dtype=complex)
+    for chunk in point_chunks(times.size):
+        t = times[chunk, None, None]
+        g = g0 - cross * (2.0 * np.sin(0.5 * mu * t) ** 2 + 1j * np.sin(mu * t))
+        out[chunk, occ[:, None], occ] = weight * np.exp(g - 1j * de * t)
     return out
 
 
@@ -281,22 +305,23 @@ def analytic_rho_path(
 class EigenPath:
     """Continuity-ordered eigenvalue/eigenvector branches along a time grid.
 
-    values[m, k] and vectors[m, :, k] describe branch k at times[m]. Branches
-    are ordered by descending eigenvalue at the first time and then followed
-    by maximal-overlap matching, or on a closed-form block stay the larger
-    and the smaller block eigenvalue; spectator branches whose eigenvalue never
-    exceeds the support cutoff are dropped. flags carries warnings about
-    near-degenerate stretches where the matching is ill-conditioned. frames
-    holds validate_density's Frames at every grid point: a refinement of the
-    path reuses them, and even_point_path derives the path on every second
-    grid point from them. Paths compare by identity.
+    frames holds validate_density's Frames at every grid point, once, and
+    branch k takes frame column columns[m, k] at times[m]: values[m, k] and
+    vectors[m, :, k], gathered from the frames on access, describe it there.
+    Branches are ordered by descending eigenvalue at the first time and then
+    followed by maximal-overlap matching, or on a closed-form block stay the
+    larger and the smaller block eigenvalue; spectator branches whose
+    eigenvalue never exceeds the support cutoff have no column. flags carries
+    warnings about near-degenerate stretches where the matching is
+    ill-conditioned. A refinement of the path reuses its frames, and
+    even_point_path derives the path on every second grid point from them.
+    Paths compare by identity.
     """
 
     times: np.ndarray
-    values: np.ndarray
-    vectors: np.ndarray
-    flags: tuple[str, ...]
     frames: Frames = field(repr=False)
+    columns: np.ndarray = field(repr=False)
+    flags: tuple[str, ...]
 
     @property
     def n_steps(self) -> int:
@@ -304,7 +329,15 @@ class EigenPath:
 
     @property
     def n_branches(self) -> int:
-        return self.values.shape[1]
+        return self.columns.shape[1]
+
+    @property
+    def values(self) -> np.ndarray:
+        return gather_columns(self.frames.values, self.columns)
+
+    @property
+    def vectors(self) -> np.ndarray:
+        return gather_columns(self.frames.vectors, self.columns)
 
 
 _PERMS = np.array(list(itertools.permutations(range(4))))  # _PERMS[0] is the identity
@@ -344,10 +377,10 @@ def _step_permutations(evecs: np.ndarray) -> np.ndarray:
     return best
 
 
-def _matched_branches(evals: np.ndarray, evecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalue and eigenvector columns of every frame reordered so that
-    column k follows one branch: descending at the first frame, then
-    composed along the path from the best permutation of every step."""
+def _matched_columns(evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
+    """The frame column of every branch at every grid point, col[m, k]:
+    branches descend at the first frame and then follow the best
+    permutation of every step."""
     best = _step_permutations(evecs)
     # Descending sort keys of the first frame's columns; equal keys put the
     # higher column first.
@@ -357,14 +390,14 @@ def _matched_branches(evals: np.ndarray, evecs: np.ndarray) -> tuple[np.ndarray,
 
     # The order changes only after steps whose best permutation is not the
     # identity; in between it is constant.
-    col = np.empty(evals.shape, dtype=int)
+    col = np.empty(evals.shape, dtype=np.int8)
     current, start = order0, 0
     for m in np.flatnonzero(best) + 1:
         col[start:m] = current
         current = _PERMS[best[m - 1]][current]
         start = m
     col[start:] = current
-    return np.take_along_axis(evals, col, axis=1), np.take_along_axis(evecs, col[:, None, :], axis=2)
+    return col
 
 
 def eigen_path(
@@ -442,13 +475,19 @@ def _branch_path(times: np.ndarray, frames: Frames, degeneracy_tol: float) -> Ei
     unless a closed-form block keeps them apart, branches that never exceed
     SUPPORT_TOL cut, and near-degenerate pairs flagged."""
     m_total = times.size
-    vals, vecs = frames.values, frames.vectors
+    vals = frames.values
     if frames.block is None:
-        vals, vecs = _matched_branches(vals, vecs)
+        columns = _matched_columns(vals, frames.vectors)
+        vals = gather_columns(vals, columns)
     keep = np.flatnonzero(vals.max(axis=0) > SUPPORT_TOL)
     if keep.size == 0:
         raise ValueError("no branch carries weight above the support cutoff")
-    vals, vecs = vals[:, keep], vecs[:, :, keep]
+    vals = vals[:, keep]
+    if frames.block is None:
+        columns = columns[:, keep]
+    else:
+        # A closed-form block keeps its column order: one row, broadcast along the grid.
+        columns = np.broadcast_to(keep.astype(np.int8), vals.shape)
 
     flags: list[str] = []
     if vals.shape[1] >= 2:
@@ -463,4 +502,4 @@ def _branch_path(times: np.ndarray, frames: Frames, degeneracy_tol: float) -> Ei
                 f"{degeneracy_tol:g} on {idx.size} of {m_total} grid points, "
                 f"t in [{times[idx[0]]:.6g}, {times[idx[-1]]:.6g}]"
             )
-    return EigenPath(times, vals, vecs, tuple(flags), frames)
+    return EigenPath(times, frames, columns, tuple(flags))

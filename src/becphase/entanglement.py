@@ -9,7 +9,7 @@ import numpy as np
 
 from .model import ModelParams
 from .dynamics import JointState
-from .density import Frames, Scenario, partial_trace, validate_density
+from .density import Frames, Scenario, partial_trace, point_chunks, validate_density
 from .geomphase import special_point_phase
 
 # sigma_y (x) sigma_y expressed in the module basis order.
@@ -46,15 +46,20 @@ def concurrence_wootters(rho: np.ndarray, frames: Frames | None = None) -> float
     frames, when given, is rho's Frames as validate_density returns them and
     EigenPath.frames keeps them; rho is then neither checked nor decomposed
     again, and the SVD route runs unless frames.block names a block. Without
-    frames, rho is checked and decomposed here by validate_density.
+    frames, rho is checked and decomposed here by validate_density. The SVD
+    route runs in point_chunks, so its temporaries do not grow with M.
     """
     evals, evecs, block = validate_density(rho) if frames is None else frames
     if block is None:
-        evals = np.where(evals < EIGENVALUE_CLAMP, np.maximum(evals, 0.0), evals)
-        sqrt_rho = (evecs * np.sqrt(evals)[..., None, :]) @ np.conj(np.swapaxes(evecs, -1, -2))
-        flipped_root = sqrt_rho @ SIGMA_YY @ sqrt_rho.conj()
-        lam = np.linalg.svd(flipped_root, compute_uv=False)
-        value = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+        value = np.empty(evals.shape[:-1])
+        evals, evecs, out = evals.reshape(-1, 4), evecs.reshape(-1, 4, 4), value.reshape(-1)
+        for chunk in point_chunks(out.size):
+            vals, vecs = evals[chunk], evecs[chunk]
+            vals = np.where(vals < EIGENVALUE_CLAMP, np.maximum(vals, 0.0), vals)
+            sqrt_rho = (vecs * np.sqrt(vals)[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+            flipped_root = sqrt_rho @ SIGMA_YY @ sqrt_rho.conj()
+            lam = np.linalg.svd(flipped_root, compute_uv=False)
+            out[chunk] = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
     elif block in _ENTANGLED_BLOCKS:
         value = 2.0 * np.abs(np.asarray(rho)[..., block[0], block[1]])
     else:

@@ -38,6 +38,8 @@ from .density import (
     decay_phase,
     eigen_path,
     even_point_path,
+    gather_columns,
+    point_chunks,
 )
 
 PHASE_TOL = 1e-7
@@ -71,35 +73,65 @@ class PhaseResult:
     warnings: tuple[str, ...] = ()
 
 
-def _branch_phasors(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, float]:
-    """Partial-path branch contributions z[m, k]; also the smallest link modulus.
+def _branch_sums(path: EigenPath) -> tuple[np.ndarray, np.ndarray, float]:
+    """The branch sum of the partial-path contributions z[m, k] at every grid
+    point, the last point's z[-1, k], and the smallest live link modulus.
 
     A branch whose initial weight eps(0) is at most SUPPORT_TOL is null: it
     gets weight 0, so that the rounding noise of a pure state's zero
     eigenvalue adds nothing to the sum, and its link modulus is not tracked.
+    The points run in point_chunks, each gathering its branch columns from
+    the frames; the link product carries across chunks as the first factor
+    of the next chunk's cumprod, which repeats the unchunked products.
     """
-    w0 = values[0]
-    live = w0 > SUPPORT_TOL
-    wt = np.clip(values, 0.0, None)
-    weights = np.sqrt(np.where(live, w0, 0.0)[None, :] * wt)
-    endpoint = np.einsum("ak,mak->mk", vectors[0].conj(), vectors)
-    links = np.einsum("mak,mak->mk", vectors[:-1].conj(), vectors[1:])
-    mods = np.abs(links)
-    min_link = float(mods[:, live].min()) if mods.size and live.any() else 1.0
-    if min_link == 0.0:
-        raise ConvergenceError("vanishing neighbor overlap: grid cannot resolve the path")
-    # dead-branch links may be ill-defined inside a degenerate zero subspace
-    unit = np.where(mods > 0.0, links / np.where(mods > 0.0, mods, 1.0), 1.0)
-    cum = np.empty_like(endpoint)
-    cum[0] = 1.0
-    np.cumprod(unit, axis=0, out=cum[1:])
-    return weights * endpoint * cum.conj(), min_link
+    frame_values, frame_vectors, _ = path.frames
+    sums = np.empty(path.times.size, dtype=complex)
+    min_link = 1.0
+    for chunk in point_chunks(path.times.size):
+        linked = slice(max(chunk.start - 1, 0), chunk.stop)
+        vectors = gather_columns(frame_vectors[linked], path.columns[linked])
+        values = gather_columns(frame_values[chunk], path.columns[chunk])
+        if chunk.start == 0:
+            live = values[0] > SUPPORT_TOL
+            w0 = np.where(live, values[0], 0.0)[None, :]
+            v0 = vectors[0].conj()
+        weights = np.sqrt(w0 * np.clip(values, 0.0, None))
+        endpoint = np.einsum("ak,mak->mk", v0, vectors[chunk.start - linked.start :])
+        links = np.einsum("mak,mak->mk", vectors[:-1].conj(), vectors[1:])
+        mods = np.abs(links)
+        if mods.size and live.any():
+            min_link = min(min_link, float(mods[:, live].min()))
+        if min_link == 0.0:
+            raise ConvergenceError("vanishing neighbor overlap: grid cannot resolve the path")
+        # dead-branch links may be ill-defined inside a degenerate zero subspace
+        nonzero = mods > 0.0
+        unit = np.where(nonzero, links / np.where(nonzero, mods, 1.0), 1.0)
+        if chunk.start == 0:
+            cum = np.empty_like(endpoint)
+            cum[0] = 1.0
+            cum[1:] = _cumprod(unit, path.n_steps)
+        else:
+            cum = _cumprod(np.concatenate([cum[-1:], unit]), path.n_steps)[1:]
+        z = weights * endpoint * cum.conj()
+        sums[chunk] = z.sum(axis=1)
+    return sums, z[-1].copy(), min_link
+
+
+def _cumprod(rows: np.ndarray, n_links: int) -> np.ndarray:
+    """np.cumprod(rows, axis=0) with the roundings of one cumprod over all
+    n_links links of a path. np.cumprod multiplies in its scalar loop from
+    three rows on but with the vectorized multiply, which can round
+    differently, at two; so two rows get a unit row appended unless the
+    whole path has two links."""
+    if rows.shape[0] == 2 and n_links > 2:
+        return np.cumprod(np.concatenate([rows, np.ones_like(rows[:1])]), axis=0)[:2]
+    return np.cumprod(rows, axis=0)
 
 
 def phase_trace(path: EigenPath) -> np.ndarray:
     """Unwrapped running phase of the partial path at every grid point."""
-    z, _ = _branch_phasors(path.values, path.vectors)
-    return np.unwrap(np.angle(z.sum(axis=1)))
+    sums, _, _ = _branch_sums(path)
+    return np.unwrap(np.angle(sums))
 
 
 def kinematic_phase(path: EigenPath) -> PhaseResult:
@@ -114,12 +146,11 @@ def kinematic_phase(path: EigenPath) -> PhaseResult:
     if path.times.size < 2:
         raise ValueError("path must contain at least two time points")
     warnings = list(path.flags)
-    z, min_link = _branch_phasors(path.values, path.vectors)
+    tot, last, min_link = _branch_sums(path)
     if min_link < COARSE_LINK_WARNING:
         warnings.append(
             f"coarse-grid: smallest neighbor overlap modulus {min_link:.3g}"
         )
-    tot = z.sum(axis=1)
     mags = np.abs(tot)
     raw_ang = np.angle(tot)
     steps = np.abs(np.diff(raw_ang))
@@ -135,7 +166,7 @@ def kinematic_phase(path: EigenPath) -> PhaseResult:
     return PhaseResult(
         principal=float(np.angle(tot[-1])),
         unwrapped=float(ang[-1] - ang[0]),
-        per_branch=z[-1].copy(),
+        per_branch=last,
         n_steps=path.n_steps,
         error_estimate=None,
         warnings=tuple(warnings),

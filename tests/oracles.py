@@ -22,6 +22,9 @@
   reference for the occupied-block evaluation of `coherent_rho_path`.
 - emit_rowwise: one `csv.writer` row per table row, the reference for the
   column-wise `emit`.
+- whole_path_phasors: every branch contribution of the kinematic phase sum
+  in one pass over the whole path, the reference for the chunked phase sums
+  of `kinematic_phase` and `phase_trace`.
 - converge_phase_h2: grid doubling from 2,048 steps with one h^2
   extrapolation step, the reference for the Romberg acceptance of
   `converge_phase`.
@@ -148,7 +151,10 @@ def factorization_functions(path: EigenPath) -> FactorizationResult:
     """
     if path.n_branches != 2:
         raise ValueError("factorization functions need exactly two branches")
-    vals, vecs = path.values, path.vectors
+    # Branch k is frame column columns[m, k] at grid point m.
+    points = np.arange(path.times.size)[:, None]
+    vals = path.frames.values[points, path.columns]
+    vecs = np.swapaxes(path.frames.vectors[points, :, path.columns], 1, 2)
     denom = vals[0, 0] * vals[-1, 0]
     if denom <= 0.0:
         raise ZeroDivisionError("leading branch carries no endpoint weight")
@@ -222,6 +228,22 @@ def coherent_rho_full(state0: CoherentBranches, times: np.ndarray, p: ModelParam
     weight = np.outer(state0.coeffs, state0.coeffs.conj())
     g = g0 - cross * (2.0 * np.sin(0.5 * mu * t) ** 2 + 1j * np.sin(mu * t))
     return weight * np.exp(g - 1j * de * t)
+
+
+def whole_path_phasors(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """z[m, k] = sqrt(w_k(0) eps_k(t_m)) <eps_k(0)|eps_k(t_m)> conj(L_k(m)),
+    L_k(m) the product of the unit links up to t_m, with w_k(0) = eps_k(0)
+    above SUPPORT_TOL and 0 otherwise; each array spans the whole path."""
+    w0 = values[0]
+    weights = np.sqrt(np.where(w0 > SUPPORT_TOL, w0, 0.0)[None, :] * np.clip(values, 0.0, None))
+    endpoint = np.einsum("ak,mak->mk", vectors[0].conj(), vectors)
+    links = np.einsum("mak,mak->mk", vectors[:-1].conj(), vectors[1:])
+    mods = np.abs(links)
+    unit = np.where(mods > 0.0, links / np.where(mods > 0.0, mods, 1.0), 1.0)
+    cum = np.empty_like(endpoint)
+    cum[0] = 1.0
+    np.cumprod(unit, axis=0, out=cum[1:])
+    return weights * endpoint * cum.conj()
 
 
 def emit_rowwise(table: Table, fmt: str) -> str:

@@ -312,10 +312,11 @@ def test_criterion_8_numerical_hygiene():
         build = analytic_path_builder(scen, 0.6, p)
         path = build(1024)
         base = kinematic_phase(path)
-        rephased = path.vectors * np.exp(
-            1j * rng.uniform(-math.pi, math.pi, size=(path.times.size, 1, path.n_branches))
+        frames = path.frames
+        rephased = frames.vectors * np.exp(
+            1j * rng.uniform(-math.pi, math.pi, size=(path.times.size, 1, 4))
         )
-        res = kinematic_phase(replace(path, vectors=rephased))
+        res = kinematic_phase(replace(path, frames=frames._replace(vectors=rephased)))
         gauge_worst = max(gauge_worst, abs(res.unwrapped - base.unwrapped))
 
         phases = [kinematic_phase(build(n)).unwrapped for n in (256, 512, 1024)]

@@ -415,7 +415,7 @@ class TestBranchOrder:
         coarse = eigen_path(times[::2], rhos[::2])
         refined = eigen_path(times[1::2], rhos[1::2], coarse=coarse)
         scratch = eigen_path(times, rhos)
-        for name in ("times", "values", "vectors"):
+        for name in ("times", "columns", "values", "vectors"):
             assert np.array_equal(getattr(refined, name), getattr(scratch, name))
         assert refined.flags == scratch.flags
 
@@ -427,7 +427,7 @@ class TestBranchOrder:
 
 
 def assert_same_path(a: EigenPath, b: EigenPath) -> None:
-    for name in ("times", "values", "vectors"):
+    for name in ("times", "columns", "values", "vectors"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert a.flags == b.flags
     assert np.array_equal(a.frames.values, b.frames.values)

@@ -101,10 +101,11 @@ class TestKinematicPhase:
         p = ModelParams(omega=1.0, lambda_c=0.07, alpha=1.3)
         path = micro_path(0.65, p, 1024)
         base = kinematic_phase(path)
-        rephased = path.vectors * np.exp(
-            1j * rng.uniform(-math.pi, math.pi, size=(path.times.size, 1, path.n_branches))
+        frames = path.frames
+        rephased = frames.vectors * np.exp(
+            1j * rng.uniform(-math.pi, math.pi, size=(path.times.size, 1, 4))
         )
-        res = kinematic_phase(replace(path, vectors=rephased))
+        res = kinematic_phase(replace(path, frames=frames._replace(vectors=rephased)))
         assert abs(res.unwrapped - base.unwrapped) < 1e-9
         assert np.max(np.abs(res.per_branch - base.per_branch)) < 1e-9
 
@@ -120,9 +121,9 @@ class TestKinematicPhase:
         p = ModelParams(omega=1.0, lambda_c=0.05, alpha=1.0)
         path = micro_path(0.4, p, 512)
         for eps0, null in ((5e-17, True), (1e-12, True), (2e-12, False)):
-            values = path.values.copy()
-            values[0, 1] = eps0
-            res = kinematic_phase(replace(path, values=values))
+            values = path.frames.values.copy()
+            values[0, path.columns[0, 1]] = eps0
+            res = kinematic_phase(replace(path, frames=path.frames._replace(values=values)))
             assert (res.per_branch[1] == 0.0) == null
 
     def test_grid_convergence_at_least_linear(self):
@@ -185,7 +186,7 @@ def config(name):
 
 
 def assert_same_path(a, b):
-    for name in ("times", "values", "vectors"):
+    for name in ("times", "columns", "values", "vectors"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert a.flags == b.flags
     assert np.array_equal(a.frames.values, b.frames.values)
