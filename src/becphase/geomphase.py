@@ -95,7 +95,7 @@ def _branch_sums(path: EigenPath) -> tuple[np.ndarray, np.ndarray, float]:
             live = values[0] > SUPPORT_TOL
             w0 = np.where(live, values[0], 0.0)[None, :]
             v0 = vectors[0].conj()
-        weights = np.sqrt(w0 * np.clip(values, 0.0, None))
+        weights = np.sqrt(w0 * np.maximum(values, 0.0))
         endpoint = np.einsum("ak,mak->mk", v0, vectors[chunk.start - linked.start :])
         links = np.einsum("mak,mak->mk", vectors[:-1].conj(), vectors[1:])
         mods = np.abs(links)
@@ -232,10 +232,17 @@ def converge_phase(
     The link product's grid error is a series in h^2, so each level is
     judged by romberg_acceptance over the unwrapped phases of all levels so
     far; extrapolation is off when the finest path carries one of the
-    EXTRAPOLATION_BLOCKERS warnings. The accepted value is the unwrapped
-    phase, the principal value is shifted by the same amount from the finest
-    grid's and wrapped, and error_estimate is the accepted column's last
-    delta. per_branch and n_steps are those of the finest grid.
+    EXTRAPOLATION_BLOCKERS warnings. When the first two levels are not
+    settled and extrapolation is on, the first path also gives coarser
+    levels before any refinement: up to ROMBERG_DEPTH - 1 pre-levels,
+    n_start / 2 and then n_start / 4, each on the even points of the
+    coarsest level so far and judged at once. The descent stops at an odd
+    step count and at a pre-level that carries a blocker, which is not
+    used. Pre-levels are not doublings: MAX_DOUBLINGS and the
+    ConvergenceError count path builds only. The accepted value is the
+    unwrapped phase, the principal value is shifted by the same amount from
+    the finest grid's and wrapped, and error_estimate is the accepted
+    column's last delta. per_branch and n_steps are those of the finest grid.
     """
     if n_start < 2 or n_start % 2:
         raise ValueError("n_start must be an even integer >= 2")
@@ -243,12 +250,25 @@ def converge_phase(
         raise ConvergenceError(f"no doubling of {n_start} steps stays within {MAX_STEPS} steps")
     n = 2 * n_start
     path = build_path(n)
-    levels = [kinematic_phase(even_point_path(path)).unwrapped]
+    coarsest = even_point_path(path)
+    pre: list[float] = []
+    levels = [kinematic_phase(coarsest).unwrapped]
     while True:
         cur = kinematic_phase(path)
         levels.append(cur.unwrapped)
-        blocked = any(w.startswith(EXTRAPOLATION_BLOCKERS) for w in cur.warnings)
-        accepted = romberg_acceptance(levels, phase_tol, extrapolate=not blocked)
+        blocked = _blocks_extrapolation(cur)
+        accepted = romberg_acceptance(pre + levels, phase_tol, extrapolate=not blocked)
+        # Pre-levels, before the first refinement only.
+        while (
+            accepted is None and not blocked and len(levels) == 2
+            and len(pre) < ROMBERG_DEPTH - 1 and coarsest.n_steps % 2 == 0
+        ):
+            coarsest = even_point_path(coarsest)
+            coarser = kinematic_phase(coarsest)
+            if _blocks_extrapolation(coarser):
+                break
+            pre.insert(0, coarser.unwrapped)
+            accepted = romberg_acceptance(pre + levels, phase_tol)
         if accepted is not None:
             _, value, error = accepted
             return replace(
@@ -265,6 +285,10 @@ def converge_phase(
         f"phase did not converge to {phase_tol:g} within {len(levels) - 1} doublings "
         f"(last delta {abs(levels[-1] - levels[-2]):g} at {n} of at most {MAX_STEPS} steps)"
     )
+
+
+def _blocks_extrapolation(result: PhaseResult) -> bool:
+    return any(w.startswith(EXTRAPOLATION_BLOCKERS) for w in result.warnings)
 
 
 def refining_path_builder(

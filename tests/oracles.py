@@ -29,8 +29,9 @@
   extrapolation step, the reference for the Romberg acceptance of
   `converge_phase`.
 - converge_phase_levels: the Romberg loop of `converge_phase` with every
-  level, the first included, built by its own `build_path` call; the
-  reference for deriving the first level from the second.
+  level, the first and the pre-levels below it included, built by its own
+  `build_path` call; the reference for deriving those levels from the
+  first path's even points. With pre_levels=0 it is the two-level rule.
 """
 
 from __future__ import annotations
@@ -291,17 +292,41 @@ def converge_phase_h2(build_path, n_start: int = 2048, phase_tol: float = PHASE_
     raise ConvergenceError(f"phase did not converge to {phase_tol:g} within 10 doublings")
 
 
-def converge_phase_levels(build_path, n_start: int, phase_tol: float = PHASE_TOL) -> PhaseResult:
+def converge_phase_levels(
+    build_path, n_start: int, phase_tol: float = PHASE_TOL, pre_levels: int | None = None
+) -> PhaseResult:
     """Build the levels n_start, 2 n_start, ... one build_path call each and
-    accept as `converge_phase` does, within its MAX_DOUBLINGS and MAX_STEPS."""
+    accept as `converge_phase` does, within its MAX_DOUBLINGS and MAX_STEPS.
+
+    When the first two levels are not settled and the second carries no
+    extrapolation blocker, the pre-levels n_start / 2, n_start / 4, ... (at
+    most pre_levels of them, ROMBERG_DEPTH - 1 by default) are built and
+    judged one at a time, down to an odd step count or a blocked level,
+    which is left out. pre_levels=0 is the two-level rule: no pre-level.
+    """
+    if pre_levels is None:
+        pre_levels = geomphase.ROMBERG_DEPTH - 1
+
+    def blocked(result):
+        return any(w.startswith(EXTRAPOLATION_BLOCKERS) for w in result.warnings)
+
     n = n_start
+    pre = []
     levels = [kinematic_phase(build_path(n)).unwrapped]
     while len(levels) <= geomphase.MAX_DOUBLINGS and 2 * n <= geomphase.MAX_STEPS:
         n *= 2
         cur = kinematic_phase(build_path(n))
         levels.append(cur.unwrapped)
-        blocked = any(w.startswith(EXTRAPOLATION_BLOCKERS) for w in cur.warnings)
-        accepted = romberg_acceptance(levels, phase_tol, extrapolate=not blocked)
+        accepted = romberg_acceptance(pre + levels, phase_tol, extrapolate=not blocked(cur))
+        m = n_start
+        first = n == 2 * n_start and not blocked(cur)
+        while accepted is None and first and len(pre) < pre_levels and m % 2 == 0:
+            m //= 2
+            coarser = kinematic_phase(build_path(m))
+            if blocked(coarser):
+                break
+            pre.insert(0, coarser.unwrapped)
+            accepted = romberg_acceptance(pre + levels, phase_tol)
         if accepted is not None:
             _, value, error = accepted
             return replace(

@@ -195,10 +195,11 @@ def assert_same_path(a, b):
 
 
 class TestExtrapolatedConvergence:
-    def test_micro_micro_accepted_at_1024(self):
+    def test_micro_micro_accepted_at_512(self):
+        # settled on its first path: levels 128, 256 and 512 from one build
         cfg = config("micro_micro")
         res = compute_phase(cfg)
-        assert res.n_steps == 1024
+        assert res.n_steps == 512
         assert res.error_estimate < cfg.phase_tol
         assert abs(res.unwrapped - phase_micro_micro_closed(cfg.eta0, cfg.params)) < 1e-10
         turns = (res.unwrapped - res.principal) / TWO_PI
@@ -264,6 +265,8 @@ class TestExtrapolatedConvergence:
     @pytest.mark.parametrize("name", ["micro_micro", "general"])
     def test_each_doubling_refines_the_last_level(self, name):
         cfg = config(name)
+        if name == "micro_micro":  # settles on its first path at its own tolerance
+            cfg = replace(cfg, phase_tol=1e-10)
         inner = path_builder(cfg)
         calls = []
 
@@ -306,14 +309,30 @@ def assert_same_result(a, b):
     assert np.array_equal(a.per_branch, b.per_branch)
 
 
+def record_steps(monkeypatch, name):
+    """Wrap geomphase's function of one path `name`; returns the list of the
+    step counts of the paths it is called on."""
+    steps = []
+    inner = getattr(geomphase, name)
+
+    def wrapper(path):
+        steps.append(path.n_steps)
+        return inner(path)
+
+    monkeypatch.setattr(geomphase, name, wrapper)
+    return steps
+
+
 class TestFirstTwoLevels:
-    """converge_phase builds the 2n grid once and takes level n from its even points."""
+    """converge_phase builds the 2n grid once and takes level n, and the
+    pre-levels below it, from its even points."""
 
     @pytest.mark.parametrize("name, levels, density_points", [
         ("macro_both", 2, [513]),
-        ("micro_micro", 3, [513, 512]),
+        ("micro_micro", 3, [513]),
     ])
     def test_density_and_decomposition_calls(self, monkeypatch, name, levels, density_points):
+        # levels: the levels judged, 2n and n plus micro_micro's n / 2
         checked = []
         validate_density = density.validate_density
 
@@ -322,10 +341,12 @@ class TestFirstTwoLevels:
             return validate_density(rho)
 
         monkeypatch.setattr(density, "validate_density", counting_validate_density)
+        judged = record_steps(monkeypatch, "kinematic_phase")
         cfg = config(name)
         calls = {"rho": [], "decompose": []}
         res = converge_phase(counting_builder(cfg, calls), cfg.n_steps, cfg.phase_tol)
-        assert res.n_steps == cfg.n_steps * 2 ** (levels - 1)
+        assert res.n_steps == 2 * cfg.n_steps
+        assert sorted(judged, reverse=True) == [2 * cfg.n_steps >> k for k in range(levels)]
         assert calls == {"rho": density_points, "decompose": density_points}
         assert checked == density_points
 
@@ -360,6 +381,59 @@ class TestFirstTwoLevels:
         for converge in (converge_phase, converge_phase_levels):
             with pytest.raises(ConvergenceError):
                 converge(build, 16, phase_tol=1e-30)
+
+
+class TestPreLevels:
+    """Before its first refinement, converge_phase takes the levels n / 2
+    and n / 4 from the even points of its first path."""
+
+    @pytest.mark.parametrize("name, phase_tol", [("macro_both", None), ("micro_micro", 1e-3)])
+    def test_settled_first_levels_take_no_pre_level(self, monkeypatch, name, phase_tol):
+        # macro_both's two levels agree to rounding; micro_micro's 256- and
+        # 512-step levels, unflagged, agree to 2.5e-4
+        even = record_steps(monkeypatch, "even_point_path")
+        cfg = config(name)
+        cfg = replace(cfg, phase_tol=phase_tol or cfg.phase_tol)
+        res = converge_phase(path_builder(cfg), cfg.n_steps, cfg.phase_tol)
+        ref = converge_phase_levels(path_builder(cfg), cfg.n_steps, cfg.phase_tol, pre_levels=0)
+        assert_same_result(res, ref)
+        assert res.n_steps == 2 * cfg.n_steps
+        assert even == [2 * cfg.n_steps]
+
+    def test_pre_level_with_coarse_grid_is_not_used(self, monkeypatch):
+        # 32 and 16 steps are unflagged and unsettled; 8 steps is coarse-grid
+        p = ModelParams(omega=1.0, lambda_c=0.2, alpha=1.0)
+        build = analytic_path_builder(Scenario.MICRO_MICRO, 0.3, p)
+        codes = [[w.split(":")[0] for w in kinematic_phase(build(n)).warnings] for n in (8, 16, 32)]
+        assert codes == [["coarse-grid"], [], []]
+        res = converge_phase(build, 16)
+        assert_same_result(res, converge_phase_levels(build, 16, pre_levels=0))
+        # used, the 8-step level would have settled the run on fewer steps
+        monkeypatch.setattr(geomphase, "EXTRAPOLATION_BLOCKERS", ("branch-ambiguity",))
+        assert converge_phase(build, 16).n_steps < res.n_steps
+
+    def test_doubling_limit_counts_builds_only(self, monkeypatch):
+        # micro_micro from 16 steps judges the 8-step pre-level (4 steps is
+        # coarse-grid), which is no doubling: the limit and the message count builds
+        monkeypatch.setattr(geomphase, "MAX_DOUBLINGS", 3)
+        cfg = config("micro_micro")
+        inner = path_builder(cfg)
+        built = []
+
+        def build(n, coarse=None):
+            built.append(n)
+            return inner(n, coarse)
+
+        even = record_steps(monkeypatch, "even_point_path")
+        with pytest.raises(ConvergenceError) as raised:
+            converge_phase(build, 16, phase_tol=1e-30)
+        assert built == [32, 64, 128]
+        assert even == [32, 16, 8]
+        delta = abs(kinematic_phase(inner(128)).unwrapped - kinematic_phase(inner(64)).unwrapped)
+        assert str(raised.value) == (
+            f"phase did not converge to 1e-30 within 3 doublings "
+            f"(last delta {delta:g} at 128 of at most 2097152 steps)"
+        )
 
 
 def planted_levels(terms, count=24):
