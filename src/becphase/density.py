@@ -141,7 +141,7 @@ def validate_density(rho: np.ndarray) -> Frames:
     herm = max(np.max(np.abs(pairs)), 2.0 * np.max(np.abs(diag.imag)))
     if not herm <= HERMITICITY_TOL:
         raise ValueError(f"density matrix not Hermitian: deviation {herm:g}")
-    traces = diag.sum(axis=1)
+    traces = diag.sum(axis=1) if block is None else diag[:, 0] + diag[:, 1]
     worst = complex(traces[np.argmax(np.abs(traces - 1.0))])
     if not abs(worst - 1.0) <= TRACE_TOL:
         raise ValueError(f"density matrix trace is {worst!r}, expected 1")
@@ -185,16 +185,15 @@ def _block_frames(m: np.ndarray, block: tuple[int, int]) -> tuple[np.ndarray, np
     evals = np.zeros(a.shape + (4,))
     evals[..., 0] = mean + r
     evals[..., 1] = mean - r
-    cos2, sin2 = _direction(half, mod_b)
+    # (cos 2t, sin 2t), and u from real divisions: numpy's complex division
+    # takes 1 / |b|, which overflows for a subnormal b.
+    (cos2, u_re), (sin2, u_im) = _direction(np.stack([half, b.real]), np.stack([mod_b, -b.imag]))
     # The larger of cos(t), sin(t) is sqrt((1 + |cos 2t|) / 2) >= sqrt(1/2); the
     # smaller, sin 2t / (2 larger), does not cancel the way sqrt((1 - |cos 2t|) / 2) does.
     larger = np.sqrt(0.5 * (1.0 + np.abs(cos2)))
     smaller = sin2 / (2.0 * larger)
     cos = np.where(cos2 >= 0.0, larger, smaller)
     sin = np.where(cos2 >= 0.0, smaller, larger)
-    # From real divisions: numpy's complex division takes 1 / |b|, which
-    # overflows for a subnormal b.
-    u_re, u_im = _direction(b.real, -b.imag)
     u = u_re + 1j * u_im
     evecs = np.zeros(a.shape + (4, 4), dtype=complex)
     evecs[..., i, 0] = cos
@@ -227,25 +226,34 @@ def coherent_rho_path(state0: CoherentBranches, times: np.ndarray, p: ModelParam
            - b_i conj(b_j) (2 sin^2(mu_ij t / 2) + i sin(mu_ij t)),
     mu_ij = mu_i - mu_j: the form of the log of Glauber's overlap that does
     not cancel when |b|^2 is large (R. J. Glauber, Phys. Rev. 131, 2766 (1963)).
-    Only the block of occupied branches (c_k != 0) is evaluated, in chunks
-    of PATH_CHUNK_POINTS times; every other entry carries a zero weight and
-    is written as 0.
+    Only the occupied branches (c_k != 0) enter, in chunks of
+    PATH_CHUNK_POINTS times: each strictly lower occupied pair i > j is
+    evaluated once, the upper entry is its exact conjugate, the diagonal is
+    |c_i|^2 = Re(c_i conj(c_i)), and every other entry carries a zero weight
+    and is written as 0. The matrices are Hermitian to the last bit, and
+    `eigh`, which reads the lower triangle, sees the full formula's bits
+    below the diagonal.
     """
     times = np.asarray(times, dtype=float)
     occ = np.flatnonzero(state0.coeffs)
     c, b = state0.coeffs[occ], state0.betas[occ]
-    energy = np.array([branch_frequency(k, 0, p) for k in occ])
-    slope = np.array([branch_frequency(k, 1, p) for k in occ]) - energy
-    cross = np.outer(b, b.conj())  # b_i conj(b_j)
-    g0 = -0.5 * np.abs(b[:, None] - b[None, :]) ** 2 + 1j * cross.imag
-    mu = slope[:, None] - slope[None, :]
-    de = energy[:, None] - energy[None, :]
-    weight = np.outer(c, c.conj())
+    theta = np.array([branch_frequency(k, np.arange(2), p) for k in occ]).reshape(-1, 2)
+    energy, slope = theta[:, 0], theta[:, 1] - theta[:, 0]
+    row, col = np.tril_indices(occ.size, -1)
+    cross = b[row] * b[col].conj()  # b_i conj(b_j)
+    g0 = -0.5 * np.abs(b[row] - b[col]) ** 2 + 1j * cross.imag
+    mu = slope[row] - slope[col]
+    de = energy[row] - energy[col]
+    weight = c[row] * c[col].conj()
+    lower, upper = (occ[row], occ[col]), (occ[col], occ[row])
     out = np.zeros((times.size, 4, 4), dtype=complex)
+    out[:, occ, occ] = (c * c.conj()).real
     for chunk in point_chunks(times.size):
-        t = times[chunk, None, None]
+        t = times[chunk, None]
         g = g0 - cross * (2.0 * np.sin(0.5 * mu * t) ** 2 + 1j * np.sin(mu * t))
-        out[chunk, occ[:, None], occ] = weight * np.exp(g - 1j * de * t)
+        rho = weight * np.exp(g - 1j * de * t)
+        out[(chunk, *lower)] = rho
+        out[(chunk, *upper)] = rho.conj()
     return out
 
 

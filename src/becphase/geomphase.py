@@ -44,9 +44,8 @@ from .density import (
 
 PHASE_TOL = 1e-7
 N_STEPS = 256
-MAX_DOUBLINGS = 13
-# The finest grid any run builds: the last level a default-start phase run reaches.
-MAX_STEPS = N_STEPS * 2**MAX_DOUBLINGS
+# The finest grid any run builds, whatever its start.
+MAX_STEPS = 2**21
 COARSE_LINK_WARNING = 0.9
 ORIGIN_WARNING_RATIO = 1e-6
 N_QUAD = 4096
@@ -85,27 +84,31 @@ def _branch_sums(path: EigenPath) -> tuple[np.ndarray, np.ndarray, float]:
     of the next chunk's cumprod, which repeats the unchunked products.
     """
     frame_values, frame_vectors, _ = path.frames
+    first = path.columns[0]
+    live = frame_values[0, first] > SUPPORT_TOL
+    # a view of every link modulus when every branch is live
+    tracked = slice(None) if live.all() else live
+    w0 = np.where(live, frame_values[0, first], 0.0)
+    v0 = frame_vectors[0][:, first].conj()
     sums = np.empty(path.times.size, dtype=complex)
     min_link = 1.0
     for chunk in point_chunks(path.times.size):
         linked = slice(max(chunk.start - 1, 0), chunk.stop)
         vectors = gather_columns(frame_vectors[linked], path.columns[linked])
         values = gather_columns(frame_values[chunk], path.columns[chunk])
-        if chunk.start == 0:
-            live = values[0] > SUPPORT_TOL
-            w0 = np.where(live, values[0], 0.0)[None, :]
-            v0 = vectors[0].conj()
         weights = np.sqrt(w0 * np.maximum(values, 0.0))
         endpoint = np.einsum("ak,mak->mk", v0, vectors[chunk.start - linked.start :])
         links = np.einsum("mak,mak->mk", vectors[:-1].conj(), vectors[1:])
         mods = np.abs(links)
         if mods.size and live.any():
-            min_link = min(min_link, float(mods[:, live].min()))
+            min_link = min(min_link, float(mods[:, tracked].min()))
         if min_link == 0.0:
             raise ConvergenceError("vanishing neighbor overlap: grid cannot resolve the path")
-        # dead-branch links may be ill-defined inside a degenerate zero subspace
-        nonzero = mods > 0.0
-        unit = np.where(nonzero, links / np.where(nonzero, mods, 1.0), 1.0)
+        if mods.all():
+            unit = links / mods
+        else:  # dead-branch links may be ill-defined inside a degenerate zero subspace
+            nonzero = mods > 0.0
+            unit = np.where(nonzero, links / np.where(nonzero, mods, 1.0), 1.0)
         if chunk.start == 0:
             cum = np.empty_like(endpoint)
             cum[0] = 1.0
@@ -128,6 +131,21 @@ def _cumprod(rows: np.ndarray, n_links: int) -> np.ndarray:
     return np.cumprod(rows, axis=0)
 
 
+def _unwrapped_span(ang: np.ndarray, dd: np.ndarray) -> float:
+    """np.unwrap(ang)[-1] - np.unwrap(ang)[0], bit for bit, given
+    dd = np.diff(ang). np.unwrap corrects only the steps that are not
+    below pi; every other correction is an exact 0, and adding 0 leaves
+    its sequential cumsum unchanged, so only those steps are corrected
+    and summed here, with np.unwrap's arithmetic."""
+    wraps = dd[~(np.abs(dd) < np.pi)]
+    correction = 0.0
+    if wraps.size:
+        mod = np.mod(wraps + np.pi, 2.0 * np.pi) - np.pi
+        mod[(mod == -np.pi) & (wraps > 0)] = np.pi
+        correction = np.cumsum(mod - wraps)[-1]
+    return float((ang[-1] + correction) - ang[0])
+
+
 def phase_trace(path: EigenPath) -> np.ndarray:
     """Unwrapped running phase of the partial path at every grid point."""
     sums, _, _ = _branch_sums(path)
@@ -140,8 +158,9 @@ def kinematic_phase(path: EigenPath) -> PhaseResult:
     Zero-weight branches drop out of the sum; near-degenerate stretches
     flagged by the path are propagated as warnings. The principal value is
     the argument of the final branch sum, the unwrapped value its continuous
-    continuation from zero. A single path carries no error estimate;
-    converge_phase supplies one.
+    continuation from zero: np.unwrap's span, from the steps of the
+    running argument that wrap (_unwrapped_span). A single path carries no
+    error estimate; converge_phase supplies one.
     """
     if path.times.size < 2:
         raise ValueError("path must contain at least two time points")
@@ -153,7 +172,8 @@ def kinematic_phase(path: EigenPath) -> PhaseResult:
         )
     mags = np.abs(tot)
     raw_ang = np.angle(tot)
-    steps = np.abs(np.diff(raw_ang))
+    dd = np.diff(raw_ang)
+    steps = np.abs(dd)
     steps = np.minimum(steps, 2.0 * np.pi - steps)
     if mags.min() < ORIGIN_WARNING_RATIO * mags.max() or (
         steps.size and steps.max() > 0.5 * np.pi
@@ -162,10 +182,9 @@ def kinematic_phase(path: EigenPath) -> PhaseResult:
             "phase-origin-crossing: path sum passes near zero, "
             "unwrapped value is convention dependent there"
         )
-    ang = np.unwrap(raw_ang)
     return PhaseResult(
         principal=float(np.angle(tot[-1])),
-        unwrapped=float(ang[-1] - ang[0]),
+        unwrapped=_unwrapped_span(raw_ang, dd),
         per_branch=last,
         n_steps=path.n_steps,
         error_estimate=None,
@@ -221,8 +240,8 @@ def converge_phase(
     n_start: int = N_STEPS,
     phase_tol: float = PHASE_TOL,
 ) -> PhaseResult:
-    """Double the grid, at most MAX_DOUBLINGS times and never beyond
-    MAX_STEPS, until the unwrapped phase is settled to phase_tol.
+    """Double the grid, never beyond MAX_STEPS, until the unwrapped phase
+    is settled to phase_tol.
 
     The first two levels come from one path: build_path(2 n_start), whose
     even grid points give the n_start level (even_point_path), so no density
@@ -238,8 +257,9 @@ def converge_phase(
     n_start / 2 and then n_start / 4, each on the even points of the
     coarsest level so far and judged at once. The descent stops at an odd
     step count and at a pre-level that carries a blocker, which is not
-    used. Pre-levels are not doublings: MAX_DOUBLINGS and the
-    ConvergenceError count path builds only. The accepted value is the
+    used. Pre-levels are not doublings: the ConvergenceError counts path
+    builds only, and a start of 2 steps builds at most about 2 MAX_STEPS
+    grid points in all. The accepted value is the
     unwrapped phase, the principal value is shifted by the same amount from
     the finest grid's and wrapped, and error_estimate is the accepted
     column's last delta. per_branch and n_steps are those of the finest grid.
@@ -277,7 +297,7 @@ def converge_phase(
                 principal=math.remainder(cur.principal + (value - cur.unwrapped), 2.0 * math.pi),
                 error_estimate=error,
             )
-        if len(levels) > MAX_DOUBLINGS or 2 * n > MAX_STEPS:
+        if 2 * n > MAX_STEPS:
             break
         n *= 2
         path = build_path(n, coarse=path)
@@ -359,8 +379,8 @@ def phase_micro_micro_closed(eta0: float, p: ModelParams) -> float:
         + 2.0 * integrand[2:-1:2].sum()
     )
     overlap = math.cos(eta0) * cos_theta + math.sin(eta0) * sin_theta * np.exp(-1j * lam)
-    tracked = np.unwrap(np.angle(overlap))
-    return float(tracked[-1] - tracked[0] + integral)
+    arg = np.angle(overlap)
+    return _unwrapped_span(arg, np.diff(arg)) + float(integral)
 
 
 def weak_coupling_phase(concurrence: float, p: ModelParams) -> float:

@@ -19,7 +19,11 @@
 - exhaustive_step_permutations: scores all 24 column permutations on every
   step, the reference for the shortcut of `density._step_permutations`.
 - coherent_rho_full: the coherent-overlap density on all 16 entries, the
-  reference for the occupied-block evaluation of `coherent_rho_path`.
+  reference for the lower triangle of `coherent_rho_path`, which evaluates
+  each occupied pair once.
+- numpy_unwrapped_span: the span of `np.unwrap` over a whole series, the
+  reference for `geomphase._unwrapped_span`, which corrects only the steps
+  that wrap.
 - emit_rowwise: one `csv.writer` row per table row, the reference for the
   column-wise `emit`.
 - whole_path_phasors: every branch contribution of the kinematic phase sum
@@ -247,6 +251,12 @@ def whole_path_phasors(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return weights * endpoint * cum.conj()
 
 
+def numpy_unwrapped_span(ang: np.ndarray, dd: np.ndarray) -> float:
+    """np.unwrap(ang)[-1] - np.unwrap(ang)[0]; dd, np.diff(ang), is not used."""
+    tracked = np.unwrap(ang)
+    return float(tracked[-1] - tracked[0])
+
+
 def emit_rowwise(table: Table, fmt: str) -> str:
     """The table written one `csv.writer` row at a time, strings as they are;
     a string column repeats on every row."""
@@ -296,7 +306,7 @@ def converge_phase_levels(
     build_path, n_start: int, phase_tol: float = PHASE_TOL, pre_levels: int | None = None
 ) -> PhaseResult:
     """Build the levels n_start, 2 n_start, ... one build_path call each and
-    accept as `converge_phase` does, within its MAX_DOUBLINGS and MAX_STEPS.
+    accept as `converge_phase` does, within its MAX_STEPS.
 
     When the first two levels are not settled and the second carries no
     extrapolation blocker, the pre-levels n_start / 2, n_start / 4, ... (at
@@ -313,7 +323,7 @@ def converge_phase_levels(
     n = n_start
     pre = []
     levels = [kinematic_phase(build_path(n)).unwrapped]
-    while len(levels) <= geomphase.MAX_DOUBLINGS and 2 * n <= geomphase.MAX_STEPS:
+    while 2 * n <= geomphase.MAX_STEPS:
         n *= 2
         cur = kinematic_phase(build_path(n))
         levels.append(cur.unwrapped)

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -215,9 +216,13 @@ class TestCoherentPath:
         dev = np.max(np.abs(coherent_rho_path(state0, times, p) - oracle_rho_path(state0.fock(), times, p)))
         assert dev <= 5e-13
 
-    @pytest.mark.parametrize("name", ["micro_micro", "macro_both", "macro_single", "general"])
+    @pytest.mark.parametrize("name", ["micro_micro", "macro_both", "macro_single", "general", "complex-alpha"])
     def test_shipped_configs_agree_at_the_default_tail(self, name):
-        cfg = parse_config((CONFIG_DIR / f"{name}.json").read_text())
+        if name == "complex-alpha":
+            doc = json.loads((CONFIG_DIR / "macro_single.json").read_text())
+            cfg = parse_config(json.dumps({**doc, "alpha": [2.1, -1.7], "eta0": 0.6}))
+        else:
+            cfg = parse_config((CONFIG_DIR / f"{name}.json").read_text())
         times = np.linspace(0.0, quasicycle_period(cfg.params), cfg.n_steps + 1)
         exact = coherent_rho_path(initial_branches(cfg), times, cfg.params)
         assert np.max(np.abs(exact - oracle_rho_path(initial_state(cfg), times, cfg.params))) <= 1e-12
@@ -231,19 +236,31 @@ class TestCoherentPath:
 
     @pytest.mark.parametrize("name", ["micro_micro", "macro_both", "macro_single", "general"])
     def test_occupied_block_equals_the_full_formula(self, name):
+        # the lower triangle is the full formula's, the upper its exact
+        # conjugate and the diagonal |c_i|^2, also at complex alpha, where
+        # the full formula's upper triangle and diagonal differ from those
+        # in rounding
         cfg = parse_config((CONFIG_DIR / f"{name}.json").read_text())
         rng = np.random.default_rng(7)
-        states = [initial_branches(cfg)]
+        alpha = 2.7 * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        configs = [cfg, replace(cfg, params=replace(cfg.params, alpha=alpha))]
         if cfg.scenario != "general":
             # eta0 = 0 and pi/2 leave a single occupied branch
-            states += [initial_branches(replace(cfg, eta0=e)) for e in (0.0, math.pi / 2, rng.uniform(0, 1.5))]
+            configs += [replace(cfg, eta0=e) for e in (0.0, math.pi / 2, rng.uniform(0, 1.5))]
+        else:
+            c = rng.normal(size=4) + 1j * rng.normal(size=4)
+            configs.append(replace(cfg, coefficients=c / np.linalg.norm(c)))
         times = np.sort(rng.uniform(0.0, 40.0, 301))
-        for state0 in states:
-            occ = np.flatnonzero(state0.coeffs)
+        lower = np.tril_indices(4, -1)
+        for state0, params in ((initial_branches(c), c.params) for c in configs):
             empty = np.flatnonzero(state0.coeffs == 0)
-            rhos = coherent_rho_path(state0, times, cfg.params)
-            full = coherent_rho_full(state0, times, cfg.params)
-            assert np.array_equal(rhos[:, occ[:, None], occ], full[:, occ[:, None], occ])
+            rhos = coherent_rho_path(state0, times, params)
+            full = coherent_rho_full(state0, times, params)
+            assert np.array_equal(rhos[:, lower[0], lower[1]], full[:, lower[0], lower[1]])
+            assert np.array_equal(rhos, np.conj(np.swapaxes(rhos, 1, 2)))
+            diagonal = np.diagonal(rhos, axis1=1, axis2=2)
+            assert np.array_equal(diagonal, np.broadcast_to((state0.coeffs * state0.coeffs.conj()).real, diagonal.shape))
+            assert np.max(np.abs(rhos - full)) <= 1e-13
             assert not np.any(rhos[:, empty, :]) and not np.any(rhos[:, :, empty])
 
     def test_general_eps2_does_not_rest_on_rounding(self, monkeypatch):

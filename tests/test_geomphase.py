@@ -30,7 +30,15 @@ from becphase import (
 from becphase import density, geomphase
 from becphase.cli import RunConfig, compute_phase, initial_branches, path_builder
 from becphase.geomphase import PHASE_TOL, refining_path_builder, romberg_acceptance
-from oracles import converge_phase_h2, converge_phase_levels, factorization_functions, local_unitary
+from hypothesis import given, settings, strategies as st
+
+from oracles import (
+    converge_phase_h2,
+    converge_phase_levels,
+    factorization_functions,
+    local_unitary,
+    numpy_unwrapped_span,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 TWO_PI = 2 * math.pi
@@ -115,6 +123,19 @@ class TestKinematicPhase:
         res = kinematic_phase(path)
         assert abs(res.per_branch[1]) == pytest.approx(0.0, abs=1e-12)
 
+    def test_null_branch_link_of_modulus_zero_changes_nothing(self):
+        # inside a pure state's null subspace a branch may jump to an
+        # orthogonal vector; its link is then exactly 0 and must neither
+        # poison the sum nor count as the smallest live link
+        path = path_builder(config("general"))(256)
+        null = np.flatnonzero(path.values[0] <= density.SUPPORT_TOL)
+        assert null.size
+        vectors = path.frames.vectors.copy()
+        for m, basis in ((5, 0), (6, 1)):
+            vectors[m, :, path.columns[m, null[0]]] = np.eye(4)[basis]
+        jumped = replace(path, frames=path.frames._replace(vectors=vectors))
+        assert_same_result(kinematic_phase(jumped), kinematic_phase(path))
+
     def test_null_branch_rounding_gets_no_weight(self):
         # eps(0) at or below SUPPORT_TOL is a pure state's null eigenvalue
         # in rounding; above it the branch weighs sqrt(eps(0) eps(tau))
@@ -168,11 +189,19 @@ class TestKinematicPhase:
         assert kin_oracle.unwrapped == pytest.approx(kin_analytic.unwrapped, abs=1e-6)
 
     def test_convergence_error(self, monkeypatch):
-        monkeypatch.setattr(geomphase, "MAX_DOUBLINGS", 3)
+        # a small start doubles up to MAX_STEPS, however many doublings that takes
+        monkeypatch.setattr(geomphase, "MAX_STEPS", 64)
         p = ModelParams(omega=1.0, lambda_c=0.05, alpha=1.0)
-        build = analytic_path_builder(Scenario.MICRO_MICRO, 0.5, p)
-        with pytest.raises(ConvergenceError):
+        inner = analytic_path_builder(Scenario.MICRO_MICRO, 0.5, p)
+        built = []
+
+        def build(n, coarse=None):
+            built.append(n)
+            return inner(n, coarse)
+
+        with pytest.raises(ConvergenceError, match="within 4 doublings"):
             converge_phase(build, 4, phase_tol=1e-30)
+        assert built == [8, 16, 32, 64]
 
     def test_phase_trace_starts_at_zero(self):
         p = ModelParams(omega=1.0, lambda_c=0.05, alpha=1.0)
@@ -183,6 +212,76 @@ class TestKinematicPhase:
 
 def config(name):
     return parse_config((CONFIG_DIR / f"{name}.json").read_text())
+
+
+# Angles as np.angle returns them and beyond, with the endpoints and zeros
+# whose differences are steps of exactly +-pi, +-2 pi and 0.
+ANGLES = st.one_of(
+    st.floats(-math.pi, math.pi),
+    st.floats(-20.0, 20.0),
+    st.sampled_from([math.pi, -math.pi, 0.0, -0.0, math.pi / 2, -math.pi / 2]),
+)
+
+
+class TestUnwrappedSpan:
+    """geomphase._unwrapped_span corrects only the steps of at least pi and
+    equals the span of np.unwrap bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(ANGLES, min_size=2, max_size=40))
+    def test_equals_numpy_unwrap(self, angles):
+        ang = np.array(angles)
+        span = geomphase._unwrapped_span(ang, np.diff(ang))
+        assert span.hex() == numpy_unwrapped_span(ang, None).hex()
+
+    @pytest.mark.parametrize(
+        "ang",
+        [
+            [0.0, math.pi],
+            [math.pi, 0.0],
+            [-math.pi, math.pi],
+            [0.0, -math.pi, 0.0, math.pi],
+            # a quarter of the steps wrap: their corrections are summed in order
+            np.random.default_rng(23).uniform(-math.pi, math.pi, 4097),
+        ],
+    )
+    def test_steps_of_exactly_pi_and_many_wraps(self, ang):
+        ang = np.array(ang)
+        assert geomphase._unwrapped_span(ang, np.diff(ang)) == numpy_unwrapped_span(ang, None)
+
+    @staticmethod
+    def counting_reference(monkeypatch):
+        """Replace _unwrapped_span by np.unwrap's span; the returned list
+        gets the number of steps that wrap in each series."""
+        wraps = []
+
+        def reference(ang, dd):
+            wraps.append(int(np.count_nonzero(np.abs(np.diff(ang)) >= math.pi)))
+            return numpy_unwrapped_span(ang, dd)
+
+        monkeypatch.setattr(geomphase, "_unwrapped_span", reference)
+        return wraps
+
+    def test_kinematic_phase_on_the_shipped_paths(self, monkeypatch):
+        paths = []
+        for name in ("micro_micro", "macro_both", "macro_single", "general"):
+            cfg = config(name)
+            build = path_builder(cfg)
+            paths += [build(n) for n in (8, cfg.n_steps, 2 * cfg.n_steps)]
+        results = [kinematic_phase(path) for path in paths]
+        wraps = self.counting_reference(monkeypatch)
+        for path, res in zip(paths, results):
+            assert_same_result(res, kinematic_phase(path))
+        assert max(wraps) > 0
+
+    def test_closed_form_where_its_overlap_winds(self, monkeypatch):
+        # above eta0 ~ pi/4 the overlap winds around the origin
+        p = ModelParams(omega=1.0, lambda_c=0.1, alpha=6.0)
+        eta0s = [0.3, math.pi / 4, math.pi / 4 + 1e-7, 1.2]
+        values = [phase_micro_micro_closed(eta0, p) for eta0 in eta0s]
+        wraps = self.counting_reference(monkeypatch)
+        assert values == [phase_micro_micro_closed(eta0, p) for eta0 in eta0s]
+        assert max(wraps) > 0
 
 
 def assert_same_path(a, b):
@@ -235,8 +334,22 @@ class TestExtrapolatedConvergence:
             converge_phase(build, 256, phase_tol=1e-30)
         assert built == [512, 1024]
 
+    def test_small_start_is_bounded_by_the_step_limit_alone(self):
+        # from 2 steps this run needs 16 doublings, more than a start of 256
+        # would leave below MAX_STEPS; it ends where the default start ends
+        doc = {
+            "scenario": "macro_both", "omega": 0.028053643775901645,
+            "j_vdw": -0.015449855224270781, "lambda_c": 0.37243639496520375,
+            "alpha": [0.27241172265553876, -3.5992871023950954], "eta0": 1.4190018173883652,
+            "grid": {"phase_tol": 1.0393322148500854e-08},
+        }
+        cfg = parse_config(json.dumps(doc))
+        res = converge_phase(path_builder(cfg), 2, cfg.phase_tol)
+        assert res.n_steps == 131072
+        assert_same_result(res, compute_phase(cfg))
+
     def test_unreachable_tolerance_still_raises(self, monkeypatch):
-        monkeypatch.setattr(geomphase, "MAX_DOUBLINGS", 3)
+        monkeypatch.setattr(geomphase, "MAX_STEPS", 16384)
         p = ModelParams(omega=1.0, lambda_c=0.05, alpha=1.0)
         build = analytic_path_builder(Scenario.MICRO_MICRO, 0.5, p)
         with pytest.raises(ConvergenceError):
@@ -376,7 +489,7 @@ class TestFirstTwoLevels:
             assert_same_result(res, ref)
 
     def test_same_convergence_error(self, monkeypatch):
-        monkeypatch.setattr(geomphase, "MAX_DOUBLINGS", 3)
+        monkeypatch.setattr(geomphase, "MAX_STEPS", 128)
         build = path_builder(config("micro_micro"))
         for converge in (converge_phase, converge_phase_levels):
             with pytest.raises(ConvergenceError):
@@ -415,7 +528,7 @@ class TestPreLevels:
     def test_doubling_limit_counts_builds_only(self, monkeypatch):
         # micro_micro from 16 steps judges the 8-step pre-level (4 steps is
         # coarse-grid), which is no doubling: the limit and the message count builds
-        monkeypatch.setattr(geomphase, "MAX_DOUBLINGS", 3)
+        monkeypatch.setattr(geomphase, "MAX_STEPS", 128)
         cfg = config("micro_micro")
         inner = path_builder(cfg)
         built = []
@@ -432,7 +545,7 @@ class TestPreLevels:
         delta = abs(kinematic_phase(inner(128)).unwrapped - kinematic_phase(inner(64)).unwrapped)
         assert str(raised.value) == (
             f"phase did not converge to 1e-30 within 3 doublings "
-            f"(last delta {delta:g} at 128 of at most 2097152 steps)"
+            f"(last delta {delta:g} at 128 of at most 128 steps)"
         )
 
 
