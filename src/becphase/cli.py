@@ -12,7 +12,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .density import (
     eigen_path,
     oracle_rho_path,
     partial_trace,
+    point_chunks,
 )
 from .geomphase import (
     MAX_STEPS,
@@ -73,9 +74,9 @@ SWEEP_KEYS = {"variable", "start", "stop", "count"}
 SWEEP_VARIABLES = ("concurrence", "alpha", "lambda_c", "eta0")
 # The most points a sweep may have; the shipped sweeps use 50.
 MAX_SWEEP_COUNT = 1000
-# The finest grid evolve prints: it holds whole-path arrays of about 0.9 KB
+# The finest grid evolve prints: it holds whole-path arrays of about 0.75 KB
 # per grid point. Peak RSS at this bound, in a fresh process with stdout
-# captured: 142 MB on configs/micro_micro.json, 149 MB on configs/general.json.
+# captured: 124 MB on configs/micro_micro.json, 122 MB on configs/general.json.
 MAX_EVOLVE_STEPS = 2**17
 MANDATORY = {
     "micro_micro": ("omega", "lambda_c", "alpha", "eta0"),
@@ -285,15 +286,176 @@ def _fmt(value) -> str:
     return "%.17g" % float(value)
 
 
+# ---------------------------------------------------------------------------
+# "%.17g" of float64 arrays at numpy speed.
+# ---------------------------------------------------------------------------
+
+# |x| in (_G17_MIN, _G17_MAX) goes through the kernel; Dekker's split of it and
+# of its power of ten cannot overflow there. CPython formats the rest.
+_G17_MIN, _G17_MAX = 1e-280, 1e280
+# The decimal exponents k whose 10**(16 - k) the kernel may scale by: those
+# of that range, one more either side for log10's rounding, and one above
+# for a rounding that carries into a new leading digit.
+_K_MIN, _K_MAX = -281, 282
+# Veltkamp's splitter 2**27 + 1: x * _SPLIT splits x into two 26-bit halves.
+_SPLIT = 134217729.0
+# Below 1e17 the scaled value is computed to within 2**-46. A fractional part
+# within this band of 1/2 (every exact tie among them) is left to CPython.
+_HALF_BAND = 2.0**-40
+# The byte that pads the kernel's rows: no UTF-8 text holds it.
+_PAD = b"\xff"
+# Each row is 48 bytes, six words: "-0.000" (the sign and the zeros of
+# 0.000d), the 17 digits each followed by "." (bytes 6 to 39), "e+ddd" at
+# byte 40 and three spare bytes, the last of which emit fills with the
+# column's delimiter. Layout classes: decimal exponents -4..16
+# print in fixed notation, each its own class; the others as d.ddde+dd or
+# d.ddde+ddd.
+_ROW, _CLASSES = 48, 23
+
+
+@functools.cache
+def _g17_tables() -> tuple[np.ndarray, ...]:
+    """The kernel's lookup tables, built on first use with int arithmetic.
+
+    For each k in [_K_MIN, _K_MAX]: 10**(16 - k) as hi + lo, hi its double
+    and lo the double of the rest (int / int is correctly rounded), with hi's
+    Veltkamp halves; the row offset of k's layout class; and "e+ddd". For
+    each 4-digit group: its digits each followed by "." as one word, and the
+    count of digits up to its last nonzero one at each of the four group
+    positions (1, the leading digit, for a zero group). For each sign, class
+    and number of significant digits: the row with _PAD at every byte that
+    "%.17g" leaves out and 0 at every byte that it keeps.
+    """
+    ks = range(_K_MIN, _K_MAX + 1)
+    powers = []
+    for k in ks:
+        num, den = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
+        hi = num / den
+        a, b = hi.as_integer_ratio()
+        powers.append((hi, (num * b - a * den) / (den * b)))
+    hi, lo = np.array(powers).T
+    c = hi * _SPLIT
+    hi_hi = c - (c - hi)
+
+    def word(text: bytes) -> int:
+        return int.from_bytes(text, "little")
+
+    quads = [b"%04d" % g for g in range(10000)]
+    pairs = np.array([word(bytes(c for d in q for c in (d, ord(".")))) for q in quads], dtype=np.uint64)
+    sig = np.array([len(q.rstrip(b"0")) for q in quads])
+    last = np.array([np.where(sig > 0, 1 + 4 * i + sig, 1) for i in range(4)], dtype=np.uint8)
+    exponent = np.array([word(b"e%+04d" % k + _PAD * 3) for k in ks], dtype=np.uint64)
+    classes = [*range(-4, 17), 17, 100]
+    layout = np.array([classes.index(k if -4 <= k <= 16 else 17 if abs(k) < 100 else 100) for k in ks])
+    drop = []
+    for negative in (False, True):
+        for k in classes:
+            for nd in range(18):
+                keep = [0] if negative else []
+                if -4 <= k < 0:
+                    keep += [1, 2, *range(3, 2 - k), *range(6, 6 + 2 * nd, 2)]
+                else:
+                    point = k if k <= 16 else 0
+                    keep += range(6, 8 + 2 * max(nd - 1, point), 2)
+                    keep += [7 + 2 * point] if nd > point + 1 else []
+                    keep += [] if k <= 16 else [40, 41, 43, 44] + [42] * (abs(k) >= 100)
+                row = bytearray(_PAD * _ROW)
+                for i in keep:
+                    row[i] = 0
+                drop.append(bytes(row))
+    drop = np.frombuffer(b"".join(drop), dtype=f"V{_ROW}")
+    return hi, hi_hi, hi - hi_hi, lo, pairs, last, exponent, layout * 18, drop
+
+
+def _decimal17(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|a| rounded half-even to 17 significant digits: the digits as an
+    integer in [1e16, 1e17), the decimal exponent k of the leading digit, and
+    where that is by construction the rounding of CPython's "%.17g", which is
+    correctly rounded (D. M. Gay, AT&T Numerical Analysis Manuscript 90-10
+    (1990)).
+
+    The scaled value x 10**(16 - k), x = |a|, comes out as p + r: p is the
+    double of x hi, r = (x hi - p) + x lo, and x hi - p is exact by Dekker's
+    two-product (T. J. Dekker, Numer. Math. 18, 224 (1971)). k starts at
+    floor(log10 x) and moves by one where p + r lies outside [1e16, 1e17):
+    p alone may round onto a bound that the value does not reach (a value
+    within the error of a bound rounds to the same digits either way). The
+    result is undecided where x is outside (_G17_MIN, _G17_MAX) or not finite,
+    and where r's fractional part lies within _HALF_BAND of 1/2.
+    """
+    pow_hi, pow_hi_hi, pow_hi_lo, pow_lo = _g17_tables()[:4]
+    x = np.abs(a)
+    decided = (x > _G17_MIN) & (x < _G17_MAX)
+    x = np.where(decided, x, 1.0)
+    k = np.floor(np.log10(x)).astype(np.intp)
+
+    def scaled(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        i = k - _K_MIN
+        hi, hi_hi, hi_lo = pow_hi[i], pow_hi_hi[i], pow_hi_lo[i]
+        p = x * hi
+        c = x * _SPLIT
+        x_hi = c - (c - x)
+        x_lo = x - x_hi
+        err = ((x_hi * hi_hi - p) + x_hi * hi_lo + x_lo * hi_hi) + x_lo * hi_lo
+        return p, err + x * pow_lo[i]
+
+    p, r = scaled(x, k)
+    low = (p < 1e16) | ((p == 1e16) & (r < 0))
+    high = (p > 1e17) | ((p == 1e17) & (r >= 0))
+    moved = np.flatnonzero(low | high)
+    k[moved] += high[moved].astype(np.intp) - low[moved]
+    p[moved], r[moved] = scaled(x[moved], k[moved])
+    q = np.rint(r)
+    decided &= np.abs(r - q) < 0.5 - _HALF_BAND
+    digits = p.astype(np.int64) + q.astype(np.int64)
+    carry = digits == 10**17
+    digits[carry] = 10**16
+    k += carry
+    return digits, k, decided
+
+
+def _g17(values: np.ndarray) -> np.ndarray:
+    """"%.17g" % v of every float64 v, as the rows of an (n, 48) uint8 array:
+    a row with its _PAD bytes deleted is the text. Values that _decimal17
+    leaves undecided are formatted by CPython."""
+    a = np.ravel(values)
+    digits, k, decided = _decimal17(a)
+    pairs, last, exponent, layout, drop = _g17_tables()[4:]
+    top, low = np.divmod(digits, 10**8)
+    lead, mid = np.divmod(top, 10**8)
+    groups = (*np.divmod(mid, 10**4), *np.divmod(low, 10**4))
+    nd = np.maximum.reduce([last[i, group] for i, group in enumerate(groups)])
+    words = drop[np.signbit(a) * (_CLASSES * 18) + layout[k - _K_MIN] + nd].view(np.uint64).reshape(-1, 6)
+    words[:, 0] |= (lead.astype(np.uint64) + np.uint64(ord("0"))) << np.uint64(48) | np.uint64(
+        int.from_bytes(b"-0.000\x00.", "little")
+    )
+    for i, group in enumerate(groups, 1):
+        words[:, i] |= pairs[group]
+    words[:, 5] |= exponent[k - _K_MIN]
+    rows = words.view(np.uint8)
+    undecided = np.flatnonzero(~decided)
+    if undecided.size:
+        text = b"".join((b"%.17g" % v).ljust(_ROW, _PAD) for v in a[undecided].tolist())
+        rows[undecided] = np.frombuffer(text, np.uint8).reshape(-1, _ROW)
+    return rows
+
+
 def emit(table: Table, fmt: str = "csv", path: str | None = None) -> str:
     """Render a table with 17-significant-digit floats; refuse empty tables.
 
-    Each line is one row format applied to the row's cells. A float64 array
-    column is a "%.17g"; a repeated string is quoted once and folded into the
-    format's text; any other column is rendered cell by cell into a "%s".
+    Each run of neighbouring columns that are not float64 arrays is one row
+    format, in which a repeated string is quoted once and folded into the
+    format's text and any other column is rendered cell by cell into a "%s".
     Each distinct string goes through csv.writer once, so that its quoting is
-    the writer's."""
-    if not len(table):
+    the writer's. Without float64 arrays the table is one run and each line
+    is one % of its format. Otherwise rows are built as bytes,
+    density.point_chunks rows at a time: the float64 columns of a chunk go
+    through one _g17 call, every column's or run's bytes end in its delimiter
+    or the newline, the blocks are laid side by side and their _PAD bytes
+    deleted, and the text is decoded once.
+    """
+    n = len(table)
+    if not n:
         raise ValueError("refusing to emit an empty table")
     if fmt not in ("csv", "tsv"):
         raise ValueError(f"format must be csv or tsv, got {fmt!r}")
@@ -311,22 +473,60 @@ def emit(table: Table, fmt: str = "csv", path: str | None = None) -> str:
             quoted[cell] = one.getvalue()[:-2]
         return quoted[cell]
 
-    specs, cells = [], []
+    # A part is the index of a float64 column, or a run's specs and cells.
+    floats, parts = [], []
     for col in table.columns.values():
+        if isinstance(col, np.ndarray) and col.dtype == np.float64:
+            parts.append(len(floats))
+            floats.append(col)
+            continue
+        if not parts or isinstance(parts[-1], int):
+            parts.append(([], []))
+        specs, cells = parts[-1]
         if isinstance(col, str):
             specs.append(quote(col).replace("%", "%%"))
-        elif isinstance(col, np.ndarray) and col.dtype == np.float64:
-            specs.append("%.17g")
-            cells.append(col.tolist())
         else:
             specs.append("%s")
             cells.append([quote(v) if isinstance(v, str) else _fmt(v) for v in col])
-    # Cells are arguments of the row format, never part of its text.
-    lines = map(delim.join(specs).__mod__, zip(*cells))
-    text = buf.getvalue() + "\n".join(lines) + "\n"
+    if not floats:
+        # One run, whose row format makes each line (phase, sweep and witness
+        # tables, too small to repay numpy calls). Cells are arguments of the
+        # row format, never part of its text.
+        line = delim.join(parts[0][0]) + "\n"
+        text = buf.getvalue() + "".join(map(line.__mod__, zip(*parts[0][1])))
+    else:
+        text = bytearray(buf.getvalue().encode())
+        for rows in _float_rows(parts, floats, n, delim):
+            text += rows
+        text = text.decode()
     if path is not None:
         Path(path).write_text(text)
     return text
+
+
+def _float_rows(parts: list, floats: list[np.ndarray], n: int, delim: str) -> Iterator[bytes]:
+    """emit's rows as bytes, one density.point_chunks chunk at a time, for
+    parts that include float64 columns."""
+    ends = [delim] * (len(parts) - 1) + ["\n"]
+    for rows in point_chunks(n):
+        size = rows.stop - rows.start
+        canvas = _g17(np.stack([col[rows] for col in floats], axis=1)).reshape(size, len(floats), _ROW)
+        blocks = []
+        for part, end in zip(parts, ends):
+            if isinstance(part, int):
+                block = canvas[:, part]
+                block[:, -1] = ord(end)
+            else:
+                # Cells are arguments of the row format, never part of its text.
+                # A run of repeated strings alone is one line for every row.
+                line = delim.join(part[0]) + end
+                lines = [(line % cells).encode() for cells in zip(*(c[rows] for c in part[1]))]
+                lines = lines or [(line % ()).encode()]
+                width = max(map(len, lines))
+                block = np.frombuffer(b"".join(s.ljust(width, _PAD) for s in lines), np.uint8)
+                block = np.broadcast_to(block.reshape(len(lines), width), (size, width))
+            blocks.append(block)
+        yield np.concatenate(blocks, axis=1).tobytes().translate(None, _PAD)
 
 
 def _at_most_one(values: np.ndarray, name: str) -> np.ndarray:

@@ -237,7 +237,7 @@ def coherent_rho_path(state0: CoherentBranches, times: np.ndarray, p: ModelParam
     times = np.asarray(times, dtype=float)
     occ = np.flatnonzero(state0.coeffs)
     c, b = state0.coeffs[occ], state0.betas[occ]
-    theta = np.array([branch_frequency(k, np.arange(2), p) for k in occ]).reshape(-1, 2)
+    theta = branch_frequency(occ[:, None], np.arange(2), p)
     energy, slope = theta[:, 0], theta[:, 1] - theta[:, 0]
     row, col = np.tril_indices(occ.size, -1)
     cross = b[row] * b[col].conj()  # b_i conj(b_j)
@@ -269,7 +269,7 @@ def oracle_rho_path(state0: JointState, times: np.ndarray, p: ModelParams) -> np
     # omega_b n + chi n(n-1) is shared by all branches and cancels in rho; left
     # out, its rounding at 1e5-1e6 rad (large |alpha|) cannot enter rho.
     shared_free = replace(p, omega_b=0.0, chi=0.0)
-    thetas = np.stack([branch_frequency(b, n, shared_free) for b in range(4)])  # (4, D)
+    thetas = branch_frequency(np.arange(4)[:, None], n, shared_free)  # (4, D)
     c = state0.coeffs
     weight = np.outer(c, c.conj())
     chunk = max(1, RHO_CHUNK_CELLS // amps.size)
@@ -375,7 +375,9 @@ def _step_permutations(evecs: np.ndarray) -> np.ndarray:
     a four-term sum.
     """
     a, b = evecs[:-1], evecs[1:]
-    diag = np.abs(np.einsum("maf,maf->mf", a.conj(), b)) ** 2
+    diag = np.empty((a.shape[0], 4))
+    for chunk in point_chunks(diag.shape[0]):
+        diag[chunk] = np.abs(np.einsum("maf,maf->mf", a[chunk].conj(), b[chunk])) ** 2
     best = np.zeros(diag.shape[0], dtype=int)
     steps = np.flatnonzero((diag <= 0.5 + MATCH_MARGIN).any(axis=1))
     if steps.size:

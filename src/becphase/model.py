@@ -42,25 +42,23 @@ class ModelParams:
             raise ValueError(f"omega must be positive, got {self.omega}")
 
 
-def branch_frequency(branch: int, n, p: ModelParams):
-    """Running frequency theta_branch(n) of one qubit branch, vectorized over n:
-    the eigenenergy of |branch> x |n> under the diagonal Hamiltonian, with
-    sigma_z |0> = -|0> and sigma_z |1> = +|1>.
+def branch_frequency(branch, n, p: ModelParams):
+    """Running frequency theta_branch(n) of qubit branches, vectorized over
+    branch indices and n, which broadcast against each other: the
+    eigenenergy of |branch> x |n> under the diagonal Hamiltonian, with
+    sigma_z |0> = -|0> and sigma_z |1> = +|1>. Scalar arguments give a float.
 
     Branches are indexed 0..3 for |00>, |11>, |01>, |10>.
     """
-    n = np.asarray(n)
-    if np.any(n < 0):
+    branch, n = np.asarray(branch), np.asarray(n)
+    if branch.dtype.kind not in "iu" or branch.min() < 0 or branch.max() >= N_BRANCHES:
+        raise ValueError(f"branch must be in 0..3, got {branch}")
+    if (n < 0).any():
         raise ValueError("Fock index must be non-negative")
     kerr = p.chi * n * (n - 1)
-    if branch == 0:
-        out = -p.omega + p.j_vdw + (p.omega_b - p.lambda_c) * n + kerr
-    elif branch == 1:
-        out = p.omega + p.j_vdw + (p.omega_b + p.lambda_c) * n + kerr
-    elif branch in (2, 3):
-        out = -p.j_vdw + p.omega_b * n + kerr
-    else:
-        raise ValueError(f"branch must be in 0..3, got {branch}")
+    energy = np.array([-p.omega + p.j_vdw, p.omega + p.j_vdw, -p.j_vdw, -p.j_vdw])
+    slope = np.array([p.omega_b - p.lambda_c, p.omega_b + p.lambda_c, p.omega_b, p.omega_b])
+    out = energy[branch] + slope[branch] * n + kerr
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -18,6 +18,9 @@
   |01>, |10>, for Hamiltonian energies and single-qubit cuts.
 - exhaustive_step_permutations: scores all 24 column permutations on every
   step, the reference for the shortcut of `density._step_permutations`.
+- branch_frequency_cases: one branch's running frequency written out case
+  by case, the reference for the vectorized `branch_frequency`, which
+  takes an array of branches.
 - coherent_rho_full: the coherent-overlap density on all 16 entries, the
   reference for the lower triangle of `coherent_rho_path`, which evaluates
   each occupied pair once.
@@ -217,6 +220,17 @@ def exhaustive_step_permutations(evecs: np.ndarray) -> np.ndarray:
     ov2 = np.abs(np.einsum("maf,mag->mfg", evecs[:-1].conj(), evecs[1:])) ** 2
     rows = np.broadcast_to(np.arange(4), PERMUTATIONS.shape)
     return np.argmax(ov2[:, rows, PERMUTATIONS].sum(axis=2), axis=1)
+
+
+def branch_frequency_cases(branch: int, n, p: ModelParams):
+    """theta_branch(n) of one branch, each branch's formula written out."""
+    n = np.asarray(n)
+    kerr = p.chi * n * (n - 1)
+    if branch == 0:
+        return -p.omega + p.j_vdw + (p.omega_b - p.lambda_c) * n + kerr
+    if branch == 1:
+        return p.omega + p.j_vdw + (p.omega_b + p.lambda_c) * n + kerr
+    return -p.j_vdw + p.omega_b * n + kerr
 
 
 def coherent_rho_full(state0: CoherentBranches, times: np.ndarray, p: ModelParams) -> np.ndarray:

@@ -1,6 +1,7 @@
 """The path kernels that run in chunks of PATH_CHUNK_POINTS grid points
-(coherent_rho_path, the phase sums of kinematic_phase and phase_trace, and
-the SVD concurrence) give the bits of one pass over the whole path, and
+(coherent_rho_path, the overlaps of the branch matching, the phase sums of
+kinematic_phase and phase_trace, and the SVD concurrence) give the bits of
+one pass over the whole path, and
 `evolve` holds a bounded number of bytes per grid point."""
 
 import json
@@ -95,6 +96,19 @@ def test_chunks_give_the_unchunked_bits(monkeypatch, unchunked, kind, chunk):
         assert getattr(got, field) == getattr(want, field), field
     assert np.array_equal(got.per_branch, want.per_branch)
     assert run["evolve"] == ref["evolve"]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, N_STEPS + 2])
+def test_matching_in_chunks_gives_the_one_chunk_columns(monkeypatch, unchunked, chunk):
+    frames = unchunked["permuted"]["path"].frames
+    with monkeypatch.context() as mp:
+        mp.setattr(density, "PATH_CHUNK_POINTS", 2**30)
+        best = density._step_permutations(frames.vectors)
+        columns = density._matched_columns(frames.values, frames.vectors)
+    assert np.count_nonzero(best) > 1
+    monkeypatch.setattr(density, "PATH_CHUNK_POINTS", chunk)
+    assert np.array_equal(density._step_permutations(frames.vectors), best)
+    assert np.array_equal(density._matched_columns(frames.values, frames.vectors), columns)
 
 
 def test_evolve_memory_per_grid_point():

@@ -277,6 +277,106 @@ class TestEmit:
             assert emit(table, fmt) == emit_rowwise(table, fmt), name
 
 
+def g17_text(values) -> list[str]:
+    """The kernel's rows for values, each with its pad bytes deleted."""
+    rows = cli._g17(np.asarray(values, dtype=np.float64)).tobytes()
+    return [rows[i : i + 48].translate(None, b"\xff").decode() for i in range(0, len(rows), 48)]
+
+
+def assert_prints_as_cpython(values) -> None:
+    values = np.asarray(values, dtype=np.float64)
+    wrong = [
+        (v, got, want)
+        for v, got, want in zip(values.tolist(), g17_text(values), ["%.17g" % v for v in values.tolist()])
+        if got != want
+    ]
+    assert not wrong, wrong[:5]
+
+
+def odd_multiples(rng, low: int, high: int, size: int) -> np.ndarray:
+    return rng.integers(low // 2, high // 2, size) * 2 + 1
+
+
+def near_ties() -> list[float]:
+    """Doubles x whose scaled value x 10**(16 - k) lies within 2**-44 of a
+    half-integer without being one, where the kernel's product is inexact:
+    x = m 2**-75 and m 2**-76 (scales 10**23 and 10**24: exact double-doubles,
+    whose product with x rounds in its last sum), and x near 1e36 to 1e39
+    (scales 10**-20 to 10**-22, inexact powers). Built with int arithmetic."""
+    values = []
+    for e in (23, 24):
+        # 10**e x = m 5**e / 2**52: the fractional part is (m 5**e mod 2**52) / 2**52
+        inverse = pow(5**e, -1, 2**52)
+        for delta in (-3, -2, -1, 1, 2, 3):
+            m = (2**51 + delta) * inverse % 2**52 + 2**52
+            if 1e16 <= m * 5**e / 2**52 < 1e17:
+                values.append(math.ldexp(m, -52 - e))
+    for e in (20, 21, 22):
+        # x = m 2**(e + t), x / 10**e = m 2**t / 5**e: (m 2**t mod 5**e) / 5**e
+        t = math.ceil(math.log2(1e16 * 5**e / 2**52))
+        inverse = pow(2**t, -1, 5**e)
+        for residue in (5**e // 2 - 1, 5**e // 2, 5**e // 2 + 1, 5**e // 2 + 2):
+            m = residue * inverse % 5**e
+            m += -(-(2**52 - m) // 5**e) * 5**e
+            if 1e16 <= m * 2**t / 5**e < 1e17:
+                values.append(math.ldexp(m, e + t))
+    return values
+
+
+class TestG17:
+    """The 17-digit kernel of emit against CPython's "%.17g", byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_any_float(self, values):
+        assert_prints_as_cpython(values)
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20261019)
+        for _ in range(8):
+            assert_prints_as_cpython(rng.integers(0, 2**64, 125_000, dtype=np.uint64).view(np.float64))
+
+    def test_doubles_within_8_ulps_of_powers_of_ten(self):
+        bits = np.array([np.float64(f"1e{k}").view(np.int64) for k in range(-323, 309)])
+        near = np.unique(np.maximum(bits[:, None] + np.arange(-8, 9), 0)).view(np.float64)
+        assert near.min() == 0.0 and near.max() > 1e308
+        assert_prints_as_cpython(np.concatenate([near, -near]))
+
+    def test_notation_boundaries(self):
+        for bound in (1e-5, 1e-4, 1e16, 1e17):
+            near = np.nextafter(bound, np.array([0.0, np.inf])[:, None], dtype=np.float64)
+            values = [bound, *near.ravel()]
+            for _ in range(3):
+                values += [np.nextafter(values[-2], 0.0), np.nextafter(values[-1], np.inf)]
+            assert_prints_as_cpython(values + [-v for v in values])
+
+    def test_scaled_value_rounding_onto_a_bound(self):
+        # the double nearest 1e-274: its product with 10**290 rounds to
+        # 1e16, but the exact scaled value lies below it
+        assert g17_text([9.9999999999999997e-275, -9.9999999999999997e-275]) == [
+            "9.9999999999999997e-275", "-9.9999999999999997e-275"
+        ]
+
+    def test_exact_ties_are_left_to_cpython(self):
+        rng = np.random.default_rng(24)
+        ties = np.concatenate([
+            odd_multiples(rng, 4 * 10**15, 9 * 10**15, 50_000) / 4,
+            odd_multiples(rng, 8 * 10**14, 72 * 10**14, 50_000) / 8,
+        ])
+        assert_prints_as_cpython(np.concatenate([ties, -ties]))
+        digits, k, decided = cli._decimal17(ties)
+        assert not decided.any()
+        # the kernel's own rounding already is CPython's, half to even
+        want = ["%.16e" % v for v in ties.tolist()]
+        assert [f"{d // 10**16}.{d % 10**16:016d}e{e:+03d}" for d, e in zip(digits.tolist(), k.tolist())] == want
+
+    def test_near_ties_are_left_to_cpython(self):
+        values = near_ties()
+        assert len(values) >= 20
+        assert_prints_as_cpython(values + [-v for v in values])
+        assert not cli._decimal17(np.array(values))[2].any()
+
+
 class TestRunScenario:
     def test_phase_row(self):
         cfg = parse_config(cfg_text(grid={"n_steps": 512}))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from becphase import ModelParams, branch_frequency, quasicycle_period
-from oracles import BRANCH_LABELS
+from oracles import BRANCH_LABELS, branch_frequency_cases
 
 freqs = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 pos_freqs = st.floats(min_value=0.05, max_value=5.0, allow_nan=False)
@@ -108,3 +108,26 @@ def test_branch_out_of_range():
     p = ModelParams(omega=1.0)
     with pytest.raises(ValueError):
         branch_frequency(4, 0, p)
+
+
+@given(pos_freqs, freqs, freqs, freqs, freqs)
+def test_branch_arrays_give_the_per_branch_bits(w, j, wb, chi, lam):
+    # one call over an array of branches, as coherent_rho_path and
+    # oracle_rho_path make it, against one formula per branch
+    p = ModelParams(omega=w, j_vdw=j, omega_b=wb, chi=chi, lambda_c=lam)
+    n = np.arange(60)
+    for branches in (np.arange(4), np.array([0, 1]), np.array([0, 2]), np.array([3, 1, 2])):
+        want = np.stack([branch_frequency_cases(b, n, p) for b in branches])
+        assert branch_frequency(branches[:, None], n, p).tobytes() == want.tobytes()
+    for branch in range(4):
+        for k in (0, 1, 9):
+            got = branch_frequency(branch, k, p)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == branch_frequency_cases(branch, k, p).tobytes()
+
+
+def test_branch_outside_0_to_3_is_refused():
+    p = ModelParams(omega=1.0)
+    for branch in (4, -1, np.array([0, 4]), 1.0):
+        with pytest.raises(ValueError, match="branch"):
+            branch_frequency(branch, 2, p)
