@@ -26,6 +26,7 @@ from .density import (
     coherent_rho_path,
     decay_phase,
     eigen_path,
+    embed_frames,
     oracle_rho_path,
     partial_trace,
     validate_density,

@@ -74,9 +74,10 @@ SWEEP_KEYS = {"variable", "start", "stop", "count"}
 SWEEP_VARIABLES = ("concurrence", "alpha", "lambda_c", "eta0")
 # The most points a sweep may have; the shipped sweeps use 50.
 MAX_SWEEP_COUNT = 1000
-# The finest grid evolve prints: it holds whole-path arrays of about 0.75 KB
-# per grid point. Peak RSS at this bound, in a fresh process with stdout
-# captured: 124 MB on configs/micro_micro.json, 122 MB on configs/general.json.
+# The finest grid evolve prints: it holds whole-path arrays of about 0.7 KB
+# per grid point (0.55 KB on a two-state block). Peak RSS at this bound, in a
+# fresh process with stdout captured: 102-103 MB on configs/micro_micro.json,
+# 124 MB on configs/general.json.
 MAX_EVOLVE_STEPS = 2**17
 MANDATORY = {
     "micro_micro": ("omega", "lambda_c", "alpha", "eta0"),
@@ -379,12 +380,15 @@ def _decimal17(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     two-product (T. J. Dekker, Numer. Math. 18, 224 (1971)). k starts at
     floor(log10 x) and moves by one where p + r lies outside [1e16, 1e17):
     p alone may round onto a bound that the value does not reach (a value
-    within the error of a bound rounds to the same digits either way). The
-    result is undecided where x is outside (_G17_MIN, _G17_MAX) or not finite,
-    and where r's fractional part lies within _HALF_BAND of 1/2.
+    within the error of a bound rounds to the same digits either way). +-0
+    is decided, with digits 0 and k 0, which _g17 lays out as "0" and "-0".
+    The result is undecided where x is nonzero and outside
+    (_G17_MIN, _G17_MAX) or not finite, and where r's fractional part lies
+    within _HALF_BAND of 1/2.
     """
     pow_hi, pow_hi_hi, pow_hi_lo, pow_lo = _g17_tables()[:4]
     x = np.abs(a)
+    zero = x == 0.0
     decided = (x > _G17_MIN) & (x < _G17_MAX)
     x = np.where(decided, x, 1.0)
     k = np.floor(np.log10(x)).astype(np.intp)
@@ -411,13 +415,15 @@ def _decimal17(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     carry = digits == 10**17
     digits[carry] = 10**16
     k += carry
-    return digits, k, decided
+    digits[zero] = 0  # k is already 0: a zero was scaled as 1.0
+    return digits, k, decided | zero
 
 
 def _g17(values: np.ndarray) -> np.ndarray:
     """"%.17g" % v of every float64 v, as the rows of an (n, 48) uint8 array:
     a row with its _PAD bytes deleted is the text. Values that _decimal17
-    leaves undecided are formatted by CPython."""
+    leaves undecided (nan, +-inf, |v| outside (_G17_MIN, _G17_MAX) but not
+    +-0, and near-ties) are formatted by CPython."""
     a = np.ravel(values)
     digits, k, decided = _decimal17(a)
     pairs, last, exponent, layout, drop = _g17_tables()[4:]

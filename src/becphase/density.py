@@ -38,8 +38,8 @@ def point_chunks(n_points: int) -> list[slice]:
 
 
 def gather_columns(part: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """part[m, ..., columns[m, k]] at every m and k: frame values (M, 4) or
-    vectors (M, 4, 4) reordered into branch columns. Columns that are the
+    """part[m, ..., columns[m, k]] at every m and k: frame values (M, n) or
+    vectors (M, r, n) reordered into branch columns. Columns that are the
     same at every point take one index for all points: those of a block
     path, one row broadcast along the grid (stride 0), and most stretches
     of a matched path."""
@@ -101,8 +101,13 @@ _DIAGONAL = np.array([0, 5, 10, 15])
 class Frames(NamedTuple):
     """An eigen-decomposition of a 4x4 density matrix or of every matrix of
     a (..., 4, 4) stack: values[..., k] and vectors[..., :, k] are its
-    eigenpairs, and block is the index pair of the two-state support that
-    _block_frames decomposed in closed form, or None when `eigh` ran."""
+    eigenpairs. block is None when they span the whole basis: values
+    (..., 4) and vectors (..., 4, 4), as `eigh` gives them. Otherwise block
+    is the index pair (i, j) of the two-state support that _block_frames
+    decomposed in closed form, and the frames hold that block only: values
+    (..., 2) and vectors (..., 2, 2), whose rows are the states i and j. The
+    two other basis states are eigenvectors of eigenvalue 0 and are not
+    stored; embed_frames adds them."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -115,8 +120,8 @@ def validate_density(rho: np.ndarray) -> Frames:
     positivity check computes.
 
     When every matrix is supported on the same two basis states or one, the
-    decomposition is _block_frames' closed form; otherwise it is `eigh`'s,
-    with ascending values.
+    decomposition is _block_frames' closed form, over the block's two
+    states; otherwise it is `eigh`'s, with ascending values.
     """
     m = np.asarray(rho, dtype=complex)
     if m.shape[-2:] != (4, 4):
@@ -167,24 +172,23 @@ def _direction(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _block_frames(m: np.ndarray, block: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form eigen-decomposition of matrices whose entries outside the
-    rows and columns of block = (i, j) are 0.
+    rows and columns of block = (i, j) are 0, over the block's two states.
 
     The block [[a, b], [conj b, d]] has the eigenvalues mean +- r, with
     r = hypot((a - d)/2, |b|), and the eigenvectors
     v+ = cos(t) |i> + sin(t) u |j> and v- = sin(t) |i> - cos(t) u |j>, where
-    (cos 2t, sin 2t) = ((a - d)/2, |b|) / r and u = conj(b) / |b|. Columns 0
-    and 1 hold v+ and v-, columns 2 and 3 the two other basis states with
-    eigenvalue 0. Only sqrt, hypot and division enter, so a matrix gives the
-    same bits alone as in a stack.
+    (cos 2t, sin 2t) = ((a - d)/2, |b|) / r and u = conj(b) / |b|. values
+    (..., 2) hold mean + r and mean - r, and the columns of vectors
+    (..., 2, 2) hold v+ and v- as their |i> and |j> components. Only sqrt,
+    hypot and division enter, so a matrix gives the same bits alone as in a
+    stack.
     """
     i, j = block
     a, d, b = m[..., i, i].real, m[..., j, j].real, m[..., i, j]
     half = 0.5 * (a - d)
     mod_b = np.abs(b)
     mean, r = 0.5 * (a + d), np.hypot(half, mod_b)
-    evals = np.zeros(a.shape + (4,))
-    evals[..., 0] = mean + r
-    evals[..., 1] = mean - r
+    evals = np.stack([mean + r, mean - r], axis=-1)
     # (cos 2t, sin 2t), and u from real divisions: numpy's complex division
     # takes 1 / |b|, which overflows for a subnormal b.
     (cos2, u_re), (sin2, u_im) = _direction(np.stack([half, b.real]), np.stack([mod_b, -b.imag]))
@@ -195,14 +199,30 @@ def _block_frames(m: np.ndarray, block: tuple[int, int]) -> tuple[np.ndarray, np
     cos = np.where(cos2 >= 0.0, larger, smaller)
     sin = np.where(cos2 >= 0.0, smaller, larger)
     u = u_re + 1j * u_im
-    evecs = np.zeros(a.shape + (4, 4), dtype=complex)
-    evecs[..., i, 0] = cos
-    evecs[..., j, 0] = sin * u
-    evecs[..., i, 1] = sin
-    evecs[..., j, 1] = -cos * u
-    for col, k in enumerate(sorted({0, 1, 2, 3} - {i, j}), start=2):
-        evecs[..., k, col] = 1.0
+    evecs = np.empty(a.shape + (2, 2), dtype=complex)
+    evecs[..., 0, 0] = cos
+    evecs[..., 1, 0] = sin * u
+    evecs[..., 0, 1] = sin
+    evecs[..., 1, 1] = -cos * u
     return evals, evecs
+
+
+def embed_frames(frames: Frames) -> Frames:
+    """frames over the whole 4-state basis, with block None: a block's
+    values (..., 2) and vectors (..., 2, 2) become values (..., 4) and
+    vectors (..., 4, 4), whose columns 0 and 1 are the block's eigenpairs
+    and columns 2 and 3 the two other basis states, in ascending order, with
+    eigenvalue 0. Frames whose block is None are returned as they are."""
+    if frames.block is None:
+        return frames
+    values, vectors, (i, j) = frames
+    full_values = np.zeros(values.shape[:-1] + (4,))
+    full_values[..., :2] = values
+    full_vectors = np.zeros(values.shape[:-1] + (4, 4), dtype=complex)
+    full_vectors[..., [i, j], :2] = vectors
+    for col, k in enumerate(sorted({0, 1, 2, 3} - {i, j}), start=2):
+        full_vectors[..., k, col] = 1.0
+    return Frames(full_values, full_vectors, None)
 
 
 def partial_trace(state: JointState) -> np.ndarray:
@@ -316,6 +336,9 @@ class EigenPath:
     frames holds validate_density's Frames at every grid point, once, and
     branch k takes frame column columns[m, k] at times[m]: values[m, k] and
     vectors[m, :, k], gathered from the frames on access, describe it there.
+    On a closed-form block the frames hold the block only, 80 bytes per grid
+    point instead of a 4x4 frame's 288, and vectors embeds the gathered
+    columns into the 4-state basis (embed_frames).
     Branches are ordered by descending eigenvalue at the first time and then
     followed by maximal-overlap matching, or on a closed-form block stay the
     larger and the smaller block eigenvalue; spectator branches whose
@@ -345,7 +368,7 @@ class EigenPath:
 
     @property
     def vectors(self) -> np.ndarray:
-        return gather_columns(self.frames.vectors, self.columns)
+        return gather_columns(embed_frames(self.frames).vectors, self.columns)
 
 
 _PERMS = np.array(list(itertools.permutations(range(4))))  # _PERMS[0] is the identity
@@ -438,9 +461,11 @@ def eigen_path(
     With `coarse`, `times` and `rhos` are the midpoints of coarse's grid
     steps: only they are validated and decomposed, coarse's frames fill the
     even points, and matching and flags run over the merged grid, so the
-    result equals a decomposition of the merged grid from scratch. The
-    converse, the path on the even points of a decomposed grid, is
-    even_point_path's.
+    result equals a decomposition of the merged grid from scratch. Levels
+    on different supports (a block and `eigh`'s frames, or two blocks) are
+    embedded into the 4-state basis first (embed_frames), and the merged
+    frames have block None. The converse, the path on the even points of a
+    decomposed grid, is even_point_path's.
     """
     times = np.asarray(times, dtype=float)
     rhos = np.asarray(rhos, dtype=complex)
@@ -454,10 +479,13 @@ def eigen_path(
     frames = validate_density(rhos)
     if coarse is not None:
         times = _interleave(coarse.times, times)
+        even = coarse.frames
+        if even.block != frames.block:  # a block level meets eigh's or another block's
+            even, frames = embed_frames(even), embed_frames(frames)
         frames = Frames(
-            _interleave(coarse.frames.values, frames.values),
-            _interleave(coarse.frames.vectors, frames.vectors),
-            frames.block if coarse.frames.block == frames.block else None,
+            _interleave(even.values, frames.values),
+            _interleave(even.vectors, frames.vectors),
+            frames.block,
         )
     return _branch_path(times, frames, degeneracy_tol)
 

@@ -45,9 +45,11 @@ def concurrence_wootters(rho: np.ndarray, frames: Frames | None = None) -> float
 
     frames, when given, is rho's Frames as validate_density returns them and
     EigenPath.frames keeps them; rho is then neither checked nor decomposed
-    again, and the SVD route runs unless frames.block names a block. Without
-    frames, rho is checked and decomposed here by validate_density. The SVD
-    route runs in point_chunks, so its temporaries do not grow with M.
+    again, and the SVD route runs unless frames.block names a block. The
+    SVD route needs 4x4 frames; a block's frames take it through
+    embed_frames, which gives them over the whole basis with block None.
+    Without frames, rho is checked and decomposed here by validate_density.
+    The SVD route runs in point_chunks, so its temporaries do not grow with M.
     """
     evals, evecs, block = validate_density(rho) if frames is None else frames
     if block is None:

@@ -29,6 +29,9 @@
   that wrap.
 - emit_rowwise: one `csv.writer` row per table row, the reference for the
   column-wise `emit`.
+- block_frames_4x4: the closed-form eigenframes of a two-state block laid
+  out as 4x4 frames, spectator columns included, the reference for the
+  block-only `Frames` of `validate_density` and for `embed_frames`.
 - whole_path_phasors: every branch contribution of the kinematic phase sum
   in one pass over the whole path, the reference for the chunked phase sums
   of `kinematic_phase` and `phase_trace`.
@@ -63,7 +66,7 @@ from becphase import (
 )
 from becphase import geomphase
 from becphase.cli import _fmt
-from becphase.density import SUPPORT_TOL
+from becphase.density import SUPPORT_TOL, _direction
 from becphase.geomphase import (
     EXTRAPOLATION_BLOCKERS,
     PHASE_TOL,
@@ -247,6 +250,37 @@ def coherent_rho_full(state0: CoherentBranches, times: np.ndarray, p: ModelParam
     weight = np.outer(state0.coeffs, state0.coeffs.conj())
     g = g0 - cross * (2.0 * np.sin(0.5 * mu * t) ** 2 + 1j * np.sin(mu * t))
     return weight * np.exp(g - 1j * de * t)
+
+
+def block_frames_4x4(m: np.ndarray, block: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (..., 4) and eigenvectors (..., 4, 4) of matrices whose
+    entries outside the rows and columns of block = (i, j) are 0: columns 0
+    and 1 hold the block's v+ = cos(t) |i> + sin(t) u |j> and
+    v- = sin(t) |i> - cos(t) u |j> with eigenvalues mean +- r, columns 2 and
+    3 the two other basis states, ascending, with eigenvalue 0. The
+    arithmetic of each entry is the closed form's, written into full frames."""
+    i, j = block
+    a, d, b = m[..., i, i].real, m[..., j, j].real, m[..., i, j]
+    half = 0.5 * (a - d)
+    mod_b = np.abs(b)
+    mean, r = 0.5 * (a + d), np.hypot(half, mod_b)
+    evals = np.zeros(a.shape + (4,))
+    evals[..., 0] = mean + r
+    evals[..., 1] = mean - r
+    (cos2, u_re), (sin2, u_im) = _direction(np.stack([half, b.real]), np.stack([mod_b, -b.imag]))
+    larger = np.sqrt(0.5 * (1.0 + np.abs(cos2)))
+    smaller = sin2 / (2.0 * larger)
+    cos = np.where(cos2 >= 0.0, larger, smaller)
+    sin = np.where(cos2 >= 0.0, smaller, larger)
+    u = u_re + 1j * u_im
+    evecs = np.zeros(a.shape + (4, 4), dtype=complex)
+    evecs[..., i, 0] = cos
+    evecs[..., j, 0] = sin * u
+    evecs[..., i, 1] = sin
+    evecs[..., j, 1] = -cos * u
+    for col, k in enumerate(sorted({0, 1, 2, 3} - {i, j}), start=2):
+        evecs[..., k, col] = 1.0
+    return evals, evecs
 
 
 def whole_path_phasors(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:

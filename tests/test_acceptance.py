@@ -30,6 +30,7 @@ from becphase import (
     concurrence_wootters,
     converge_phase,
     eigen_path,
+    embed_frames,
     hybrid_concurrence,
     kinematic_phase,
     macro_both_initial,
@@ -312,7 +313,7 @@ def test_criterion_8_numerical_hygiene():
         build = analytic_path_builder(scen, 0.6, p)
         path = build(1024)
         base = kinematic_phase(path)
-        frames = path.frames
+        frames = embed_frames(path.frames)
         rephased = frames.vectors * np.exp(
             1j * rng.uniform(-math.pi, math.pi, size=(path.times.size, 1, 4))
         )

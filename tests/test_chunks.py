@@ -14,7 +14,7 @@ import pytest
 
 from becphase import density
 from becphase.cli import emit, initial_branches, parse_config, run_evolve
-from becphase.density import SUPPORT_TOL, coherent_rho_path, eigen_path
+from becphase.density import SUPPORT_TOL, coherent_rho_path, eigen_path, embed_frames
 from becphase.entanglement import concurrence_wootters
 from becphase.geomphase import kinematic_phase, phase_trace
 from becphase.model import quasicycle_period
@@ -53,8 +53,8 @@ def run_kernels(text: str) -> dict:
         "phase": kinematic_phase(path),
         "trace": phase_trace(path),
         "concurrence": concurrence_wootters(rhos, frames=path.frames),
-        # the SVD route on every path, blocks included
-        "concurrence_svd": concurrence_wootters(rhos, frames=path.frames._replace(block=None)),
+        # the SVD route on every path, blocks included: embedded, with block None
+        "concurrence_svd": concurrence_wootters(rhos, frames=embed_frames(path.frames)),
         "evolve": emit(run_evolve(cfg)),
     }
 

@@ -370,6 +370,15 @@ class TestG17:
         want = ["%.16e" % v for v in ties.tolist()]
         assert [f"{d // 10**16}.{d % 10**16:016d}e{e:+03d}" for d, e in zip(digits.tolist(), k.tolist())] == want
 
+    def test_signed_zeros_are_decided(self):
+        # a column of zeros (macro_single's concurrence) prints from the
+        # kernel's own tables, not cell by cell through CPython
+        values = np.array([0.0, -0.0, 0.0, 1.0, -0.0])
+        digits, k, decided = cli._decimal17(values)
+        assert decided.all()
+        assert np.array_equal(digits[[0, 1, 2, 4]], [0] * 4) and np.array_equal(k[[0, 1, 2, 4]], [0] * 4)
+        assert g17_text(values) == ["%.17g" % v for v in values.tolist()] == ["0", "-0", "0", "1", "-0"]
+
     def test_near_ties_are_left_to_cpython(self):
         values = near_ties()
         assert len(values) >= 20

@@ -15,20 +15,24 @@ from becphase import (
     analytic_rho_path,
     bell_initial,
     coherent_rho_path,
+    concurrence_wootters,
     decay_phase,
     eigen_path,
+    embed_frames,
     general_initial,
+    kinematic_phase,
     macro_both_initial,
     macro_single_initial,
     oracle_rho_path,
     partial_trace,
+    phase_trace,
     quasicycle_period,
     validate_density,
 )
 from becphase import cli, density, dynamics
 from becphase.cli import initial_branches, initial_state, parse_config, run_evolve
 from becphase.density import DEGENERACY_TOL, even_point_path
-from oracles import coherent_rho_full, evolve_joint, exhaustive_step_permutations
+from oracles import block_frames_4x4, coherent_rho_full, evolve_joint, exhaustive_step_permutations
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 P = ModelParams(omega=1.0, j_vdw=0.07, omega_b=0.9, chi=0.003, lambda_c=0.05, alpha=1.2)
@@ -591,8 +595,10 @@ class TestMatchingShortcut:
 
 def test_validate_density_checks_every_matrix_of_a_stack():
     rhos = analytic_rho_path(Scenario.MICRO_MICRO, 0.5, P, np.linspace(0, 1, 4))
-    evals, evecs, block = validate_density(rhos)
-    assert evals.shape == (4, 4) and evecs.shape == (4, 4, 4) and block == (0, 1)
+    frames = validate_density(rhos)
+    assert frames.values.shape == (4, 2) and frames.vectors.shape == (4, 2, 2)
+    evals, evecs, _ = embed_frames(frames)
+    assert evals.shape == (4, 4) and evecs.shape == (4, 4, 4) and frames.block == (0, 1)
     rhos[2] *= 1.01
     with pytest.raises(ValueError, match="trace"):
         validate_density(rhos)
@@ -640,8 +646,9 @@ class TestBlockFrames:
         # eigenvector component must not cancel to 0
         rhos[3, block[0], block[1]] = 1e-9j
         rhos[3, block[1], block[0]] = -1e-9j
-        evals, evecs, found = validate_density(rhos)
-        assert found == block
+        frames = validate_density(rhos)
+        assert frames.block == block
+        evals, evecs, _ = embed_frames(frames)
         residual = rhos @ evecs - evecs * evals[:, None, :]
         assert np.max(np.abs(residual)) < 1e-15
         gram = np.conj(np.swapaxes(evecs, 1, 2)) @ evecs
@@ -661,8 +668,9 @@ class TestBlockFrames:
         # and a degenerate block (a = d, b = 0) divide by nothing
         lone = np.zeros((2, 4, 4), dtype=complex)
         lone[:, 3, 3] = 1.0
-        evals, evecs, block = validate_density(lone)
-        assert block == (0, 3)
+        frames = validate_density(lone)
+        assert frames.block == (0, 3)
+        evals, evecs, _ = embed_frames(frames)
         assert np.array_equal(evals, [[1.0, 0.0, 0.0, 0.0]] * 2)
         assert np.array_equal(np.abs(evecs[:, :, 0]), [[0.0, 0.0, 0.0, 1.0]] * 2)
         tiny = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)[None].repeat(3, axis=0)
@@ -671,7 +679,7 @@ class TestBlockFrames:
         tiny[1, 1, 0] = np.conj(tiny[1, 0, 1])
         tiny[2, 0, 0], tiny[2, 1, 1] = 0.75, 0.25
         tiny[2, 0, 1] = tiny[2, 1, 0] = 1e-310
-        evals, evecs, _ = validate_density(tiny)
+        evals, evecs, _ = embed_frames(validate_density(tiny))
         gram = np.conj(np.swapaxes(evecs, 1, 2)) @ evecs
         assert np.max(np.abs(gram - np.eye(4))) < 1e-15
         # equal populations mix at 45 degrees however small the coherence
@@ -736,3 +744,125 @@ class TestBlockFrames:
         np.testing.assert_allclose(merged.values, scratch.values, atol=1e-15)
         overlap = np.abs(np.einsum("mak,mak->mk", merged.vectors.conj(), scratch.vectors))
         np.testing.assert_allclose(overlap, 1.0, atol=1e-14)
+
+
+def assert_same_bits(a, b) -> None:
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# fl(pi/4) is the double nearest pi/4; its upper neighbour tips the populations.
+BLOCK_ETA0S = {
+    "0": 0.0,
+    "pi/4": math.pi / 4,
+    "pi/4+ulp": float(np.nextafter(math.pi / 4, 1.0)),
+    "pi/2": math.pi / 2,
+    "random": float(np.random.default_rng(25).uniform(0.0, math.pi / 2)),
+}
+
+
+def scenario_block_rhos(scenario, alpha, eta0, n_steps=256):
+    doc = {"scenario": scenario, "omega": 1.0, "j_vdw": 0.07, "omega_b": 0.9, "chi": 0.003,
+           "lambda_c": 0.1, "alpha": alpha, "eta0": eta0}
+    cfg = parse_config(json.dumps(doc))
+    times = np.linspace(0.0, quasicycle_period(cfg.params), n_steps + 1)
+    return times, coherent_rho_path(initial_branches(cfg), times, cfg.params)
+
+
+def hand_block_rhos(kind, m=65):
+    """A lone occupied basis state (|10>), or a |01>,|10> block whose
+    populations start equal and whose coherences are subnormal or 0."""
+    rhos = np.zeros((m, 4, 4), dtype=complex)
+    if kind == "lone-state":
+        rhos[:, 3, 3] = 1.0
+    else:
+        a = np.linspace(0.5, 0.75, m)
+        n = np.arange(m)
+        b = (n % 7) * 5e-324 + 1j * (n % 5) * 5e-324
+        b[::9] = 1e-310 * np.exp(1j * n[::9])
+        rhos[:, 2, 2], rhos[:, 3, 3] = a, 1.0 - a
+        rhos[:, 2, 3], rhos[:, 3, 2] = b, np.conj(b)
+    return np.linspace(0.0, 1.0, m), rhos
+
+
+BLOCK_PATHS = {
+    **{f"{scenario}-{kind}-{name}": (scenario, alpha, eta0)
+       for scenario in ("micro_micro", "macro_both", "macro_single")
+       for kind, alpha in (("real", 1.3), ("complex", [0.9, -1.1]))
+       for name, eta0 in BLOCK_ETA0S.items()},
+    "lone-state": None,
+    "subnormal": None,
+}
+
+
+class TestCompactBlockFrames:
+    """A block path's frames hold its 2x2 block only. Embedded into the whole
+    basis they are the 4x4 closed-form frames bit for bit
+    (oracles.block_frames_4x4), and the phase sums and the concurrences give
+    the same bits on paths built from either format."""
+
+    @pytest.mark.parametrize("name", BLOCK_PATHS)
+    def test_equal_the_4x4_reference_bit_for_bit(self, name):
+        args = BLOCK_PATHS[name]
+        times, rhos = hand_block_rhos(name) if args is None else scenario_block_rhos(*args)
+        frames = validate_density(rhos)
+        assert frames.block is not None
+        assert frames.values.shape == (times.size, 2) and frames.vectors.shape == (times.size, 2, 2)
+        values, vectors = block_frames_4x4(rhos, frames.block)
+        embedded = embed_frames(frames)
+        assert embedded.block is None
+        assert_same_bits(embedded.values, values)
+        assert_same_bits(embedded.vectors, vectors)
+
+        def reference_path(points):
+            # the block route's columns and flags on the 4x4 frames, which
+            # are then marked as spanning the whole basis for access
+            full = Frames(*(np.ascontiguousarray(part[points]) for part in (values, vectors)), None)
+            path = density._branch_path(times[points], full._replace(block=frames.block), DEGENERACY_TOL)
+            return replace(path, frames=full)
+
+        compact = eigen_path(times, rhos)
+        pairs = ((compact, reference_path(slice(None))),
+                 (even_point_path(compact), reference_path(slice(None, None, 2))))
+        for a, b in pairs:
+            assert np.array_equal(a.columns, b.columns) and a.flags == b.flags
+            assert_same_bits(a.values, b.values)
+            assert_same_bits(a.vectors, b.vectors)
+            got, want = kinematic_phase(a), kinematic_phase(b)
+            assert_same_bits(got.principal, want.principal)
+            assert_same_bits(got.unwrapped, want.unwrapped)
+            assert_same_bits(got.per_branch, want.per_branch)
+            assert got.warnings == want.warnings
+            assert_same_bits(phase_trace(a), phase_trace(b))
+        assert_same_bits(
+            concurrence_wootters(rhos, frames=compact.frames),
+            concurrence_wootters(rhos, frames=Frames(values, vectors, frames.block)),
+        )
+        # the SVD route, on the embedded frames and on the reference's
+        assert_same_bits(
+            concurrence_wootters(rhos, frames=embedded),
+            concurrence_wootters(rhos, frames=Frames(values, vectors, None)),
+        )
+
+    def test_block_paths_hold_80_bytes_per_grid_point(self):
+        def per_point(path):
+            return (path.frames.values.nbytes + path.frames.vectors.nbytes) / path.times.size
+
+        times, rhos = config_path_rhos("micro_micro", 512)
+        path = eigen_path(times, rhos)
+        coarse = eigen_path(times[::2], rhos[::2])
+        assert per_point(path) == per_point(coarse) == 80
+        assert per_point(eigen_path(times[1::2], rhos[1::2], coarse=coarse)) == 80
+        assert per_point(even_point_path(path)) == 80
+        # a block level meets eigh's frames or another block's: both are
+        # embedded, and the merged 4x4 frames have block None
+        eigh_level = replace(coarse, frames=Frames(*np.linalg.eigh(rhos[::2]), None))
+        merged = eigen_path(times[1::2], rhos[1::2], coarse=eigh_level)
+        assert merged.frames.block is None and per_point(merged) == 288
+        rng = np.random.default_rng(26)
+        other = eigen_path(np.linspace(0.0, 1.0, 5), block_stack(rng, 5, (0, 2)))
+        merged = eigen_path(np.linspace(0.125, 0.875, 4), block_stack(rng, 4, (0, 1)), coarse=other)
+        assert merged.frames.block is None and per_point(merged) == 288
+        even = embed_frames(other.frames)
+        assert_same_bits(merged.frames.values[::2], even.values)
+        assert_same_bits(merged.frames.vectors[::2], even.vectors)

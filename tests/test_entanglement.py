@@ -27,7 +27,13 @@ from becphase import (
 from becphase.cli import initial_branches, initial_state, parse_config
 from becphase.entanglement import special_point_intensity
 from becphase.geomphase import special_point_phase
-from becphase.density import coherent_rho_path, eigen_path, oracle_rho_path, validate_density
+from becphase.density import (
+    coherent_rho_path,
+    eigen_path,
+    embed_frames,
+    oracle_rho_path,
+    validate_density,
+)
 from becphase.model import quasicycle_period
 from oracles import (
     branch_overlap,
@@ -156,15 +162,15 @@ class TestStackedWootters:
 
 class TestBlockConcurrence:
     """The closed form on a two-state block against the SVD route, which runs
-    on frames whose block is replaced by None and on a support spread by a
-    local unitary."""
+    on the block's frames embedded into the whole basis (block None) and on a
+    support spread by a local unitary."""
 
     def test_bell_family_on_every_route(self):
         u = local_unitary()
         for eta0 in np.linspace(0.05, 1.5, 20):
             rho, expected = bell_block(eta0), abs(math.sin(2 * eta0))
             assert concurrence_wootters(rho) == expected
-            svd = concurrence_wootters(rho, frames=validate_density(rho)._replace(block=None))
+            svd = concurrence_wootters(rho, frames=embed_frames(validate_density(rho)))
             assert abs(svd - expected) < 1e-12
             assert abs(concurrence_wootters(u @ rho @ u.conj().T) - expected) < 1e-12
 

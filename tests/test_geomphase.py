@@ -17,6 +17,7 @@ from becphase import (
     converge_phase,
     decay_phase,
     eigen_path,
+    embed_frames,
     kinematic_phase,
     oracle_rho_path,
     parse_config,
@@ -109,7 +110,7 @@ class TestKinematicPhase:
         p = ModelParams(omega=1.0, lambda_c=0.07, alpha=1.3)
         path = micro_path(0.65, p, 1024)
         base = kinematic_phase(path)
-        frames = path.frames
+        frames = embed_frames(path.frames)
         rephased = frames.vectors * np.exp(
             1j * rng.uniform(-math.pi, math.pi, size=(path.times.size, 1, 4))
         )
