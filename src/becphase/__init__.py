@@ -19,16 +19,19 @@ from .dynamics import (
     validate_joint,
 )
 from .density import (
+    BlockEntries,
     EigenPath,
     Frames,
     Scenario,
     analytic_rho_path,
+    coherent_block_path,
     coherent_rho_path,
     decay_phase,
     eigen_path,
     embed_frames,
     oracle_rho_path,
     partial_trace,
+    validate_block,
     validate_density,
 )
 from .geomphase import (

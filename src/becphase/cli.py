@@ -29,9 +29,11 @@ from .dynamics import (
 from .density import (
     BLOCK_INDEX,
     DEGENERACY_TOL,
+    BlockEntries,
     EigenPath,
     Scenario,
     analytic_rho_path,
+    coherent_block_path,
     coherent_rho_path,
     decay_phase,
     eigen_path,
@@ -74,10 +76,11 @@ SWEEP_KEYS = {"variable", "start", "stop", "count"}
 SWEEP_VARIABLES = ("concurrence", "alpha", "lambda_c", "eta0")
 # The most points a sweep may have; the shipped sweeps use 50.
 MAX_SWEEP_COUNT = 1000
-# The finest grid evolve prints: it holds whole-path arrays of about 0.7 KB
-# per grid point (0.55 KB on a two-state block). Peak RSS at this bound, in a
-# fresh process with stdout captured: 102-103 MB on configs/micro_micro.json,
-# 124 MB on configs/general.json.
+# The finest grid evolve prints: it holds whole-path arrays of about 0.66 KB
+# per grid point (0.37 KB on a two-state block, which has no density stack).
+# Peak RSS at this bound, in a fresh process with stdout captured: about
+# 100 MB on configs/micro_micro.json, set by emit's text, and 123-126 MB on
+# configs/general.json.
 MAX_EVOLVE_STEPS = 2**17
 MANDATORY = {
     "micro_micro": ("omega", "lambda_c", "alpha", "eta0"),
@@ -243,14 +246,26 @@ def initial_state(cfg: RunConfig) -> JointState:
     return initial_branches(cfg).fock()
 
 
+def density_path(
+    state0: CoherentBranches, times: np.ndarray, p: ModelParams
+) -> np.ndarray | BlockEntries:
+    """The density path of a state for eigen_path: the entries of its 2x2
+    block (coherent_block_path) when it occupies at most two basis states,
+    as every named scenario does, else the (M, 4, 4) stack of
+    coherent_rho_path. Both are looked up here at call time, so that a
+    caller may replace them on this module, as perfbench does to trace its
+    layers."""
+    if np.count_nonzero(state0.coeffs) <= 2:
+        return coherent_block_path(state0, times, p)
+    return coherent_rho_path(state0, times, p)
+
+
 def path_builder(cfg: RunConfig) -> Callable[..., EigenPath]:
     state0 = initial_branches(cfg)
-    # coherent_rho_path and eigen_path are looked up here at call time, so
-    # that a caller may replace them on this module, as perfbench does to
-    # trace its layers.
+    # density_path and eigen_path are looked up at call time, as above.
     return refining_path_builder(
         quasicycle_period(cfg.params),
-        lambda times: coherent_rho_path(state0, times, cfg.params),
+        lambda times: density_path(state0, times, cfg.params),
         lambda times, rhos, coarse=None: eigen_path(
             times, rhos, degeneracy_tol=cfg.degeneracy_tol, coarse=coarse
         ),
@@ -547,7 +562,7 @@ def run_evolve(cfg: RunConfig) -> Table:
         raise ValueError(f"n_steps must be at most {MAX_EVOLVE_STEPS} for evolve, got {cfg.n_steps}")
     tau = quasicycle_period(cfg.params)
     times = np.linspace(0.0, tau, cfg.n_steps + 1)
-    rhos = coherent_rho_path(initial_branches(cfg), times, cfg.params)
+    rhos = density_path(initial_branches(cfg), times, cfg.params)
     path = eigen_path(times, rhos, degeneracy_tol=cfg.degeneracy_tol)
     running = phase_trace(path)
 
@@ -561,7 +576,17 @@ def run_evolve(cfg: RunConfig) -> Table:
 
     eps = np.zeros((times.size, 2))
     eps[:, : min(2, path.n_branches)] = path.values[:, :2]
-    purity = _at_most_one(np.real(np.einsum("mij,mji->m", rhos, rhos)), "purity")
+    if isinstance(rhos, BlockEntries):
+        a, d, b, block = rhos
+        # The einsum's sum below, term by term: rows i and j of the block,
+        # each |b|^2 = b conj(b) as its complex product rounds it.
+        mod2 = b.real * b.real + b.imag * b.imag
+        purity = (a * a + mod2) + (mod2 + d * d)
+        offdiag = np.abs(b) if block == (i0, i1) else np.zeros(times.size)
+    else:
+        purity = np.real(np.einsum("mij,mji->m", rhos, rhos))
+        offdiag = np.abs(rhos[:, i0, i1])
+    purity = _at_most_one(purity, "purity")
     conc = _at_most_one(concurrence_wootters(rhos, frames=path.frames), "concurrence")
     return Table({
         "t[time]": times,
@@ -569,7 +594,7 @@ def run_evolve(cfg: RunConfig) -> Table:
         "gamma_decay[1]": gam,
         "eps1[1]": eps[:, 0],
         "eps2[1]": eps[:, 1],
-        "offdiag_abs[1]": np.abs(rhos[:, i0, i1]),
+        "offdiag_abs[1]": offdiag,
         "running_phase[rad]": running,
         "concurrence[1]": conc,
         "purity[1]": purity,

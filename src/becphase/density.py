@@ -8,7 +8,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -114,6 +114,17 @@ class Frames(NamedTuple):
     block: tuple[int, int] | None
 
 
+class BlockEntries(NamedTuple):
+    """A density path on one two-state block (i, j), i < j, as its entries:
+    the populations a = rho_ii and d = rho_jj, the same at every time, and
+    the coherences b = rho_ij, one per time. Every other entry is 0."""
+
+    a: float
+    d: float
+    b: np.ndarray
+    block: tuple[int, int]
+
+
 def validate_density(rho: np.ndarray) -> Frames:
     """Check Hermiticity, unit trace and positivity of a 4x4 density matrix or
     of every matrix of a (..., 4, 4) stack; return the Frames that the
@@ -121,7 +132,10 @@ def validate_density(rho: np.ndarray) -> Frames:
 
     When every matrix is supported on the same two basis states or one, the
     decomposition is _block_frames' closed form, over the block's two
-    states; otherwise it is `eigh`'s, with ascending values.
+    states; otherwise it is `eigh`'s, with ascending values. A path of a
+    state that occupies at most two basis states can skip the stack:
+    coherent_block_path gives its block's entries and validate_block checks
+    them, with the same Frames.
     """
     m = np.asarray(rho, dtype=complex)
     if m.shape[-2:] != (4, 4):
@@ -147,16 +161,37 @@ def validate_density(rho: np.ndarray) -> Frames:
     if not herm <= HERMITICITY_TOL:
         raise ValueError(f"density matrix not Hermitian: deviation {herm:g}")
     traces = diag.sum(axis=1) if block is None else diag[:, 0] + diag[:, 1]
-    worst = complex(traces[np.argmax(np.abs(traces - 1.0))])
-    if not abs(worst - 1.0) <= TRACE_TOL:
-        raise ValueError(f"density matrix trace is {worst!r}, expected 1")
+    _check_trace(complex(traces[np.argmax(np.abs(traces - 1.0))]))
     if block is None:
-        evals, evecs = np.linalg.eigh(m)
-    else:
-        evals, evecs = _block_frames(m, block)
-    if not evals.min() >= -POSITIVITY_TOL:
-        raise ValueError(f"density matrix has negative eigenvalue {evals.min():g}")
-    return Frames(evals, evecs, block)
+        return _check_positive(Frames(*np.linalg.eigh(m), None))
+    i, j = block
+    evals, evecs = _block_frames(m[..., i, i].real, m[..., j, j].real, m[..., i, j])
+    return _check_positive(Frames(evals, evecs, block))
+
+
+def validate_block(entries: BlockEntries) -> Frames:
+    """validate_density for a path given as its block's entries
+    (coherent_block_path): the Frames of the matrices that the entries stand
+    for, from _block_frames, with no (M, 4, 4) stack. Only the checks that
+    can fail on such entries run: finite coherences, unit trace of the
+    populations and positivity of the block eigenvalues. The matrices are
+    Hermitian by construction."""
+    a, d, b, block = entries
+    if not np.isfinite(b).all():
+        raise ValueError("density matrix has a non-finite coherence")
+    _check_trace(complex(a + d))
+    return _check_positive(Frames(*_block_frames(a, d, b), block))
+
+
+def _check_trace(trace: complex) -> None:
+    if not abs(trace - 1.0) <= TRACE_TOL:
+        raise ValueError(f"density matrix trace is {trace!r}, expected 1")
+
+
+def _check_positive(frames: Frames) -> Frames:
+    if not frames.values.min() >= -POSITIVITY_TOL:
+        raise ValueError(f"density matrix has negative eigenvalue {frames.values.min():g}")
+    return frames
 
 
 def _direction(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -165,41 +200,47 @@ def _direction(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     digits, to the normal range, and the second gives a unit vector."""
     for _ in range(2):
         n = np.hypot(x, y)
-        safe = np.where(n > 0.0, n, 1.0)
-        x, y = np.where(n > 0.0, x / safe, 1.0), y / safe
+        nonzero = n > 0.0
+        safe = np.where(nonzero, n, 1.0)
+        x, y = np.where(nonzero, x / safe, 1.0), y / safe
     return x, y
 
 
-def _block_frames(m: np.ndarray, block: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form eigen-decomposition of matrices whose entries outside the
-    rows and columns of block = (i, j) are 0, over the block's two states.
+def _block_frames(a, d, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form eigen-decomposition of the 2x2 blocks [[a, b], [conj b, d]]:
+    a and d real, b complex, a and d broadcasting against b. validate_density
+    passes the entries of its matrices; validate_block the constant
+    populations and the coherences of a coherent_block_path.
 
-    The block [[a, b], [conj b, d]] has the eigenvalues mean +- r, with
+    The block has the eigenvalues mean +- r, with
     r = hypot((a - d)/2, |b|), and the eigenvectors
     v+ = cos(t) |i> + sin(t) u |j> and v- = sin(t) |i> - cos(t) u |j>, where
     (cos 2t, sin 2t) = ((a - d)/2, |b|) / r and u = conj(b) / |b|. values
     (..., 2) hold mean + r and mean - r, and the columns of vectors
     (..., 2, 2) hold v+ and v- as their |i> and |j> components. Only sqrt,
     hypot and division enter, so a matrix gives the same bits alone as in a
-    stack.
+    stack, and constant populations the same bits as their repeated values.
     """
-    i, j = block
-    a, d, b = m[..., i, i].real, m[..., j, j].real, m[..., i, j]
     half = 0.5 * (a - d)
     mod_b = np.abs(b)
     mean, r = 0.5 * (a + d), np.hypot(half, mod_b)
-    evals = np.stack([mean + r, mean - r], axis=-1)
+    evals = np.empty(r.shape + (2,))
+    np.add(mean, r, out=evals[..., 0])
+    np.subtract(mean, r, out=evals[..., 1])
     # (cos 2t, sin 2t), and u from real divisions: numpy's complex division
     # takes 1 / |b|, which overflows for a subnormal b.
-    (cos2, u_re), (sin2, u_im) = _direction(np.stack([half, b.real]), np.stack([mod_b, -b.imag]))
+    x, y = np.empty((2, 2) + b.shape)
+    x[0], x[1], y[0], y[1] = half, b.real, mod_b, -b.imag
+    (cos2, u_re), (sin2, u_im) = _direction(x, y)
     # The larger of cos(t), sin(t) is sqrt((1 + |cos 2t|) / 2) >= sqrt(1/2); the
     # smaller, sin 2t / (2 larger), does not cancel the way sqrt((1 - |cos 2t|) / 2) does.
     larger = np.sqrt(0.5 * (1.0 + np.abs(cos2)))
     smaller = sin2 / (2.0 * larger)
-    cos = np.where(cos2 >= 0.0, larger, smaller)
-    sin = np.where(cos2 >= 0.0, smaller, larger)
+    cos_larger = cos2 >= 0.0
+    cos = np.where(cos_larger, larger, smaller)
+    sin = np.where(cos_larger, smaller, larger)
     u = u_re + 1j * u_im
-    evecs = np.empty(a.shape + (2, 2), dtype=complex)
+    evecs = np.empty(b.shape + (2, 2), dtype=complex)
     evecs[..., 0, 0] = cos
     evecs[..., 1, 0] = sin * u
     evecs[..., 0, 1] = sin
@@ -247,34 +288,77 @@ def coherent_rho_path(state0: CoherentBranches, times: np.ndarray, p: ModelParam
     mu_ij = mu_i - mu_j: the form of the log of Glauber's overlap that does
     not cancel when |b|^2 is large (R. J. Glauber, Phys. Rev. 131, 2766 (1963)).
     Only the occupied branches (c_k != 0) enter, in chunks of
-    PATH_CHUNK_POINTS times: each strictly lower occupied pair i > j is
-    evaluated once, the upper entry is its exact conjugate, the diagonal is
-    |c_i|^2 = Re(c_i conj(c_i)), and every other entry carries a zero weight
-    and is written as 0. The matrices are Hermitian to the last bit, and
-    `eigh`, which reads the lower triangle, sees the full formula's bits
-    below the diagonal.
+    PATH_CHUNK_POINTS times (_coherences): each strictly lower occupied pair
+    i > j is evaluated once, the upper entry is its exact conjugate, the
+    diagonal is |c_i|^2 = Re(c_i conj(c_i)), and every other entry carries a
+    zero weight and is written as 0. The matrices are Hermitian to the last
+    bit, and `eigh`, which reads the lower triangle, sees the full formula's
+    bits below the diagonal.
+
+    cli.density_path takes this route for a state that occupies three or
+    four basis states. For one that occupies at most two it takes
+    coherent_block_path, which gives the same entries of its block with no
+    (M, 4, 4) stack.
     """
     times = np.asarray(times, dtype=float)
     occ = np.flatnonzero(state0.coeffs)
-    c, b = state0.coeffs[occ], state0.betas[occ]
-    theta = branch_frequency(occ[:, None], np.arange(2), p)
-    energy, slope = theta[:, 0], theta[:, 1] - theta[:, 0]
-    row, col = np.tril_indices(occ.size, -1)
-    cross = b[row] * b[col].conj()  # b_i conj(b_j)
-    g0 = -0.5 * np.abs(b[row] - b[col]) ** 2 + 1j * cross.imag
-    mu = slope[row] - slope[col]
-    de = energy[row] - energy[col]
-    weight = c[row] * c[col].conj()
-    lower, upper = (occ[row], occ[col]), (occ[col], occ[row])
     out = np.zeros((times.size, 4, 4), dtype=complex)
-    out[:, occ, occ] = (c * c.conj()).real
+    out[:, occ, occ] = _populations(state0)[occ]
+    lower = [(i, j) for i in occ for j in occ if j < i]
+    if lower:
+        rows, cols = np.array(lower).T
+        for chunk, rho in _coherences(state0, times, p, rows, cols):
+            out[chunk, rows, cols] = rho
+            out[chunk, cols, rows] = rho.conj()
+    return out
+
+
+def coherent_block_path(state0: CoherentBranches, times: np.ndarray, p: ModelParams) -> BlockEntries:
+    """coherent_rho_path of a state that occupies at most two basis states, as
+    the entries of its 2x2 block: the same bits with no (M, 4, 4) stack, for
+    validate_block and eigen_path.
+
+    The block is the pair of basis states whose rows or columns hold a
+    nonzero entry at some time, a lone one paired with an empty one, as
+    validate_density finds it on the stack.
+    """
+    times = np.asarray(times, dtype=float)
+    occ = np.flatnonzero(state0.coeffs)
+    if occ.size > 2:
+        raise ValueError(f"a block path needs at most two occupied basis states, got {occ.size}")
+    pops = _populations(state0)
+    b = np.zeros(times.size, dtype=complex)
+    if occ.size == 2:
+        for chunk, rho in _coherences(state0, times, p, occ[1:], occ[:1]):
+            b[chunk] = rho[:, 0].conj()
+    live = [int(k) for k in occ if pops[k] or b.any()]
+    i, j = sorted([*live, *(k for k in (0, 1) if k not in live)][:2])
+    return BlockEntries(float(pops[i]), float(pops[j]), b, (i, j))
+
+
+def _populations(state0: CoherentBranches) -> np.ndarray:
+    """The diagonal of every reduced density matrix, |c_k|^2 = Re(c_k conj(c_k))."""
+    return (state0.coeffs * state0.coeffs.conj()).real
+
+
+def _coherences(
+    state0: CoherentBranches, times: np.ndarray, p: ModelParams, rows: np.ndarray, cols: np.ndarray
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """coherent_rho_path's entries rho_ij(t) at (i, j) = (rows[k], cols[k]),
+    one point_chunks chunk of times at a time: yields the chunk's slice and
+    its (chunk size, number of pairs) array."""
+    c, b = state0.coeffs, state0.betas
+    theta = branch_frequency(np.arange(4)[:, None], np.arange(2), p)
+    energy, slope = theta[:, 0], theta[:, 1] - theta[:, 0]
+    cross = b[rows] * b[cols].conj()  # b_i conj(b_j)
+    g0 = -0.5 * np.abs(b[rows] - b[cols]) ** 2 + 1j * cross.imag
+    mu = slope[rows] - slope[cols]
+    de = energy[rows] - energy[cols]
+    weight = c[rows] * c[cols].conj()
     for chunk in point_chunks(times.size):
         t = times[chunk, None]
         g = g0 - cross * (2.0 * np.sin(0.5 * mu * t) ** 2 + 1j * np.sin(mu * t))
-        rho = weight * np.exp(g - 1j * de * t)
-        out[(chunk, *lower)] = rho
-        out[(chunk, *upper)] = rho.conj()
-    return out
+        yield chunk, weight * np.exp(g - 1j * de * t)
 
 
 def oracle_rho_path(state0: JointState, times: np.ndarray, p: ModelParams) -> np.ndarray:
@@ -435,7 +519,7 @@ def _matched_columns(evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
 
 def eigen_path(
     times: np.ndarray,
-    rhos: np.ndarray,
+    rhos: np.ndarray | BlockEntries,
     degeneracy_tol: float = DEGENERACY_TOL,
     coarse: EigenPath | None = None,
 ) -> EigenPath:
@@ -447,11 +531,14 @@ def eigen_path(
     Near-degenerate eigenvalue pairs among retained branches are flagged,
     not fatal.
 
-    When every matrix is supported on the same two basis states (or one),
-    validate_density decomposes the block in closed form and no matching
-    runs: the branches are the larger and the smaller block eigenvalue,
-    whose gap 2 hypot((a - d)/2, |b|) is positive unless the block is a
-    multiple of the identity, so they never cross.
+    rhos is an (M, 4, 4) stack, which validate_density checks, or, for a
+    state that occupies at most two basis states, its block's entries from
+    coherent_block_path, which validate_block checks with no stack; both
+    give the same Frames. When every matrix is supported on the same two
+    basis states (or one), the block is decomposed in closed form and no
+    matching runs: the branches are the larger and the smaller block
+    eigenvalue, whose gap 2 hypot((a - d)/2, |b|) is positive unless the
+    block is a multiple of the identity, so they never cross.
 
     Branches are ordered by descending eigenvalue at the first time.
     Eigenvalues below SUPPORT_TOL there count as tied, and their branches
@@ -468,15 +555,20 @@ def eigen_path(
     decomposed grid, is even_point_path's.
     """
     times = np.asarray(times, dtype=float)
-    rhos = np.asarray(rhos, dtype=complex)
     if coarse is None:
         if times.ndim != 1 or times.size < 2:
             raise ValueError("need at least two time points")
     elif times.shape != (coarse.n_steps,):
         raise ValueError("refinement needs one midpoint per step of the coarse path")
-    if rhos.shape != (times.size, 4, 4):
-        raise ValueError(f"expected shape {(times.size, 4, 4)}, got {rhos.shape}")
-    frames = validate_density(rhos)
+    if isinstance(rhos, BlockEntries):
+        if rhos.b.shape != times.shape:
+            raise ValueError(f"expected {times.size} coherences, got shape {rhos.b.shape}")
+        frames = validate_block(rhos)
+    else:
+        rhos = np.asarray(rhos, dtype=complex)
+        if rhos.shape != (times.size, 4, 4):
+            raise ValueError(f"expected shape {(times.size, 4, 4)}, got {rhos.shape}")
+        frames = validate_density(rhos)
     if coarse is not None:
         times = _interleave(coarse.times, times)
         even = coarse.frames
@@ -517,7 +609,9 @@ def _branch_path(times: np.ndarray, frames: Frames, degeneracy_tol: float) -> Ei
     if frames.block is None:
         columns = _matched_columns(vals, frames.vectors)
         vals = gather_columns(vals, columns)
-    keep = np.flatnonzero(vals.max(axis=0) > SUPPORT_TOL)
+    # Column by column: numpy's max over axis 0 of an (M, n) array is
+    # several times slower than n maxima of its columns.
+    keep = np.flatnonzero([vals[:, k].max() > SUPPORT_TOL for k in range(vals.shape[1])])
     if keep.size == 0:
         raise ValueError("no branch carries weight above the support cutoff")
     vals = vals[:, keep]

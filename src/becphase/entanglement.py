@@ -9,7 +9,15 @@ import numpy as np
 
 from .model import ModelParams
 from .dynamics import JointState
-from .density import Frames, Scenario, partial_trace, point_chunks, validate_density
+from .density import (
+    BlockEntries,
+    Frames,
+    Scenario,
+    partial_trace,
+    point_chunks,
+    validate_block,
+    validate_density,
+)
 from .geomphase import special_point_phase
 
 # sigma_y (x) sigma_y expressed in the module basis order.
@@ -28,7 +36,9 @@ EIGENVALUE_CLAMP = 1e-12
 _ENTANGLED_BLOCKS = ((0, 1), (2, 3))
 
 
-def concurrence_wootters(rho: np.ndarray, frames: Frames | None = None) -> float | np.ndarray:
+def concurrence_wootters(
+    rho: np.ndarray | BlockEntries, frames: Frames | None = None
+) -> float | np.ndarray:
     """Two-qubit concurrence max{0, l1 - l2 - l3 - l4} of one 4x4 matrix (a
     float) or of every matrix of an (M, 4, 4) stack (an array of M values).
 
@@ -41,17 +51,23 @@ def concurrence_wootters(rho: np.ndarray, frames: Frames | None = None) -> float
     When every matrix is supported on the two basis states of a block (i, j),
     the concurrence is 2 |rho_ij| if those states differ in both qubits
     (|00>,|11> or |01>,|10>) and exactly 0 otherwise, where one qubit sits in
-    a basis state and the state is a product; no SVD runs.
+    a basis state and the state is a product; no SVD runs. rho may then also
+    be a two-state path's BlockEntries (coherent_block_path), whose
+    coherences b are its rho_ij.
 
     frames, when given, is rho's Frames as validate_density returns them and
     EigenPath.frames keeps them; rho is then neither checked nor decomposed
     again, and the SVD route runs unless frames.block names a block. The
     SVD route needs 4x4 frames; a block's frames take it through
     embed_frames, which gives them over the whole basis with block None.
-    Without frames, rho is checked and decomposed here by validate_density.
+    Without frames, rho is checked and decomposed here by validate_density,
+    or by validate_block for BlockEntries.
     The SVD route runs in point_chunks, so its temporaries do not grow with M.
     """
-    evals, evecs, block = validate_density(rho) if frames is None else frames
+    entries = isinstance(rho, BlockEntries)
+    if frames is None:
+        frames = validate_block(rho) if entries else validate_density(rho)
+    evals, evecs, block = frames
     if block is None:
         value = np.empty(evals.shape[:-1])
         evals, evecs, out = evals.reshape(-1, 4), evecs.reshape(-1, 4, 4), value.reshape(-1)
@@ -62,10 +78,9 @@ def concurrence_wootters(rho: np.ndarray, frames: Frames | None = None) -> float
             flipped_root = sqrt_rho @ SIGMA_YY @ sqrt_rho.conj()
             lam = np.linalg.svd(flipped_root, compute_uv=False)
             out[chunk] = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
-    elif block in _ENTANGLED_BLOCKS:
-        value = 2.0 * np.abs(np.asarray(rho)[..., block[0], block[1]])
     else:
-        value = np.zeros(np.shape(rho)[:-2])
+        coherence = rho.b if entries else np.asarray(rho)[..., block[0], block[1]]
+        value = 2.0 * np.abs(coherence) if block in _ENTANGLED_BLOCKS else np.zeros(coherence.shape)
     return float(value) if value.ndim == 0 else value
 
 

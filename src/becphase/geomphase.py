@@ -317,8 +317,9 @@ def refining_path_builder(
     decompose: Callable[..., EigenPath],
 ) -> Callable[..., EigenPath]:
     """Path factory build(n, coarse=None) on linspace(0, tau, n + 1) for
-    converge_phase: rho_path(times) gives the density matrices and
-    decompose(times, rhos, coarse=None) their EigenPath, as eigen_path does.
+    converge_phase: rho_path(times) gives the density matrices, or a
+    two-state path's BlockEntries, and decompose(times, rhos, coarse=None)
+    their EigenPath, as eigen_path does.
     Given coarse, the path on n / 2 steps, only the midpoints of its steps
     are evaluated and decomposed, and the path equals one built from scratch.
     """

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import becphase
 from becphase import Table, emit, parse_config, run_scenario, validation_report
 from becphase import cli, geomphase
+from becphase.density import BlockEntries
 from becphase.cli import _fmt, main
 from oracles import emit_rowwise
 
@@ -428,8 +429,13 @@ class TestRunScenario:
         assert table.columns["concurrence[1]"].tolist() == cli.concurrence_wootters(rhos).tolist()
 
     def test_evolve_refuses_purity_beyond_rounding(self, monkeypatch):
-        exact = cli.coherent_rho_path
-        monkeypatch.setattr(cli, "coherent_rho_path", lambda *a: exact(*a) * (1.0 + 1e-11))
+        # micro_micro's path is its block's entries; every entry is scaled
+        def scaled(*args):
+            a, d, b, block = exact(*args)
+            return BlockEntries(a * (1.0 + 1e-11), d * (1.0 + 1e-11), b * (1.0 + 1e-11), block)
+
+        exact = cli.coherent_block_path
+        monkeypatch.setattr(cli, "coherent_block_path", scaled)
         with pytest.raises(ValueError, match="purity"):
             run_scenario(parse_config(cfg_text(grid={"n_steps": 64})), "evolve")
 
