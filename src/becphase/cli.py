@@ -7,6 +7,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -29,10 +30,13 @@ from .dynamics import (
 from .density import (
     BLOCK_INDEX,
     DEGENERACY_TOL,
+    PATH_CHUNK_POINTS,
     BlockEntries,
     EigenPath,
+    Frames,
     Scenario,
     analytic_rho_path,
+    block_batch_key,
     coherent_block_path,
     coherent_rho_path,
     decay_phase,
@@ -40,6 +44,7 @@ from .density import (
     oracle_rho_path,
     partial_trace,
     point_chunks,
+    validate_block,
 )
 from .geomphase import (
     MAX_STEPS,
@@ -260,23 +265,97 @@ def density_path(
     return coherent_rho_path(state0, times, p)
 
 
-def path_builder(cfg: RunConfig) -> Callable[..., EigenPath]:
+def path_builder(cfg: RunConfig, first: EigenPath | None = None) -> Callable[..., EigenPath]:
+    """converge_phase's path factory for a config. first, when given, is the
+    path that first_paths built on its grid, which the factory returns for
+    that grid instead of building it again."""
     state0 = initial_branches(cfg)
     # density_path and eigen_path are looked up at call time, as above.
-    return refining_path_builder(
+    build = refining_path_builder(
         quasicycle_period(cfg.params),
         lambda times: density_path(state0, times, cfg.params),
         lambda times, rhos, coarse=None: eigen_path(
             times, rhos, degeneracy_tol=cfg.degeneracy_tol, coarse=coarse
         ),
     )
+    if first is None:
+        return build
+    return lambda n_steps, coarse=None: (
+        first if coarse is None and n_steps == first.n_steps else build(n_steps, coarse)
+    )
+
+
+def first_paths(cfgs: Sequence[RunConfig]) -> list[EigenPath | None]:
+    """The first path of every config of a batch (compute_phases): the
+    EigenPath on the grid of 2 n_steps steps that converge_phase builds
+    first. One coherent_block_path call evaluates the coherences of all
+    their states from the factor that they share, one validate_block call
+    checks and decomposes them, and each config's Frames then go through
+    eigen_path. None for a state that occupies three or four basis states,
+    which is a batch of one: converge_phase builds its path on the 4x4 route."""
+    cfg = cfgs[0]
+    states = [initial_branches(c) for c in cfgs]
+    if np.count_nonzero(states[0].coeffs) > 2:
+        return [None] * len(cfgs)
+    times = np.linspace(0.0, quasicycle_period(cfg.params), 2 * cfg.n_steps + 1)
+    # A batch of one passes its state alone: its entries then hold scalar
+    # populations, which cost less to broadcast than (1, 1) arrays.
+    entries = coherent_block_path(states if len(states) > 1 else states[0], times, cfg.params)
+    values, vectors, block = validate_block(entries)
+    shape = (len(states), times.size)
+    return [
+        eigen_path(times, Frames(v, w, block), degeneracy_tol=c.degeneracy_tol)
+        for c, v, w in zip(cfgs, values.reshape(shape + (2,)), vectors.reshape(shape + (2, 2)))
+    ]
+
+
+def _block_key(cfg: RunConfig) -> tuple | None:
+    """The block_batch_key of a config's state; None for a state that is
+    refused (it raises in its turn)."""
+    try:
+        return block_batch_key(initial_branches(cfg))
+    except ValueError:
+        return None
+
+
+def compute_phases(cfgs: Sequence[RunConfig]) -> Iterator[PhaseResult]:
+    """compute_phase of each config in turn. Consecutive configs with one
+    params, n_steps and _block_key (not None) get their first paths in
+    batches from one first_paths call each, as many configs as hold
+    PATH_CHUNK_POINTS + 1 first-path grid points in all, or one; every
+    config then converges from its own first path alone. A batch is built
+    when its first config's turn comes, so one batch is held at a time."""
+    for _, run in itertools.groupby(cfgs, lambda cfg: (cfg.params, cfg.n_steps)):
+        run = list(run)
+        size = max(1, (PATH_CHUNK_POINTS + 1) // (2 * run[0].n_steps + 1))
+        # a lone config needs no block key
+        for key, part in itertools.groupby(run, _block_key if len(run) > 1 else lambda cfg: None):
+            part = list(part)
+            step = 1 if key is None else size
+            for start in range(0, len(part), step):
+                yield from _converge_batch(part[start : start + step])
+
+
+def _converge_batch(batch: Sequence[RunConfig]) -> Iterator[PhaseResult]:
+    """The phase of each config of a batch, in order. Errors come in that
+    order too: a batch whose first_paths call fails is built again one
+    config at a time, so that each config raises its own error in its turn."""
+    try:
+        firsts = first_paths(batch)
+    except ValueError:
+        if len(batch) == 1:
+            raise
+        for cfg in batch:
+            yield from _converge_batch([cfg])
+        return
+    for cfg, first in zip(batch, firsts):
+        yield converge_phase(path_builder(cfg, first), n_start=cfg.n_steps, phase_tol=cfg.phase_tol)
 
 
 def compute_phase(cfg: RunConfig) -> PhaseResult:
-    """Converged kinematic phase of the configured scenario over one quasicycle."""
-    return converge_phase(
-        path_builder(cfg), n_start=cfg.n_steps, phase_tol=cfg.phase_tol
-    )
+    """Converged kinematic phase of the configured scenario over one
+    quasicycle: compute_phases' batch of one."""
+    return next(_converge_batch([cfg]))
 
 
 @dataclass
@@ -626,13 +705,9 @@ def _point(cfg: RunConfig, value: float | None = None) -> tuple[RunConfig, float
     return cfg, abs(math.sin(2 * cfg.eta0)) if cfg.scenario == "micro_micro" else None
 
 
-def _micro_references(cfg: RunConfig, conc: float) -> tuple[float, float, float]:
-    """micro_micro's closed-form, weak-law and weak-limit phases."""
-    return (
-        phase_micro_micro_closed(cfg.eta0, cfg.params),
-        weak_coupling_phase(conc, cfg.params),
-        weak_coupling_phase_limit(conc),
-    )
+def _weak_laws(cfg: RunConfig, conc: float) -> tuple[float, float]:
+    """micro_micro's weak-law and weak-limit phases."""
+    return weak_coupling_phase(conc, cfg.params), weak_coupling_phase_limit(conc)
 
 
 def _witness(cfg: RunConfig, phase: float) -> WitnessResult:
@@ -648,7 +723,9 @@ def run_phase(cfg: RunConfig) -> Table:
     result = compute_phase(cfg)
     closed = weak_law = weak_limit = special = ""
     if cfg.scenario == "micro_micro":
-        closed, weak_law, weak_limit = _micro_references(*_point(cfg))
+        point, conc = _point(cfg)
+        closed = phase_micro_micro_closed(point.eta0, point.params)
+        weak_law, weak_limit = _weak_laws(point, conc)
     elif cfg.scenario != "general" and at_special_point(cfg.eta0, cfg.params):
         special = phase_macro_closed(Scenario(cfg.scenario), cfg.eta0, cfg.params)
     cells = {
@@ -678,14 +755,14 @@ def run_witness(cfg: RunConfig) -> Table:
     })
 
 
-def _sweep_row(cfg: RunConfig, value: float) -> list:
+def _sweep_row(cfg: RunConfig, value: float, point: RunConfig, conc: float | None,
+               result: PhaseResult, closed: float | None) -> list:
     """The swept value, the point's eta0 (micro_micro) or |alpha| (hybrids), its
-    phase, the published phase law, that law inverted (empty if it has no
+    phase, micro_micro's closed-form phase (closed) and weak laws or the
+    hybrids' published phase law, that law inverted (empty if it has no
     inverse) and warnings."""
-    point, conc = _point(cfg, value)
-    result = compute_phase(point)
     if cfg.scenario == "micro_micro":
-        closed, law, limit = _micro_references(point, conc)
+        law, limit = _weak_laws(point, conc)
         cells = [point.eta0, result.unwrapped, result.principal, closed, law, limit]
     else:
         law = "" if conc is None else macro_phase_relation(conc, Scenario(cfg.scenario), point.params)
@@ -696,13 +773,29 @@ def _sweep_row(cfg: RunConfig, value: float) -> list:
     return [value, *cells, witness, "; ".join(result.warnings)]
 
 
+def _closed_forms(points: Sequence[RunConfig]) -> list[float]:
+    """micro_micro's closed-form phase of every point: one
+    phase_micro_micro_closed call for each run of points with one params."""
+    closed = []
+    for params, run in itertools.groupby(points, key=lambda point: point.params):
+        closed += phase_micro_micro_closed(np.array([point.eta0 for point in run]), params).tolist()
+    return closed
+
+
 def run_sweep(cfg: RunConfig) -> Table:
+    """One row per swept value (_sweep_row), each equal to the phase run of
+    its point. What the points share is computed once: micro_micro's closed
+    forms in one call per run of points with one params (_closed_forms), and
+    the first paths of consecutive points with one params and block, in
+    batches of at most PATH_CHUNK_POINTS + 1 grid points (compute_phases).
+    The points then converge one after another, and the first that fails
+    ends the sweep with its error."""
     if cfg.sweep is None:
         raise ValueError("sweep verb requires a 'sweep' block in the configuration")
     if cfg.scenario == "general":
         raise ValueError("sweeps are defined for the three named scenarios")
-    values = np.linspace(cfg.sweep.start, cfg.sweep.stop, cfg.sweep.count)
-    if cfg.sweep.variable == "concurrence" and not (0.0 <= values.min() and values.max() < 1.0):
+    values = np.linspace(cfg.sweep.start, cfg.sweep.stop, cfg.sweep.count).tolist()
+    if cfg.sweep.variable == "concurrence" and not (0.0 <= min(values) and max(values) < 1.0):
         raise ValueError("concurrence sweep values must lie in [0, 1)")
     if cfg.scenario == "micro_micro":
         middle = ["eta0[rad]", "phase_kinematic[rad]", "phase_principal[rad]",
@@ -712,7 +805,12 @@ def run_sweep(cfg: RunConfig) -> Table:
         middle = ["alpha_abs[1]", "phase_kinematic[rad]", "phase_principal[rad]",
                   "phase_relation[rad]", "witness_roundtrip[1]"]
     columns = [f"{cfg.sweep.variable}[1]", *middle, "warnings"]
-    rows = [_sweep_row(cfg, v) for v in values.tolist()]
+    points, concs = zip(*(_point(cfg, v) for v in values))
+    closed = _closed_forms(points) if cfg.scenario == "micro_micro" else [None] * len(points)
+    rows = [
+        _sweep_row(cfg, *cells)
+        for cells in zip(values, points, concs, compute_phases(points), closed)
+    ]
     return Table(dict(zip(columns, zip(*rows))))
 
 

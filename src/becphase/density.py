@@ -8,7 +8,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -117,7 +117,9 @@ class Frames(NamedTuple):
 class BlockEntries(NamedTuple):
     """A density path on one two-state block (i, j), i < j, as its entries:
     the populations a = rho_ii and d = rho_jj, the same at every time, and
-    the coherences b = rho_ij, one per time. Every other entry is 0."""
+    the coherences b = rho_ij, one per time. Every other entry is 0. The
+    paths of a batch of P states on one grid and block hold a and d as
+    (P, 1) arrays and b as a (P, M) array."""
 
     a: float
     d: float
@@ -175,11 +177,19 @@ def validate_block(entries: BlockEntries) -> Frames:
     for, from _block_frames, with no (M, 4, 4) stack. Only the checks that
     can fail on such entries run: finite coherences, unit trace of the
     populations and positivity of the block eigenvalues. The matrices are
-    Hermitian by construction."""
+    Hermitian by construction.
+
+    The entries of a batch are checked and decomposed in one pass, into
+    values (P, M, 2) and vectors (P, M, 2, 2); point k of the batch gets the
+    bits that its own entries give alone. A batch that fails a check raises
+    the error of its first point off unit trace or of its lowest
+    eigenvalue, which need not be that of its first failing point.
+    """
     a, d, b, block = entries
     if not np.isfinite(b).all():
         raise ValueError("density matrix has a non-finite coherence")
-    _check_trace(complex(a + d))
+    for trace in np.ravel(a + d).tolist():
+        _check_trace(complex(trace))
     return _check_positive(Frames(*_block_frames(a, d, b), block))
 
 
@@ -307,13 +317,15 @@ def coherent_rho_path(state0: CoherentBranches, times: np.ndarray, p: ModelParam
     lower = [(i, j) for i in occ for j in occ if j < i]
     if lower:
         rows, cols = np.array(lower).T
-        for chunk, rho in _coherences(state0, times, p, rows, cols):
+        for chunk, (rho,) in _coherences(state0.coeffs[None], state0.betas, times, p, rows, cols):
             out[chunk, rows, cols] = rho
             out[chunk, cols, rows] = rho.conj()
     return out
 
 
-def coherent_block_path(state0: CoherentBranches, times: np.ndarray, p: ModelParams) -> BlockEntries:
+def coherent_block_path(
+    states: CoherentBranches | Sequence[CoherentBranches], times: np.ndarray, p: ModelParams
+) -> BlockEntries:
     """coherent_rho_path of a state that occupies at most two basis states, as
     the entries of its 2x2 block: the same bits with no (M, 4, 4) stack, for
     validate_block and eigen_path.
@@ -321,19 +333,49 @@ def coherent_block_path(state0: CoherentBranches, times: np.ndarray, p: ModelPar
     The block is the pair of basis states whose rows or columns hold a
     nonzero entry at some time, a lone one paired with an empty one, as
     validate_density finds it on the stack.
+
+    Given a sequence of states, the result is the batch of their paths on
+    one grid (BlockEntries with a leading axis): each chunk of times
+    evaluates the factor of the coherences that the states share once, and
+    each state's row has the bits of its own call. The states of a batch of
+    more than one must share a block_batch_key, which fixes one block for
+    them all.
     """
+    batch = not isinstance(states, CoherentBranches)
+    states = list(states) if batch else [states]
     times = np.asarray(times, dtype=float)
-    occ = np.flatnonzero(state0.coeffs)
+    occ = np.flatnonzero(states[0].coeffs)
     if occ.size > 2:
         raise ValueError(f"a block path needs at most two occupied basis states, got {occ.size}")
-    pops = _populations(state0)
-    b = np.zeros(times.size, dtype=complex)
+    if len(states) > 1:
+        keys = {block_batch_key(s) for s in states}
+        if None in keys or len(keys) > 1:
+            raise ValueError("a batch of block paths needs states of one block_batch_key")
+    c = np.array([s.coeffs for s in states])
+    pops = (c * c.conj()).real
+    b = np.zeros((len(states), times.size), dtype=complex)
     if occ.size == 2:
-        for chunk, rho in _coherences(state0, times, p, occ[1:], occ[:1]):
-            b[chunk] = rho[:, 0].conj()
-    live = [int(k) for k in occ if pops[k] or b.any()]
+        for chunk, rho in _coherences(c, states[0].betas, times, p, occ[1:], occ[:1]):
+            b[:, chunk] = rho[..., 0].conj()
+    live = [int(k) for k in occ if pops[:, k].any() or b.any()]
     i, j = sorted([*live, *(k for k in (0, 1) if k not in live)][:2])
-    return BlockEntries(float(pops[i]), float(pops[j]), b, (i, j))
+    if batch:
+        return BlockEntries(pops[:, i, None], pops[:, j, None], b, (i, j))
+    return BlockEntries(float(pops[0, i]), float(pops[0, j]), b[0], (i, j))
+
+
+def block_batch_key(state0: CoherentBranches) -> tuple | None:
+    """The key that the states of one coherent_block_path batch share: the
+    mode amplitudes (signs and alpha), which with the model parameters fix
+    the factor of their coherences, and the occupied states. Every occupied
+    state must have a nonzero population, so that the block does not depend
+    on the coherences. None for a state that cannot join a batch: one that
+    occupies more than two basis states, or one with an occupied state
+    whose population rounds to 0."""
+    occ = np.flatnonzero(state0.coeffs)
+    if occ.size > 2 or not _populations(state0)[occ].all():
+        return None
+    return state0.signs, state0.alpha, tuple(occ.tolist())
 
 
 def _populations(state0: CoherentBranches) -> np.ndarray:
@@ -342,23 +384,31 @@ def _populations(state0: CoherentBranches) -> np.ndarray:
 
 
 def _coherences(
-    state0: CoherentBranches, times: np.ndarray, p: ModelParams, rows: np.ndarray, cols: np.ndarray
+    c: np.ndarray, b: np.ndarray, times: np.ndarray, p: ModelParams, rows: np.ndarray, cols: np.ndarray
 ) -> Iterator[tuple[slice, np.ndarray]]:
-    """coherent_rho_path's entries rho_ij(t) at (i, j) = (rows[k], cols[k]),
-    one point_chunks chunk of times at a time: yields the chunk's slice and
-    its (chunk size, number of pairs) array."""
-    c, b = state0.coeffs, state0.betas
+    """coherent_rho_path's entries rho_ij(t) at (i, j) = (rows[k], cols[k])
+    of the states whose coefficients are the rows of c and whose mode
+    amplitudes are b, one point_chunks chunk of times at a time: yields the
+    chunk's slice and its (states, chunk size, pairs) array. The factor
+    exp(G_ij(t) - i (E_i - E_j) t) is evaluated once per chunk and
+    multiplied by each state's c_i conj(c_j).
+
+    Every complex product has operands of one ndim: numpy multiplies a
+    single element of unequal ndim in another loop than longer operands,
+    which rounds differently, so a point's bits would depend on the size of
+    its chunk."""
     theta = branch_frequency(np.arange(4)[:, None], np.arange(2), p)
     energy, slope = theta[:, 0], theta[:, 1] - theta[:, 0]
     cross = b[rows] * b[cols].conj()  # b_i conj(b_j)
     g0 = -0.5 * np.abs(b[rows] - b[cols]) ** 2 + 1j * cross.imag
     mu = slope[rows] - slope[cols]
     de = energy[rows] - energy[cols]
-    weight = c[rows] * c[cols].conj()
+    weight = (c[:, rows] * c[:, cols].conj())[:, None, :]
+    cross, g0, mu, de = cross[None], g0[None], mu[None], de[None]
     for chunk in point_chunks(times.size):
         t = times[chunk, None]
         g = g0 - cross * (2.0 * np.sin(0.5 * mu * t) ** 2 + 1j * np.sin(mu * t))
-        yield chunk, weight * np.exp(g - 1j * de * t)
+        yield chunk, weight * np.exp(g - 1j * de * t)[None]
 
 
 def oracle_rho_path(state0: JointState, times: np.ndarray, p: ModelParams) -> np.ndarray:
@@ -519,7 +569,7 @@ def _matched_columns(evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
 
 def eigen_path(
     times: np.ndarray,
-    rhos: np.ndarray | BlockEntries,
+    rhos: np.ndarray | BlockEntries | Frames,
     degeneracy_tol: float = DEGENERACY_TOL,
     coarse: EigenPath | None = None,
 ) -> EigenPath:
@@ -534,11 +584,13 @@ def eigen_path(
     rhos is an (M, 4, 4) stack, which validate_density checks, or, for a
     state that occupies at most two basis states, its block's entries from
     coherent_block_path, which validate_block checks with no stack; both
-    give the same Frames. When every matrix is supported on the same two
-    basis states (or one), the block is decomposed in closed form and no
-    matching runs: the branches are the larger and the smaller block
-    eigenvalue, whose gap 2 hypot((a - d)/2, |b|) is positive unless the
-    block is a multiple of the identity, so they never cross.
+    give the same Frames. rhos may also be Frames that either check has
+    already returned, one frame per time, as cli.first_paths passes those
+    of a batch; they are not checked again. When every matrix is supported
+    on the same two basis states (or one), the block is decomposed in
+    closed form and no matching runs: the branches are the larger and the
+    smaller block eigenvalue, whose gap 2 hypot((a - d)/2, |b|) is positive
+    unless the block is a multiple of the identity, so they never cross.
 
     Branches are ordered by descending eigenvalue at the first time.
     Eigenvalues below SUPPORT_TOL there count as tied, and their branches
@@ -560,7 +612,11 @@ def eigen_path(
             raise ValueError("need at least two time points")
     elif times.shape != (coarse.n_steps,):
         raise ValueError("refinement needs one midpoint per step of the coarse path")
-    if isinstance(rhos, BlockEntries):
+    if isinstance(rhos, Frames):
+        if rhos.values.shape[0] != times.size:
+            raise ValueError(f"expected {times.size} frames, got shape {rhos.values.shape}")
+        frames = rhos
+    elif isinstance(rhos, BlockEntries):
         if rhos.b.shape != times.shape:
             raise ValueError(f"expected {times.size} coherences, got shape {rhos.b.shape}")
         frames = validate_block(rhos)

@@ -44,9 +44,11 @@ def concurrence_wootters(
 
     l_i are the descending square roots of the eigenvalues of the spin-flipped
     product rho (sy x sy) conj(rho) (sy x sy), computed here as the singular
-    values of sqrt(rho) (sy x sy) conj(sqrt(rho)). The two spectra coincide,
-    but the singular-value route stays accurate for (near-)pure states where
-    the non-Hermitian product has defective zero eigenvalues.
+    values of sqrt(rho) (sy x sy) conj(sqrt(rho)), whose product with
+    sy x sy (SIGMA_YY) is a signed permutation of sqrt(rho)'s columns. The
+    two spectra coincide, but the singular-value route stays accurate for
+    (near-)pure states where the non-Hermitian product has defective zero
+    eigenvalues.
 
     When every matrix is supported on the two basis states of a block (i, j),
     the concurrence is 2 |rho_ij| if those states differ in both qubits
@@ -75,7 +77,11 @@ def concurrence_wootters(
             vals, vecs = evals[chunk], evecs[chunk]
             vals = np.where(vals < EIGENVALUE_CLAMP, np.maximum(vals, 0.0), vals)
             sqrt_rho = (vecs * np.sqrt(vals)[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
-            flipped_root = sqrt_rho @ SIGMA_YY @ sqrt_rho.conj()
+            # sqrt_rho @ SIGMA_YY: columns 0 <-> 1 and 2 <-> 3 swapped, the first pair negated
+            flipped = np.empty_like(sqrt_rho)
+            np.negative(sqrt_rho[..., 1::-1], out=flipped[..., :2])
+            flipped[..., 2:] = sqrt_rho[..., :1:-1]
+            flipped_root = flipped @ sqrt_rho.conj()
             lam = np.linalg.svd(flipped_root, compute_uv=False)
             out[chunk] = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
     else:

@@ -352,36 +352,52 @@ def analytic_path_builder(
 # Closed forms.
 # ---------------------------------------------------------------------------
 
-def phase_micro_micro_closed(eta0: float, p: ModelParams) -> float:
+def phase_micro_micro_closed(eta0: float | np.ndarray, p: ModelParams) -> float | np.ndarray:
     """Single-branch closed form of the Bell-scenario phase by quadrature.
 
     Evaluates arg<eps1(0)|eps1(tau)> (argument tracked continuously along the
     cycle) plus the integral of dLambda/dt sin^2 theta(t) by Simpson's rule
     on N_QUAD intervals. Agrees with kinematic_phase on the same path.
+
+    eta0 is one angle, whose phase comes back as a float, or an array of
+    angles, whose phases come back as an array of that shape. The grid that
+    no angle changes (Lambda, dLambda/dt, e^{-2 Gamma} and e^{-i Lambda} on
+    N_QUAD + 1 times) is built once per call, and each angle then takes the
+    arithmetic of a one-angle call, row by row: its phase has the same bits
+    in any array.
     """
     tau = quasicycle_period(p)
     t = np.linspace(0.0, tau, N_QUAD + 1)
     lam, gam = decay_phase(Scenario.MICRO_MICRO, p, t)
-    # Mixing angle of eps1 = cos theta |00> + sin theta e^{-i Lambda} |11>.
-    # The eigenvalue gap e is summed from its two positive terms: as
-    # 1 - sin^2 2 eta0 (1 - e^{-2 Gamma}) it cancels to 0 at eta0 = pi/4.
-    c2e = math.cos(2 * eta0)
-    e = np.sqrt(c2e**2 + math.sin(2 * eta0) ** 2 * np.exp(-2.0 * gam))
-    cos_theta = np.sqrt(np.clip((e + c2e) / (2.0 * e), 0.0, None))
-    sin_theta = np.sqrt(np.clip((e - c2e) / (2.0 * e), 0.0, None))
+    decay = np.exp(-2.0 * gam)
+    turn = np.exp(-1j * lam)
     a2 = abs(p.alpha) ** 2
     lambda_dot = 2 * p.omega + 2 * p.lambda_c * a2 * np.cos(2 * p.lambda_c * t)
-    integrand = lambda_dot * sin_theta**2
     h = tau / N_QUAD
-    integral = (h / 3.0) * (
-        integrand[0]
-        + integrand[-1]
-        + 4.0 * integrand[1:-1:2].sum()
-        + 2.0 * integrand[2:-1:2].sum()
-    )
-    overlap = math.cos(eta0) * cos_theta + math.sin(eta0) * sin_theta * np.exp(-1j * lam)
-    arg = np.angle(overlap)
-    return _unwrapped_span(arg, np.diff(arg)) + float(integral)
+
+    def phase(eta0: float) -> float:
+        # Mixing angle of eps1 = cos theta |00> + sin theta e^{-i Lambda} |11>.
+        # The eigenvalue gap e is summed from its two positive terms: as
+        # 1 - sin^2 2 eta0 (1 - e^{-2 Gamma}) it cancels to 0 at eta0 = pi/4.
+        c2e = math.cos(2 * eta0)
+        e = np.sqrt(c2e**2 + math.sin(2 * eta0) ** 2 * decay)
+        cos_theta = np.sqrt(np.clip((e + c2e) / (2.0 * e), 0.0, None))
+        sin_theta = np.sqrt(np.clip((e - c2e) / (2.0 * e), 0.0, None))
+        integrand = lambda_dot * sin_theta**2
+        integral = (h / 3.0) * (
+            integrand[0]
+            + integrand[-1]
+            + 4.0 * integrand[1:-1:2].sum()
+            + 2.0 * integrand[2:-1:2].sum()
+        )
+        overlap = math.cos(eta0) * cos_theta + math.sin(eta0) * sin_theta * turn
+        arg = np.angle(overlap)
+        return _unwrapped_span(arg, np.diff(arg)) + float(integral)
+
+    if np.ndim(eta0) == 0:
+        return phase(eta0)
+    eta0 = np.asarray(eta0, dtype=float)
+    return np.array([phase(x) for x in eta0.ravel().tolist()]).reshape(eta0.shape)
 
 
 def weak_coupling_phase(concurrence: float, p: ModelParams) -> float:

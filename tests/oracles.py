@@ -32,6 +32,9 @@
 - block_frames_4x4: the closed-form eigenframes of a two-state block laid
   out as 4x4 frames, spectator columns included, the reference for the
   block-only `Frames` of `validate_density` and for `embed_frames`.
+- concurrence_sigma_yy_matmul: Wootters' SVD route with the spin flip as the
+  product sqrt_rho @ SIGMA_YY, the reference for the signed column
+  permutation of `concurrence_wootters`.
 - whole_path_phasors: every branch contribution of the kinematic phase sum
   in one pass over the whole path, the reference for the chunked phase sums
   of `kinematic_phase` and `phase_trace`.
@@ -55,8 +58,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from becphase import (
+    SIGMA_YY,
     CoherentBranches,
     EigenPath,
+    Frames,
     JointState,
     ModelParams,
     Table,
@@ -67,6 +72,7 @@ from becphase import (
 from becphase import geomphase
 from becphase.cli import _fmt
 from becphase.density import SUPPORT_TOL, _direction
+from becphase.entanglement import EIGENVALUE_CLAMP
 from becphase.geomphase import (
     EXTRAPOLATION_BLOCKERS,
     PHASE_TOL,
@@ -281,6 +287,17 @@ def block_frames_4x4(m: np.ndarray, block: tuple[int, int]) -> tuple[np.ndarray,
     for col, k in enumerate(sorted({0, 1, 2, 3} - {i, j}), start=2):
         evecs[..., k, col] = 1.0
     return evals, evecs
+
+
+def concurrence_sigma_yy_matmul(frames: Frames) -> np.ndarray:
+    """max{0, l1 - l2 - l3 - l4} from the singular values of
+    sqrt(rho) (sy x sy) conj(sqrt(rho)) on 4x4 frames, the spin flip as a
+    matrix product, over the whole stack at once."""
+    vals, vecs = frames.values, frames.vectors
+    vals = np.where(vals < EIGENVALUE_CLAMP, np.maximum(vals, 0.0), vals)
+    sqrt_rho = (vecs * np.sqrt(vals)[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+    lam = np.linalg.svd(sqrt_rho @ SIGMA_YY @ sqrt_rho.conj(), compute_uv=False)
+    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
 
 
 def whole_path_phasors(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:

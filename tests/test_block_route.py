@@ -253,6 +253,48 @@ class TestBlockRoute:
 
 
 # ---------------------------------------------------------------------------
+# Batches: the block paths of several states in one pass.
+# ---------------------------------------------------------------------------
+
+class TestBatch:
+    @pytest.mark.parametrize("complex_alpha", [False, True])
+    @pytest.mark.parametrize("scenario", NAMED)
+    def test_rows_are_the_paths_of_one_state(self, scenario, complex_alpha):
+        # each row of a batch has the bits of its state's own path and Frames
+        rng = np.random.default_rng(NAMED.index(scenario))
+        cfg = cli.parse_config(json.dumps(config_doc(rng, scenario, 0.3, complex_alpha)))
+        eta0s = (0.3, math.pi / 4 - 1e-9, math.pi / 4 + 1e-9, 1e-150, math.pi / 2, 2.0)
+        states = [cli.initial_branches(replace(cfg, eta0=eta0)) for eta0 in eta0s]
+        times = np.linspace(0.0, quasicycle_period(cfg.params), 65)
+        batch = coherent_block_path(states, times, cfg.params)
+        frames = validate_block(batch)
+        assert batch.b.shape == (6, 65) and frames.values.shape == (6, 65, 2)
+        for k, state in enumerate(states):
+            alone = coherent_block_path(state, times, cfg.params)
+            assert (float(batch.a[k, 0]), float(batch.d[k, 0]), batch.block) == (alone.a, alone.d, alone.block)
+            assert same_bits(batch.b[k], alone.b)
+            assert_same_frames(density.Frames(frames.values[k], frames.vectors[k], frames.block),
+                               validate_block(alone))
+
+    def test_states_of_another_key_are_refused(self):
+        p = ModelParams(omega=1.0, alpha=1.0)
+        times = np.linspace(0.0, 1.0, 9)
+        lone = cli.macro_single_initial(0.0, p)
+        pair = cli.macro_single_initial(0.3, p)
+        # |01>'s population rounds to 0, so the block would rest on the coherences
+        faint = cli.macro_single_initial(1e-170, p)
+        three = general_initial([0.6, 0.0, 0.64, 0.48], p)
+        assert density.block_batch_key(faint) is None and density.block_batch_key(three) is None
+        assert density.block_batch_key(lone) != density.block_batch_key(pair)
+        other_alpha = cli.macro_single_initial(0.3, ModelParams(omega=1.0, alpha=2.0))
+        for batch in ([pair, lone], [pair, faint], [faint, faint], [pair, other_alpha]):
+            with pytest.raises(ValueError, match="block_batch_key"):
+                coherent_block_path(batch, times, p)
+        # a batch of one takes any state that a block path takes
+        assert coherent_block_path([faint], times, p).block == coherent_block_path(faint, times, p).block
+
+
+# ---------------------------------------------------------------------------
 # Failure paths.
 # ---------------------------------------------------------------------------
 

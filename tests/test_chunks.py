@@ -1,10 +1,11 @@
 """The path kernels that run in chunks of PATH_CHUNK_POINTS grid points
-(coherent_rho_path, the overlaps of the branch matching, the phase sums of
-kinematic_phase and phase_trace, and the SVD concurrence) give the bits of
-one pass over the whole path, and
-`evolve` holds a bounded number of bytes per grid point."""
+(coherent_rho_path and coherent_block_path, alone and in batches, the
+overlaps of the branch matching, the phase sums of kinematic_phase and
+phase_trace, and the SVD concurrence) give the bits of one pass over the
+whole path, and `evolve` holds a bounded number of bytes per grid point."""
 
 import json
+import math
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -14,11 +15,12 @@ import pytest
 
 from becphase import density
 from becphase.cli import emit, initial_branches, parse_config, run_evolve
-from becphase.density import SUPPORT_TOL, coherent_rho_path, eigen_path, embed_frames
+from becphase.density import SUPPORT_TOL, coherent_block_path, coherent_rho_path, eigen_path, embed_frames
 from becphase.entanglement import concurrence_wootters
 from becphase.geomphase import kinematic_phase, phase_trace
 from becphase.model import quasicycle_period
 from oracles import whole_path_phasors
+from test_block_route import config_doc
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 N_STEPS = 128
@@ -125,3 +127,39 @@ def test_evolve_memory_per_grid_point():
         finally:
             tracemalloc.stop()
     assert (peaks[32768] - peaks[8192]) / (32768 - 8192) <= 1200
+
+
+# A macro_single path whose point 26 once took other coherence bits in a
+# one-point chunk: the complex products of a one-element pair array and a
+# one-point chunk, of unequal ndim, ran in another numpy loop.
+ONE_POINT_CHUNK = dict(config_doc(np.random.default_rng(1), "macro_single", math.pi / 4 + 1e-9, True),
+                       grid={"n_steps": 64})
+COHERENCE_CONFIGS = {"one-point-chunk": json.dumps(ONE_POINT_CHUNK), **CONFIGS}
+
+
+def coherences(text: str) -> dict:
+    cfg = parse_config(text)
+    state0 = initial_branches(cfg)
+    times = np.linspace(0.0, quasicycle_period(cfg.params), cfg.n_steps + 1)
+    out = {"stack": coherent_rho_path(state0, times, cfg.params)}
+    if np.count_nonzero(state0.coeffs) <= 2:
+        # alone, and in a batch of three states that share its block
+        out["block"] = coherent_block_path(state0, times, cfg.params).b
+        batch = [initial_branches(replace(cfg, eta0=eta0)) for eta0 in (cfg.eta0, 0.3, 1.1)]
+        out["batch"] = coherent_block_path(batch, times, cfg.params).b
+    return out
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+@pytest.mark.parametrize("kind", COHERENCE_CONFIGS)
+def test_coherence_bits_do_not_depend_on_the_chunk_size(monkeypatch, kind, chunk):
+    with monkeypatch.context() as mp:
+        mp.setattr(density, "PATH_CHUNK_POINTS", 2**30)
+        ref = coherences(COHERENCE_CONFIGS[kind])
+    monkeypatch.setattr(density, "PATH_CHUNK_POINTS", chunk)
+    got = coherences(COHERENCE_CONFIGS[kind])
+    assert list(got) == list(ref)
+    for name, bits in ref.items():
+        assert got[name].tobytes() == bits.tobytes(), name
+    if "batch" in ref:
+        assert ref["batch"][0].tobytes() == ref["block"].tobytes()

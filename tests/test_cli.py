@@ -19,7 +19,9 @@ from hypothesis import given, settings, strategies as st
 import becphase
 from becphase import Table, emit, parse_config, run_scenario, validation_report
 from becphase import cli, geomphase
-from becphase.density import BlockEntries
+from becphase.density import BlockEntries, Scenario
+from becphase.entanglement import macro_phase_relation, special_point_intensity
+from becphase.geomphase import weak_coupling_phase, weak_coupling_phase_limit
 from becphase.cli import _fmt, main
 from oracles import emit_rowwise
 
@@ -387,6 +389,114 @@ class TestG17:
         assert not cli._decimal17(np.array(values))[2].any()
 
 
+# ---------------------------------------------------------------------------
+# Sweeps against the phase runs of their points.
+# ---------------------------------------------------------------------------
+
+# converge_phase stops at this grid in the sweep and in each point's run, so
+# that a point whose phase needs a finer one ends both in one
+# ConvergenceError, cheaply.
+SWEEP_MAX_STEPS = 2**12
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the error it exits with."""
+    try:
+        return fn(*args)
+    except (ValueError, geomphase.ConvergenceError) as exc:
+        return type(exc), str(exc)
+
+
+def sweep_point(doc: dict, value: float) -> dict:
+    """The phase config of a sweep's point at value: the swept key set to
+    it, or, for a concurrence, the eta0 (micro_micro) or the special point
+    (hybrids) that it sets."""
+    point = {key: item for key, item in doc.items() if key != "sweep"}
+    variable = doc["sweep"]["variable"]
+    if variable != "concurrence":
+        return dict(point, **{variable: value})
+    if doc["scenario"] == "micro_micro":
+        return dict(point, eta0=0.5 * math.asin(value))
+    return dict(point, lambda_c=doc["omega"] / 8.0, eta0=math.pi / 4,
+                alpha=math.sqrt(special_point_intensity(value)))
+
+
+def assert_sweep_rows_equal_phases(doc: dict) -> None:
+    """Each row of the sweep of doc equals the phase run of its point, bit
+    for bit; a sweep that fails ends with the error of its first point
+    whose phase run fails."""
+    spec, scenario = doc["sweep"], doc["scenario"]
+    sweep = outcome(run_scenario, parse_config(json.dumps(doc)), "sweep")
+    for k, value in enumerate(np.linspace(spec["start"], spec["stop"], spec["count"]).tolist()):
+        point = parse_config(json.dumps(sweep_point(doc, value)))
+        phase = outcome(run_scenario, point, "phase")
+        if isinstance(phase, tuple):
+            assert sweep == phase
+            return
+        assert not isinstance(sweep, tuple), sweep
+        row = {name: column[k] for name, column in sweep.columns.items()}
+        ref = {name: column[0] for name, column in phase.columns.items()}
+        assert row[f"{spec['variable']}[1]"] == value
+        assert row["phase_kinematic[rad]"] == ref["phase_unwrapped[rad]"]
+        assert row["phase_principal[rad]"] == ref["phase_principal[rad]"]
+        assert row["warnings"] == ref["warnings"]
+        if scenario == "micro_micro":
+            assert row["phase_closed_form[rad]"] == ref["phase_closed_form[rad]"]
+            # a swept C sets the weak laws itself; |sin 2 eta0| need not round back to it
+            weak = ([weak_coupling_phase(value, point.params), weak_coupling_phase_limit(value)]
+                    if spec["variable"] == "concurrence"
+                    else [ref["phase_weak_law[rad]"], ref["phase_weak_limit[rad]"]])
+            assert [row["phase_weak_law[rad]"], row["phase_weak_limit[rad]"]] == weak
+        elif spec["variable"] == "concurrence":
+            assert row["phase_relation[rad]"] == macro_phase_relation(value, Scenario(scenario), point.params)
+        else:
+            assert row["phase_relation[rad]"] == row["witness_roundtrip[1]"] == ""
+    assert len(sweep) == spec["count"]
+
+
+def draw_sweeps(seed: int, count: int) -> list[dict]:
+    """count sweep configs: the named scenarios and the sweep variables in
+    turn, random physics with |alpha| up to 3, real and complex alpha, 2 to
+    40 points from 16, 64 or 256 steps."""
+    rng = np.random.default_rng(seed)
+    ranges = {
+        "concurrence": lambda: rng.uniform(0.0, 0.99, 2),
+        "alpha": lambda: rng.uniform(0.0, 3.0, 2),
+        "lambda_c": lambda: 10.0 ** rng.uniform(-4.0, -0.5, 2),
+        "eta0": lambda: rng.uniform(-math.pi, math.pi, 2),
+    }
+    docs = []
+    for k in range(count):
+        scenario = ("micro_micro", "macro_both", "macro_single")[k % 3]
+        variable = list(ranges)[(k // 3) % len(ranges)]
+        mod, arg = rng.uniform(0.0, 3.0), rng.uniform(-math.pi, math.pi) if k % 2 else 0.0
+        start, stop = sorted(ranges[variable]().tolist())
+        docs.append({
+            "scenario": scenario, "omega": rng.uniform(0.5, 2.0), "j_vdw": rng.uniform(-0.3, 0.3),
+            "omega_b": rng.uniform(0.0, 2.0), "chi": rng.uniform(-0.05, 0.05),
+            "lambda_c": 10.0 ** rng.uniform(-4.0, -0.5),
+            "alpha": [mod * math.cos(arg), mod * math.sin(arg)], "eta0": rng.uniform(0.0, math.pi / 2),
+            "grid": {"n_steps": int(rng.choice([16, 64, 256]))},
+            "sweep": {"variable": variable, "start": start, "stop": stop,
+                      "count": int(rng.integers(2, 41))},
+        })
+    return docs
+
+
+def check_sweep_draw(seed: int, count: int) -> None:
+    """assert_sweep_rows_equal_phases on draw_sweeps(seed, count), with
+    converge_phase stopped at SWEEP_MAX_STEPS; prints a summary."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geomphase, "MAX_STEPS", SWEEP_MAX_STEPS)
+        for doc in draw_sweeps(seed, count):
+            try:
+                assert_sweep_rows_equal_phases(doc)
+            except AssertionError:
+                print(json.dumps(doc))
+                raise
+    print(f"{count} sweeps: every row equals the phase run of its point")
+
+
 class TestRunScenario:
     def test_phase_row(self):
         cfg = parse_config(cfg_text(grid={"n_steps": 512}))
@@ -492,32 +602,109 @@ class TestRunScenario:
         assert np.all(np.diff(rel) > 0)
         np.testing.assert_allclose(wit, conc, atol=1e-10)
 
-    @pytest.mark.parametrize("scenario", ["micro_micro", "macro_single"])
+    @pytest.mark.parametrize("scenario", ["micro_micro", "macro_both", "macro_single"])
+    @pytest.mark.parametrize("alpha", [1.0, [0.6, -0.8]], ids=["real", "complex"])
     @pytest.mark.parametrize(
-        "variable, start, stop", [("alpha", 0.5, 1.5), ("lambda_c", 0.005, 0.05), ("eta0", 0.2, 0.7)]
+        "variable, start, stop, count",
+        [
+            ("alpha", 0.5, 1.5, 2),
+            ("lambda_c", 0.005, 0.05, 2),
+            ("eta0", 0.2, 0.7, 2),
+            # one batch and a second one: at 64 steps a batch holds 15 first paths
+            ("concurrence", 0.0, 0.95, 17),
+            ("eta0", 0.0, 1.5, 17),
+            # a lone state, then one whose second population rounds to 0
+            ("eta0", 0.0, 5e-324, 2),
+            ("eta0", math.pi / 4 - 1e-9, math.pi / 4 + 1e-9, 2),
+        ],
     )
-    def test_sweep_rows_equal_the_phase_of_each_point(self, scenario, variable, start, stop):
-        # each row is the phase run of the config with the swept key set to its value
+    def test_sweep_rows_equal_the_phase_of_each_point(self, scenario, alpha, variable, start, stop, count):
+        # each row is the phase run of the config with the swept key set to its
+        # value, or, for a concurrence, of the point that it sets
         doc = json.loads((CONFIG_DIR / f"{scenario}.json").read_text())
-        doc["grid"] = {"n_steps": 64}
-        sweep = run_scenario(
-            parse_config(json.dumps(dict(doc, sweep={"variable": variable, "start": start,
-                                                     "stop": stop, "count": 2}))),
-            "sweep",
-        )
-        for k, value in enumerate(np.linspace(start, stop, 2).tolist()):
-            row = {name: column[k] for name, column in sweep.columns.items()}
-            phase = run_scenario(parse_config(json.dumps(dict(doc, **{variable: value}))), "phase")
-            ref = {name: column[0] for name, column in phase.columns.items()}
-            assert row[f"{variable}[1]"] == value
-            assert row["phase_kinematic[rad]"] == ref["phase_unwrapped[rad]"]
-            assert row["phase_principal[rad]"] == ref["phase_principal[rad]"]
-            assert row["warnings"] == ref["warnings"]
-            if scenario == "micro_micro":
-                for key in ("phase_closed_form[rad]", "phase_weak_law[rad]", "phase_weak_limit[rad]"):
-                    assert row[key] == ref[key]
-            else:
-                assert row["phase_relation[rad]"] == row["witness_roundtrip[1]"] == ""
+        doc.update(grid={"n_steps": 64}, alpha=alpha,
+                   sweep={"variable": variable, "start": start, "stop": stop, "count": count})
+        assert_sweep_rows_equal_phases(doc)
+
+    def test_seeded_sweeps_equal_the_phase_of_each_point(self):
+        check_sweep_draw(27, 12)
+
+    def test_sweep_shares_its_closed_form_grid_and_first_paths(self, monkeypatch):
+        # 17 micro_micro points at 64 steps: one closed-form call; the lone
+        # state at C = 0 alone, then batches of 15 and 1 first paths, every
+        # one of which still passes through cli.eigen_path
+        calls = {"closed": [], "batches": [], "eigen": []}
+
+        def spy(name, fn, record):
+            def wrapped(*args, **kwargs):
+                calls[name].append(record(args))
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(cli, fn.__name__, wrapped)
+
+        spy("closed", cli.phase_micro_micro_closed, lambda a: np.size(a[0]))
+        spy("batches", cli.first_paths, lambda a: len(a[0]))
+        spy("eigen", cli.eigen_path, lambda a: len(a[0]))
+        cfg = parse_config(cfg_text(grid={"n_steps": 64},
+                                    sweep={"variable": "concurrence", "start": 0.0, "stop": 0.9, "count": 17}))
+        assert len(run_scenario(cfg, "sweep")) == 17
+        assert calls["closed"] == [17]
+        assert calls["batches"] == [1, 15, 1]
+        assert calls["eigen"].count(129) == 17
+
+    @pytest.mark.parametrize("phase_tol, code, message", [
+        # no refinement and no tolerance that a first path meets: point 0
+        # fails to converge before point 2 is refused
+        (1e-30, 2, None),
+        (1e-7, 1, "non-finite coherence"),
+    ], ids=["convergence-first", "refusal"])
+    def test_sweep_errors_come_in_point_order(self, tmp_path, capsys, monkeypatch, phase_tol, code, message):
+        # point 2's coherences are damaged, in its batch and alone; a
+        # sequential sweep meets point 0's error first, if it has one, else
+        # point 2's own
+        eta0s = np.linspace(0.2, 0.7, 4).tolist()
+        exact = cli.coherent_block_path
+
+        def damaged(states, times, p):
+            entries = exact(states, times, p)
+            rows = [states] if isinstance(states, cli.CoherentBranches) else states
+            coherences = entries.b.reshape(len(rows), -1)  # a view: one row per state
+            for k, state in enumerate(rows):
+                if state.coeffs[1] == math.sin(eta0s[2]):
+                    coherences[k, 1] = np.nan
+            return entries
+
+        monkeypatch.setattr(cli, "coherent_block_path", damaged)
+        if message is None:
+            monkeypatch.setattr(geomphase, "MAX_STEPS", 128)
+        doc = json.loads(cfg_text(grid={"n_steps": 64, "phase_tol": phase_tol}))
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(doc, sweep={"variable": "eta0", "start": 0.2, "stop": 0.7,
+                                                    "count": 4})))
+        assert main(["sweep", "--config", str(path)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if message is None:
+            path.write_text(json.dumps(dict(doc, eta0=eta0s[0])))
+            assert main(["phase", "--config", str(path)]) == code
+            message = capsys.readouterr().err
+            assert "did not converge" in message
+        assert message in captured.err and captured.err.count("\n") == 1
+
+    def test_alpha_sweep_errors_come_in_point_order(self, tmp_path, capsys, monkeypatch):
+        # point 2's alpha is beyond the Fock basis; with MAX_STEPS at the first
+        # grid, point 0 fails to converge first
+        path = tmp_path / "c.json"
+        doc = json.loads(cfg_text(grid={"n_steps": 64, "phase_tol": 1e-30}))
+        path.write_text(json.dumps(dict(doc, sweep={"variable": "alpha", "start": 1.0, "stop": 40.0,
+                                                    "count": 3})))
+        monkeypatch.setattr(geomphase, "MAX_STEPS", 128)
+        assert main(["sweep", "--config", str(path)]) == 2
+        assert "did not converge" in capsys.readouterr().err
+        monkeypatch.setattr(geomphase, "MAX_STEPS", 2**21)
+        path.write_text(json.dumps(dict(doc, grid={"n_steps": 64}, sweep={
+            "variable": "alpha", "start": 1.0, "stop": 40.0, "count": 3})))
+        assert main(["sweep", "--config", str(path)]) == 1
+        assert "alpha = (40+0j) is too large" in capsys.readouterr().err
 
     @pytest.mark.parametrize("variable, start, stop", [("alpha", 0.0, 1.0), ("lambda_c", -0.001, 0.001)])
     def test_micro_sweep_through_zero_coupling(self, tmp_path, capsys, variable, start, stop):

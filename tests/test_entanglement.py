@@ -37,6 +37,7 @@ from becphase.density import (
 from becphase.model import quasicycle_period
 from oracles import (
     branch_overlap,
+    concurrence_sigma_yy_matmul,
     concurrence_x_state,
     evolve_joint,
     from_computational,
@@ -158,6 +159,36 @@ class TestStackedWootters:
         stack[3] = np.diag([0.6, 0.5, -0.1, 0.0])
         with pytest.raises(ValueError, match="negative eigenvalue"):
             concurrence_wootters(stack)
+
+
+class TestSpinFlipPermutation:
+    """The SVD route's spin flip, a signed column permutation of sqrt(rho),
+    against the product sqrt(rho) @ SIGMA_YY, bit for bit: on seeded general
+    paths of four occupied states and of three, whose empty state gives rho
+    an exact-zero row and column."""
+
+    @pytest.mark.parametrize("empty", [None, 0, 1, 2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_matmul(self, seed, empty):
+        rng = np.random.default_rng(seed)
+        coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
+        if empty is not None:
+            coeffs[empty] = 0.0
+        coeffs /= np.linalg.norm(coeffs)
+        mod, arg = rng.uniform(0.0, 4.0), rng.uniform(-math.pi, math.pi)
+        doc = {"scenario": "general", "omega": rng.uniform(0.2, 2.0), "j_vdw": rng.uniform(-0.5, 0.5),
+               "omega_b": rng.uniform(0.0, 2.0), "chi": rng.uniform(-0.1, 0.1),
+               "lambda_c": rng.uniform(0.01, 0.5), "alpha": [mod * math.cos(arg), mod * math.sin(arg)],
+               "coefficients": [[c.real, c.imag] for c in coeffs.tolist()]}
+        cfg = parse_config(json.dumps(doc))
+        times = np.linspace(0.0, quasicycle_period(cfg.params), 1025)
+        rhos = coherent_rho_path(initial_branches(cfg), times, cfg.params)
+        frames = validate_density(rhos)
+        assert frames.block is None
+        if empty is not None:
+            assert not rhos[:, empty].any() and not rhos[:, :, empty].any()
+        got = concurrence_wootters(rhos, frames=frames)
+        assert got.tobytes() == concurrence_sigma_yy_matmul(frames).tobytes()
 
 
 class TestBlockConcurrence:

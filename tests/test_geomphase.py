@@ -678,6 +678,24 @@ class TestClosedFormEquivalence:
         p = ModelParams(omega=1.0, lambda_c=0.05, alpha=1.0)
         assert phase_micro_micro_closed(0.0, p) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("p", [
+        ModelParams(omega=1.0, lambda_c=0.1, alpha=6.0),  # the overlap winds above ~pi/4
+        ModelParams(omega=1.0, lambda_c=1e-3, alpha=0.6 - 0.8j),
+        ModelParams(omega=0.7, j_vdw=0.2, lambda_c=0.3, alpha=2.0 + 1.5j),
+    ], ids=["winding", "complex-alpha", "strong"])
+    def test_an_array_of_angles_gives_the_bits_of_each_call(self, p):
+        # the grid that no angle changes is built once per call; each angle
+        # keeps the arithmetic of its own call
+        eta0s = [0.0, 5e-324, math.pi / 4 - 1e-9, math.pi / 4, math.pi / 4 + 1e-9,
+                 math.pi / 4 + 1e-7, 0.3, 1.2, math.pi / 2,
+                 *np.random.default_rng(7).uniform(-math.pi, math.pi, 40).tolist()]
+        values = phase_micro_micro_closed(np.array(eta0s), p)
+        single = [phase_micro_micro_closed(eta0, p) for eta0 in eta0s]
+        assert all(type(value) is float for value in single)
+        assert values.dtype == np.float64 and values.tobytes() == np.array(single).tobytes()
+        grid = phase_micro_micro_closed(np.array(eta0s[:8]).reshape(2, 4), p)
+        assert grid.shape == (2, 4) and grid.ravel().tobytes() == np.array(single[:8]).tobytes()
+
 
 class TestWeakCouplingLaw:
     def test_printed_law_values(self):
