@@ -38,6 +38,7 @@ from .density import (
     analytic_rho_path,
     block_batch_key,
     coherent_block_path,
+    coherent_block_paths,
     coherent_rho_path,
     decay_phase,
     eigen_path,
@@ -265,11 +266,15 @@ def density_path(
     return coherent_rho_path(state0, times, p)
 
 
-def path_builder(cfg: RunConfig, first: EigenPath | None = None) -> Callable[..., EigenPath]:
-    """converge_phase's path factory for a config. first, when given, is the
-    path that first_paths built on its grid, which the factory returns for
-    that grid instead of building it again."""
-    state0 = initial_branches(cfg)
+def path_builder(
+    cfg: RunConfig, state0: CoherentBranches | None = None, first: EigenPath | None = None
+) -> Callable[..., EigenPath]:
+    """converge_phase's path factory for a config, whose state is state0 when
+    the caller has built it. first, when given, is the path that first_paths
+    built on its grid, which the factory returns for that grid instead of
+    building it again."""
+    if state0 is None:
+        state0 = initial_branches(cfg)
     # density_path and eigen_path are looked up at call time, as above.
     build = refining_path_builder(
         quasicycle_period(cfg.params),
@@ -285,23 +290,16 @@ def path_builder(cfg: RunConfig, first: EigenPath | None = None) -> Callable[...
     )
 
 
-def first_paths(cfgs: Sequence[RunConfig]) -> list[EigenPath | None]:
-    """The first path of every config of a batch (compute_phases): the
-    EigenPath on the grid of 2 n_steps steps that converge_phase builds
-    first. One coherent_block_path call evaluates the coherences of all
-    their states from the factor that they share, one validate_block call
-    checks and decomposes them, and each config's Frames then go through
-    eigen_path. None for a state that occupies three or four basis states,
-    which is a batch of one: converge_phase builds its path on the 4x4 route."""
+def first_paths(cfgs: Sequence[RunConfig], states: Sequence[CoherentBranches]) -> list[EigenPath]:
+    """The first paths of a batch of configs (compute_phases), whose states
+    share one block_batch_key: the EigenPaths on the grid of 2 n_steps steps
+    that converge_phase builds first. One coherent_block_paths call
+    evaluates the coherences of all their states from the factor that they
+    share, one validate_block call checks and decomposes them, and each
+    config's Frames then go through eigen_path."""
     cfg = cfgs[0]
-    states = [initial_branches(c) for c in cfgs]
-    if np.count_nonzero(states[0].coeffs) > 2:
-        return [None] * len(cfgs)
     times = np.linspace(0.0, quasicycle_period(cfg.params), 2 * cfg.n_steps + 1)
-    # A batch of one passes its state alone: its entries then hold scalar
-    # populations, which cost less to broadcast than (1, 1) arrays.
-    entries = coherent_block_path(states if len(states) > 1 else states[0], times, cfg.params)
-    values, vectors, block = validate_block(entries)
+    values, vectors, block = validate_block(coherent_block_paths(states, times, cfg.params))
     shape = (len(states), times.size)
     return [
         eigen_path(times, Frames(v, w, block), degeneracy_tol=c.degeneracy_tol)
@@ -320,36 +318,35 @@ def _block_key(cfg: RunConfig) -> tuple | None:
 
 def compute_phases(cfgs: Sequence[RunConfig]) -> Iterator[PhaseResult]:
     """compute_phase of each config in turn. Consecutive configs with one
-    params, n_steps and _block_key (not None) get their first paths in
-    batches from one first_paths call each, as many configs as hold
-    PATH_CHUNK_POINTS + 1 first-path grid points in all, or one; every
-    config then converges from its own first path alone. A batch is built
-    when its first config's turn comes, so one batch is held at a time."""
-    for _, run in itertools.groupby(cfgs, lambda cfg: (cfg.params, cfg.n_steps)):
+    params, n_steps and _block_key (not None) converge in batches of as
+    many configs as hold PATH_CHUNK_POINTS + 1 first-path grid points in
+    all, at least one (_converge_batch); the others one at a time. A batch
+    is built when its first config's turn comes, so one batch is held at a
+    time."""
+    runs = itertools.groupby(cfgs, lambda cfg: (cfg.params, cfg.n_steps, _block_key(cfg)))
+    for (_, n_steps, block), run in runs:
         run = list(run)
-        size = max(1, (PATH_CHUNK_POINTS + 1) // (2 * run[0].n_steps + 1))
-        # a lone config needs no block key
-        for key, part in itertools.groupby(run, _block_key if len(run) > 1 else lambda cfg: None):
-            part = list(part)
-            step = 1 if key is None else size
-            for start in range(0, len(part), step):
-                yield from _converge_batch(part[start : start + step])
+        size = 1 if block is None else max(1, (PATH_CHUNK_POINTS + 1) // (2 * n_steps + 1))
+        for start in range(0, len(run), size):
+            yield from _converge_batch(run[start : start + size])
 
 
 def _converge_batch(batch: Sequence[RunConfig]) -> Iterator[PhaseResult]:
-    """The phase of each config of a batch, in order. Errors come in that
-    order too: a batch whose first_paths call fails is built again one
-    config at a time, so that each config raises its own error in its turn."""
+    """The phase of each config of a batch, in order. Each converges alone
+    from its first path, which first_paths builds for a batch of more than
+    one; a batch of one builds it as every later path, through density_path.
+    Errors come in config order: a batch whose first_paths call fails is
+    built again one config at a time, so that each raises its own error in
+    its turn."""
+    states = [initial_branches(cfg) for cfg in batch]
     try:
-        firsts = first_paths(batch)
+        firsts = first_paths(batch, states) if len(batch) > 1 else [None]
     except ValueError:
-        if len(batch) == 1:
-            raise
         for cfg in batch:
             yield from _converge_batch([cfg])
         return
-    for cfg, first in zip(batch, firsts):
-        yield converge_phase(path_builder(cfg, first), n_start=cfg.n_steps, phase_tol=cfg.phase_tol)
+    for cfg, state0, first in zip(batch, states, firsts):
+        yield converge_phase(path_builder(cfg, state0, first), n_start=cfg.n_steps, phase_tol=cfg.phase_tol)
 
 
 def compute_phase(cfg: RunConfig) -> PhaseResult:

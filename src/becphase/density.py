@@ -118,8 +118,8 @@ class BlockEntries(NamedTuple):
     """A density path on one two-state block (i, j), i < j, as its entries:
     the populations a = rho_ii and d = rho_jj, the same at every time, and
     the coherences b = rho_ij, one per time. Every other entry is 0. The
-    paths of a batch of P states on one grid and block hold a and d as
-    (P, 1) arrays and b as a (P, M) array."""
+    paths of a batch of P states on one grid and block (coherent_block_paths)
+    hold a and d as (P, 1) arrays and b as a (P, M) array."""
 
     a: float
     d: float
@@ -323,26 +323,28 @@ def coherent_rho_path(state0: CoherentBranches, times: np.ndarray, p: ModelParam
     return out
 
 
-def coherent_block_path(
-    states: CoherentBranches | Sequence[CoherentBranches], times: np.ndarray, p: ModelParams
-) -> BlockEntries:
+def coherent_block_path(state0: CoherentBranches, times: np.ndarray, p: ModelParams) -> BlockEntries:
     """coherent_rho_path of a state that occupies at most two basis states, as
     the entries of its 2x2 block: the same bits with no (M, 4, 4) stack, for
-    validate_block and eigen_path.
+    validate_block and eigen_path. It is coherent_block_paths' batch of one,
+    with its populations as floats.
 
     The block is the pair of basis states whose rows or columns hold a
     nonzero entry at some time, a lone one paired with an empty one, as
     validate_density finds it on the stack.
-
-    Given a sequence of states, the result is the batch of their paths on
-    one grid (BlockEntries with a leading axis): each chunk of times
-    evaluates the factor of the coherences that the states share once, and
-    each state's row has the bits of its own call. The states of a batch of
-    more than one must share a block_batch_key, which fixes one block for
-    them all.
     """
-    batch = not isinstance(states, CoherentBranches)
-    states = list(states) if batch else [states]
+    a, d, b, block = coherent_block_paths([state0], times, p)
+    return BlockEntries(float(a[0, 0]), float(d[0, 0]), b[0], block)
+
+
+def coherent_block_paths(states: Sequence[CoherentBranches], times: np.ndarray, p: ModelParams) -> BlockEntries:
+    """coherent_block_path of each of a batch of P states on one grid, as
+    BlockEntries whose a and d are (P, 1) and b (P, M) arrays: each chunk of
+    times evaluates the factor of the coherences that the states share
+    once, and each state's row has the bits of its own call. The states of
+    a batch of more than one must share a block_batch_key, which fixes one
+    block for them all.
+    """
     times = np.asarray(times, dtype=float)
     occ = np.flatnonzero(states[0].coeffs)
     if occ.size > 2:
@@ -357,15 +359,14 @@ def coherent_block_path(
     if occ.size == 2:
         for chunk, rho in _coherences(c, states[0].betas, times, p, occ[1:], occ[:1]):
             b[:, chunk] = rho[..., 0].conj()
-    live = [int(k) for k in occ if pops[:, k].any() or b.any()]
+    held = pops.any(axis=0)
+    live = [int(k) for k in occ if held[k] or b.any()]
     i, j = sorted([*live, *(k for k in (0, 1) if k not in live)][:2])
-    if batch:
-        return BlockEntries(pops[:, i, None], pops[:, j, None], b, (i, j))
-    return BlockEntries(float(pops[0, i]), float(pops[0, j]), b[0], (i, j))
+    return BlockEntries(pops[:, i, None], pops[:, j, None], b, (i, j))
 
 
 def block_batch_key(state0: CoherentBranches) -> tuple | None:
-    """The key that the states of one coherent_block_path batch share: the
+    """The key that the states of one coherent_block_paths batch share: the
     mode amplitudes (signs and alpha), which with the model parameters fix
     the factor of their coherences, and the occupied states. Every occupied
     state must have a nonzero population, so that the block does not depend

@@ -19,6 +19,7 @@ import json
 import math
 from dataclasses import replace
 from pathlib import Path
+from unittest.mock import ANY
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from becphase import cli, density, geomphase
 from becphase.density import (
     BlockEntries,
     coherent_block_path,
+    coherent_block_paths,
     coherent_rho_path,
     eigen_path,
     validate_block,
@@ -162,8 +164,12 @@ def assert_routes_agree(doc: dict) -> None:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geomphase, "MAX_STEPS", MAX_STEPS)
         route = [outcome(run, cfg) for run in (cli.compute_phase, cli.run_evolve)]
-        mp.setattr(cli, "density_path", stack_route)
+        grids = []
+        mp.setattr(cli, "density_path", lambda *a: grids.append(len(a[1])) or stack_route(*a))
         reference = [outcome(run, cfg) for run in (cli.compute_phase, cli.run_evolve)]
+    # the reference's first path, on 2 n_steps steps, takes the 4x4 route
+    # too, unless converge_phase refuses before it builds a path
+    assert grids[0] == 2 * cfg.n_steps + 1 or reference[0] == (ConvergenceError, ANY)
     assert_same_phase(route[0], reference[0])
     assert_same_table(route[1], reference[1])
 
@@ -266,7 +272,7 @@ class TestBatch:
         eta0s = (0.3, math.pi / 4 - 1e-9, math.pi / 4 + 1e-9, 1e-150, math.pi / 2, 2.0)
         states = [cli.initial_branches(replace(cfg, eta0=eta0)) for eta0 in eta0s]
         times = np.linspace(0.0, quasicycle_period(cfg.params), 65)
-        batch = coherent_block_path(states, times, cfg.params)
+        batch = coherent_block_paths(states, times, cfg.params)
         frames = validate_block(batch)
         assert batch.b.shape == (6, 65) and frames.values.shape == (6, 65, 2)
         for k, state in enumerate(states):
@@ -289,9 +295,9 @@ class TestBatch:
         other_alpha = cli.macro_single_initial(0.3, ModelParams(omega=1.0, alpha=2.0))
         for batch in ([pair, lone], [pair, faint], [faint, faint], [pair, other_alpha]):
             with pytest.raises(ValueError, match="block_batch_key"):
-                coherent_block_path(batch, times, p)
+                coherent_block_paths(batch, times, p)
         # a batch of one takes any state that a block path takes
-        assert coherent_block_path([faint], times, p).block == coherent_block_path(faint, times, p).block
+        assert coherent_block_paths([faint], times, p).block == coherent_block_path(faint, times, p).block
 
 
 # ---------------------------------------------------------------------------

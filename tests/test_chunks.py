@@ -15,7 +15,14 @@ import pytest
 
 from becphase import density
 from becphase.cli import emit, initial_branches, parse_config, run_evolve
-from becphase.density import SUPPORT_TOL, coherent_block_path, coherent_rho_path, eigen_path, embed_frames
+from becphase.density import (
+    SUPPORT_TOL,
+    coherent_block_path,
+    coherent_block_paths,
+    coherent_rho_path,
+    eigen_path,
+    embed_frames,
+)
 from becphase.entanglement import concurrence_wootters
 from becphase.geomphase import kinematic_phase, phase_trace
 from becphase.model import quasicycle_period
@@ -146,7 +153,7 @@ def coherences(text: str) -> dict:
         # alone, and in a batch of three states that share its block
         out["block"] = coherent_block_path(state0, times, cfg.params).b
         batch = [initial_branches(replace(cfg, eta0=eta0)) for eta0 in (cfg.eta0, 0.3, 1.1)]
-        out["batch"] = coherent_block_path(batch, times, cfg.params).b
+        out["batch"] = coherent_block_paths(batch, times, cfg.params).b
     return out
 
 

@@ -631,8 +631,9 @@ class TestRunScenario:
 
     def test_sweep_shares_its_closed_form_grid_and_first_paths(self, monkeypatch):
         # 17 micro_micro points at 64 steps: one closed-form call; the lone
-        # state at C = 0 alone, then batches of 15 and 1 first paths, every
-        # one of which still passes through cli.eigen_path
+        # state at C = 0 alone, then a batch of 15 first paths and a batch of
+        # one, which builds its first path as a phase run does; every first
+        # path still passes through cli.eigen_path
         calls = {"closed": [], "batches": [], "eigen": []}
 
         def spy(name, fn, record):
@@ -648,7 +649,7 @@ class TestRunScenario:
                                     sweep={"variable": "concurrence", "start": 0.0, "stop": 0.9, "count": 17}))
         assert len(run_scenario(cfg, "sweep")) == 17
         assert calls["closed"] == [17]
-        assert calls["batches"] == [1, 15, 1]
+        assert calls["batches"] == [15]
         assert calls["eigen"].count(129) == 17
 
     @pytest.mark.parametrize("phase_tol, code, message", [
@@ -662,18 +663,18 @@ class TestRunScenario:
         # sequential sweep meets point 0's error first, if it has one, else
         # point 2's own
         eta0s = np.linspace(0.2, 0.7, 4).tolist()
-        exact = cli.coherent_block_path
+        def damaged(exact, rows):
+            def build(states, times, p):
+                entries = exact(states, times, p)
+                coherences = entries.b.reshape(len(rows(states)), -1)  # a view: one row per state
+                for k, state in enumerate(rows(states)):
+                    if state.coeffs[1] == math.sin(eta0s[2]):
+                        coherences[k, 1] = np.nan
+                return entries
+            return build
 
-        def damaged(states, times, p):
-            entries = exact(states, times, p)
-            rows = [states] if isinstance(states, cli.CoherentBranches) else states
-            coherences = entries.b.reshape(len(rows), -1)  # a view: one row per state
-            for k, state in enumerate(rows):
-                if state.coeffs[1] == math.sin(eta0s[2]):
-                    coherences[k, 1] = np.nan
-            return entries
-
-        monkeypatch.setattr(cli, "coherent_block_path", damaged)
+        monkeypatch.setattr(cli, "coherent_block_path", damaged(cli.coherent_block_path, lambda s: [s]))
+        monkeypatch.setattr(cli, "coherent_block_paths", damaged(cli.coherent_block_paths, list))
         if message is None:
             monkeypatch.setattr(geomphase, "MAX_STEPS", 128)
         doc = json.loads(cfg_text(grid={"n_steps": 64, "phase_tol": phase_tol}))
