@@ -48,7 +48,6 @@ from .geomphase import (
 )
 from .entanglement import (
     HybridConcurrence,
-    SIGMA_YY,
     WitnessResult,
     concurrence_wootters,
     hybrid_concurrence,

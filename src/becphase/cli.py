@@ -300,10 +300,9 @@ def first_paths(cfgs: Sequence[RunConfig], states: Sequence[CoherentBranches]) -
     cfg = cfgs[0]
     times = np.linspace(0.0, quasicycle_period(cfg.params), 2 * cfg.n_steps + 1)
     values, vectors, block = validate_block(coherent_block_paths(states, times, cfg.params))
-    shape = (len(states), times.size)
     return [
         eigen_path(times, Frames(v, w, block), degeneracy_tol=c.degeneracy_tol)
-        for c, v, w in zip(cfgs, values.reshape(shape + (2,)), vectors.reshape(shape + (2, 2)))
+        for c, v, w in zip(cfgs, values, vectors)
     ]
 
 
@@ -540,16 +539,12 @@ def _g17(values: np.ndarray) -> np.ndarray:
 def emit(table: Table, fmt: str = "csv", path: str | None = None) -> str:
     """Render a table with 17-significant-digit floats; refuse empty tables.
 
-    Each run of neighbouring columns that are not float64 arrays is one row
-    format, in which a repeated string is quoted once and folded into the
-    format's text and any other column is rendered cell by cell into a "%s".
     Each distinct string goes through csv.writer once, so that its quoting is
-    the writer's. Without float64 arrays the table is one run and each line
-    is one % of its format. Otherwise rows are built as bytes,
-    density.point_chunks rows at a time: the float64 columns of a chunk go
-    through one _g17 call, every column's or run's bytes end in its delimiter
-    or the newline, the blocks are laid side by side and their _PAD bytes
-    deleted, and the text is decoded once.
+    the writer's. A table of float64 arrays and repeated strings (evolve's)
+    is built as bytes by _float_rows. Any other table (phase, sweep and
+    witness tables, too small to repay numpy calls) is one % of its row
+    format per line: strings quoted, other cells through _fmt, each cell an
+    argument of the format, never part of its text.
     """
     n = len(table)
     if not n:
@@ -570,59 +565,43 @@ def emit(table: Table, fmt: str = "csv", path: str | None = None) -> str:
             quoted[cell] = one.getvalue()[:-2]
         return quoted[cell]
 
-    # A part is the index of a float64 column, or a run's specs and cells.
-    floats, parts = [], []
-    for col in table.columns.values():
-        if isinstance(col, np.ndarray) and col.dtype == np.float64:
-            parts.append(len(floats))
-            floats.append(col)
-            continue
-        if not parts or isinstance(parts[-1], int):
-            parts.append(([], []))
-        specs, cells = parts[-1]
-        if isinstance(col, str):
-            specs.append(quote(col).replace("%", "%%"))
-        else:
-            specs.append("%s")
-            cells.append([quote(v) if isinstance(v, str) else _fmt(v) for v in col])
-    if not floats:
-        # One run, whose row format makes each line (phase, sweep and witness
-        # tables, too small to repay numpy calls). Cells are arguments of the
-        # row format, never part of its text.
-        line = delim.join(parts[0][0]) + "\n"
-        text = buf.getvalue() + "".join(map(line.__mod__, zip(*parts[0][1])))
-    else:
+    columns = list(table.columns.values())
+    if all(isinstance(c, str) or isinstance(c, np.ndarray) and c.dtype == np.float64 for c in columns):
         text = bytearray(buf.getvalue().encode())
-        for rows in _float_rows(parts, floats, n, delim):
+        for rows in _float_rows([quote(c) if isinstance(c, str) else c for c in columns], n, delim):
             text += rows
         text = text.decode()
+    else:
+        cells = [[col] * n if isinstance(col, str) else col for col in columns]
+        cells = [[quote(v) if isinstance(v, str) else _fmt(v) for v in col] for col in cells]
+        line = delim.join(["%s"] * len(columns)) + "\n"
+        text = buf.getvalue() + "".join(map(line.__mod__, zip(*cells)))
     if path is not None:
         Path(path).write_text(text)
     return text
 
 
-def _float_rows(parts: list, floats: list[np.ndarray], n: int, delim: str) -> Iterator[bytes]:
+def _float_rows(columns: list, n: int, delim: str) -> Iterator[bytes]:
     """emit's rows as bytes, one density.point_chunks chunk at a time, for
-    parts that include float64 columns."""
-    ends = [delim] * (len(parts) - 1) + ["\n"]
+    columns that are float64 arrays or quoted repeated strings. The float64
+    columns of a chunk go through one _g17 call, every column's block ends in
+    its delimiter or the newline (a string's one line of bytes serving every
+    row), and the blocks are laid side by side and their _PAD bytes deleted."""
+    floats = [col for col in columns if not isinstance(col, str)]
+    ends = [delim] * (len(columns) - 1) + ["\n"]
     for rows in point_chunks(n):
         size = rows.stop - rows.start
         canvas = _g17(np.stack([col[rows] for col in floats], axis=1)).reshape(size, len(floats), _ROW)
+        float_blocks = iter(canvas.transpose(1, 0, 2))
         blocks = []
-        for part, end in zip(parts, ends):
-            if isinstance(part, int):
-                block = canvas[:, part]
-                block[:, -1] = ord(end)
+        for col, end in zip(columns, ends):
+            if isinstance(col, str):
+                line = np.frombuffer((col + end).encode(), np.uint8)
+                blocks.append(np.broadcast_to(line, (size, line.size)))
             else:
-                # Cells are arguments of the row format, never part of its text.
-                # A run of repeated strings alone is one line for every row.
-                line = delim.join(part[0]) + end
-                lines = [(line % cells).encode() for cells in zip(*(c[rows] for c in part[1]))]
-                lines = lines or [(line % ()).encode()]
-                width = max(map(len, lines))
-                block = np.frombuffer(b"".join(s.ljust(width, _PAD) for s in lines), np.uint8)
-                block = np.broadcast_to(block.reshape(len(lines), width), (size, width))
-            blocks.append(block)
+                block = next(float_blocks)
+                block[:, -1] = ord(end)
+                blocks.append(block)
         yield np.concatenate(blocks, axis=1).tobytes().translate(None, _PAD)
 
 

@@ -163,7 +163,7 @@ def validate_density(rho: np.ndarray) -> Frames:
     if not herm <= HERMITICITY_TOL:
         raise ValueError(f"density matrix not Hermitian: deviation {herm:g}")
     traces = diag.sum(axis=1) if block is None else diag[:, 0] + diag[:, 1]
-    _check_trace(complex(traces[np.argmax(np.abs(traces - 1.0))]))
+    _check_trace(traces)
     if block is None:
         return _check_positive(Frames(*np.linalg.eigh(m), None))
     i, j = block
@@ -182,18 +182,19 @@ def validate_block(entries: BlockEntries) -> Frames:
     The entries of a batch are checked and decomposed in one pass, into
     values (P, M, 2) and vectors (P, M, 2, 2); point k of the batch gets the
     bits that its own entries give alone. A batch that fails a check raises
-    the error of its first point off unit trace or of its lowest
-    eigenvalue, which need not be that of its first failing point.
+    the error of its trace farthest from 1 or of its lowest eigenvalue,
+    which need not be that of its first failing point.
     """
     a, d, b, block = entries
     if not np.isfinite(b).all():
         raise ValueError("density matrix has a non-finite coherence")
-    for trace in np.ravel(a + d).tolist():
-        _check_trace(complex(trace))
+    _check_trace(a + d)
     return _check_positive(Frames(*_block_frames(a, d, b), block))
 
 
-def _check_trace(trace: complex) -> None:
+def _check_trace(traces: np.ndarray | float) -> None:
+    traces = np.ravel(traces)
+    trace = complex(traces[np.argmax(np.abs(traces - 1.0))])
     if not abs(trace - 1.0) <= TRACE_TOL:
         raise ValueError(f"density matrix trace is {trace!r}, expected 1")
 

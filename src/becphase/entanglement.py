@@ -20,17 +20,6 @@ from .density import (
 )
 from .geomphase import special_point_phase
 
-# sigma_y (x) sigma_y expressed in the module basis order.
-SIGMA_YY = np.array(
-    [
-        [0, -1, 0, 0],
-        [-1, 0, 0, 0],
-        [0, 0, 0, 1],
-        [0, 0, 1, 0],
-    ],
-    dtype=complex,
-)
-
 EIGENVALUE_CLAMP = 1e-12
 # Index pairs of the basis states that differ in both qubits: |00>,|11> and |01>,|10>.
 _ENTANGLED_BLOCKS = ((0, 1), (2, 3))
@@ -45,7 +34,7 @@ def concurrence_wootters(
     l_i are the descending square roots of the eigenvalues of the spin-flipped
     product rho (sy x sy) conj(rho) (sy x sy), computed here as the singular
     values of sqrt(rho) (sy x sy) conj(sqrt(rho)), whose product with
-    sy x sy (SIGMA_YY) is a signed permutation of sqrt(rho)'s columns. The
+    sy x sy is a signed permutation of sqrt(rho)'s columns. The
     two spectra coincide, but the singular-value route stays accurate for
     (near-)pure states where the non-Hermitian product has defective zero
     eigenvalues.
@@ -77,7 +66,7 @@ def concurrence_wootters(
             vals, vecs = evals[chunk], evecs[chunk]
             vals = np.where(vals < EIGENVALUE_CLAMP, np.maximum(vals, 0.0), vals)
             sqrt_rho = (vecs * np.sqrt(vals)[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
-            # sqrt_rho @ SIGMA_YY: columns 0 <-> 1 and 2 <-> 3 swapped, the first pair negated
+            # sqrt_rho @ (sy x sy): columns 0 <-> 1 and 2 <-> 3 swapped, the first pair negated
             flipped = np.empty_like(sqrt_rho)
             np.negative(sqrt_rho[..., 1::-1], out=flipped[..., :2])
             flipped[..., 2:] = sqrt_rho[..., :1:-1]

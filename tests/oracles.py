@@ -32,9 +32,10 @@
 - block_frames_4x4: the closed-form eigenframes of a two-state block laid
   out as 4x4 frames, spectator columns included, the reference for the
   block-only `Frames` of `validate_density` and for `embed_frames`.
-- concurrence_sigma_yy_matmul: Wootters' SVD route with the spin flip as the
-  product sqrt_rho @ SIGMA_YY, the reference for the signed column
-  permutation of `concurrence_wootters`.
+- SIGMA_YY / concurrence_sigma_yy_matmul: sigma_y (x) sigma_y in the module
+  basis order, and Wootters' SVD route with the spin flip as the product
+  sqrt_rho @ SIGMA_YY, the reference for the signed column permutation of
+  `concurrence_wootters`.
 - whole_path_phasors: every branch contribution of the kinematic phase sum
   in one pass over the whole path, the reference for the chunked phase sums
   of `kinematic_phase` and `phase_trace`.
@@ -58,7 +59,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from becphase import (
-    SIGMA_YY,
     CoherentBranches,
     EigenPath,
     Frames,
@@ -287,6 +287,18 @@ def block_frames_4x4(m: np.ndarray, block: tuple[int, int]) -> tuple[np.ndarray,
     for col, k in enumerate(sorted({0, 1, 2, 3} - {i, j}), start=2):
         evecs[..., k, col] = 1.0
     return evals, evecs
+
+
+# sigma_y (x) sigma_y expressed in the module basis order.
+SIGMA_YY = np.array(
+    [
+        [0, -1, 0, 0],
+        [-1, 0, 0, 0],
+        [0, 0, 0, 1],
+        [0, 0, 1, 0],
+    ],
+    dtype=complex,
+)
 
 
 def concurrence_sigma_yy_matmul(frames: Frames) -> np.ndarray:

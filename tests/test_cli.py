@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 import becphase
 from becphase import Table, emit, parse_config, run_scenario, validation_report
 from becphase import cli, geomphase
-from becphase.density import BlockEntries, Scenario
+from becphase.density import PATH_CHUNK_POINTS, BlockEntries, Scenario
 from becphase.entanglement import macro_phase_relation, special_point_intensity
 from becphase.geomphase import weak_coupling_phase, weak_coupling_phase_limit
 from becphase.cli import _fmt, main
@@ -244,11 +244,19 @@ class TestEmit:
     @pytest.mark.parametrize(
         "text", ["", "100%", "%s", "%(x)d", "a,b", "a\tb", 'say "x"', "two\nlines", "w; x, y"]
     )
-    def test_repeated_string_renders_as_rows_do(self, fmt, text):
-        # the string is folded into the row format: its % signs must be escaped
-        # and its quoting must be the writer's
-        table = Table({"t[1]": np.array([0.5, -1.0, 2.0]), "warnings": text, "n[1]": [1, 2, 3]})
-        assert emit(table, fmt) == emit_rowwise(table, fmt)
+    @pytest.mark.parametrize("n_rows", [3, PATH_CHUNK_POINTS + 2], ids=["3", "two-chunks"])
+    @pytest.mark.parametrize("with_list", [True, False], ids=["cells", "bytes"])
+    def test_repeated_string_renders_as_rows_do(self, fmt, text, n_rows, with_list):
+        # the string's % signs must stay text and its quoting must be the
+        # writer's; without the list column the table is built as bytes, in
+        # density.point_chunks chunks
+        t = np.resize([0.5, -1.0, 2.0], n_rows) * np.arange(1, n_rows + 1)
+        table = Table({"t[1]": t, "warnings": text})
+        if with_list:
+            table.columns["n[1]"] = list(range(1, n_rows + 1))
+        # compared as lists of lines: a failing comparison of 2,050 lines as
+        # one string takes pytest minutes to report
+        assert emit(table, fmt).split("\n") == emit_rowwise(table, fmt).split("\n")
 
     def test_columns_of_unequal_length_are_refused(self):
         with pytest.raises(ValueError, match="one length"):

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from becphase import (
     ModelParams,
     Scenario,
-    SIGMA_YY,
     bell_initial,
     concurrence_wootters,
     general_initial,
@@ -36,6 +35,7 @@ from becphase.density import (
 )
 from becphase.model import quasicycle_period
 from oracles import (
+    SIGMA_YY,
     branch_overlap,
     concurrence_sigma_yy_matmul,
     concurrence_x_state,
