@@ -574,6 +574,8 @@ def emit(table: Table, fmt: str = "csv", path: str | None = None) -> str:
     else:
         cells = [[col] * n if isinstance(col, str) else col for col in columns]
         cells = [[quote(v) if isinstance(v, str) else _fmt(v) for v in col] for col in cells]
+        if len(cells) == 1:  # a row of one empty field, which the writer writes as ""
+            cells = [[v or '""' for v in cells[0]]]
         line = delim.join(["%s"] * len(columns)) + "\n"
         text = buf.getvalue() + "".join(map(line.__mod__, zip(*cells)))
     if path is not None:

@@ -4,6 +4,7 @@ eigen-decomposition with branch continuity along a time path."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -480,15 +481,18 @@ class EigenPath:
     larger and the smaller block eigenvalue; spectator branches whose
     eigenvalue never exceeds the support cutoff have no column. flags carries
     warnings about near-degenerate stretches where the matching is
-    ill-conditioned. A refinement of the path reuses its frames, and
-    even_point_path derives the path on every second grid point from them.
-    Paths compare by identity.
+    ill-conditioned: pairs of kept branches closer than degeneracy_tol, at
+    which the paths derived from this one are flagged too. A refinement of
+    the path reuses its frames, and even_point_path (any frames) and
+    strided_path (a closed-form block) derive the paths on fewer of its grid
+    points from them. Paths compare by identity.
     """
 
     times: np.ndarray
     frames: Frames = field(repr=False)
     columns: np.ndarray = field(repr=False)
     flags: tuple[str, ...]
+    degeneracy_tol: float = DEGENERACY_TOL
 
     @property
     def n_steps(self) -> int:
@@ -606,7 +610,7 @@ def eigen_path(
     on different supports (a block and `eigh`'s frames, or two blocks) are
     embedded into the 4-state basis first (embed_frames), and the merged
     frames have block None. The converse, the path on the even points of a
-    decomposed grid, is even_point_path's.
+    decomposed grid, is even_point_path's, or strided_path's on a block.
     """
     times = np.asarray(times, dtype=float)
     if coarse is None:
@@ -645,9 +649,9 @@ def even_point_path(path: EigenPath) -> EigenPath:
     density matrix is validated or decomposed again.
 
     Matching, support cut and flags run over the even points, so the result
-    equals eigen_path on those points from scratch, flags at DEGENERACY_TOL,
-    whenever they span the basis states that the whole grid spans, as on
-    every path whose support stays the same along the grid.
+    equals eigen_path on those points from scratch, flags at the path's
+    degeneracy_tol, whenever they span the basis states that the whole grid
+    spans, as on every path whose support stays the same along the grid.
     """
     if path.n_steps % 2:
         raise ValueError("even points need an even number of steps")
@@ -655,14 +659,40 @@ def even_point_path(path: EigenPath) -> EigenPath:
     # sums then see the memory layout they see from scratch.
     values, vectors, block = path.frames
     frames = Frames(np.ascontiguousarray(values[::2]), np.ascontiguousarray(vectors[::2]), block)
-    return _branch_path(path.times[::2], frames, DEGENERACY_TOL)
+    return _branch_path(path.times[::2], frames, path.degeneracy_tol)
+
+
+def strided_path(path: EigenPath, stride: int) -> EigenPath:
+    """The path of a closed-form block on every stride-th grid point of
+    `path`, made of views of its arrays: nothing is decomposed, matched or
+    copied. Its support cut and flags are _branch_path's on those points, at
+    the path's degeneracy_tol, so it equals even_point_path applied
+    log2(stride) times, and eigen_path on those points from scratch. A
+    branch above SUPPORT_TOL at t = 0 is kept at every stride; only one that
+    starts null can be cut on fewer points. The gaps of the kept branches on
+    fewer points are some of the path's, so an unflagged path has unflagged
+    strides.
+    """
+    values, vectors, block = path.frames
+    if block is None:
+        raise ValueError("strided paths need a closed-form block; eigh frames take even_point_path")
+    if stride < 1 or path.n_steps % stride:
+        raise ValueError(f"a stride of {stride} does not divide {path.n_steps} steps")
+    times, values, vectors = path.times[::stride], values[::stride], vectors[::stride]
+    first = path.columns[0]
+    keep = [k for k in first.tolist() if values[0, k] > SUPPORT_TOL or values[:, k].max() > SUPPORT_TOL]
+    if len(keep) == first.size:
+        columns = path.columns[::stride]
+    else:
+        columns = np.broadcast_to(np.array(keep, dtype=np.int8), (times.size, len(keep)))
+    flags = _ambiguity_flags(times, values[:, keep], path.degeneracy_tol) if path.flags else ()
+    return EigenPath(times, Frames(values, vectors, block), columns, flags, path.degeneracy_tol)
 
 
 def _branch_path(times: np.ndarray, frames: Frames, degeneracy_tol: float) -> EigenPath:
     """The EigenPath of frames on a grid: branches matched across grid points
     unless a closed-form block keeps them apart, branches that never exceed
     SUPPORT_TOL cut, and near-degenerate pairs flagged."""
-    m_total = times.size
     vals = frames.values
     if frames.block is None:
         columns = _matched_columns(vals, frames.vectors)
@@ -678,18 +708,22 @@ def _branch_path(times: np.ndarray, frames: Frames, degeneracy_tol: float) -> Ei
     else:
         # A closed-form block keeps its column order: one row, broadcast along the grid.
         columns = np.broadcast_to(keep.astype(np.int8), vals.shape)
+    flags = _ambiguity_flags(times, vals, degeneracy_tol)
+    return EigenPath(times, frames, columns, flags, degeneracy_tol)
 
-    flags: list[str] = []
-    if vals.shape[1] >= 2:
-        gaps = np.full(m_total, np.inf)
-        for i, j in itertools.combinations(range(vals.shape[1]), 2):
-            gaps = np.minimum(gaps, np.abs(vals[:, i] - vals[:, j]))
-        close = gaps < degeneracy_tol
-        if np.any(close):
-            idx = np.flatnonzero(close)
-            flags.append(
-                "branch-ambiguity: eigenvalue gap below "
-                f"{degeneracy_tol:g} on {idx.size} of {m_total} grid points, "
-                f"t in [{times[idx[0]]:.6g}, {times[idx[-1]]:.6g}]"
-            )
-    return EigenPath(times, frames, columns, tuple(flags))
+
+def _ambiguity_flags(times: np.ndarray, vals: np.ndarray, degeneracy_tol: float) -> tuple[str, ...]:
+    """The branch-ambiguity flag of the kept branches' values (M, k) on a
+    grid, when two of them are closer than degeneracy_tol at some point."""
+    if vals.shape[1] < 2:
+        return ()
+    pairs = itertools.combinations(range(vals.shape[1]), 2)
+    gaps = functools.reduce(np.minimum, (np.abs(vals[:, i] - vals[:, j]) for i, j in pairs))
+    idx = np.flatnonzero(gaps < degeneracy_tol)
+    if not idx.size:
+        return ()
+    return (
+        "branch-ambiguity: eigenvalue gap below "
+        f"{degeneracy_tol:g} on {idx.size} of {times.size} grid points, "
+        f"t in [{times[idx[0]]:.6g}, {times[idx[-1]]:.6g}]",
+    )

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .density import (
     even_point_path,
     gather_columns,
     point_chunks,
+    strided_path,
 )
 
 PHASE_TOL = 1e-7
@@ -72,7 +73,9 @@ class PhaseResult:
     warnings: tuple[str, ...] = ()
 
 
-def _branch_sums(path: EigenPath) -> tuple[np.ndarray, np.ndarray, float]:
+def _branch_sums(
+    path: EigenPath, weighted: np.ndarray | None = None, record: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, float]:
     """The branch sum of the partial-path contributions z[m, k] at every grid
     point, the last point's z[-1, k], and the smallest live link modulus.
 
@@ -82,22 +85,35 @@ def _branch_sums(path: EigenPath) -> tuple[np.ndarray, np.ndarray, float]:
     The points run in point_chunks, each gathering its branch columns from
     the frames; the link product carries across chunks as the first factor
     of the next chunk's cumprod, which repeats the unchunked products.
+    weighted, when given, holds the factor of z[m, k] that no link enters,
+    sqrt(eps_k(0) eps_k(t_m)) <eps_k(0)|eps_k(t_m)>, at every grid point: a
+    level shares it with the path whose points it strides (converge_phase).
+    Otherwise each chunk computes its own, and writes it into record, an
+    (M, k) array, when given.
     """
     frame_values, frame_vectors, _ = path.frames
     first = path.columns[0]
     live = frame_values[0, first] > SUPPORT_TOL
     # a view of every link modulus when every branch is live
     tracked = slice(None) if live.all() else live
-    w0 = np.where(live, frame_values[0, first], 0.0)
-    v0 = frame_vectors[0][:, first].conj()
+    if weighted is None:
+        w0 = np.where(live, frame_values[0, first], 0.0)
+        v0 = frame_vectors[0][:, first].conj()
     sums = np.empty(path.times.size, dtype=complex)
     min_link = 1.0
     for chunk in point_chunks(path.times.size):
         linked = slice(max(chunk.start - 1, 0), chunk.stop)
         vectors = gather_columns(frame_vectors[linked], path.columns[linked])
-        values = gather_columns(frame_values[chunk], path.columns[chunk])
-        weights = np.sqrt(w0 * np.maximum(values, 0.0))
-        endpoint = np.einsum("ak,mak->mk", v0, vectors[chunk.start - linked.start :])
+        if weighted is None:
+            values = gather_columns(frame_values[chunk], path.columns[chunk])
+            weights = np.sqrt(w0 * np.maximum(values, 0.0))
+            part = weights * np.einsum("ak,mak->mk", v0, vectors[chunk.start - linked.start :])
+            if record is not None:
+                record[chunk] = part
+        else:
+            # contiguous, as a chunk's own product: numpy multiplies operands
+            # of unequal strides in another loop, which can round differently
+            part = np.ascontiguousarray(weighted[chunk])
         links = np.einsum("mak,mak->mk", vectors[:-1].conj(), vectors[1:])
         mods = np.abs(links)
         if mods.size and live.any():
@@ -110,12 +126,12 @@ def _branch_sums(path: EigenPath) -> tuple[np.ndarray, np.ndarray, float]:
             nonzero = mods > 0.0
             unit = np.where(nonzero, links / np.where(nonzero, mods, 1.0), 1.0)
         if chunk.start == 0:
-            cum = np.empty_like(endpoint)
+            cum = np.empty_like(part)
             cum[0] = 1.0
             cum[1:] = _cumprod(unit, path.n_steps)
         else:
             cum = _cumprod(np.concatenate([cum[-1:], unit]), path.n_steps)[1:]
-        z = weights * endpoint * cum.conj()
+        z = part * cum.conj()
         sums[chunk] = z.sum(axis=1)
     return sums, z[-1].copy(), min_link
 
@@ -152,7 +168,9 @@ def phase_trace(path: EigenPath) -> np.ndarray:
     return np.unwrap(np.angle(sums))
 
 
-def kinematic_phase(path: EigenPath) -> PhaseResult:
+def kinematic_phase(
+    path: EigenPath, weighted: np.ndarray | None = None, record: np.ndarray | None = None
+) -> PhaseResult:
     """Geometric phase of the whole path.
 
     Zero-weight branches drop out of the sum; near-degenerate stretches
@@ -160,12 +178,13 @@ def kinematic_phase(path: EigenPath) -> PhaseResult:
     the argument of the final branch sum, the unwrapped value its continuous
     continuation from zero: np.unwrap's span, from the steps of the
     running argument that wrap (_unwrapped_span). A single path carries no
-    error estimate; converge_phase supplies one.
+    error estimate; converge_phase supplies one. weighted and record are
+    _branch_sums'.
     """
     if path.times.size < 2:
         raise ValueError("path must contain at least two time points")
     warnings = list(path.flags)
-    tot, last, min_link = _branch_sums(path)
+    tot, last, min_link = _branch_sums(path, weighted, record)
     if min_link < COARSE_LINK_WARNING:
         warnings.append(
             f"coarse-grid: smallest neighbor overlap modulus {min_link:.3g}"
@@ -244,7 +263,7 @@ def converge_phase(
     is settled to phase_tol.
 
     The first two levels come from one path: build_path(2 n_start), whose
-    even grid points give the n_start level (even_point_path), so no density
+    even grid points give the n_start level (_first_levels), so no density
     matrix is evaluated or decomposed twice. Each further level is
     build_path(2 n, coarse=path), which may refine the last level's path or ignore it.
 
@@ -254,7 +273,7 @@ def converge_phase(
     EXTRAPOLATION_BLOCKERS warnings. When the first two levels are not
     settled and extrapolation is on, the first path also gives coarser
     levels before any refinement: up to ROMBERG_DEPTH - 1 pre-levels,
-    n_start / 2 and then n_start / 4, each on the even points of the
+    n_start / 2 and then n_start / 4, each on every second point of the
     coarsest level so far and judged at once. The descent stops at an odd
     step count and at a pre-level that carries a blocker, which is not
     used. Pre-levels are not doublings: the ConvergenceError counts path
@@ -270,22 +289,18 @@ def converge_phase(
         raise ConvergenceError(f"no doubling of {n_start} steps stays within {MAX_STEPS} steps")
     n = 2 * n_start
     path = build_path(n)
-    coarsest = even_point_path(path)
+    first = _first_levels(path)
+    cur = next(first)
     pre: list[float] = []
-    levels = [kinematic_phase(coarsest).unwrapped]
+    levels = [next(first).unwrapped]
     while True:
-        cur = kinematic_phase(path)
         levels.append(cur.unwrapped)
         blocked = _blocks_extrapolation(cur)
         accepted = romberg_acceptance(pre + levels, phase_tol, extrapolate=not blocked)
         # Pre-levels, before the first refinement only.
-        while (
-            accepted is None and not blocked and len(levels) == 2
-            and len(pre) < ROMBERG_DEPTH - 1 and coarsest.n_steps % 2 == 0
-        ):
-            coarsest = even_point_path(coarsest)
-            coarser = kinematic_phase(coarsest)
-            if _blocks_extrapolation(coarser):
+        while accepted is None and not blocked and len(levels) == 2 and len(pre) < ROMBERG_DEPTH - 1:
+            coarser = next(first, None)
+            if coarser is None or _blocks_extrapolation(coarser):
                 break
             pre.insert(0, coarser.unwrapped)
             accepted = romberg_acceptance(pre + levels, phase_tol)
@@ -300,11 +315,44 @@ def converge_phase(
         if 2 * n > MAX_STEPS:
             break
         n *= 2
+        first = None  # what the first path's levels share is not held past them
         path = build_path(n, coarse=path)
+        cur = kinematic_phase(path)
     raise ConvergenceError(
         f"phase did not converge to {phase_tol:g} within {len(levels) - 1} doublings "
         f"(last delta {abs(levels[-1] - levels[-2]):g} at {n} of at most {MAX_STEPS} steps)"
     )
+
+
+def _first_levels(path: EigenPath) -> Iterator[PhaseResult]:
+    """kinematic_phase of converge_phase's first path, then of its levels on
+    every second, fourth, ... grid point, one per next(), down to an odd
+    step count.
+
+    On a closed-form block each level is strided_path's view of the path's
+    points, and every point's weight and endpoint overlap (_branch_sums'
+    weighted) are computed once, in the pass over the path, for all levels:
+    a level computes only its own links, their unit phasors, cumprod and
+    sums. eigh frames take even_point_path of the level before, whose
+    matching runs again over the even points and may pick other columns
+    there.
+    """
+    if path.frames.block is None:
+        yield kinematic_phase(path)
+        while path.n_steps % 2 == 0:
+            path = even_point_path(path)
+            yield kinematic_phase(path)
+        return
+    weighted = np.empty(path.columns.shape, dtype=complex)
+    yield kinematic_phase(path, record=weighted)
+    stride = 2
+    while path.n_steps % stride == 0:
+        level = strided_path(path, stride)
+        shared = weighted[::stride]
+        if level.n_branches < path.n_branches:  # a null branch, cut on fewer points
+            shared = shared[:, np.isin(path.columns[0], level.columns[0])]
+        yield kinematic_phase(level, shared)
+        stride *= 2
 
 
 def _blocks_extrapolation(result: PhaseResult) -> bool:

@@ -5,7 +5,10 @@ A state that occupies at most two basis states (every named scenario, and
 block's entries: coherent_block_path, checked by validate_block. Any state
 can also take the 4x4 route, coherent_rho_path checked by validate_density.
 On a seeded box of such configs both routes give the same Frames, EigenPath,
-refinement, converge_phase result and evolve columns, to the last bit.
+refinement, converge_phase result and evolve columns, to the last bit. The
+levels that converge_phase takes from the points of a block path (strided
+views that share the first pass's weighted overlaps) equal even_point_path
+and kinematic_phase level by level, to the last bit too.
 
 `assert_routes_agree` and `draw_configs` also serve a larger draw than this
 module's:
@@ -136,6 +139,47 @@ def assert_same_table(a, b) -> None:
         assert (col == other) if isinstance(col, str) else same_bits(col, other), name
 
 
+def level_outcomes(levels) -> list:
+    """The PhaseResults of an iterator of levels, up to the error that ends
+    it, whose type and message close the list."""
+    out = []
+    while True:
+        try:
+            out.append(next(levels))
+        except StopIteration:
+            return out
+        except (ValueError, ConvergenceError) as exc:
+            return out + [(type(exc), str(exc))]
+
+
+def even_point_levels(path):
+    """kinematic_phase of path and of even_point_path of each level before
+    it, down to an odd step count: the reference for the strided levels of
+    geomphase._first_levels."""
+    yield geomphase.kinematic_phase(path)
+    while path.n_steps % 2 == 0:
+        path = density.even_point_path(path)
+        yield geomphase.kinematic_phase(path)
+
+
+def assert_levels_agree(path: density.EigenPath) -> list:
+    """converge_phase's levels on the points of a block path
+    (geomphase._first_levels) against even_point_levels, bit for bit, and
+    each strided_path against even_point_path; returns the levels."""
+    assert path.frames.block is not None
+    levels = level_outcomes(geomphase._first_levels(path))
+    reference = level_outcomes(even_point_levels(path))
+    assert len(levels) == len(reference)
+    for a, b in zip(levels, reference):
+        assert_same_phase(a, b)
+    even, stride = path, 2
+    while path.n_steps % stride == 0:
+        even = density.even_point_path(even)
+        assert_same_path(density.strided_path(path, stride), even)
+        stride *= 2
+    return levels
+
+
 def stack_route(state0, times, p):
     """cli.density_path on the 4x4 route, whatever the occupation."""
     return cli.coherent_rho_path(state0, times, p)
@@ -144,7 +188,8 @@ def stack_route(state0, times, p):
 def assert_routes_agree(doc: dict) -> None:
     """The block route and the 4x4 route on one config: Frames, EigenPath and
     its refinement on the config's grid, converge_phase from it and every
-    evolve column."""
+    evolve column, and converge_phase's levels on the points of its first
+    path (assert_levels_agree)."""
     cfg = cli.parse_config(json.dumps(doc))
     state0, p = cli.initial_branches(cfg), cfg.params
     assert np.count_nonzero(state0.coeffs) <= 2
@@ -172,6 +217,9 @@ def assert_routes_agree(doc: dict) -> None:
     assert grids[0] == 2 * cfg.n_steps + 1 or reference[0] == (ConvergenceError, ANY)
     assert_same_phase(route[0], reference[0])
     assert_same_table(route[1], reference[1])
+    first = outcome(cli.path_builder(cfg, state0), 2 * cfg.n_steps)
+    if not isinstance(first, tuple):
+        assert_levels_agree(first)
 
 
 def check_draw(seed: int, count: int) -> None:
@@ -256,6 +304,87 @@ class TestBlockRoute:
         state0 = general_initial([0.6, 0.0, 0.64, 0.48], p)
         with pytest.raises(ValueError, match="at most two occupied"):
             coherent_block_path(state0, np.linspace(0.0, 1.0, 3), p)
+
+
+# ---------------------------------------------------------------------------
+# Levels on the points of a block path.
+# ---------------------------------------------------------------------------
+
+def codes(result) -> list[str]:
+    return [w.split(":")[0] for w in result.warnings]
+
+
+def null_at_even_points_path(n_steps: int = 8) -> density.EigenPath:
+    """A hand-made block path that is pure at its even points and mixed at
+    its odd ones: its second branch is kept on the whole grid, null at
+    t = 0, and cut on every second point."""
+    times = np.linspace(0.0, 1.0, n_steps + 1)
+    a, d = 0.7, 0.3
+    purity = np.where(np.arange(times.size) % 2, 0.9, 1.0)
+    return eigen_path(times, BlockEntries(a, d, math.sqrt(a * d) * purity * np.exp(2j * times), (0, 1)))
+
+
+STRIDED_CASES = {
+    # micro_micro starts pure: its second branch is null at t = 0 and kept
+    "pure-start": lambda: cli.path_builder(cli.parse_config(json.dumps(
+        {"scenario": "micro_micro", "omega": 1.0, "lambda_c": 0.2, "alpha": 1.0, "eta0": 0.3})))(64),
+    # fl(pi/4): the block's gap closes at the end of the cycle
+    "branch-ambiguity": lambda: cli.path_builder(cli.parse_config(json.dumps(
+        {"scenario": "micro_micro", "eta0": math.pi / 4, "omega": 1.0, "lambda_c": 0.1,
+         "alpha": 6.0, "grid": {"n_steps": 64}})))(128),
+    # TestPreLevels' run from 16 steps: its 8-step level is coarse-grid
+    "coarse-grid": lambda: geomphase.analytic_path_builder(
+        density.Scenario.MICRO_MICRO, 0.3, ModelParams(omega=1.0, lambda_c=0.2, alpha=1.0))(32),
+    "null-at-even-points": null_at_even_points_path,
+}
+
+
+class TestStridedLevels:
+    """converge_phase takes a block path's coarser levels from strided views
+    of its points, with the weighted overlaps of its first pass: each equals
+    even_point_path followed by kinematic_phase, bit for bit, including
+    strides that cross point_chunks' bounds."""
+
+    @pytest.mark.parametrize("chunk", [None, 1, 2, 3, 7])
+    @pytest.mark.parametrize("name", STRIDED_CASES)
+    def test_equal_even_point_levels(self, monkeypatch, name, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(density, "PATH_CHUNK_POINTS", chunk)
+        path = STRIDED_CASES[name]()
+        levels = assert_levels_agree(path)
+        assert [level.n_steps for level in levels] == [path.n_steps >> k for k in range(len(levels))]
+        live = path.frames.values[0, path.columns[0]] > density.SUPPORT_TOL
+        if name == "pure-start":
+            assert list(live) == [True, False]
+            assert [level.per_branch.size for level in levels] == [2] * len(levels)
+        if name == "branch-ambiguity":
+            assert all("branch-ambiguity" in codes(level) for level in levels)
+        if name == "coarse-grid":
+            assert [codes(level) for level in levels[:3]] == [[], [], ["coarse-grid"]]
+        if name == "null-at-even-points":
+            assert list(live) == [True, False]
+            assert [level.per_branch.size for level in levels] == [2, 1, 1, 1]
+
+    def test_flags_at_the_paths_tolerance(self):
+        # every stride of a block path flags at the tolerance that its path flags at
+        doc = {"scenario": "micro_micro", "omega": 1.0, "lambda_c": 0.2, "alpha": 1.0, "eta0": 0.3,
+               "grid": {"degeneracy_tol": 0.9}}
+        path = cli.path_builder(cli.parse_config(json.dumps(doc)))(64)
+        assert path.degeneracy_tol == 0.9 and path.flags
+        for stride in (2, 4, 8):
+            level = density.strided_path(path, stride)
+            assert level.degeneracy_tol == 0.9
+            assert level.flags[0].startswith("branch-ambiguity: eigenvalue gap below 0.9 on ")
+        assert_levels_agree(path)
+
+    def test_refused_strides(self):
+        path = null_at_even_points_path(6)
+        for stride in (0, 4):
+            with pytest.raises(ValueError, match="does not divide 6 steps"):
+                density.strided_path(path, stride)
+        times, rhos = np.linspace(0.0, 1.0, 5), np.tile(np.eye(4) / 4, (5, 1, 1))
+        with pytest.raises(ValueError, match="closed-form block"):
+            density.strided_path(eigen_path(times, rhos), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,20 @@ class TestEmit:
         # one string takes pytest minutes to report
         assert emit(table, fmt).split("\n") == emit_rowwise(table, fmt).split("\n")
 
+    @pytest.mark.parametrize("fmt", ["csv", "tsv"])
+    @pytest.mark.parametrize("cells", [
+        ["", "x"], [""], ["", "", ""], [None, 1.5, ""], ['say "x"', "", "a,b", "a\tb"],
+    ])
+    def test_one_column_renders_as_rows_do(self, fmt, cells):
+        # a row of one empty field is "" to the writer, not a blank line
+        assert emit(Table({"a": cells}), fmt) == emit_rowwise(Table({"a": cells}), fmt)
+
+    def test_one_repeated_string_is_refused(self):
+        # a repeated string alone has no length, so no row: both renderers refuse it
+        for render in (emit, emit_rowwise):
+            with pytest.raises(ValueError, match="one length"):
+                render(Table({"a": ""}), "csv")
+
     def test_columns_of_unequal_length_are_refused(self):
         with pytest.raises(ValueError, match="one length"):
             emit(Table({"a[1]": np.zeros(2), "b[1]": [1.0]}))

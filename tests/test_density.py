@@ -472,7 +472,7 @@ class TestEvenPointPath:
             ("micro_micro", 512, (0, 1), DEGENERACY_TOL),
             ("macro_single", 512, (0, 2), DEGENERACY_TOL),
             ("general", 512, None, DEGENERACY_TOL),
-            # the even points flag at DEGENERACY_TOL whatever the fine path's
+            # the even points flag at the fine path's tolerance
             ("general", 512, None, 1e-4),
             # the smallest start: 5 points give 3
             ("macro_both", 4, (0, 1), DEGENERACY_TOL),
@@ -485,7 +485,7 @@ class TestEvenPointPath:
                                                  fine_tol):
         times, rhos = config_path_rhos(name, n_steps)
         fine = eigen_path(times, rhos, degeneracy_tol=fine_tol)
-        scratch = eigen_path(times[::2], rhos[::2])
+        scratch = eigen_path(times[::2], rhos[::2], degeneracy_tol=fine_tol)
         # nothing is validated or decomposed again
         monkeypatch.setattr(density, "validate_density", None)
         even = even_point_path(fine)

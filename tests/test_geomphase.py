@@ -424,14 +424,14 @@ def assert_same_result(a, b):
 
 
 def record_steps(monkeypatch, name):
-    """Wrap geomphase's function of one path `name`; returns the list of the
+    """Wrap geomphase's function of a path `name`; returns the list of the
     step counts of the paths it is called on."""
     steps = []
     inner = getattr(geomphase, name)
 
-    def wrapper(path):
+    def wrapper(path, *args, **kwargs):
         steps.append(path.n_steps)
-        return inner(path)
+        return inner(path, *args, **kwargs)
 
     monkeypatch.setattr(geomphase, name, wrapper)
     return steps
@@ -464,12 +464,20 @@ class TestFirstTwoLevels:
         assert calls == {"rho": density_points, "decompose": density_points}
         assert checked == density_points
 
-    @pytest.mark.parametrize("name, n_start", [
-        ("micro_micro", None), ("macro_both", None), ("macro_single", None), ("general", None),
-        ("micro_micro", 2), ("macro_both", 2), ("macro_single", 2), ("general", 2),
+    @pytest.mark.parametrize("name, n_start, degeneracy_tol", [
+        ("micro_micro", None, None), ("macro_both", None, None), ("macro_single", None, None),
+        ("general", None, None), ("micro_micro", 2, None), ("macro_both", 2, None),
+        ("macro_single", 2, None), ("general", 2, None),
+        # every level flags at the config's tolerance: at 0 general's
+        # pre-levels carry no branch-ambiguity, and it settles at 512 steps
+        # (at 1,024 when they were flagged at 1e-9)
+        ("micro_micro", None, 0.0), ("macro_single", 2, 0.0), ("general", None, 0.0),
+        ("general", 2, 0.0),
     ])
-    def test_equals_levels_built_separately(self, name, n_start):
+    def test_equals_levels_built_separately(self, name, n_start, degeneracy_tol):
         cfg = config(name)
+        if degeneracy_tol is not None:
+            cfg = replace(cfg, degeneracy_tol=degeneracy_tol)
         n_start = n_start or cfg.n_steps
         res = converge_phase(path_builder(cfg), n_start, cfg.phase_tol)
         assert_same_result(res, converge_phase_levels(path_builder(cfg), n_start, cfg.phase_tol))
@@ -499,20 +507,21 @@ class TestFirstTwoLevels:
 
 class TestPreLevels:
     """Before its first refinement, converge_phase takes the levels n / 2
-    and n / 4 from the even points of its first path."""
+    and n / 4 from every fourth and eighth point of its first path; the
+    levels judged are those that kinematic_phase is called on."""
 
     @pytest.mark.parametrize("name, phase_tol", [("macro_both", None), ("micro_micro", 1e-3)])
     def test_settled_first_levels_take_no_pre_level(self, monkeypatch, name, phase_tol):
         # macro_both's two levels agree to rounding; micro_micro's 256- and
         # 512-step levels, unflagged, agree to 2.5e-4
-        even = record_steps(monkeypatch, "even_point_path")
         cfg = config(name)
         cfg = replace(cfg, phase_tol=phase_tol or cfg.phase_tol)
+        judged = record_steps(monkeypatch, "kinematic_phase")
         res = converge_phase(path_builder(cfg), cfg.n_steps, cfg.phase_tol)
+        assert judged == [2 * cfg.n_steps, cfg.n_steps]
         ref = converge_phase_levels(path_builder(cfg), cfg.n_steps, cfg.phase_tol, pre_levels=0)
         assert_same_result(res, ref)
         assert res.n_steps == 2 * cfg.n_steps
-        assert even == [2 * cfg.n_steps]
 
     def test_pre_level_with_coarse_grid_is_not_used(self, monkeypatch):
         # 32 and 16 steps are unflagged and unsettled; 8 steps is coarse-grid
@@ -538,11 +547,11 @@ class TestPreLevels:
             built.append(n)
             return inner(n, coarse)
 
-        even = record_steps(monkeypatch, "even_point_path")
+        judged = record_steps(monkeypatch, "kinematic_phase")
         with pytest.raises(ConvergenceError) as raised:
             converge_phase(build, 16, phase_tol=1e-30)
         assert built == [32, 64, 128]
-        assert even == [32, 16, 8]
+        assert judged == [32, 16, 8, 4, 64, 128]
         delta = abs(kinematic_phase(inner(128)).unwrapped - kinematic_phase(inner(64)).unwrapped)
         assert str(raised.value) == (
             f"phase did not converge to 1e-30 within 3 doublings "
