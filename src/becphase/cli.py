@@ -157,7 +157,7 @@ def parse_config(text: str) -> RunConfig:
     """Validate a JSON configuration document and fill defaults."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ValueError(f"configuration is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("configuration must be a JSON object")

@@ -146,10 +146,7 @@ def validate_density(rho: np.ndarray) -> Frames:
     flat = m.reshape(-1, 16)
     # Basis states whose row or column holds a nonzero entry in some matrix.
     nonzero = flat.any(axis=0).reshape(4, 4)
-    support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-    if support.size == 1:  # a lone basis state is paired with an empty one
-        support = np.union1d(support, [1 if support[0] == 0 else 0])
-    block = (int(support[0]), int(support[1])) if support.size == 2 else None
+    block = _pair_block(np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1)).tolist())
     # The largest entry of |m - m^H| without forming it: |m_ij - conj(m_ji)|
     # over the pairs i < j, and 2 |Im m_ii|. On a block every other entry is
     # an exact 0, so its entries alone give the same maxima and traces.
@@ -191,6 +188,15 @@ def validate_block(entries: BlockEntries) -> Frames:
         raise ValueError("density matrix has a non-finite coherence")
     _check_trace(a + d)
     return _check_positive(Frames(*_block_frames(a, d, b), block))
+
+
+def _pair_block(support: list[int]) -> tuple[int, int] | None:
+    """The block (i, j), i < j, of an ascending support of one or two basis
+    states; None for any other support. A lone state is paired with the
+    empty state 0, or with state 1 if it is state 0."""
+    if len(support) == 1:
+        support = sorted([*support, 1 if support[0] == 0 else 0])
+    return tuple(support) if len(support) == 2 else None
 
 
 def _check_trace(traces: np.ndarray | float) -> None:
@@ -315,7 +321,7 @@ def coherent_rho_path(state0: CoherentBranches, times: np.ndarray, p: ModelParam
     times = np.asarray(times, dtype=float)
     occ = np.flatnonzero(state0.coeffs)
     out = np.zeros((times.size, 4, 4), dtype=complex)
-    out[:, occ, occ] = _populations(state0)[occ]
+    out[:, occ, occ] = _populations(state0.coeffs)[occ]
     lower = [(i, j) for i in occ for j in occ if j < i]
     if lower:
         rows, cols = np.array(lower).T
@@ -356,14 +362,13 @@ def coherent_block_paths(states: Sequence[CoherentBranches], times: np.ndarray, 
         if None in keys or len(keys) > 1:
             raise ValueError("a batch of block paths needs states of one block_batch_key")
     c = np.array([s.coeffs for s in states])
-    pops = (c * c.conj()).real
+    pops = _populations(c)
     b = np.zeros((len(states), times.size), dtype=complex)
     if occ.size == 2:
         for chunk, rho in _coherences(c, states[0].betas, times, p, occ[1:], occ[:1]):
             b[:, chunk] = rho[..., 0].conj()
     held = pops.any(axis=0)
-    live = [int(k) for k in occ if held[k] or b.any()]
-    i, j = sorted([*live, *(k for k in (0, 1) if k not in live)][:2])
+    i, j = _pair_block([int(k) for k in occ if held[k] or b.any()])
     return BlockEntries(pops[:, i, None], pops[:, j, None], b, (i, j))
 
 
@@ -376,14 +381,15 @@ def block_batch_key(state0: CoherentBranches) -> tuple | None:
     occupies more than two basis states, or one with an occupied state
     whose population rounds to 0."""
     occ = np.flatnonzero(state0.coeffs)
-    if occ.size > 2 or not _populations(state0)[occ].all():
+    if occ.size > 2 or not _populations(state0.coeffs)[occ].all():
         return None
     return state0.signs, state0.alpha, tuple(occ.tolist())
 
 
-def _populations(state0: CoherentBranches) -> np.ndarray:
-    """The diagonal of every reduced density matrix, |c_k|^2 = Re(c_k conj(c_k))."""
-    return (state0.coeffs * state0.coeffs.conj()).real
+def _populations(c: np.ndarray) -> np.ndarray:
+    """The diagonal of every reduced density matrix of the states whose
+    coefficients are c (..., 4): |c_k|^2 = Re(c_k conj(c_k))."""
+    return (c * c.conj()).real
 
 
 def _coherences(
@@ -483,9 +489,9 @@ class EigenPath:
     warnings about near-degenerate stretches where the matching is
     ill-conditioned: pairs of kept branches closer than degeneracy_tol, at
     which the paths derived from this one are flagged too. A refinement of
-    the path reuses its frames, and even_point_path (any frames) and
-    strided_path (a closed-form block) derive the paths on fewer of its grid
-    points from them. Paths compare by identity.
+    the path reuses its frames, and strided_path derives the paths on fewer
+    of its grid points from its frames and columns. Paths compare by
+    identity.
     """
 
     times: np.ndarray
@@ -609,8 +615,8 @@ def eigen_path(
     result equals a decomposition of the merged grid from scratch. Levels
     on different supports (a block and `eigh`'s frames, or two blocks) are
     embedded into the 4-state basis first (embed_frames), and the merged
-    frames have block None. The converse, the path on the even points of a
-    decomposed grid, is even_point_path's, or strided_path's on a block.
+    frames have block None. The converse, the path on every second point of
+    a decomposed grid, is strided_path's.
     """
     times = np.asarray(times, dtype=float)
     if coarse is None:
@@ -644,49 +650,38 @@ def eigen_path(
     return _branch_path(times, frames, degeneracy_tol)
 
 
-def even_point_path(path: EigenPath) -> EigenPath:
-    """The path on every second grid point of `path`, from its frames: no
-    density matrix is validated or decomposed again.
-
-    Matching, support cut and flags run over the even points, so the result
-    equals eigen_path on those points from scratch, flags at the path's
-    degeneracy_tol, whenever they span the basis states that the whole grid
-    spans, as on every path whose support stays the same along the grid.
-    """
-    if path.n_steps % 2:
-        raise ValueError("even points need an even number of steps")
-    # Contiguous, as a decomposition's own arrays: the matching's overlap
-    # sums then see the memory layout they see from scratch.
-    values, vectors, block = path.frames
-    frames = Frames(np.ascontiguousarray(values[::2]), np.ascontiguousarray(vectors[::2]), block)
-    return _branch_path(path.times[::2], frames, path.degeneracy_tol)
-
-
 def strided_path(path: EigenPath, stride: int) -> EigenPath:
-    """The path of a closed-form block on every stride-th grid point of
-    `path`, made of views of its arrays: nothing is decomposed, matched or
-    copied. Its support cut and flags are _branch_path's on those points, at
-    the path's degeneracy_tol, so it equals even_point_path applied
-    log2(stride) times, and eigen_path on those points from scratch. A
-    branch above SUPPORT_TOL at t = 0 is kept at every stride; only one that
-    starts null can be cut on fewer points. The gaps of the kept branches on
-    fewer points are some of the path's, so an unflagged path has unflagged
-    strides.
+    """The path on every stride-th grid point of `path`, made of views of its
+    times, frames and columns: nothing is decomposed or matched again.
+    Branch k keeps the path's columns[::stride, k], the matching of the finer
+    grid; the support cut and flags are _branch_path's on those points, at
+    the path's degeneracy_tol. On a resolved grid the result equals
+    eigen_path on those points from scratch. Only a branch that starts null
+    can be cut on fewer points. The gaps of the kept branches on fewer points
+    are some of the path's, so an unflagged path has unflagged strides.
     """
-    values, vectors, block = path.frames
-    if block is None:
-        raise ValueError("strided paths need a closed-form block; eigh frames take even_point_path")
     if stride < 1 or path.n_steps % stride:
         raise ValueError(f"a stride of {stride} does not divide {path.n_steps} steps")
+    values, vectors, block = path.frames
     times, values, vectors = path.times[::stride], values[::stride], vectors[::stride]
-    first = path.columns[0]
-    keep = [k for k in first.tolist() if values[0, k] > SUPPORT_TOL or values[:, k].max() > SUPPORT_TOL]
-    if len(keep) == first.size:
-        columns = path.columns[::stride]
-    else:
-        columns = np.broadcast_to(np.array(keep, dtype=np.int8), (times.size, len(keep)))
-    flags = _ambiguity_flags(times, values[:, keep], path.degeneracy_tol) if path.flags else ()
+    columns = path.columns[::stride]
+    first = columns[0]
+    keep = [k for k in range(first.size)
+            if values[0, first[k]] > SUPPORT_TOL or _branch_values(values, columns, k).max() > SUPPORT_TOL]
+    if len(keep) < first.size:
+        # a block's columns stay one row broadcast along the grid
+        columns = columns[:, keep] if columns.strides[0] else np.broadcast_to(first[keep], (times.size, len(keep)))
+    flags = _ambiguity_flags(times, gather_columns(values, columns), path.degeneracy_tol) if path.flags else ()
     return EigenPath(times, Frames(values, vectors, block), columns, flags, path.degeneracy_tol)
+
+
+def _branch_values(values: np.ndarray, columns: np.ndarray, k: int) -> np.ndarray:
+    """The values (M,) of branch k, a view of its frame column where the
+    branch keeps one column along the grid."""
+    col = columns[:, k]
+    if not col.strides[0] or (col == col[0]).all():
+        return values[:, col[0]]
+    return np.take_along_axis(values, col[:, None], axis=1)[:, 0]
 
 
 def _branch_path(times: np.ndarray, frames: Frames, degeneracy_tol: float) -> EigenPath:

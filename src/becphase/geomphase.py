@@ -37,7 +37,6 @@ from .density import (
     analytic_rho_path,
     decay_phase,
     eigen_path,
-    even_point_path,
     gather_columns,
     point_chunks,
     strided_path,
@@ -329,20 +328,12 @@ def _first_levels(path: EigenPath) -> Iterator[PhaseResult]:
     every second, fourth, ... grid point, one per next(), down to an odd
     step count.
 
-    On a closed-form block each level is strided_path's view of the path's
-    points, and every point's weight and endpoint overlap (_branch_sums'
-    weighted) are computed once, in the pass over the path, for all levels:
-    a level computes only its own links, their unit phasors, cumprod and
-    sums. eigh frames take even_point_path of the level before, whose
-    matching runs again over the even points and may pick other columns
-    there.
+    Each level is strided_path's view of the path's points, which follows
+    the path's branch matching, and every point's weight and endpoint
+    overlap (_branch_sums' weighted) are computed once, in the pass over the
+    path, for all levels: a level computes only its own links, their unit
+    phasors, cumprod and sums.
     """
-    if path.frames.block is None:
-        yield kinematic_phase(path)
-        while path.n_steps % 2 == 0:
-            path = even_point_path(path)
-            yield kinematic_phase(path)
-        return
     weighted = np.empty(path.columns.shape, dtype=complex)
     yield kinematic_phase(path, record=weighted)
     stride = 2

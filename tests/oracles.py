@@ -46,6 +46,10 @@
   level, the first and the pre-levels below it included, built by its own
   `build_path` call; the reference for deriving those levels from the
   first path's even points. With pre_levels=0 it is the two-level rule.
+- even_point_path: the path on every second grid point, matched, cut and
+  flagged from scratch on contiguous copies of those points' frames; the
+  reference for `density.strided_path` of a closed-form block, whose
+  matching cannot differ.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ from becphase import (
 )
 from becphase import geomphase
 from becphase.cli import _fmt
-from becphase.density import SUPPORT_TOL, _direction
+from becphase.density import SUPPORT_TOL, _branch_path, _direction
 from becphase.entanglement import EIGENVALUE_CLAMP
 from becphase.geomphase import (
     EXTRAPOLATION_BLOCKERS,
@@ -423,3 +427,14 @@ def converge_phase_levels(
                 error_estimate=error,
             )
     raise ConvergenceError(f"phase did not converge to {phase_tol:g} at {n} steps")
+
+
+def even_point_path(path: EigenPath) -> EigenPath:
+    """The path on every second grid point of `path`, from its frames:
+    _branch_path on contiguous copies of them, as a decomposition's own
+    arrays, at the path's degeneracy_tol."""
+    if path.n_steps % 2:
+        raise ValueError("even points need an even number of steps")
+    values, vectors, block = path.frames
+    frames = Frames(np.ascontiguousarray(values[::2]), np.ascontiguousarray(vectors[::2]), block)
+    return _branch_path(path.times[::2], frames, path.degeneracy_tol)

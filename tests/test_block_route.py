@@ -7,8 +7,9 @@ can also take the 4x4 route, coherent_rho_path checked by validate_density.
 On a seeded box of such configs both routes give the same Frames, EigenPath,
 refinement, converge_phase result and evolve columns, to the last bit. The
 levels that converge_phase takes from the points of a block path (strided
-views that share the first pass's weighted overlaps) equal even_point_path
-and kinematic_phase level by level, to the last bit too.
+views that share the first pass's weighted overlaps) equal
+oracles.even_point_path and kinematic_phase level by level, to the last bit
+too.
 
 `assert_routes_agree` and `draw_configs` also serve a larger draw than this
 module's:
@@ -40,6 +41,7 @@ from becphase.density import (
 from becphase.dynamics import MAX_ALPHA, CoherentBranches, general_initial
 from becphase.geomphase import ConvergenceError
 from becphase.model import ModelParams, quasicycle_period
+from oracles import even_point_path, local_unitary
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -158,7 +160,7 @@ def even_point_levels(path):
     geomphase._first_levels."""
     yield geomphase.kinematic_phase(path)
     while path.n_steps % 2 == 0:
-        path = density.even_point_path(path)
+        path = even_point_path(path)
         yield geomphase.kinematic_phase(path)
 
 
@@ -174,7 +176,7 @@ def assert_levels_agree(path: density.EigenPath) -> list:
         assert_same_phase(a, b)
     even, stride = path, 2
     while path.n_steps % stride == 0:
-        even = density.even_point_path(even)
+        even = even_point_path(even)
         assert_same_path(density.strided_path(path, stride), even)
         stride *= 2
     return levels
@@ -307,7 +309,7 @@ class TestBlockRoute:
 
 
 # ---------------------------------------------------------------------------
-# Levels on the points of a block path.
+# Levels on the points of a first path.
 # ---------------------------------------------------------------------------
 
 def codes(result) -> list[str]:
@@ -342,7 +344,7 @@ STRIDED_CASES = {
 class TestStridedLevels:
     """converge_phase takes a block path's coarser levels from strided views
     of its points, with the weighted overlaps of its first pass: each equals
-    even_point_path followed by kinematic_phase, bit for bit, including
+    oracles.even_point_path followed by kinematic_phase, bit for bit, including
     strides that cross point_chunks' bounds."""
 
     @pytest.mark.parametrize("chunk", [None, 1, 2, 3, 7])
@@ -382,9 +384,69 @@ class TestStridedLevels:
         for stride in (0, 4):
             with pytest.raises(ValueError, match="does not divide 6 steps"):
                 density.strided_path(path, stride)
-        times, rhos = np.linspace(0.0, 1.0, 5), np.tile(np.eye(4) / 4, (5, 1, 1))
-        with pytest.raises(ValueError, match="closed-form block"):
-            density.strided_path(eigen_path(times, rhos), 2)
+
+
+def strided_levels(path):
+    """kinematic_phase of path and of strided_path of it at strides 2, 4,
+    ..., down to an odd step count, each with its own weighted overlaps."""
+    yield geomphase.kinematic_phase(path)
+    stride = 2
+    while path.n_steps % stride == 0:
+        yield geomphase.kinematic_phase(density.strided_path(path, stride))
+        stride *= 2
+
+
+def eigh_null_at_even_points_path() -> density.EigenPath:
+    """null_at_even_points_path's densities under a local unitary, which
+    eigh decomposes: its second branch is cut on every second point."""
+    path = null_at_even_points_path()
+    u = local_unitary()
+    values, vectors, _ = path.frames
+    rhos = np.zeros((path.times.size, 4, 4), dtype=complex)
+    rhos[:, :2, :2] = (vectors * values[:, None, :]) @ vectors.conj().swapaxes(1, 2)
+    return eigen_path(path.times, u @ rhos @ u.conj().T)
+
+
+def general_path(doc: dict, n_steps: int) -> density.EigenPath:
+    cfg = cli.parse_config(json.dumps(doc))
+    return cli.path_builder(cfg, cli.initial_branches(cfg))(n_steps)
+
+
+GENERAL = json.loads((CONFIG_DIR / "general.json").read_text())
+EIGH_CASES = {
+    "general": lambda: general_path(GENERAL, 64),
+    # under-resolved: the strided levels follow the finer grid's matching
+    "general-4-steps": lambda: general_path(GENERAL, 4),
+    # three occupied states: the null spectator branch is cut from the path
+    "three-state": lambda: general_path({**GENERAL, "lambda_c": 0.2, "alpha": 1.5,
+                                         "coefficients": [0.6, 0.64, 0.0, 0.48]}, 64),
+    "null-at-even-points": eigh_null_at_even_points_path,
+}
+
+
+class TestStridedEighLevels:
+    """converge_phase takes an eigh path's coarser levels as strided views of
+    it too, with the weighted overlaps of its first pass: each equals
+    kinematic_phase of strided_path with its own overlaps, bit for bit."""
+
+    @pytest.mark.parametrize("chunk", [None, 1, 2, 3, 7])
+    @pytest.mark.parametrize("name", EIGH_CASES)
+    def test_equal_levels_with_their_own_overlaps(self, monkeypatch, name, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(density, "PATH_CHUNK_POINTS", chunk)
+        path = EIGH_CASES[name]()
+        assert path.frames.block is None
+        levels = level_outcomes(geomphase._first_levels(path))
+        reference = level_outcomes(strided_levels(path))
+        assert len(levels) == len(reference) == path.n_steps.bit_length()
+        for a, b in zip(levels, reference):
+            assert_same_phase(a, b)
+        if name == "three-state":
+            assert path.frames.values.shape[1] == 4 and path.n_branches == 3
+        if name == "null-at-even-points":
+            # the null branches that the odd points' second eigenvalue visits are cut
+            sizes = [level.per_branch.size for level in levels]
+            assert sizes[0] >= 2 and sizes[1:] == [1, 1, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,18 @@ def test_malformed_number_exits_1_naming_the_key(tmp_path, capsys, overrides, ke
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb", ["phase", "validate"])
+def test_deeply_nested_config_exits_1_with_one_line(tmp_path, capsys, verb):
+    # json.loads runs out of recursion depth on 1,000 nested lists
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"scenario": "micro_micro", "alpha": ' + "[" * 1000 + "]" * 1000 + "}")
+    assert main([verb, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: configuration is not valid JSON: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("value", [0.1, -0.0, 1e-300, 2.0**-1074, -7.25e17, math.nan, math.inf])
 def test_fmt_float_fast_path_matches_numpy_scalars(value):
     assert _fmt(np.float64(value)) == _fmt(value) == f"{value:.17g}"

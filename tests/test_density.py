@@ -31,8 +31,14 @@ from becphase import (
 )
 from becphase import cli, density, dynamics
 from becphase.cli import initial_branches, initial_state, parse_config, run_evolve
-from becphase.density import DEGENERACY_TOL, even_point_path
-from oracles import block_frames_4x4, coherent_rho_full, evolve_joint, exhaustive_step_permutations
+from becphase.density import DEGENERACY_TOL, strided_path
+from oracles import (
+    block_frames_4x4,
+    coherent_rho_full,
+    evolve_joint,
+    exhaustive_step_permutations,
+    local_unitary,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 P = ModelParams(omega=1.0, j_vdw=0.07, omega_b=0.9, chi=0.003, lambda_c=0.05, alpha=1.2)
@@ -463,43 +469,88 @@ def config_path_rhos(name, n_steps):
     return times, coherent_rho_path(initial_branches(cfg), times, cfg.params)
 
 
-class TestEvenPointPath:
-    """even_point_path: the path on every second grid point, from the frames."""
+def route_rhos(name, n_steps, route):
+    """A shipped config's grid and its densities on one route: the stack
+    (a block or eigh, from its support), a block path's entries, or the
+    stack under a local unitary, which eigh decomposes."""
+    times, rhos = config_path_rhos(name, n_steps)
+    if route == "entries":
+        cfg = parse_config((CONFIG_DIR / f"{name}.json").read_text())
+        return times, density.coherent_block_path(initial_branches(cfg), times, cfg.params)
+    if route == "eigh":
+        u = local_unitary()
+        return times, u @ rhos @ u.conj().T
+    return times, rhos
+
+
+def every(rhos, stride):
+    if isinstance(rhos, density.BlockEntries):
+        return rhos._replace(b=rhos.b[::stride])
+    return rhos[::stride]
+
+
+SHIPPED = ("micro_micro", "macro_both", "macro_single", "general",
+           "sweep_entanglement_micro", "sweep_entanglement_macro")
+
+
+class TestStridedPath:
+    """strided_path: the path on every stride-th grid point, from the frames
+    and columns of the path."""
+
+    @pytest.mark.parametrize("stride", [2, 4])
+    @pytest.mark.parametrize(
+        "name, route",
+        [(name, route) for name in SHIPPED for route in ("stack", "entries", "eigh")
+         if not (name == "general" and route == "entries")],
+    )
+    def test_equals_a_decomposition_from_scratch(self, monkeypatch, name, route, stride):
+        times, rhos = route_rhos(name, 512, route)
+        fine = eigen_path(times, rhos)
+        scratch = eigen_path(times[::stride], every(rhos, stride))
+        # nothing is validated or decomposed again
+        monkeypatch.setattr(density, "validate_density", None)
+        monkeypatch.setattr(density, "validate_block", None)
+        level = strided_path(fine, stride)
+        assert_same_path(level, scratch)
+        assert (level.frames.block is None) == (name == "general" or route == "eigh")
+        for a, b in ((level.times, fine.times), (level.columns, fine.columns),
+                     *zip(level.frames[:2], fine.frames[:2])):
+            assert np.shares_memory(a, b)
+        if name == "general":
+            # the pure state's null branches are flagged
+            assert level.flags and level.flags[0].startswith("branch-ambiguity")
+            assert level.flags[0] != fine.flags[0]
 
     @pytest.mark.parametrize(
-        "name, n_steps, block, fine_tol",
+        "name, n_steps, fine_tol",
         [
-            ("micro_micro", 512, (0, 1), DEGENERACY_TOL),
-            ("macro_single", 512, (0, 2), DEGENERACY_TOL),
-            ("general", 512, None, DEGENERACY_TOL),
-            # the even points flag at the fine path's tolerance
-            ("general", 512, None, 1e-4),
+            # the strides flag at the fine path's tolerance
+            ("general", 512, 1e-4),
             # the smallest start: 5 points give 3
-            ("macro_both", 4, (0, 1), DEGENERACY_TOL),
-            ("general", 4, None, DEGENERACY_TOL),
+            ("macro_both", 4, DEGENERACY_TOL),
         ],
-        ids=["micro_micro", "macro_single", "general", "general-tol-1e-4",
-             "macro_both-4-steps", "general-4-steps"],
+        ids=["general-tol-1e-4", "macro_both-4-steps"],
     )
-    def test_equals_a_decomposition_from_scratch(self, monkeypatch, name, n_steps, block,
-                                                 fine_tol):
+    def test_equals_a_decomposition_from_scratch_at(self, monkeypatch, name, n_steps, fine_tol):
         times, rhos = config_path_rhos(name, n_steps)
         fine = eigen_path(times, rhos, degeneracy_tol=fine_tol)
         scratch = eigen_path(times[::2], rhos[::2], degeneracy_tol=fine_tol)
-        # nothing is validated or decomposed again
         monkeypatch.setattr(density, "validate_density", None)
-        even = even_point_path(fine)
-        assert_same_path(even, scratch)
-        assert even.frames.block == block
-        if name == "general":
-            # the eigh route, with the pure state's null branches flagged
-            assert even.flags and even.flags[0].startswith("branch-ambiguity")
-            assert even.flags[0] != fine.flags[0]
+        assert_same_path(strided_path(fine, 2), scratch)
 
-    def test_needs_an_even_step_count(self):
+    def test_follows_the_matching_of_the_finer_grid(self):
+        # general.json at 4 steps: matching its 3 even points afresh pairs
+        # other columns, the strided level keeps the finer grid's
+        times, rhos = config_path_rhos("general", 4)
+        fine = eigen_path(times, rhos)
+        level = strided_path(fine, 2)
+        assert np.array_equal(level.columns, fine.columns[::2])
+        assert not np.array_equal(level.columns, eigen_path(times[::2], rhos[::2]).columns)
+
+    def test_needs_a_stride_that_divides_the_steps(self):
         times, rhos = config_path_rhos("micro_micro", 8)
-        with pytest.raises(ValueError, match="even number of steps"):
-            even_point_path(eigen_path(times[:-1], rhos[:-1]))
+        with pytest.raises(ValueError, match="does not divide 7 steps"):
+            strided_path(eigen_path(times[:-1], rhos[:-1]), 2)
 
 
 def random_unitary(rng, scale=1.0):
@@ -823,7 +874,7 @@ class TestCompactBlockFrames:
 
         compact = eigen_path(times, rhos)
         pairs = ((compact, reference_path(slice(None))),
-                 (even_point_path(compact), reference_path(slice(None, None, 2))))
+                 (strided_path(compact, 2), reference_path(slice(None, None, 2))))
         for a, b in pairs:
             assert np.array_equal(a.columns, b.columns) and a.flags == b.flags
             assert_same_bits(a.values, b.values)
@@ -853,7 +904,7 @@ class TestCompactBlockFrames:
         coarse = eigen_path(times[::2], rhos[::2])
         assert per_point(path) == per_point(coarse) == 80
         assert per_point(eigen_path(times[1::2], rhos[1::2], coarse=coarse)) == 80
-        assert per_point(even_point_path(path)) == 80
+        assert per_point(strided_path(path, 2)) == 80
         # a block level meets eigh's frames or another block's: both are
         # embedded, and the merged 4x4 frames have block None
         eigh_level = replace(coarse, frames=Frames(*np.linalg.eigh(rhos[::2]), None))
