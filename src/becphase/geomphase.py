@@ -50,12 +50,10 @@ COARSE_LINK_WARNING = 0.9
 ORIGIN_WARNING_RATIO = 1e-6
 N_QUAD = 4096
 # Romberg acceptance in converge_phase: the table's deepest column (h^2, h^4,
-# h^6 removed), the window of a column's delta ratio relative to the ratio
-# 4^j that its child column j assumes, and the warnings under which the grid
-# error is not known to be a series in h^2.
+# h^6 removed), and the window of a column's delta ratio relative to the
+# ratio 4^j that its child column j assumes.
 ROMBERG_DEPTH = 3
 RATIO_WINDOW = (0.875, 1.125)
-EXTRAPOLATION_BLOCKERS = ("branch-ambiguity", "coarse-grid", "phase-origin-crossing")
 
 
 class ConvergenceError(RuntimeError):
@@ -210,23 +208,22 @@ def kinematic_phase(
     )
 
 
-def romberg_acceptance(
-    levels: Sequence[float], phase_tol: float, extrapolate: bool = True
-) -> tuple[int, float, float] | None:
+def romberg_acceptance(levels: Sequence[float], phase_tol: float) -> tuple[int, float, float] | None:
     """Whether the last of the level values P_0..P_k, each on twice the
     previous grid, settles the phase to phase_tol.
 
     The Romberg table has T[k][0] = P_k and, up to ROMBERG_DEPTH,
-    T[k][j] = T[k][j-1] + (T[k][j-1] - T[k-1][j-1]) / (4^j - 1). With
-    extrapolate, column j >= 1 is accepted at level k when the deltas of its
+    T[k][j] = T[k][j-1] + (T[k][j-1] - T[k-1][j-1]) / (4^j - 1). From three
+    levels on, column j >= 1 is accepted at level k when the deltas of its
     parent column, T[k-1][j-1] - T[k-2][j-1] over T[k][j-1] - T[k-1][j-1],
     have a ratio inside RATIO_WINDOW times 4^j and |T[k][j] - T[k-1][j]| <
     phase_tol. The deepest accepted column gives the error estimate, and the
     value is the deepest column of level k. Otherwise column 0 is accepted
-    when |P_k - P_{k-1}| < phase_tol, with the value P_k. A difference is
-    taken as at least one ulp of the newer value: levels that agree to the
-    last bit agree to rounding, not exactly. Returns (accepted column, value,
-    error estimate), or None.
+    when |P_k - P_{k-1}| < phase_tol, with the value P_k: the plain rule,
+    which is all that two levels can take. A difference is taken as at
+    least one ulp of the newer value: levels that agree to the last bit
+    agree to rounding, not exactly. Returns (accepted column, value, error
+    estimate), or None.
     """
     rows: list[list[float]] = []
     for value in levels:
@@ -237,7 +234,7 @@ def romberg_acceptance(
     if len(rows) < 2:
         return None
     cur, prev = rows[-1], rows[-2]
-    if extrapolate and len(rows) > 2:
+    if len(rows) > 2:
         before = rows[-3]
         for j in range(len(prev) - 1, 0, -1):
             delta = cur[j - 1] - prev[j - 1]
@@ -259,74 +256,80 @@ def converge_phase(
     phase_tol: float = PHASE_TOL,
 ) -> PhaseResult:
     """Double the grid, never beyond MAX_STEPS, until the unwrapped phase
-    is settled to phase_tol.
-
-    The first two levels come from one path: build_path(2 n_start), whose
-    even grid points give the n_start level (_first_levels), so no density
-    matrix is evaluated or decomposed twice. Each further level is
-    build_path(2 n, coarse=path), which may refine the last level's path or ignore it.
-
-    The link product's grid error is a series in h^2, so each level is
-    judged by romberg_acceptance over the unwrapped phases of all levels so
-    far; extrapolation is off when the finest path carries one of the
-    EXTRAPOLATION_BLOCKERS warnings. When the first two levels are not
-    settled and extrapolation is on, the first path also gives coarser
-    levels before any refinement: up to ROMBERG_DEPTH - 1 pre-levels,
-    n_start / 2 and then n_start / 4, each on every second point of the
-    coarsest level so far and judged at once. The descent stops at an odd
-    step count and at a pre-level that carries a blocker, which is not
-    used. Pre-levels are not doublings: the ConvergenceError counts path
-    builds only, and a start of 2 steps builds at most about 2 MAX_STEPS
-    grid points in all. The accepted value is the
-    unwrapped phase, the principal value is shifted by the same amount from
-    the finest grid's and wrapped, and error_estimate is the accepted
-    column's last delta. per_branch and n_steps are those of the finest grid.
+    is settled to phase_tol: the first of _tables' tables of levels that
+    _accept settles gives the result. Pre-levels are not doublings: the
+    ConvergenceError counts path builds only, and a start of 2 steps builds
+    at most about 2 MAX_STEPS grid points in all.
     """
     if n_start < 2 or n_start % 2:
         raise ValueError("n_start must be an even integer >= 2")
     if 2 * n_start > MAX_STEPS:
         raise ConvergenceError(f"no doubling of {n_start} steps stays within {MAX_STEPS} steps")
+    for table in _tables(build_path, n_start):
+        accepted = _accept(table, phase_tol)
+        if accepted is not None:
+            return accepted
+    finest, delta = table[-1], abs(table[-1].unwrapped - table[-2].unwrapped)
+    raise ConvergenceError(
+        f"phase did not converge to {phase_tol:g} within {(finest.n_steps // n_start).bit_length() - 1} "
+        f"doublings (last delta {delta:g} at {finest.n_steps} of at most {MAX_STEPS} steps)"
+    )
+
+
+def _tables(build_path: Callable[..., EigenPath], n_start: int) -> Iterator[list[PhaseResult]]:
+    """The tables of levels that converge_phase judges in turn, coarsest
+    level first. The first holds the 2 n_start and n_start levels of
+    build_path(2 n_start) (_first_levels). While its finest level carries
+    no warning, up to ROMBERG_DEPTH - 1 pre-levels of that path follow at
+    the coarse end, n_start / 2 and then n_start / 4; a pre-level that
+    carries a warning or raises ConvergenceError is left out and ends the
+    descent. Then each doubling adds build_path(2 n, coarse=path), which
+    may refine the last path or ignore it, at the fine end.
+    """
     n = 2 * n_start
     path = build_path(n)
     first = _first_levels(path)
-    cur = next(first)
-    pre: list[float] = []
-    levels = [next(first).unwrapped]
-    while True:
-        levels.append(cur.unwrapped)
-        blocked = _blocks_extrapolation(cur)
-        accepted = romberg_acceptance(pre + levels, phase_tol, extrapolate=not blocked)
-        # Pre-levels, before the first refinement only.
-        while accepted is None and not blocked and len(levels) == 2 and len(pre) < ROMBERG_DEPTH - 1:
-            coarser = next(first, None)
-            if coarser is None or _blocks_extrapolation(coarser):
-                break
-            pre.insert(0, coarser.unwrapped)
-            accepted = romberg_acceptance(pre + levels, phase_tol)
-        if accepted is not None:
-            _, value, error = accepted
-            return replace(
-                cur,
-                unwrapped=value,
-                principal=math.remainder(cur.principal + (value - cur.unwrapped), 2.0 * math.pi),
-                error_estimate=error,
-            )
-        if 2 * n > MAX_STEPS:
+    finest = next(first)
+    table = [next(first), finest]
+    yield table
+    while not finest.warnings and len(table) <= ROMBERG_DEPTH:
+        try:
+            coarser = next(first)
+        except (StopIteration, ConvergenceError):
             break
+        if coarser.warnings:
+            break
+        table = [coarser, *table]
+        yield table
+    first = None  # what the first path's levels share is not held past them
+    while 2 * n <= MAX_STEPS:
         n *= 2
-        first = None  # what the first path's levels share is not held past them
         path = build_path(n, coarse=path)
-        cur = kinematic_phase(path)
-    raise ConvergenceError(
-        f"phase did not converge to {phase_tol:g} within {len(levels) - 1} doublings "
-        f"(last delta {abs(levels[-1] - levels[-2]):g} at {n} of at most {MAX_STEPS} steps)"
-    )
+        table = [*table, kinematic_phase(path)]
+        yield table
+
+
+def _accept(table: Sequence[PhaseResult], phase_tol: float) -> PhaseResult | None:
+    """The finest level of a table, coarsest first, with the value and error
+    estimate that romberg_acceptance accepts over its unwrapped phases, or
+    None. The grid error is a series in h^2 only on a resolved, smooth path,
+    so under any warning on the finest level only the two finest are judged.
+    The principal value is shifted as the unwrapped one, and wrapped."""
+    finest = table[-1]
+    levels = table[-2:] if finest.warnings else table
+    accepted = romberg_acceptance([level.unwrapped for level in levels], phase_tol)
+    if accepted is None:
+        return None
+    _, value, error = accepted
+    principal = math.remainder(finest.principal + (value - finest.unwrapped), 2.0 * math.pi)
+    return replace(finest, unwrapped=value, principal=principal, error_estimate=error)
 
 
 def _first_levels(path: EigenPath) -> Iterator[PhaseResult]:
     """kinematic_phase of converge_phase's first path, then of its levels on
     every second, fourth, ... grid point, one per next(), down to an odd
-    step count.
+    step count. A level whose strided links vanish raises ConvergenceError,
+    as any path does; _tables leaves out such a pre-level.
 
     Each level is strided_path's view of the path's points, which follows
     the path's branch matching, and every point's weight and endpoint
@@ -344,10 +347,6 @@ def _first_levels(path: EigenPath) -> Iterator[PhaseResult]:
             shared = shared[:, np.isin(path.columns[0], level.columns[0])]
         yield kinematic_phase(level, shared)
         stride *= 2
-
-
-def _blocks_extrapolation(result: PhaseResult) -> bool:
-    return any(w.startswith(EXTRAPOLATION_BLOCKERS) for w in result.warnings)
 
 
 def refining_path_builder(

@@ -77,13 +77,15 @@ from becphase import geomphase
 from becphase.cli import _fmt
 from becphase.density import SUPPORT_TOL, _branch_path, _direction
 from becphase.entanglement import EIGENVALUE_CLAMP
-from becphase.geomphase import (
-    EXTRAPOLATION_BLOCKERS,
-    PHASE_TOL,
-    ConvergenceError,
-    PhaseResult,
-    romberg_acceptance,
-)
+from becphase.geomphase import PHASE_TOL, ConvergenceError, PhaseResult, romberg_acceptance
+
+# The warning codes under which a grid's error is not known to be a series
+# in h^2, so no level is extrapolated: every code that a level can carry.
+BLOCKING_CODES = ("branch-ambiguity", "coarse-grid", "phase-origin-crossing")
+
+
+def blocked(result: PhaseResult) -> bool:
+    return any(w.startswith(BLOCKING_CODES) for w in result.warnings)
 
 
 def evolve_branch(phi0: np.ndarray, branch: int, t: float, p: ModelParams) -> np.ndarray:
@@ -354,7 +356,7 @@ def emit_rowwise(table: Table, fmt: str) -> str:
 def converge_phase_h2(build_path, n_start: int = 2048, phase_tol: float = PHASE_TOL) -> PhaseResult:
     """Double the grid, at most 10 times. From the third level on, accept
     R_k = P_k + d_k / 3 when d_{k-1} / d_k lies in [3.5, 4.5], the finest path
-    carries no extrapolation blocker and |R_k - R_{k-1}| < phase_tol;
+    is not blocked and |R_k - R_{k-1}| < phase_tol;
     otherwise accept P_k when |d_k| < phase_tol."""
     n = n_start
     prev = kinematic_phase(build_path(n))
@@ -368,7 +370,7 @@ def converge_phase_h2(build_path, n_start: int = 2048, phase_tol: float = PHASE_
             prev_delta is not None
             and delta != 0.0
             and 3.5 <= prev_delta / delta <= 4.5
-            and not any(w.startswith(EXTRAPOLATION_BLOCKERS) for w in cur.warnings)
+            and not blocked(cur)
             and abs(extrapolated - prev_extrapolated) < phase_tol
         ):
             return replace(
@@ -389,18 +391,16 @@ def converge_phase_levels(
     """Build the levels n_start, 2 n_start, ... one build_path call each and
     accept as `converge_phase` does, within its MAX_STEPS.
 
-    When the first two levels are not settled and the second carries no
-    extrapolation blocker, the pre-levels n_start / 2, n_start / 4, ... (at
-    most pre_levels of them, ROMBERG_DEPTH - 1 by default) are built and
-    judged one at a time, down to an odd step count or a blocked level,
-    which is left out. pre_levels=0 is the two-level rule: no pre-level.
+    A blocked finest level is judged on the two finest levels alone. When
+    the first two levels are not settled and the second is not blocked, the
+    pre-levels n_start / 2, n_start / 4, ... (at most pre_levels of them,
+    ROMBERG_DEPTH - 1 by default) are built and judged one at a time, down
+    to an odd step count, a blocked level or one that raises
+    ConvergenceError, which is left out. pre_levels=0 is the two-level
+    rule: no pre-level.
     """
     if pre_levels is None:
         pre_levels = geomphase.ROMBERG_DEPTH - 1
-
-    def blocked(result):
-        return any(w.startswith(EXTRAPOLATION_BLOCKERS) for w in result.warnings)
-
     n = n_start
     pre = []
     levels = [kinematic_phase(build_path(n)).unwrapped]
@@ -408,12 +408,15 @@ def converge_phase_levels(
         n *= 2
         cur = kinematic_phase(build_path(n))
         levels.append(cur.unwrapped)
-        accepted = romberg_acceptance(pre + levels, phase_tol, extrapolate=not blocked(cur))
+        accepted = romberg_acceptance(levels[-2:] if blocked(cur) else pre + levels, phase_tol)
         m = n_start
         first = n == 2 * n_start and not blocked(cur)
         while accepted is None and first and len(pre) < pre_levels and m % 2 == 0:
             m //= 2
-            coarser = kinematic_phase(build_path(m))
+            try:
+                coarser = kinematic_phase(build_path(m))
+            except ConvergenceError:
+                break
             if blocked(coarser):
                 break
             pre.insert(0, coarser.unwrapped)

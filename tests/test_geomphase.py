@@ -1,3 +1,10 @@
+"""Kinematic phase, grid convergence and the closed forms.
+
+`check_schedule_draw` also serves a larger draw than this module's:
+
+    PYTHONPATH=src:tests python -c "import test_geomphase as t; t.check_schedule_draw(2024, 2000, 300)"
+"""
+
 import json
 import math
 from dataclasses import replace
@@ -30,10 +37,12 @@ from becphase import (
 )
 from becphase import density, geomphase
 from becphase.cli import RunConfig, compute_phase, initial_branches, path_builder
-from becphase.geomphase import PHASE_TOL, refining_path_builder, romberg_acceptance
+from becphase.geomphase import PHASE_TOL, PhaseResult, _accept, refining_path_builder, romberg_acceptance
 from hypothesis import given, settings, strategies as st
 
+import test_block_route as block_route
 from oracles import (
+    BLOCKING_CODES,
     converge_phase_h2,
     converge_phase_levels,
     factorization_functions,
@@ -213,6 +222,32 @@ class TestKinematicPhase:
 
 def config(name):
     return parse_config((CONFIG_DIR / f"{name}.json").read_text())
+
+
+class TestOriginWarning:
+    """phase-origin-crossing where the path sum comes within
+    ORIGIN_WARNING_RATIO of zero, relative to its largest modulus."""
+
+    @staticmethod
+    def dipping_path(dip):
+        # one live branch, cos theta |00> + sin theta |11> with theta rising
+        # to acos(dip) and back: every link is real and positive, so the
+        # path sum is cos theta, real, positive and down to dip at mid-path
+        times = np.linspace(0.0, 1.0, 65)
+        theta = math.acos(dip) * np.sin(math.pi * times)
+        psi = np.zeros((times.size, 4), dtype=complex)
+        psi[:, 0], psi[:, 3] = np.cos(theta), np.sin(theta)
+        return eigen_path(times, psi[:, :, None] * psi[:, None, :].conj())
+
+    @pytest.mark.parametrize("dip, flagged", [(1e-7, True), (1e-5, False)])
+    def test_a_dip_of_the_path_sum(self, dip, flagged):
+        path = self.dipping_path(dip)
+        sums, _, _ = geomphase._branch_sums(path)
+        assert np.all(sums.real > 0.0) and np.all(sums.imag == 0.0)
+        assert abs(sums).min() / abs(sums).max() == pytest.approx(dip, rel=1e-6)
+        codes = [w.split(":")[0] for w in kinematic_phase(path).warnings]
+        assert "coarse-grid" not in codes
+        assert ("phase-origin-crossing" in codes) is flagged
 
 
 # Angles as np.angle returns them and beyond, with the endpoints and zeros
@@ -505,6 +540,69 @@ class TestFirstTwoLevels:
                 converge(build, 16, phase_tol=1e-30)
 
 
+def general_configs(seed: int, count: int) -> list[dict]:
+    """count general configs of test_block_route's box on 3 and 4 occupied
+    states in turn, with |alpha| up to 20."""
+    rng = np.random.default_rng(seed)
+    docs = []
+    for k in range(count):
+        doc = block_route.config_doc(rng, "general", 0.0, True, alpha_abs=20.0 * rng.uniform() ** 2)
+        coeffs = np.zeros(4, dtype=complex)
+        occupied = rng.choice(4, 3 + k % 2, replace=False)
+        coeffs[occupied] = rng.normal(size=occupied.size) + 1j * rng.normal(size=occupied.size)
+        coeffs /= np.linalg.norm(coeffs)
+        doc["coefficients"] = [[c.real, c.imag] for c in coeffs.tolist()]
+        docs.append(doc)
+    return docs
+
+
+def check_schedule_draw(seed: int, count: int, general: int) -> None:
+    """compute_phase against oracles.converge_phase_levels, which builds
+    every level with its own build_path call, on test_block_route's
+    draw_configs(seed, count) and general_configs(seed, general) at
+    test_block_route.MAX_STEPS: the results bit for bit, or
+    the types of the errors. Every warning of every level that
+    converge_phase judges starts with one of oracles.BLOCKING_CODES, so a
+    new warning code fails here until blocking is decided for it. Prints a
+    summary."""
+    docs = block_route.draw_configs(seed, count)
+    docs += general_configs(seed, general)
+    seen = set()
+    inner = geomphase.kinematic_phase
+
+    def recording(path, *args, **kwargs):
+        res = inner(path, *args, **kwargs)
+        seen.update(w.split(":")[0] for w in res.warnings)
+        return res
+
+    def run(converge, *args):
+        try:
+            return converge(*args)
+        except (ValueError, ConvergenceError) as exc:
+            return type(exc)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geomphase, "MAX_STEPS", block_route.MAX_STEPS)
+        mp.setattr(geomphase, "kinematic_phase", recording)
+        for doc in docs:
+            cfg = parse_config(json.dumps(doc))
+            got = run(compute_phase, cfg)
+            want = run(converge_phase_levels, path_builder(cfg), cfg.n_steps, cfg.phase_tol)
+            if got is not want:
+                try:
+                    assert isinstance(got, PhaseResult) and isinstance(want, PhaseResult), (got, want)
+                    block_route.assert_same_phase(got, want)
+                except AssertionError:
+                    print(json.dumps(doc))
+                    raise
+    assert all(code.startswith(BLOCKING_CODES) for code in seen), seen
+    print(f"{len(docs)} configs: the schedule equals levels built separately; warning codes {sorted(seen)}")
+
+
+def test_schedule_draw():
+    check_schedule_draw(31, 60, 12)
+
+
 class TestPreLevels:
     """Before its first refinement, converge_phase takes the levels n / 2
     and n / 4 from every fourth and eighth point of its first path; the
@@ -532,8 +630,47 @@ class TestPreLevels:
         res = converge_phase(build, 16)
         assert_same_result(res, converge_phase_levels(build, 16, pre_levels=0))
         # used, the 8-step level would have settled the run on fewer steps
-        monkeypatch.setattr(geomphase, "EXTRAPOLATION_BLOCKERS", ("branch-ambiguity",))
+        inner = geomphase.kinematic_phase
+
+        def unwarned_at_8(path, *args, **kwargs):
+            res = inner(path, *args, **kwargs)
+            if path.n_steps != 8:
+                return res
+            return replace(res, warnings=tuple(w for w in res.warnings if not w.startswith("coarse-grid")))
+
+        monkeypatch.setattr(geomphase, "kinematic_phase", unwarned_at_8)
         assert converge_phase(build, 16).n_steps < res.n_steps
+
+    def raise_at(self, monkeypatch, n_steps):
+        """geomphase.kinematic_phase raising ConvergenceError on the level of
+        n_steps; returns the step counts of the levels judged."""
+        inner = geomphase.kinematic_phase
+
+        def raising(path, *args, **kwargs):
+            if path.n_steps == n_steps:
+                raise ConvergenceError("vanishing neighbor overlap: grid cannot resolve the path")
+            return inner(path, *args, **kwargs)
+
+        monkeypatch.setattr(geomphase, "kinematic_phase", raising)
+        return record_steps(monkeypatch, "kinematic_phase")
+
+    def test_pre_level_that_raises_is_left_out(self, monkeypatch):
+        # micro_micro from 16 steps: the 8-step pre-level raises, so the run
+        # refines from its two first levels alone
+        cfg = replace(config("micro_micro"), n_steps=16)
+        judged = self.raise_at(monkeypatch, 8)
+        res = converge_phase(path_builder(cfg), cfg.n_steps, cfg.phase_tol)
+        assert judged == [32, 16, 8, 64, 128, 256]
+        ref = converge_phase_levels(path_builder(cfg), cfg.n_steps, cfg.phase_tol, pre_levels=0)
+        assert_same_result(res, ref)
+        assert (res.n_steps, res.unwrapped) == (256, 1.0974052293158165)
+
+    def test_first_path_level_that_raises_ends_the_run(self, monkeypatch):
+        cfg = replace(config("micro_micro"), n_steps=16)
+        judged = self.raise_at(monkeypatch, 16)
+        with pytest.raises(ConvergenceError, match="vanishing neighbor overlap"):
+            converge_phase(path_builder(cfg), cfg.n_steps, cfg.phase_tol)
+        assert judged == [32, 16]
 
     def test_doubling_limit_counts_builds_only(self, monkeypatch):
         # micro_micro from 16 steps judges the 8-step pre-level (4 steps is
@@ -573,6 +710,58 @@ def first_acceptance(levels, phase_tol=PHASE_TOL):
     raise AssertionError("no level accepted")
 
 
+def level_table(values, warned=()):
+    """PhaseResults of the unwrapped values, coarsest first on doubling
+    grids from 2 steps, with a warning on the levels at the indices warned."""
+    return [
+        PhaseResult(
+            principal=math.remainder(value, TWO_PI),
+            unwrapped=value,
+            per_branch=np.array([k + 1j]),
+            n_steps=2 << k,
+            error_estimate=None,
+            warnings=("coarse-grid: smallest neighbor overlap modulus 0.5",) if k in warned else (),
+        )
+        for k, value in enumerate(values)
+    ]
+
+
+class TestAccept:
+    """converge_phase's acceptance step on tables of levels alone, with no
+    path: Romberg over the unwrapped values, the plain rule on the two
+    finest levels under a warning on the finest."""
+
+    def test_settled_table_is_accepted_by_a_romberg_column(self):
+        table = level_table(planted_levels([(0.5, 0), (1.0, 2)], count=3))
+        res = _accept(table, PHASE_TOL)
+        column, value, error = romberg_acceptance([level.unwrapped for level in table], PHASE_TOL)
+        assert column == 1
+        assert (res.unwrapped, res.error_estimate) == (value, error)
+        assert res.unwrapped == pytest.approx(0.5, abs=1e-15)
+        finest = table[-1]
+        assert (res.n_steps, res.warnings) == (finest.n_steps, ())
+        assert res.per_branch is finest.per_branch
+        assert res.principal == math.remainder(finest.principal + (value - finest.unwrapped), TWO_PI)
+
+    def test_blocked_levels_take_the_plain_rule(self):
+        levels = planted_levels([(0.5, 0), (1.0, 2)], count=14)
+        assert _accept(level_table(levels[:3], warned=(2,)), PHASE_TOL) is None
+        res = _accept(level_table(levels, warned=(13,)), PHASE_TOL)
+        assert res.unwrapped == levels[-1]
+        assert res.error_estimate == abs(levels[-1] - levels[-2])
+        assert res.warnings == level_table(levels, warned=(13,))[-1].warnings
+
+    def test_a_warning_on_a_coarser_level_does_not_block(self):
+        levels = planted_levels([(0.5, 0), (1.0, 2)], count=3)
+        assert_same_result(_accept(level_table(levels, warned=(0, 1)), PHASE_TOL),
+                           _accept(level_table(levels), PHASE_TOL))
+
+    def test_unsettled_table_gives_none(self):
+        assert _accept(level_table([0.0]), PHASE_TOL) is None
+        assert _accept(level_table([0.0, 1.0]), PHASE_TOL) is None
+        assert _accept(level_table([0.0, 0.5, 0.6]), PHASE_TOL) is None
+
+
 class TestRombergAcceptance:
     def test_even_polynomial_is_taken_from_the_deepest_column(self):
         # columns 1-3 remove h^2, h^4 and h^6, so column 3 is exact from
@@ -603,13 +792,6 @@ class TestRombergAcceptance:
             q = math.log2(bound * (1.0 + inward * shift))
             levels = planted_levels([(0.5, 0), *lower, (1.0, q)])
             assert (first_acceptance(levels)[1][0] == column) is inside, shift
-
-    def test_blocked_levels_take_the_plain_rule(self):
-        levels = planted_levels([(0.5, 0), (1.0, 2)], count=14)
-        assert romberg_acceptance(levels[:3], PHASE_TOL, extrapolate=False) is None
-        column, value, error = romberg_acceptance(levels, PHASE_TOL, extrapolate=False)
-        assert (column, value) == (0, levels[-1])
-        assert error == abs(levels[-1] - levels[-2])
 
     def test_bitwise_equal_levels_are_settled_to_one_ulp(self):
         assert romberg_acceptance([1.0, 1.0], 1e-30) is None

@@ -3,8 +3,8 @@
 tests/output_manifest.json records, for each case (a verb, a config and
 its flags), the exit code, the sha256 of stdout and of stderr, and the
 parsed cells of stdout. The cases run in process through cli.main. On the
-numpy version, BLAS and CPU recorded in the manifest the bytes must match.
-Elsewhere the cells must: [rad] columns within the config's phase_tol
+numpy version, BLAS and CPU recorded in the manifest the bytes must match,
+and everywhere the cells must: [rad] columns within the config's phase_tol
 (principal values modulo 2 pi), other floats within 1e-12 of their
 column's largest magnitude, the validation report's numbers within
 PHASE_TOL, and everything else exactly.
@@ -115,36 +115,40 @@ def _float(cell: str) -> float | None:
         return None
 
 
+def _agree(got: str, want: str, tol: float | None, period: float | None = None) -> bool:
+    """Equal cells, or numbers within tol (None: equal cells only), their
+    difference taken modulo period when given."""
+    if got == want:
+        return True
+    a, b = _float(got), _float(want)
+    if tol is None or a is None or b is None:
+        return False
+    return abs(a - b if period is None else math.remainder(a - b, period)) <= tol
+
+
 def cell_mismatches(argv: list[str], got: list[list[str]], want: list[list[str]]) -> list[str]:
     """Where the cells got differ from want beyond the tolerances of the
     module docstring; empty when they agree."""
     if [len(row) for row in got] != [len(row) for row in want]:
         return [f"shape {[len(row) for row in got]} != {[len(row) for row in want]}"]
-    if not want:
-        return []
     if argv[0] == "validate":
-        header, rows, tols = None, zip(got, want), None
-    else:
-        cfg = parse_config((ROOT / argv[2]).read_text())
-        header, rows = want[0], zip(got[1:], want[1:])
-        if got[0] != header:
-            return [f"header {got[0]} != {header}"]
-        scale = [max((abs(_float(r[k]) or 0.0) for r in want[1:]), default=0.0) for k in range(len(header))]
-        tols = [cfg.phase_tol if name.endswith("[rad]") else 1e-12 * s for name, s in zip(header, scale)]
+        return [f"line {i}: {g!r} != {w!r}" for i, (g_line, w_line) in enumerate(zip(got, want))
+                for g, w in zip(g_line, w_line) if not _agree(g, w, PHASE_TOL)]
+    if got[:1] != want[:1]:
+        return [f"header {got[:1]} != {want[:1]}"]
+    phase_tol = parse_config((ROOT / argv[2]).read_text()).phase_tol
     bad = []
-    for i, (g_row, w_row) in enumerate(rows):
-        for k, (g, w) in enumerate(zip(g_row, w_row)):
-            a, b = _float(g), _float(w)
-            if g == w:
-                continue
-            if a is None or b is None or (header is not None and header[k] == "n_steps[1]"):
-                bad.append(f"row {i} cell {k}: {g!r} != {w!r}")
-                continue
-            diff = abs(a - b)
-            if header is not None and "principal" in header[k]:
-                diff = abs(math.remainder(a - b, 2.0 * math.pi))
-            if not diff <= (PHASE_TOL if tols is None else tols[k]):
-                bad.append(f"row {i} cell {k}: {g!r} != {w!r}")
+    for k, name in enumerate(want[0] if want else ()):
+        column = [row[k] for row in want[1:]]
+        if name == "n_steps[1]":
+            tol = None
+        elif name.endswith("[rad]"):
+            tol = phase_tol
+        else:
+            tol = 1e-12 * max((abs(_float(cell) or 0.0) for cell in column), default=0.0)
+        period = 2.0 * math.pi if "principal" in name else None
+        bad += [f"row {i} {name}: {row[k]!r} != {w!r}" for i, (row, w) in enumerate(zip(got[1:], column))
+                if not _agree(row[k], w, tol, period)]
     return bad
 
 
@@ -163,23 +167,17 @@ def test_the_manifest_holds_every_case(manifest):
 
 
 def test_outputs_match_the_manifest(manifest, outputs):
-    """Bytes where the environment is the recorded one, cells elsewhere."""
+    """Exit codes and cells everywhere, and the bytes as well on the
+    recorded environment."""
     same = manifest["environment"] == environment()
     for case in manifest["cases"]:
-        code, stdout, stderr = outputs[tuple(case["argv"])]
-        assert code == case["exit"], case["argv"]
+        argv = case["argv"]
+        code, stdout, stderr = outputs[tuple(argv)]
+        assert code == case["exit"], argv
+        assert cell_mismatches(argv, cells(argv, stdout), case["cells"]) == [], argv
         if same:
-            assert hashlib.sha256(stdout.encode()).hexdigest() == case["stdout_sha256"], case["argv"]
-            assert hashlib.sha256(stderr.encode()).hexdigest() == case["stderr_sha256"], case["argv"]
-        else:
-            assert cell_mismatches(case["argv"], cells(case["argv"], stdout), case["cells"]) == [], case["argv"]
-
-
-def test_cells_match_the_manifest(manifest, outputs):
-    # the comparison taken on another environment, run here too
-    for case in manifest["cases"]:
-        _, stdout, _ = outputs[tuple(case["argv"])]
-        assert cell_mismatches(case["argv"], cells(case["argv"], stdout), case["cells"]) == [], case["argv"]
+            assert hashlib.sha256(stdout.encode()).hexdigest() == case["stdout_sha256"], argv
+            assert hashlib.sha256(stderr.encode()).hexdigest() == case["stderr_sha256"], argv
 
 
 def test_cells_catch_a_move_beyond_their_tolerance(manifest):
