@@ -392,16 +392,21 @@ _K_MIN, _K_MAX = -281, 282
 _SPLIT = 134217729.0
 # Below 1e17 the scaled value is computed to within 2**-46. A fractional part
 # within this band of 1/2 (every exact tie among them) is left to CPython.
+# A speed knob: any band of at least 2**-45 gives the same text, and a wider
+# one only sends more values to CPython.
 _HALF_BAND = 2.0**-40
 # The byte that pads the kernel's rows: no UTF-8 text holds it.
 _PAD = b"\xff"
 # Each row is 48 bytes, six words: "-0.000" (the sign and the zeros of
 # 0.000d), the 17 digits each followed by "." (bytes 6 to 39), "e+ddd" at
-# byte 40 and three spare bytes, the last of which emit fills with the
-# column's delimiter. Layout classes: decimal exponents -4..16
+# byte 40 and three spare bytes, which emit fills with the text up to the
+# next cell. Layout classes: decimal exponents -4..16
 # print in fixed notation, each its own class; the others as d.ddde+dd or
 # d.ddde+ddd.
-_ROW, _CLASSES = 48, 23
+_ROW, _SPARE, _CLASSES = 48, 3, 23
+# The bytes of the marks that stand for texts longer than the spare bytes:
+# no UTF-8 text holds them either.
+_MARK_BYTES = range(0xF8, 0xFF)
 
 
 @functools.cache
@@ -474,7 +479,8 @@ def _decimal17(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     is decided, with digits 0 and k 0, which _g17 lays out as "0" and "-0".
     The result is undecided where x is nonzero and outside
     (_G17_MIN, _G17_MAX) or not finite, and where r's fractional part lies
-    within _HALF_BAND of 1/2.
+    within _HALF_BAND of 1/2 (any band of at least 2**-45 only sends more
+    values to CPython).
     """
     pow_hi, pow_hi_hi, pow_hi_lo, pow_lo = _g17_tables()[:4]
     x = np.abs(a)
@@ -517,10 +523,19 @@ def _g17(values: np.ndarray) -> np.ndarray:
     a = np.ravel(values)
     digits, k, decided = _decimal17(a)
     pairs, last, exponent, layout, drop = _g17_tables()[4:]
-    top, low = np.divmod(digits, 10**8)
-    lead, mid = np.divmod(top, 10**8)
-    groups = (*np.divmod(mid, 10**4), *np.divmod(low, 10**4))
-    nd = np.maximum.reduce([last[i, group] for i, group in enumerate(groups)])
+    # the 17 digits as the leading one and four groups of 4, by // and a
+    # product back, which numpy does faster than np.divmod
+    top = digits // 10**8
+    lead = top // 10**8
+    groups = []
+    for part in (top - lead * 10**8, digits - top * 10**8):
+        high = part // 10**4
+        groups += [high, part - high * 10**4]
+    # last[3] reads 17 where the 17th digit is not 0; the other groups are
+    # read only where it is (about one value in ten)
+    nd = last[3, groups[3]]
+    short = np.flatnonzero(nd != 17)
+    nd[short] = np.maximum.reduce([nd[short], *(last[i, group[short]] for i, group in enumerate(groups[:3]))])
     words = drop[np.signbit(a) * (_CLASSES * 18) + layout[k - _K_MIN] + nd].view(np.uint64).reshape(-1, 6)
     words[:, 0] |= (lead.astype(np.uint64) + np.uint64(ord("0"))) << np.uint64(48) | np.uint64(
         int.from_bytes(b"-0.000\x00.", "little")
@@ -567,10 +582,8 @@ def emit(table: Table, fmt: str = "csv", path: str | None = None) -> str:
 
     columns = list(table.columns.values())
     if all(isinstance(c, str) or isinstance(c, np.ndarray) and c.dtype == np.float64 for c in columns):
-        text = bytearray(buf.getvalue().encode())
-        for rows in _float_rows([quote(c) if isinstance(c, str) else c for c in columns], n, delim):
-            text += rows
-        text = text.decode()
+        rows = _float_rows([quote(c) if isinstance(c, str) else c for c in columns], n, delim)
+        text = b"".join([buf.getvalue().encode(), *rows]).decode()
     else:
         cells = [[col] * n if isinstance(col, str) else col for col in columns]
         cells = [[quote(v) if isinstance(v, str) else _fmt(v) for v in col] for col in cells]
@@ -584,32 +597,57 @@ def emit(table: Table, fmt: str = "csv", path: str | None = None) -> str:
 
 
 def _float_rows(columns: list, n: int, delim: str) -> Iterator[bytes]:
-    """emit's rows as bytes, one density.point_chunks chunk at a time, for
-    columns that are float64 arrays or quoted repeated strings. The float64
-    columns of a chunk go through one _g17 call, every column's block ends in
-    its delimiter or the newline (a string's one line of bytes serving every
-    row), and the blocks are laid side by side and their _PAD bytes deleted."""
-    floats = [col for col in columns if not isinstance(col, str)]
+    """emit's rows as bytes, for columns that are float64 arrays or quoted
+    repeated strings: the strings that open the first row, then one
+    density.point_chunks chunk at a time.
+
+    A chunk's float64 columns go through one _g17 call, whose rows are the
+    chunk's canvas. The spare bytes of each float cell carry the text up to
+    the next float cell: its delimiter, then each repeated string that
+    follows with its own delimiter; the last float cell's carry the newline
+    and the strings that open the next row, which the last chunk leaves out.
+    A text longer than the spare bytes is written as a mark of _MARK_BYTES,
+    one, two or three of them as the number of such texts needs. One
+    bytes.translate deletes the _PAD bytes, and bytes.replace swaps each mark
+    for its text: every float cell holds at least one byte, so each mark
+    stands alone between two of them. A table with more such texts than
+    three mark bytes tell apart (7**3) is refused."""
     ends = [delim] * (len(columns) - 1) + ["\n"]
+    floats, texts = [], [b""]
+    for col, end in zip(columns, ends):
+        if isinstance(col, str):
+            texts[-1] += (col + end).encode()
+        else:
+            floats.append(col)
+            texts.append(end.encode())
+    lead = texts.pop(0)
+    texts[-1] += lead
+    long = list(dict.fromkeys(text for text in texts if len(text) > _SPARE))
+    if len(long) > len(_MARK_BYTES) ** _SPARE:
+        raise ValueError(f"a table holds at most {len(_MARK_BYTES) ** _SPARE} texts of over {_SPARE} bytes "
+                         f"between its float columns, got {len(long)}")
+    width = next(w for w in range(1, _SPARE + 1) if len(long) <= len(_MARK_BYTES) ** w)
+    marks = dict(zip(long, map(bytes, itertools.product(_MARK_BYTES, repeat=width))))
+    spare = b"".join(marks.get(text, text).ljust(_SPARE, _PAD) for text in texts)
+    spare = np.frombuffer(spare, np.uint8).reshape(-1, _SPARE)
+    yield lead
     for rows in point_chunks(n):
         size = rows.stop - rows.start
         canvas = _g17(np.stack([col[rows] for col in floats], axis=1)).reshape(size, len(floats), _ROW)
-        float_blocks = iter(canvas.transpose(1, 0, 2))
-        blocks = []
-        for col, end in zip(columns, ends):
-            if isinstance(col, str):
-                line = np.frombuffer((col + end).encode(), np.uint8)
-                blocks.append(np.broadcast_to(line, (size, line.size)))
-            else:
-                block = next(float_blocks)
-                block[:, -1] = ord(end)
-                blocks.append(block)
-        yield np.concatenate(blocks, axis=1).tobytes().translate(None, _PAD)
+        canvas[..., -_SPARE:] = spare
+        text = canvas.tobytes().translate(None, _PAD)
+        for full, mark in marks.items():
+            text = text.replace(mark, full)
+        yield text if rows.stop < n else text[: len(text) - len(lead)]
+
+
+# How far above 1 rounding may put a purity or concurrence.
+ABOVE_ONE_TOL = 1e-12
 
 
 def _at_most_one(values: np.ndarray, name: str) -> np.ndarray:
-    """values with rounding above 1 clipped to 1; more than 1e-12 above is an error."""
-    if values.max() > 1.0 + 1e-12:
+    """values with rounding above 1 clipped to 1; more than ABOVE_ONE_TOL above is an error."""
+    if values.max() > 1.0 + ABOVE_ONE_TOL:
         raise ValueError(f"{name} must not exceed 1, got {values.max()!r}")
     return np.minimum(values, 1.0)
 

@@ -271,6 +271,38 @@ class TestEmit:
         assert emit(table, fmt).split("\n") == emit_rowwise(table, fmt).split("\n")
 
     @pytest.mark.parametrize("fmt", ["csv", "tsv"])
+    @pytest.mark.parametrize("n_rows", [3, PATH_CHUNK_POINTS + 2], ids=["3", "two-chunks"])
+    def test_strings_at_every_position_render_as_rows_do(self, fmt, n_rows):
+        # a string opens each row, strings sit between float columns (none,
+        # one or two of them) and close it; each float cell carries the text
+        # up to the next one, and 11 of these texts are longer than its 3
+        # spare bytes, more than the 7 one-byte marks
+        t = np.resize([0.5, -1.0, 2.0, math.nan], n_rows) * np.arange(1, n_rows + 1)
+        strings = ["w; x, y", "", "a\tb", 'say "x"', "%s", "two\nlines", "é", "100%", "y", "a,b",
+                   "%(x)d", "zz", "last"]
+        columns = {"opens": "first, 100%"}
+        for k, text in enumerate(strings):
+            columns[f"f{k}[1]"] = t * (k + 1)
+            columns[f"s{k}"] = text
+            if k % 4 == 3:
+                columns[f"g{k}[1]"] = -t
+        table = Table(columns)
+        texts = [",%s," % text for text in strings]
+        assert sum(len(text.encode()) > 3 for text in texts) >= 8
+        assert emit(table, fmt).split("\n") == emit_rowwise(table, fmt).split("\n")
+
+    def test_more_long_texts_than_marks_are_refused(self):
+        # three spare bytes hold a mark of at most three of the 7 mark bytes
+        columns = {}
+        for k in range(7**3 + 1):
+            columns[f"f{k}[1]"] = np.zeros(1)
+            columns[f"s{k}"] = f"text {k}"
+        with pytest.raises(ValueError, match="at most 343 texts"):
+            emit(Table(columns))
+        del columns["f343[1]"], columns["s343"]
+        assert emit(Table(columns)) == emit_rowwise(Table(columns), "csv")
+
+    @pytest.mark.parametrize("fmt", ["csv", "tsv"])
     @pytest.mark.parametrize("cells", [
         ["", "x"], [""], ["", "", ""], [None, 1.5, ""], ['say "x"', "", "a,b", "a\tb"],
     ])
@@ -360,6 +392,16 @@ def near_ties() -> list[float]:
     return values
 
 
+def exact_ties() -> np.ndarray:
+    """Doubles whose scaled value is a half-integer: odd multiples of 1/4
+    and 1/8 with 17 digits before the point."""
+    rng = np.random.default_rng(24)
+    return np.concatenate([
+        odd_multiples(rng, 4 * 10**15, 9 * 10**15, 50_000) / 4,
+        odd_multiples(rng, 8 * 10**14, 72 * 10**14, 50_000) / 8,
+    ])
+
+
 class TestG17:
     """The 17-digit kernel of emit against CPython's "%.17g", byte for byte."""
 
@@ -395,11 +437,7 @@ class TestG17:
         ]
 
     def test_exact_ties_are_left_to_cpython(self):
-        rng = np.random.default_rng(24)
-        ties = np.concatenate([
-            odd_multiples(rng, 4 * 10**15, 9 * 10**15, 50_000) / 4,
-            odd_multiples(rng, 8 * 10**14, 72 * 10**14, 50_000) / 8,
-        ])
+        ties = exact_ties()
         assert_prints_as_cpython(np.concatenate([ties, -ties]))
         digits, k, decided = cli._decimal17(ties)
         assert not decided.any()
@@ -421,6 +459,17 @@ class TestG17:
         assert len(values) >= 20
         assert_prints_as_cpython(values + [-v for v in values])
         assert not cli._decimal17(np.array(values))[2].any()
+
+    @pytest.mark.parametrize("band", [2.0**-44, 2.0**-30, 2.0**-10])
+    def test_half_band_is_a_speed_knob(self, monkeypatch, band):
+        # any band of at least 2**-45 gives the same text; a wider one only
+        # sends more values to CPython
+        rng = np.random.default_rng(20261021)
+        ties = np.concatenate([near_ties(), exact_ties()])
+        values = np.concatenate([ties, -ties, rng.integers(0, 2**64, 10**5, dtype=np.uint64).view(np.float64)])
+        want = g17_text(values)
+        monkeypatch.setattr(cli, "_HALF_BAND", band)
+        assert g17_text(values) == want
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +631,13 @@ class TestRunScenario:
         monkeypatch.setattr(cli, "coherent_block_path", scaled)
         with pytest.raises(ValueError, match="purity"):
             run_scenario(parse_config(cfg_text(grid={"n_steps": 64})), "evolve")
+
+    def test_above_one_is_rounding_up_to_its_tolerance(self):
+        # 1 + 5e-13 is rounding, clipped to 1; 1 + 2e-12 is an error naming its column
+        values = np.array([0.25, 1.0 + 5e-13])
+        assert cli._at_most_one(values, "purity").tolist() == [0.25, 1.0]
+        with pytest.raises(ValueError, match="concurrence must not exceed 1"):
+            cli._at_most_one(np.array([0.25, 1.0 + 2e-12]), "concurrence")
 
     def test_witness_requires_phase(self):
         cfg = parse_config(cfg_text())
