@@ -1,8 +1,11 @@
-"""Every verb's output on the shipped configs, pinned by a manifest.
+"""Every verb's output on the shipped configs and on a seeded corpus of
+configs, pinned by a manifest.
 
 tests/output_manifest.json records, for each case (a verb, a config and
 its flags), the exit code, the sha256 of stdout and of stderr, and the
-parsed cells of stdout. The cases run in process through cli.main. On the
+parsed cells of stdout. The cases run in process through cli.main; a
+corpus case writes its config to a temporary file first, and runs with
+geomphase.MAX_STEPS at its max_steps when it has one. On the
 numpy version, BLAS and CPU recorded in the manifest the bytes must match,
 and everywhere the cells must: [rad] columns within the config's phase_tol
 (principal values modulo 2 pi), other floats within 1e-12 of their
@@ -24,12 +27,13 @@ import json
 import math
 import os
 import platform
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from becphase import parse_config
+from becphase import geomphase, parse_config
 from becphase.cli import main
 from becphase.geomphase import PHASE_TOL
 
@@ -54,6 +58,72 @@ def cases() -> list[list[str]]:
     for name in CONFIGS[:4]:
         argvs += [["phase", "--config", f"configs/{name}.json", "--steps", str(2**k)] for k in range(1, 8)]
     return argvs + [["validate"], ["validate", "--config", "configs/general.json"]]
+
+
+# The corpus draws its configs from a box (corpus_doc) with this seed.
+CORPUS_SEED = 13
+# A general config that converges only near 2**20 steps; it runs with
+# MAX_STEPS at DEEP_MAX_STEPS, which it exits 2 at.
+DEEP_GENERAL = {
+    "scenario": "general", "omega": 0.03138, "j_vdw": -0.5331, "omega_b": 1.793, "chi": -0.06522,
+    "lambda_c": 0.1777, "alpha": [30.37, -12.65],
+    "coefficients": [[0.11903547785939102, -0.31209301758092434], [0.3611076261112618, -0.22406678185297133],
+                     [-0.39011627197615545, 0.26507900531713124], [0.14604352745774024, -0.6812030287583638]],
+}
+DEEP_MAX_STEPS = 2**14
+# A macro_single config whose run from 2 steps accepts 1.58e-9 rad at 4
+# steps with no warning, where the phase is 2.6275 rad (from 256 steps).
+ALIASED = {
+    "scenario": "macro_single", "omega": 0.05838953941129515, "j_vdw": -0.14146448824410474,
+    "lambda_c": 0.13889322900381032, "alpha": [2.7227849641813426, 2.207668539485735],
+    "eta0": 0.3912109973203218, "grid": {"n_steps": 2, "phase_tol": 3.195232454528061e-05},
+}
+SWEEP_RANGES = {"concurrence": (0.0, 0.99), "alpha": (0.1, 4.0), "lambda_c": (1e-3, 0.5),
+                "eta0": (0.0, math.pi / 2)}
+
+
+def corpus_doc(rng: np.random.Generator, scenario: str, occupied: int = 4) -> dict:
+    """One config of the corpus box: random physics, |alpha| up to 20, a start
+    of 2 ... 512 steps, and for general a state on `occupied` basis states."""
+    alpha_abs, arg = 20.0 * rng.uniform() ** 2, rng.uniform(-math.pi, math.pi)
+    doc = {
+        "scenario": scenario,
+        "omega": rng.uniform(0.2, 2.0),
+        "j_vdw": rng.uniform(-0.5, 0.5),
+        "omega_b": rng.uniform(0.0, 2.0),
+        "chi": rng.uniform(-0.1, 0.1),
+        "lambda_c": 10.0 ** rng.uniform(-3.0, 0.0),
+        "alpha": [alpha_abs * math.cos(arg), alpha_abs * math.sin(arg)],
+        "grid": {"n_steps": 2 ** int(rng.integers(1, 10))},
+    }
+    if scenario == "general":
+        coefficients = rng.normal(size=(4, 2))
+        coefficients[rng.permutation(4)[occupied:]] = 0.0
+        doc["coefficients"] = (coefficients / np.linalg.norm(coefficients)).tolist()
+    else:
+        doc["eta0"] = rng.uniform(0.0, math.pi / 2)
+    return doc
+
+
+def corpus() -> list[dict]:
+    """The corpus cases, each a config, a verb and its max_steps (None: the
+    module's MAX_STEPS): phase on nine draws per scenario (general on 2, 3
+    and 4 basis states in turn) and evolve on one more; sweeps of three
+    points over each sweep variable on two named scenarios; and phase on
+    DEEP_GENERAL and ALIASED."""
+    rng = np.random.default_rng(CORPUS_SEED)
+    cases = []
+    for scenario in CONFIGS[:4]:
+        for k in range(10):
+            doc = corpus_doc(rng, scenario, occupied=2 + k % 3)
+            cases.append({"config": doc, "verb": "phase" if k < 9 else "evolve", "max_steps": None})
+    for k, (variable, (start, stop)) in enumerate(SWEEP_RANGES.items()):
+        for scenario in (CONFIGS[k % 3], CONFIGS[(k + 1) % 3]):
+            doc = corpus_doc(rng, scenario)
+            doc["sweep"] = {"variable": variable, "start": start, "stop": stop, "count": 3}
+            cases.append({"config": doc, "verb": "sweep", "max_steps": None})
+    return cases + [{"config": DEEP_GENERAL, "verb": "phase", "max_steps": DEEP_MAX_STEPS},
+                    {"config": ALIASED, "verb": "phase", "max_steps": None}]
 
 
 def environment() -> dict:
@@ -81,6 +151,15 @@ def run_case(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def run_corpus_case(case: dict) -> tuple[int, str, str]:
+    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as mp:
+        path = Path(directory) / "config.json"
+        path.write_text(json.dumps(case["config"]))
+        if case["max_steps"] is not None:
+            mp.setattr(geomphase, "MAX_STEPS", case["max_steps"])
+        return run_case([case["verb"], "--config", str(path)])
+
+
 def cells(argv: list[str], stdout: str) -> list[list[str]]:
     """A table's header and sampled rows, or a report's lines as words."""
     if argv[0] == "validate":
@@ -90,10 +169,12 @@ def cells(argv: list[str], stdout: str) -> list[list[str]]:
     return rows[:1] + rows[1::stride]
 
 
-def record(argv: list[str]) -> dict:
-    code, stdout, stderr = run_case(argv)
+def record(argv: list[str], case: dict | None = None) -> dict:
+    """The manifest's record of a shipped-config argv, or of a corpus case
+    (whose cells are parsed as those of its verb alone)."""
+    code, stdout, stderr = run_case(argv) if case is None else run_corpus_case(case)
     return {
-        "argv": argv,
+        **({"argv": argv} if case is None else case),
         "exit": code,
         "stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest(),
         "stderr_sha256": hashlib.sha256(stderr.encode()).hexdigest(),
@@ -103,8 +184,10 @@ def record(argv: list[str]) -> dict:
 
 def write_manifest() -> None:
     lines = [json.dumps(record(argv)) for argv in cases()]
+    corpus_lines = [json.dumps(record([case["verb"]], case)) for case in corpus()]
     MANIFEST.write_text(
-        '{"environment": ' + json.dumps(environment()) + ',\n"cases": [\n' + ",\n".join(lines) + "\n]}\n"
+        '{"environment": ' + json.dumps(environment()) + ',\n"cases": [\n' + ",\n".join(lines)
+        + '\n],\n"corpus": [\n' + ",\n".join(corpus_lines) + "\n]}\n"
     )
 
 
@@ -126,9 +209,11 @@ def _agree(got: str, want: str, tol: float | None, period: float | None = None) 
     return abs(a - b if period is None else math.remainder(a - b, period)) <= tol
 
 
-def cell_mismatches(argv: list[str], got: list[list[str]], want: list[list[str]]) -> list[str]:
+def cell_mismatches(argv: list[str], got: list[list[str]], want: list[list[str]],
+                    phase_tol: float | None = None) -> list[str]:
     """Where the cells got differ from want beyond the tolerances of the
-    module docstring; empty when they agree."""
+    module docstring; empty when they agree. phase_tol is that of the
+    config that argv names unless given."""
     if [len(row) for row in got] != [len(row) for row in want]:
         return [f"shape {[len(row) for row in got]} != {[len(row) for row in want]}"]
     if argv[0] == "validate":
@@ -136,7 +221,8 @@ def cell_mismatches(argv: list[str], got: list[list[str]], want: list[list[str]]
                 for g, w in zip(g_line, w_line) if not _agree(g, w, PHASE_TOL)]
     if got[:1] != want[:1]:
         return [f"header {got[:1]} != {want[:1]}"]
-    phase_tol = parse_config((ROOT / argv[2]).read_text()).phase_tol
+    if phase_tol is None:
+        phase_tol = parse_config((ROOT / argv[2]).read_text()).phase_tol
     bad = []
     for k, name in enumerate(want[0] if want else ()):
         column = [row[k] for row in want[1:]]
@@ -178,6 +264,22 @@ def test_outputs_match_the_manifest(manifest, outputs):
         if same:
             assert hashlib.sha256(stdout.encode()).hexdigest() == case["stdout_sha256"], argv
             assert hashlib.sha256(stderr.encode()).hexdigest() == case["stderr_sha256"], argv
+
+
+def test_the_manifest_holds_the_corpus(manifest):
+    assert [{k: case[k] for k in ("config", "verb", "max_steps")} for case in manifest["corpus"]] == corpus()
+
+
+def test_corpus_outputs_match_the_manifest(manifest):
+    same = manifest["environment"] == environment()
+    for case in manifest["corpus"]:
+        code, stdout, stderr = run_corpus_case(case)
+        argv, phase_tol = [case["verb"]], parse_config(json.dumps(case["config"])).phase_tol
+        assert code == case["exit"], case
+        assert cell_mismatches(argv, cells(argv, stdout), case["cells"], phase_tol) == [], case
+        if same:
+            assert hashlib.sha256(stdout.encode()).hexdigest() == case["stdout_sha256"], case
+            assert hashlib.sha256(stderr.encode()).hexdigest() == case["stderr_sha256"], case
 
 
 def test_cells_catch_a_move_beyond_their_tolerance(manifest):
