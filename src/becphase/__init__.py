@@ -31,7 +31,6 @@ from .density import (
     embed_frames,
     oracle_rho_path,
     partial_trace,
-    validate_block,
     validate_density,
 )
 from .geomphase import (

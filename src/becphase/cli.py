@@ -45,7 +45,7 @@ from .density import (
     oracle_rho_path,
     partial_trace,
     point_chunks,
-    validate_block,
+    validate_density,
 )
 from .geomphase import (
     MAX_STEPS,
@@ -64,6 +64,7 @@ from .geomphase import (
     weak_coupling_phase_limit,
 )
 from .entanglement import (
+    ABOVE_ONE_TOL,
     WitnessResult,
     concurrence_wootters,
     hybrid_concurrence,
@@ -259,8 +260,7 @@ def density_path(
     block (coherent_block_path) when it occupies at most two basis states,
     as every named scenario does, else the (M, 4, 4) stack of
     coherent_rho_path. Both are looked up here at call time, so that a
-    caller may replace them on this module, as perfbench does to trace its
-    layers."""
+    caller may replace them on this module, as the tests do."""
     if np.count_nonzero(state0.coeffs) <= 2:
         return coherent_block_path(state0, times, p)
     return coherent_rho_path(state0, times, p)
@@ -295,11 +295,11 @@ def first_paths(cfgs: Sequence[RunConfig], states: Sequence[CoherentBranches]) -
     share one block_batch_key: the EigenPaths on the grid of 2 n_steps steps
     that converge_phase builds first. One coherent_block_paths call
     evaluates the coherences of all their states from the factor that they
-    share, one validate_block call checks and decomposes them, and each
+    share, one validate_density call checks and decomposes them, and each
     config's Frames then go through eigen_path."""
     cfg = cfgs[0]
     times = np.linspace(0.0, quasicycle_period(cfg.params), 2 * cfg.n_steps + 1)
-    values, vectors, block = validate_block(coherent_block_paths(states, times, cfg.params))
+    values, vectors, block = validate_density(coherent_block_paths(states, times, cfg.params))
     return [
         eigen_path(times, Frames(v, w, block), degeneracy_tol=c.degeneracy_tol)
         for c, v, w in zip(cfgs, values, vectors)
@@ -639,10 +639,6 @@ def _float_rows(columns: list, n: int, delim: str) -> Iterator[bytes]:
         for full, mark in marks.items():
             text = text.replace(mark, full)
         yield text if rows.stop < n else text[: len(text) - len(lead)]
-
-
-# How far above 1 rounding may put a purity or concurrence.
-ABOVE_ONE_TOL = 1e-12
 
 
 def _at_most_one(values: np.ndarray, name: str) -> np.ndarray:

@@ -128,65 +128,54 @@ class BlockEntries(NamedTuple):
     block: tuple[int, int]
 
 
-def validate_density(rho: np.ndarray) -> Frames:
-    """Check Hermiticity, unit trace and positivity of a 4x4 density matrix or
-    of every matrix of a (..., 4, 4) stack; return the Frames that the
-    positivity check computes.
+def validate_density(rho: np.ndarray | BlockEntries) -> Frames:
+    """Check a density path and return the Frames that its positivity check
+    computes.
 
-    When every matrix is supported on the same two basis states or one, the
-    decomposition is _block_frames' closed form, over the block's two
-    states; otherwise it is `eigh`'s, with ascending values. A path of a
-    state that occupies at most two basis states can skip the stack:
-    coherent_block_path gives its block's entries and validate_block checks
-    them, with the same Frames.
+    rho is a 4x4 density matrix or a (..., 4, 4) stack, whose matrices are
+    checked for Hermiticity, unit trace and positivity. When every matrix is
+    supported on the same two basis states or one, the decomposition is
+    _block_frames' closed form, over the block's two states; otherwise it is
+    `eigh`'s, with ascending values.
+
+    rho may also be the BlockEntries of a path on one block
+    (coherent_block_path), which give the same Frames with no (M, 4, 4)
+    stack. Their matrices are Hermitian by construction, so the checks are
+    finite coherences, unit trace of the populations and positivity of the
+    block eigenvalues. The entries of a batch are checked and decomposed in
+    one pass, into values (P, M, 2) and vectors (P, M, 2, 2); point k of the
+    batch gets the bits that its own entries give alone. A batch that fails
+    a check raises the error of its trace farthest from 1 or of its lowest
+    eigenvalue, which need not be that of its first failing point.
     """
-    m = np.asarray(rho, dtype=complex)
-    if m.shape[-2:] != (4, 4):
-        raise ValueError(f"density matrices must be 4x4, got shape {m.shape}")
-    flat = m.reshape(-1, 16)
-    # Basis states whose row or column holds a nonzero entry in some matrix.
-    nonzero = flat.any(axis=0).reshape(4, 4)
-    block = _pair_block(np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1)).tolist())
-    # The largest entry of |m - m^H| without forming it: |m_ij - conj(m_ji)|
-    # over the pairs i < j, and 2 |Im m_ii|. On a block every other entry is
-    # an exact 0, so its entries alone give the same maxima and traces.
-    if block is None:
-        upper, lower, diagonal = _UPPER, _LOWER, _DIAGONAL
+    if isinstance(rho, BlockEntries):
+        a, d, b, block = rho
+        if not np.isfinite(b).all():
+            raise ValueError("density matrix has a non-finite coherence")
+        traces = a + d
     else:
-        i, j = block
-        upper, lower, diagonal = [4 * i + j], [4 * j + i], [5 * i, 5 * j]
-    pairs = np.take(flat, upper, axis=1) - np.conj(np.take(flat, lower, axis=1))
-    diag = np.take(flat, diagonal, axis=1)
-    herm = max(np.max(np.abs(pairs)), 2.0 * np.max(np.abs(diag.imag)))
-    if not herm <= HERMITICITY_TOL:
-        raise ValueError(f"density matrix not Hermitian: deviation {herm:g}")
-    traces = diag.sum(axis=1) if block is None else diag[:, 0] + diag[:, 1]
+        m = np.asarray(rho, dtype=complex)
+        if m.shape[-2:] != (4, 4):
+            raise ValueError(f"density matrices must be 4x4, got shape {m.shape}")
+        flat = m.reshape(-1, 16)
+        # Basis states whose row or column holds a nonzero entry in some matrix.
+        nonzero = flat.any(axis=0).reshape(4, 4)
+        block = _pair_block(np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1)).tolist())
+        # The largest entry of |m - m^H| without forming it: |m_ij - conj(m_ji)|
+        # over the pairs i < j, and 2 |Im m_ii|. On a block every other entry is
+        # an exact 0, which leaves the maxima and traces as the block's own.
+        pairs = np.take(flat, _UPPER, axis=1) - np.conj(np.take(flat, _LOWER, axis=1))
+        diag = np.take(flat, _DIAGONAL, axis=1)
+        herm = max(np.max(np.abs(pairs)), 2.0 * np.max(np.abs(diag.imag)))
+        if not herm <= HERMITICITY_TOL:
+            raise ValueError(f"density matrix not Hermitian: deviation {herm:g}")
+        traces = diag.sum(axis=1)
+        if block is not None:
+            i, j = block
+            a, d, b = m[..., i, i].real, m[..., j, j].real, m[..., i, j]
     _check_trace(traces)
     if block is None:
         return _check_positive(Frames(*np.linalg.eigh(m), None))
-    i, j = block
-    evals, evecs = _block_frames(m[..., i, i].real, m[..., j, j].real, m[..., i, j])
-    return _check_positive(Frames(evals, evecs, block))
-
-
-def validate_block(entries: BlockEntries) -> Frames:
-    """validate_density for a path given as its block's entries
-    (coherent_block_path): the Frames of the matrices that the entries stand
-    for, from _block_frames, with no (M, 4, 4) stack. Only the checks that
-    can fail on such entries run: finite coherences, unit trace of the
-    populations and positivity of the block eigenvalues. The matrices are
-    Hermitian by construction.
-
-    The entries of a batch are checked and decomposed in one pass, into
-    values (P, M, 2) and vectors (P, M, 2, 2); point k of the batch gets the
-    bits that its own entries give alone. A batch that fails a check raises
-    the error of its trace farthest from 1 or of its lowest eigenvalue,
-    which need not be that of its first failing point.
-    """
-    a, d, b, block = entries
-    if not np.isfinite(b).all():
-        raise ValueError("density matrix has a non-finite coherence")
-    _check_trace(a + d)
     return _check_positive(Frames(*_block_frames(a, d, b), block))
 
 
@@ -227,8 +216,8 @@ def _direction(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _block_frames(a, d, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form eigen-decomposition of the 2x2 blocks [[a, b], [conj b, d]]:
     a and d real, b complex, a and d broadcasting against b. validate_density
-    passes the entries of its matrices; validate_block the constant
-    populations and the coherences of a coherent_block_path.
+    passes the entries of its matrices, or the constant populations and the
+    coherences of a coherent_block_path.
 
     The block has the eigenvalues mean +- r, with
     r = hypot((a - d)/2, |b|), and the eigenvectors
@@ -334,7 +323,7 @@ def coherent_rho_path(state0: CoherentBranches, times: np.ndarray, p: ModelParam
 def coherent_block_path(state0: CoherentBranches, times: np.ndarray, p: ModelParams) -> BlockEntries:
     """coherent_rho_path of a state that occupies at most two basis states, as
     the entries of its 2x2 block: the same bits with no (M, 4, 4) stack, for
-    validate_block and eigen_path. It is coherent_block_paths' batch of one,
+    validate_density and eigen_path. It is coherent_block_paths' batch of one,
     with its populations as floats.
 
     The block is the pair of basis states whose rows or columns hold a
@@ -593,16 +582,16 @@ def eigen_path(
     Near-degenerate eigenvalue pairs among retained branches are flagged,
     not fatal.
 
-    rhos is an (M, 4, 4) stack, which validate_density checks, or, for a
-    state that occupies at most two basis states, its block's entries from
-    coherent_block_path, which validate_block checks with no stack; both
-    give the same Frames. rhos may also be Frames that either check has
-    already returned, one frame per time, as cli.first_paths passes those
-    of a batch; they are not checked again. When every matrix is supported
-    on the same two basis states (or one), the block is decomposed in
-    closed form and no matching runs: the branches are the larger and the
-    smaller block eigenvalue, whose gap 2 hypot((a - d)/2, |b|) is positive
-    unless the block is a multiple of the identity, so they never cross.
+    rhos is an (M, 4, 4) stack or, for a state that occupies at most two
+    basis states, its block's entries from coherent_block_path; both give
+    the same Frames of validate_density, which checks them. rhos may also
+    be Frames that validate_density has already returned, one frame per
+    time, as cli.first_paths passes those of a batch; they are not checked
+    again. When every matrix is supported on the same two basis states (or
+    one), the block is decomposed in closed form and no matching runs: the
+    branches are the larger and the smaller block eigenvalue, whose gap
+    2 hypot((a - d)/2, |b|) is positive unless the block is a multiple of
+    the identity, so they never cross.
 
     Branches are ordered by descending eigenvalue at the first time.
     Eigenvalues below SUPPORT_TOL there count as tied, and their branches
@@ -628,14 +617,12 @@ def eigen_path(
         if rhos.values.shape[0] != times.size:
             raise ValueError(f"expected {times.size} frames, got shape {rhos.values.shape}")
         frames = rhos
-    elif isinstance(rhos, BlockEntries):
-        if rhos.b.shape != times.shape:
-            raise ValueError(f"expected {times.size} coherences, got shape {rhos.b.shape}")
-        frames = validate_block(rhos)
     else:
-        rhos = np.asarray(rhos, dtype=complex)
-        if rhos.shape != (times.size, 4, 4):
-            raise ValueError(f"expected shape {(times.size, 4, 4)}, got {rhos.shape}")
+        if isinstance(rhos, BlockEntries):
+            if rhos.b.shape != times.shape:
+                raise ValueError(f"expected {times.size} coherences, got shape {rhos.b.shape}")
+        elif np.shape(rhos) != (times.size, 4, 4):
+            raise ValueError(f"expected shape {(times.size, 4, 4)}, got {np.shape(rhos)}")
         frames = validate_density(rhos)
     if coarse is not None:
         times = _interleave(coarse.times, times)
@@ -658,62 +645,52 @@ def strided_path(path: EigenPath, stride: int) -> EigenPath:
     the path's degeneracy_tol. On a resolved grid the result equals
     eigen_path on those points from scratch. Only a branch that starts null
     can be cut on fewer points. The gaps of the kept branches on fewer points
-    are some of the path's, so an unflagged path has unflagged strides.
+    are some of the path's, so an unflagged path has unflagged strides and
+    their flags are not sought.
     """
     if stride < 1 or path.n_steps % stride:
         raise ValueError(f"a stride of {stride} does not divide {path.n_steps} steps")
     values, vectors, block = path.frames
-    times, values, vectors = path.times[::stride], values[::stride], vectors[::stride]
-    columns = path.columns[::stride]
-    first = columns[0]
-    keep = [k for k in range(first.size)
-            if values[0, first[k]] > SUPPORT_TOL or _branch_values(values, columns, k).max() > SUPPORT_TOL]
-    if len(keep) < first.size:
-        # a block's columns stay one row broadcast along the grid
-        columns = columns[:, keep] if columns.strides[0] else np.broadcast_to(first[keep], (times.size, len(keep)))
-    flags = _ambiguity_flags(times, gather_columns(values, columns), path.degeneracy_tol) if path.flags else ()
-    return EigenPath(times, Frames(values, vectors, block), columns, flags, path.degeneracy_tol)
+    frames = Frames(values[::stride], vectors[::stride], block)
+    return _branch_path(path.times[::stride], frames, path.degeneracy_tol, path.columns[::stride], bool(path.flags))
 
 
-def _branch_values(values: np.ndarray, columns: np.ndarray, k: int) -> np.ndarray:
-    """The values (M,) of branch k, a view of its frame column where the
-    branch keeps one column along the grid."""
-    col = columns[:, k]
-    if not col.strides[0] or (col == col[0]).all():
-        return values[:, col[0]]
-    return np.take_along_axis(values, col[:, None], axis=1)[:, 0]
-
-
-def _branch_path(times: np.ndarray, frames: Frames, degeneracy_tol: float) -> EigenPath:
-    """The EigenPath of frames on a grid: branches matched across grid points
-    unless a closed-form block keeps them apart, branches that never exceed
-    SUPPORT_TOL cut, and near-degenerate pairs flagged."""
-    vals = frames.values
-    if frames.block is None:
-        columns = _matched_columns(vals, frames.vectors)
-        vals = gather_columns(vals, columns)
-    # Column by column: numpy's max over axis 0 of an (M, n) array is
-    # several times slower than n maxima of its columns.
-    keep = np.flatnonzero([vals[:, k].max() > SUPPORT_TOL for k in range(vals.shape[1])])
-    if keep.size == 0:
+def _branch_path(
+    times: np.ndarray, frames: Frames, degeneracy_tol: float, columns: np.ndarray | None = None, flag: bool = True
+) -> EigenPath:
+    """The EigenPath of frames on a grid whose branch k takes frame column
+    columns[m, k]. Without columns, branches are matched across grid points
+    unless a closed-form block keeps them apart, in one column row broadcast
+    along the grid. A branch is kept if its value exceeds SUPPORT_TOL at the
+    first point or, failing that, at any point; with flag, pairs of kept
+    branches closer than degeneracy_tol are flagged."""
+    values = frames.values
+    if columns is None:
+        columns = (_matched_columns(values, frames.vectors) if frames.block is None
+                   else np.broadcast_to(np.arange(values.shape[1], dtype=np.int8), values.shape))
+    # The branches' values, (M,) each: views of the frame columns when the
+    # columns are one broadcast row, as a block's are. Their maxima are taken
+    # one by one: numpy's max over axis 0 of an (M, n) array is several times
+    # slower than n maxima of its columns.
+    branches = list(gather_columns(values, columns).T) if columns.strides[0] else [values[:, k] for k in columns[0]]
+    keep = [k for k, branch in enumerate(branches) if branch[0] > SUPPORT_TOL or branch.max() > SUPPORT_TOL]
+    if not keep:
         raise ValueError("no branch carries weight above the support cutoff")
-    vals = vals[:, keep]
-    if frames.block is None:
-        columns = columns[:, keep]
-    else:
-        # A closed-form block keeps its column order: one row, broadcast along the grid.
-        columns = np.broadcast_to(keep.astype(np.int8), vals.shape)
-    flags = _ambiguity_flags(times, vals, degeneracy_tol)
+    if len(keep) < len(branches):
+        # a block's columns stay one row broadcast along the grid
+        columns = columns[:, keep] if columns.strides[0] else np.broadcast_to(columns[0, keep], (times.size, len(keep)))
+    flags = _ambiguity_flags(times, [branches[k] for k in keep], degeneracy_tol) if flag else ()
     return EigenPath(times, frames, columns, flags, degeneracy_tol)
 
 
-def _ambiguity_flags(times: np.ndarray, vals: np.ndarray, degeneracy_tol: float) -> tuple[str, ...]:
-    """The branch-ambiguity flag of the kept branches' values (M, k) on a
-    grid, when two of them are closer than degeneracy_tol at some point."""
-    if vals.shape[1] < 2:
+def _ambiguity_flags(times: np.ndarray, branches: list[np.ndarray], degeneracy_tol: float) -> tuple[str, ...]:
+    """The branch-ambiguity flag of the kept branches' values on a grid, one
+    (M,) array each, when two of them are closer than degeneracy_tol at some
+    point."""
+    if len(branches) < 2:
         return ()
-    pairs = itertools.combinations(range(vals.shape[1]), 2)
-    gaps = functools.reduce(np.minimum, (np.abs(vals[:, i] - vals[:, j]) for i, j in pairs))
+    pairs = itertools.combinations(branches, 2)
+    gaps = functools.reduce(np.minimum, (np.abs(a - b) for a, b in pairs))
     idx = np.flatnonzero(gaps < degeneracy_tol)
     if not idx.size:
         return ()

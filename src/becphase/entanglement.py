@@ -15,12 +15,12 @@ from .density import (
     Scenario,
     partial_trace,
     point_chunks,
-    validate_block,
     validate_density,
 )
 from .geomphase import special_point_phase
 
-EIGENVALUE_CLAMP = 1e-12
+# How far above 1 rounding may put an overlap modulus, a purity or a concurrence.
+ABOVE_ONE_TOL = 1e-12
 # Index pairs of the basis states that differ in both qubits: |00>,|11> and |01>,|10>.
 _ENTANGLED_BLOCKS = ((0, 1), (2, 3))
 
@@ -48,24 +48,19 @@ def concurrence_wootters(
 
     frames, when given, is rho's Frames as validate_density returns them and
     EigenPath.frames keeps them; rho is then neither checked nor decomposed
-    again, and the SVD route runs unless frames.block names a block. The
-    SVD route needs 4x4 frames; a block's frames take it through
-    embed_frames, which gives them over the whole basis with block None.
-    Without frames, rho is checked and decomposed here by validate_density,
-    or by validate_block for BlockEntries.
+    again, and the SVD route runs when frames.block is None. Without frames,
+    rho is checked and decomposed here by validate_density.
     The SVD route runs in point_chunks, so its temporaries do not grow with M.
     """
-    entries = isinstance(rho, BlockEntries)
     if frames is None:
-        frames = validate_block(rho) if entries else validate_density(rho)
+        frames = validate_density(rho)
     evals, evecs, block = frames
     if block is None:
         value = np.empty(evals.shape[:-1])
         evals, evecs, out = evals.reshape(-1, 4), evecs.reshape(-1, 4, 4), value.reshape(-1)
         for chunk in point_chunks(out.size):
             vals, vecs = evals[chunk], evecs[chunk]
-            vals = np.where(vals < EIGENVALUE_CLAMP, np.maximum(vals, 0.0), vals)
-            sqrt_rho = (vecs * np.sqrt(vals)[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+            sqrt_rho = (vecs * np.sqrt(np.maximum(vals, 0.0))[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
             # sqrt_rho @ (sy x sy): columns 0 <-> 1 and 2 <-> 3 swapped, the first pair negated
             flipped = np.empty_like(sqrt_rho)
             np.negative(sqrt_rho[..., 1::-1], out=flipped[..., :2])
@@ -74,7 +69,7 @@ def concurrence_wootters(
             lam = np.linalg.svd(flipped_root, compute_uv=False)
             out[chunk] = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
     else:
-        coherence = rho.b if entries else np.asarray(rho)[..., block[0], block[1]]
+        coherence = rho.b if isinstance(rho, BlockEntries) else np.asarray(rho)[..., block[0], block[1]]
         value = 2.0 * np.abs(coherence) if block in _ENTANGLED_BLOCKS else np.zeros(coherence.shape)
     return float(value) if value.ndim == 0 else value
 
@@ -95,7 +90,7 @@ def hybrid_concurrence(eta0: float, overlap: complex) -> HybridConcurrence:
     purity oracle adjudicates between them.
     """
     mod = abs(overlap)
-    if mod > 1.0 + 1e-12:
+    if mod > 1.0 + ABOVE_ONE_TOL:
         raise ValueError(f"overlap modulus must not exceed 1, got {mod}")
     mod = min(mod, 1.0)
     s = abs(math.sin(2 * eta0))

@@ -76,8 +76,12 @@ from becphase import (
 from becphase import geomphase
 from becphase.cli import _fmt
 from becphase.density import SUPPORT_TOL, _branch_path, _direction
-from becphase.entanglement import EIGENVALUE_CLAMP
 from becphase.geomphase import PHASE_TOL, ConvergenceError, PhaseResult, romberg_acceptance
+
+# Eigenvalues below this are clamped to 0 before the square root. Every
+# eigenvalue at or above it is positive, so this gives concurrence_wootters'
+# max(v, 0), written another way so that the oracle stays independent.
+EIGENVALUE_CLAMP = 1e-12
 
 # The warning codes under which a grid's error is not known to be a series
 # in h^2, so no level is extrapolated: every code that a level can carry.

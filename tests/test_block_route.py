@@ -2,7 +2,7 @@
 
 A state that occupies at most two basis states (every named scenario, and
 `general` with one or two nonzero coefficients) has its path built from its
-block's entries: coherent_block_path, checked by validate_block. Any state
+block's entries: coherent_block_path, checked by validate_density. Any state
 can also take the 4x4 route, coherent_rho_path checked by validate_density.
 On a seeded box of such configs both routes give the same Frames, EigenPath,
 refinement, converge_phase result and evolve columns, to the last bit. The
@@ -35,7 +35,6 @@ from becphase.density import (
     coherent_block_paths,
     coherent_rho_path,
     eigen_path,
-    validate_block,
     validate_density,
 )
 from becphase.dynamics import MAX_ALPHA, CoherentBranches, general_initial
@@ -199,7 +198,7 @@ def assert_routes_agree(doc: dict) -> None:
     entries = cli.density_path(state0, times, p)
     assert isinstance(entries, BlockEntries)
     stack = coherent_rho_path(state0, times, p)
-    assert_same_frames(validate_block(entries), validate_density(stack))
+    assert_same_frames(validate_density(entries), validate_density(stack))
     tol = cfg.degeneracy_tol
     assert_same_path(eigen_path(times, entries, tol), eigen_path(times, stack, tol))
     coarse = [eigen_path(times[::2], build(state0, times[::2], p), tol)
@@ -464,14 +463,14 @@ class TestBatch:
         states = [cli.initial_branches(replace(cfg, eta0=eta0)) for eta0 in eta0s]
         times = np.linspace(0.0, quasicycle_period(cfg.params), 65)
         batch = coherent_block_paths(states, times, cfg.params)
-        frames = validate_block(batch)
+        frames = validate_density(batch)
         assert batch.b.shape == (6, 65) and frames.values.shape == (6, 65, 2)
         for k, state in enumerate(states):
             alone = coherent_block_path(state, times, cfg.params)
             assert (float(batch.a[k, 0]), float(batch.d[k, 0]), batch.block) == (alone.a, alone.d, alone.block)
             assert same_bits(batch.b[k], alone.b)
             assert_same_frames(density.Frames(frames.values[k], frames.vectors[k], frames.block),
-                               validate_block(alone))
+                               validate_density(alone))
 
     def test_states_of_another_key_are_refused(self):
         p = ModelParams(omega=1.0, alpha=1.0)
@@ -502,9 +501,9 @@ def entries(a=0.75, d=0.25, b=0.2 + 0.1j, m=5):
 class TestValidateBlock:
     def test_populations_off_unit_trace(self):
         with pytest.raises(ValueError, match=r"trace is \(1.0000010+1\+0j\), expected 1"):
-            validate_block(entries(a=0.750001))
+            validate_density(entries(a=0.750001))
         with pytest.raises(ValueError, match="trace"):
-            validate_block(entries(a=math.nan))
+            validate_density(entries(a=math.nan))
         # a state whose coefficients are not normalized
         state0 = CoherentBranches([1.0, 1e-3, 0.0, 0.0], (1, -1, 0, 0), 2.0)
         times = np.linspace(0.0, 1.0, 9)
@@ -516,13 +515,13 @@ class TestValidateBlock:
         e = entries()
         e.b[3] = bad
         with pytest.raises(ValueError, match="non-finite coherence"):
-            validate_block(e)
+            validate_density(e)
         with pytest.raises(ValueError, match="non-finite coherence"):
             eigen_path(np.linspace(0.0, 1.0, 5), e)
 
     def test_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="negative eigenvalue"):
-            validate_block(entries(b=0.5))
+            validate_density(entries(b=0.5))
 
     def test_coherences_per_time(self):
         with pytest.raises(ValueError, match="expected 4 coherences"):

@@ -509,7 +509,6 @@ class TestStridedPath:
         scratch = eigen_path(times[::stride], every(rhos, stride))
         # nothing is validated or decomposed again
         monkeypatch.setattr(density, "validate_density", None)
-        monkeypatch.setattr(density, "validate_block", None)
         level = strided_path(fine, stride)
         assert_same_path(level, scratch)
         assert (level.frames.block is None) == (name == "general" or route == "eigh")

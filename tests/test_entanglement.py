@@ -299,6 +299,12 @@ class TestHybridConcurrence:
         with pytest.raises(ValueError):
             hybrid_concurrence(0.5, 1.2)
 
+    def test_overlap_above_one_is_rounding_up_to_its_tolerance(self):
+        # 1 + 5e-13 is rounding, a unit overlap; 1 + 2e-12 is an error
+        with pytest.raises(ValueError, match="overlap modulus must not exceed 1"):
+            hybrid_concurrence(0.5, 1.0 + 2e-12)
+        assert hybrid_concurrence(0.5, complex(1.0 + 5e-13)).general == 0.0
+
     @pytest.mark.parametrize("conc", [0.1, 0.5, 0.9])
     def test_special_point_intensity_sets_the_printed_concurrence(self, conc):
         # the hybrid sweeps' C is the linear-overlap form's; the purity
