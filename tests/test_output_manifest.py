@@ -62,8 +62,9 @@ def cases() -> list[list[str]]:
 
 # The corpus draws its configs from a box (corpus_doc) with this seed.
 CORPUS_SEED = 13
-# A general config that converges only near 2**20 steps; it runs with
-# MAX_STEPS at DEEP_MAX_STEPS, which it exits 2 at.
+# A general config that does not converge within the default MAX_STEPS
+# (2**21 steps, about 1.5 GB); it runs with MAX_STEPS at DEEP_MAX_STEPS,
+# which it exits 2 at.
 DEEP_GENERAL = {
     "scenario": "general", "omega": 0.03138, "j_vdw": -0.5331, "omega_b": 1.793, "chi": -0.06522,
     "lambda_c": 0.1777, "alpha": [30.37, -12.65],
