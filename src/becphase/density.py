@@ -476,18 +476,16 @@ class EigenPath:
     larger and the smaller block eigenvalue; spectator branches whose
     eigenvalue never exceeds the support cutoff have no column. flags carries
     warnings about near-degenerate stretches where the matching is
-    ill-conditioned: pairs of kept branches closer than degeneracy_tol, at
-    which the paths derived from this one are flagged too. A refinement of
-    the path reuses its frames, and strided_path derives the paths on fewer
-    of its grid points from its frames and columns. Paths compare by
-    identity.
+    ill-conditioned: pairs of kept branches closer than eigen_path's
+    degeneracy_tol. A refinement of the path reuses its frames, and
+    strided_path views it on fewer of its grid points, with no flags.
+    Paths compare by identity.
     """
 
     times: np.ndarray
     frames: Frames = field(repr=False)
     columns: np.ndarray = field(repr=False)
     flags: tuple[str, ...]
-    degeneracy_tol: float = DEGENERACY_TOL
 
     @property
     def n_steps(self) -> int:
@@ -509,6 +507,9 @@ class EigenPath:
 _PERMS = np.array(list(itertools.permutations(range(4))))  # _PERMS[0] is the identity
 # A step whose diagonal squared overlaps all exceed 1/2 + MATCH_MARGIN keeps
 # the identity without scoring the permutations; see _step_permutations.
+# A speed knob: below 1/2, any margin whose 4 MATCH_MARGIN stays far above
+# the rounding of a four-term sum gives the same permutations, and a wider
+# one only scores more steps.
 MATCH_MARGIN = 1e-6
 
 
@@ -578,9 +579,9 @@ def eigen_path(
 
     Validates Hermiticity, unit trace and positivity of every matrix, then
     assigns eigenvector columns across neighboring times by the permutation
-    that maximizes the summed squared overlaps (_step_permutations).
-    Near-degenerate eigenvalue pairs among retained branches are flagged,
-    not fatal.
+    that maximizes the summed squared overlaps (_step_permutations). A
+    branch is kept if its value exceeds SUPPORT_TOL at some point, and pairs
+    of kept branches closer than degeneracy_tol are flagged, not fatal.
 
     rhos is an (M, 4, 4) stack or, for a state that occupies at most two
     basis states, its block's entries from coherent_block_path; both give
@@ -634,53 +635,39 @@ def eigen_path(
             _interleave(even.vectors, frames.vectors),
             frames.block,
         )
-    return _branch_path(times, frames, degeneracy_tol)
-
-
-def strided_path(path: EigenPath, stride: int) -> EigenPath:
-    """The path on every stride-th grid point of `path`, made of views of its
-    times, frames and columns: nothing is decomposed or matched again.
-    Branch k keeps the path's columns[::stride, k], the matching of the finer
-    grid; the support cut and flags are _branch_path's on those points, at
-    the path's degeneracy_tol. On a resolved grid the result equals
-    eigen_path on those points from scratch. Only a branch that starts null
-    can be cut on fewer points. The gaps of the kept branches on fewer points
-    are some of the path's, so an unflagged path has unflagged strides and
-    their flags are not sought.
-    """
-    if stride < 1 or path.n_steps % stride:
-        raise ValueError(f"a stride of {stride} does not divide {path.n_steps} steps")
-    values, vectors, block = path.frames
-    frames = Frames(values[::stride], vectors[::stride], block)
-    return _branch_path(path.times[::stride], frames, path.degeneracy_tol, path.columns[::stride], bool(path.flags))
-
-
-def _branch_path(
-    times: np.ndarray, frames: Frames, degeneracy_tol: float, columns: np.ndarray | None = None, flag: bool = True
-) -> EigenPath:
-    """The EigenPath of frames on a grid whose branch k takes frame column
-    columns[m, k]. Without columns, branches are matched across grid points
-    unless a closed-form block keeps them apart, in one column row broadcast
-    along the grid. A branch is kept if its value exceeds SUPPORT_TOL at the
-    first point or, failing that, at any point; with flag, pairs of kept
-    branches closer than degeneracy_tol are flagged."""
     values = frames.values
-    if columns is None:
-        columns = (_matched_columns(values, frames.vectors) if frames.block is None
-                   else np.broadcast_to(np.arange(values.shape[1], dtype=np.int8), values.shape))
-    # The branches' values, (M,) each: views of the frame columns when the
-    # columns are one broadcast row, as a block's are. Their maxima are taken
-    # one by one: numpy's max over axis 0 of an (M, n) array is several times
-    # slower than n maxima of its columns.
-    branches = list(gather_columns(values, columns).T) if columns.strides[0] else [values[:, k] for k in columns[0]]
+    if frames.block is None:
+        columns = _matched_columns(values, frames.vectors)
+        values = gather_columns(values, columns)
+    else:  # the block's columns, one row broadcast along the grid
+        columns = np.broadcast_to(np.arange(values.shape[1], dtype=np.int8), values.shape)
+    # The branches' values, (M,) each. Their maxima are taken one by one:
+    # numpy's max over axis 0 of an (M, n) array is several times slower
+    # than n maxima of its columns.
+    branches = list(values.T)
     keep = [k for k, branch in enumerate(branches) if branch[0] > SUPPORT_TOL or branch.max() > SUPPORT_TOL]
     if not keep:
         raise ValueError("no branch carries weight above the support cutoff")
     if len(keep) < len(branches):
-        # a block's columns stay one row broadcast along the grid
-        columns = columns[:, keep] if columns.strides[0] else np.broadcast_to(columns[0, keep], (times.size, len(keep)))
-    flags = _ambiguity_flags(times, [branches[k] for k in keep], degeneracy_tol) if flag else ()
-    return EigenPath(times, frames, columns, flags, degeneracy_tol)
+        columns = columns[:, keep] if frames.block is None else np.broadcast_to(columns[0, keep], (times.size, len(keep)))
+    return EigenPath(times, frames, columns, _ambiguity_flags(times, [branches[k] for k in keep], degeneracy_tol))
+
+
+def strided_path(path: EigenPath, stride: int) -> EigenPath:
+    """The path on every stride-th grid point of `path`, made of views of its
+    times, frames and columns: nothing is decomposed, matched, cut or
+    flagged. Branch k keeps the path's columns[::stride, k], the matching of
+    the finer grid, and the result has no flags: its gaps are some of the
+    path's, and converge_phase reads a level's warnings only while the path
+    carries none. On a resolved grid the result equals eigen_path on those
+    points from scratch but for its flags and for a branch that is null at
+    t = 0, which a decomposition from scratch may cut and which adds 0 to
+    the phase sum.
+    """
+    if stride < 1 or path.n_steps % stride:
+        raise ValueError(f"a stride of {stride} does not divide {path.n_steps} steps")
+    values, vectors, block = path.frames
+    return EigenPath(path.times[::stride], Frames(values[::stride], vectors[::stride], block), path.columns[::stride], ())
 
 
 def _ambiguity_flags(times: np.ndarray, branches: list[np.ndarray], degeneracy_tol: float) -> tuple[str, ...]:

@@ -21,6 +21,13 @@ from .geomphase import special_point_phase
 
 # How far above 1 rounding may put an overlap modulus, a purity or a concurrence.
 ABOVE_ONE_TOL = 1e-12
+# How far rounding may carry a phase past an end of a witness inversion's
+# range: below 0, or in the exponent of _root_of_one_minus_exp above 0, by
+# this much; above the weak law's scale by this much relative to it.
+WITNESS_RANGE_TOL = 1e-12
+# The largest eigenvalue beyond the second that purity_oracle takes for
+# rounding of a reduced state of rank two.
+RANK_TWO_TOL = 1e-10
 # Index pairs of the basis states that differ in both qubits: |00>,|11> and |01>,|10>.
 _ENTANGLED_BLOCKS = ((0, 1), (2, 3))
 
@@ -106,7 +113,7 @@ def purity_oracle(state: JointState) -> float:
     be at most rank 2."""
     rho = partial_trace(state)
     ev = np.sort(np.linalg.eigvalsh(rho))[::-1]
-    if ev[2:].max() > 1e-10:
+    if ev[2:].max() > RANK_TWO_TOL:
         raise ValueError("qubit-pair support exceeds two dimensions across this cut")
     purity = float(np.real(np.trace(rho @ rho)))
     return math.sqrt(max(0.0, 2.0 * (1.0 - purity)))
@@ -139,7 +146,7 @@ def witness_micro_micro(phase: float, p: ModelParams) -> WitnessResult:
     scale = weak_law_scale(p)
     if scale <= 0.0:
         raise ValueError("witness needs lambda_c > 0 and alpha != 0")
-    if not -1e-12 <= phase <= scale * (1.0 + 1e-12):
+    if not -WITNESS_RANGE_TOL <= phase <= scale * (1.0 + WITNESS_RANGE_TOL):
         raise ValueError(f"phase must lie in [0, {scale:g}], got {phase}")
     ratio = min(max(phase / scale, 0.0), 1.0)
     # 1 - (1 - r)^2 written as r (2 - r), which does not cancel for small r
@@ -168,8 +175,9 @@ def witness_micro_macro(phase: float, scenario: Scenario, p: ModelParams) -> Wit
 
 def _root_of_one_minus_exp(arg: float) -> float:
     """sqrt(1 - exp(arg)) as sqrt(-expm1(arg)), exact for small |arg| and never
-    -0.0; an arg up to 1e-12 counts as 0, a larger one is an error."""
-    if arg > 1e-12:
+    -0.0; an arg up to WITNESS_RANGE_TOL counts as 0, a larger one is an
+    error."""
+    if arg > WITNESS_RANGE_TOL:
         raise ValueError("phase out of range: concurrence would be imaginary")
     return math.sqrt(max(0.0, -math.expm1(min(arg, 0.0))))
 

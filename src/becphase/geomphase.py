@@ -332,20 +332,16 @@ def _first_levels(path: EigenPath) -> Iterator[PhaseResult]:
     as any path does; _tables leaves out such a pre-level.
 
     Each level is strided_path's view of the path's points, which follows
-    the path's branch matching, and every point's weight and endpoint
-    overlap (_branch_sums' weighted) are computed once, in the pass over the
-    path, for all levels: a level computes only its own links, their unit
-    phasors, cumprod and sums.
+    the path's branches and carries no flags, and every point's weight and
+    endpoint overlap (_branch_sums' weighted) are computed once, in the pass
+    over the path, for all levels: a level computes only its own links,
+    their unit phasors, cumprod and sums.
     """
     weighted = np.empty(path.columns.shape, dtype=complex)
     yield kinematic_phase(path, record=weighted)
     stride = 2
     while path.n_steps % stride == 0:
-        level = strided_path(path, stride)
-        shared = weighted[::stride]
-        if level.n_branches < path.n_branches:  # a null branch, cut on fewer points
-            shared = shared[:, np.isin(path.columns[0], level.columns[0])]
-        yield kinematic_phase(level, shared)
+        yield kinematic_phase(strided_path(path, stride), weighted[::stride])
         stride *= 2
 
 

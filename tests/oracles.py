@@ -46,10 +46,9 @@
   level, the first and the pre-levels below it included, built by its own
   `build_path` call; the reference for deriving those levels from the
   first path's even points. With pre_levels=0 it is the two-level rule.
-- even_point_path: the path on every second grid point, matched, cut and
-  flagged from scratch on contiguous copies of those points' frames; the
-  reference for `density.strided_path` of a closed-form block, whose
-  matching cannot differ.
+- even_point_path: the path on every second grid point, on contiguous
+  copies of those points' times, frames and columns, with no flags; the
+  reference for `density.strided_path`'s views.
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ from becphase import (
 )
 from becphase import geomphase
 from becphase.cli import _fmt
-from becphase.density import SUPPORT_TOL, _branch_path, _direction
+from becphase.density import SUPPORT_TOL, _direction
 from becphase.geomphase import PHASE_TOL, ConvergenceError, PhaseResult, romberg_acceptance
 
 # Eigenvalues below this are clamped to 0 before the square root. Every
@@ -437,11 +436,11 @@ def converge_phase_levels(
 
 
 def even_point_path(path: EigenPath) -> EigenPath:
-    """The path on every second grid point of `path`, from its frames:
-    _branch_path on contiguous copies of them, as a decomposition's own
-    arrays, at the path's degeneracy_tol."""
+    """The path on every second grid point of `path`, from contiguous copies
+    of its times, frames and columns, as a decomposition's own arrays, with
+    no flags."""
     if path.n_steps % 2:
         raise ValueError("even points need an even number of steps")
     values, vectors, block = path.frames
     frames = Frames(np.ascontiguousarray(values[::2]), np.ascontiguousarray(vectors[::2]), block)
-    return _branch_path(path.times[::2], frames, path.degeneracy_tol)
+    return EigenPath(np.ascontiguousarray(path.times[::2]), frames, np.ascontiguousarray(path.columns[::2]), ())

@@ -318,7 +318,8 @@ def codes(result) -> list[str]:
 def null_at_even_points_path(n_steps: int = 8) -> density.EigenPath:
     """A hand-made block path that is pure at its even points and mixed at
     its odd ones: its second branch is kept on the whole grid, null at
-    t = 0, and cut on every second point."""
+    t = 0, and null on every second point, where a decomposition from
+    scratch cuts it."""
     times = np.linspace(0.0, 1.0, n_steps + 1)
     a, d = 0.7, 0.3
     purity = np.where(np.arange(times.size) % 2, 0.9, 1.0)
@@ -353,30 +354,42 @@ class TestStridedLevels:
             monkeypatch.setattr(density, "PATH_CHUNK_POINTS", chunk)
         path = STRIDED_CASES[name]()
         levels = assert_levels_agree(path)
+        stride = 2
+        while path.n_steps % stride == 0:
+            # a level is views of the path's arrays, with no flags of its own
+            level = density.strided_path(path, stride)
+            assert level.flags == () and np.array_equal(level.columns, path.columns[::stride])
+            assert np.shares_memory(level.columns, path.columns)
+            stride *= 2
         assert [level.n_steps for level in levels] == [path.n_steps >> k for k in range(len(levels))]
         live = path.frames.values[0, path.columns[0]] > density.SUPPORT_TOL
         if name == "pure-start":
             assert list(live) == [True, False]
             assert [level.per_branch.size for level in levels] == [2] * len(levels)
         if name == "branch-ambiguity":
-            assert all("branch-ambiguity" in codes(level) for level in levels)
+            # the path's flag, which its levels do not carry
+            assert ["branch-ambiguity" in codes(level) for level in levels] == [True] + [False] * (len(levels) - 1)
         if name == "coarse-grid":
             assert [codes(level) for level in levels[:3]] == [[], [], ["coarse-grid"]]
         if name == "null-at-even-points":
+            # the second branch, null at t = 0, is kept on every level and adds 0
             assert list(live) == [True, False]
-            assert [level.per_branch.size for level in levels] == [2, 1, 1, 1]
+            assert [level.per_branch.size for level in levels] == [2, 2, 2, 2]
+            assert [level.per_branch[1] for level in levels] == [0, 0, 0, 0]
 
     def test_flags_at_the_paths_tolerance(self):
-        # every stride of a block path flags at the tolerance that its path flags at
+        # a block path flagged at grid.degeneracy_tol 0.9 has unflagged levels,
+        # and converge_phase returns the flags of the path that it settles on
         doc = {"scenario": "micro_micro", "omega": 1.0, "lambda_c": 0.2, "alpha": 1.0, "eta0": 0.3,
                "grid": {"degeneracy_tol": 0.9}}
-        path = cli.path_builder(cli.parse_config(json.dumps(doc)))(64)
-        assert path.degeneracy_tol == 0.9 and path.flags
+        build = cli.path_builder(cli.parse_config(json.dumps(doc)))
+        path = build(64)
+        assert path.flags[0].startswith("branch-ambiguity: eigenvalue gap below 0.9 on ")
         for stride in (2, 4, 8):
-            level = density.strided_path(path, stride)
-            assert level.degeneracy_tol == 0.9
-            assert level.flags[0].startswith("branch-ambiguity: eigenvalue gap below 0.9 on ")
+            assert density.strided_path(path, stride).flags == ()
         assert_levels_agree(path)
+        result = geomphase.converge_phase(build, 32)
+        assert result.warnings[:1] == build(result.n_steps).flags
 
     def test_refused_strides(self):
         path = null_at_even_points_path(6)
@@ -397,7 +410,7 @@ def strided_levels(path):
 
 def eigh_null_at_even_points_path() -> density.EigenPath:
     """null_at_even_points_path's densities under a local unitary, which
-    eigh decomposes: its second branch is cut on every second point."""
+    eigh decomposes: its second branch is null on every second point."""
     path = null_at_even_points_path()
     u = local_unitary()
     values, vectors, _ = path.frames
@@ -443,9 +456,12 @@ class TestStridedEighLevels:
         if name == "three-state":
             assert path.frames.values.shape[1] == 4 and path.n_branches == 3
         if name == "null-at-even-points":
-            # the null branches that the odd points' second eigenvalue visits are cut
-            sizes = [level.per_branch.size for level in levels]
-            assert sizes[0] >= 2 and sizes[1:] == [1, 1, 1]
+            # the null branches that the odd points' second eigenvalue visits
+            # are kept on every level and add 0
+            null = path.frames.values[0, path.columns[0]] <= density.SUPPORT_TOL
+            assert path.n_branches >= 2 and null.any()
+            assert [level.per_branch.size for level in levels] == [path.n_branches] * 4
+            assert all((level.per_branch[null] == 0).all() for level in levels)
 
 
 # ---------------------------------------------------------------------------

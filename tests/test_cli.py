@@ -1159,6 +1159,15 @@ class TestValidationReport:
         validation_report()
         assert len(calls) == 4
 
+    @pytest.mark.parametrize("offset, verdict", [(1e-8, "MISMATCH"), (1e-10, "MATCH")])
+    def test_match_tolerance(self, monkeypatch, offset, verdict):
+        # ORACLE_MATCH_TOL: a Fock path offset by 1e-8 mismatches every
+        # corrected closed form, one offset by 1e-10 matches them
+        fock = cli.oracle_rho_path
+        monkeypatch.setattr(cli, "oracle_rho_path", lambda *args: fock(*args) + offset)
+        lines = [ln for ln in validation_report().splitlines() if "variant=corrected" in ln]
+        assert len(lines) == 3 and all(ln.endswith(f"-> {verdict}") for ln in lines)
+
 
 def test_shipped_scenario_configs_run(tmp_path):
     # each shipped scenario config drives a small end-to-end run

@@ -31,10 +31,11 @@ from becphase import (
 )
 from becphase import cli, density, dynamics
 from becphase.cli import initial_branches, initial_state, parse_config, run_evolve
-from becphase.density import DEGENERACY_TOL, strided_path
+from becphase.density import DEGENERACY_TOL, BlockEntries, strided_path
 from oracles import (
     block_frames_4x4,
     coherent_rho_full,
+    even_point_path,
     evolve_joint,
     exhaustive_step_permutations,
     local_unitary,
@@ -510,20 +511,18 @@ class TestStridedPath:
         # nothing is validated or decomposed again
         monkeypatch.setattr(density, "validate_density", None)
         level = strided_path(fine, stride)
-        assert_same_path(level, scratch)
+        # a level carries no flags, and its columns are the path's
+        assert level.flags == () and np.array_equal(level.columns, fine.columns[::stride])
+        assert_same_path(level, replace(scratch, flags=()))
         assert (level.frames.block is None) == (name == "general" or route == "eigh")
         for a, b in ((level.times, fine.times), (level.columns, fine.columns),
                      *zip(level.frames[:2], fine.frames[:2])):
             assert np.shares_memory(a, b)
-        if name == "general":
-            # the pure state's null branches are flagged
-            assert level.flags and level.flags[0].startswith("branch-ambiguity")
-            assert level.flags[0] != fine.flags[0]
 
     @pytest.mark.parametrize(
         "name, n_steps, fine_tol",
         [
-            # the strides flag at the fine path's tolerance
+            # a path flagged at its tolerance has unflagged strides
             ("general", 512, 1e-4),
             # the smallest start: 5 points give 3
             ("macro_both", 4, DEGENERACY_TOL),
@@ -535,7 +534,10 @@ class TestStridedPath:
         fine = eigen_path(times, rhos, degeneracy_tol=fine_tol)
         scratch = eigen_path(times[::2], rhos[::2], degeneracy_tol=fine_tol)
         monkeypatch.setattr(density, "validate_density", None)
-        assert_same_path(strided_path(fine, 2), scratch)
+        level = strided_path(fine, 2)
+        assert level.flags == () and np.array_equal(level.columns, fine.columns[::2])
+        assert np.shares_memory(level.columns, fine.columns)
+        assert_same_path(level, replace(scratch, flags=()))
 
     def test_follows_the_matching_of_the_finer_grid(self):
         # general.json at 4 steps: matching its 3 even points afresh pairs
@@ -628,6 +630,22 @@ class TestMatchingShortcut:
                            coarse=self.reference(monkeypatch, times[::2], rhos[::2])),
         )
 
+    def test_margin_is_a_speed_knob(self, monkeypatch):
+        # the same permutations at margins from 1e-12 to 0.49: on general.json
+        # at 64, 512 and 4,096 steps and on 20 random four-coefficient states
+        frames = [validate_density(config_path_rhos("general", n)[1]).vectors for n in (64, 512, 4096)]
+        p = parse_config((CONFIG_DIR / "general.json").read_text()).params
+        times = np.linspace(0.0, quasicycle_period(p), 513)
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            c = rng.normal(size=4) + 1j * rng.normal(size=4)
+            frames.append(validate_density(coherent_rho_path(general_initial(c / np.linalg.norm(c), p), times, p)).vectors)
+        reference = [density._step_permutations(f) for f in frames]
+        for margin in (1e-12, 1e-9, 1e-3, 0.1, 0.49):
+            monkeypatch.setattr(density, "MATCH_MARGIN", margin)
+            for f, best in zip(frames, reference):
+                assert np.array_equal(density._step_permutations(f), best), margin
+
     @pytest.mark.parametrize("name", ["micro_micro", "macro_both", "macro_single", "general"])
     def test_shipped_configs(self, monkeypatch, name):
         cfg = parse_config((CONFIG_DIR / f"{name}.json").read_text())
@@ -671,6 +689,37 @@ def test_validate_density_rejects_bad_trace():
     mat = np.eye(4, dtype=complex)
     with pytest.raises(ValueError, match="trace"):
         validate_density(mat)
+
+
+def test_hermiticity_is_refused_beyond_its_tolerance():
+    # HERMITICITY_TOL: |rho_01 - conj(rho_10)| = 1e-11 is refused, 1e-13 accepted
+    def rho(dev):
+        m = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        m[0, 1], m[1, 0] = 0.1, 0.1 + dev
+        return m
+
+    with pytest.raises(ValueError, match="not Hermitian"):
+        validate_density(rho(1e-11))
+    validate_density(rho(1e-13))
+
+
+def test_trace_is_refused_beyond_its_tolerance():
+    # TRACE_TOL: block entries of trace 1 + 1e-9 are refused, 1 + 1e-11 accepted
+    b = np.full(3, 0.1 + 0j)
+    with pytest.raises(ValueError, match="trace"):
+        validate_density(BlockEntries(0.5 + 1e-9, 0.5, b, (0, 1)))
+    validate_density(BlockEntries(0.5 + 1e-11, 0.5, b, (0, 1)))
+
+
+def test_negative_eigenvalue_is_refused_beyond_its_tolerance():
+    # POSITIVITY_TOL: a block eigenvalue of -1e-9 is refused, -1e-11 accepted;
+    # the block [[1/2, 1/2 + e], [1/2 + e, 1/2]] has the eigenvalues 1 + e and -e
+    def entries(e):
+        return BlockEntries(0.5, 0.5, np.full(3, 0.5 + e + 0j), (0, 1))
+
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        validate_density(entries(1e-9))
+    assert validate_density(entries(1e-11)).values.min() < 0.0
 
 
 def block_stack(rng, m, block=(0, 1)):
@@ -864,16 +913,12 @@ class TestCompactBlockFrames:
         assert_same_bits(embedded.values, values)
         assert_same_bits(embedded.vectors, vectors)
 
-        def reference_path(points):
-            # the block route's columns and flags on the 4x4 frames, which
-            # are then marked as spanning the whole basis for access
-            full = Frames(*(np.ascontiguousarray(part[points]) for part in (values, vectors)), None)
-            path = density._branch_path(times[points], full._replace(block=frames.block), DEGENERACY_TOL)
-            return replace(path, frames=full)
-
+        # the block route's columns and flags on the 4x4 frames, which are
+        # then marked as spanning the whole basis for access
+        full = Frames(np.ascontiguousarray(values), np.ascontiguousarray(vectors), None)
+        reference = replace(eigen_path(times, full._replace(block=frames.block), DEGENERACY_TOL), frames=full)
         compact = eigen_path(times, rhos)
-        pairs = ((compact, reference_path(slice(None))),
-                 (strided_path(compact, 2), reference_path(slice(None, None, 2))))
+        pairs = ((compact, reference), (strided_path(compact, 2), even_point_path(reference)))
         for a, b in pairs:
             assert np.array_equal(a.columns, b.columns) and a.flags == b.flags
             assert_same_bits(a.values, b.values)

@@ -17,7 +17,7 @@ from becphase import (
     truncation_dim,
     validate_joint,
 )
-from becphase.dynamics import MAX_ALPHA, TAIL_TOL
+from becphase.dynamics import MAX_ALPHA, TAIL_TOL, check_coefficients
 from oracles import branch_overlap, evolve_branch, evolve_joint
 
 
@@ -78,6 +78,12 @@ class TestTruncation:
         # exp(-|alpha|^2) is subnormal for 26.6 < |alpha| < 27.3
         for mod in (26.7, 27.0, 27.2):
             assert log_space_tail(mod, truncation_dim(mod, TAIL_TOL)) < TAIL_TOL
+
+    @pytest.mark.parametrize("mod, n_max", [(1.0, 14), (2.0, 25), (6.0, 86)])
+    def test_ground_truth_tail_lies_below_1e_12(self, mod, n_max):
+        # TAIL_TOL: a state's Fock truncation is the smallest n whose tail lies below 1e-12
+        assert bell_initial(0.3, ModelParams(omega=1.0, alpha=mod)).n_max == n_max
+        assert log_space_tail(mod, n_max) < 1e-12 <= log_space_tail(mod, n_max - 1)
 
     @pytest.mark.parametrize("tol", [1e-14, 1e-13])
     def test_tight_tails_up_to_the_alpha_cap(self, tol):
@@ -201,6 +207,12 @@ class TestJointState:
         p = ModelParams(omega=1.0)
         with pytest.raises(ValueError, match="c_i"):
             general_initial([0.5, 0.5, 0.5, 0.6], p)
+
+    def test_norm_is_refused_beyond_its_tolerance(self):
+        # JOINT_NORM_TOL: a norm^2 of 1 + 1e-9 is refused, 1 + 1e-11 accepted
+        with pytest.raises(ValueError, match="c_i"):
+            check_coefficients([math.sqrt(1.0 + 1e-9), 0.0, 0.0, 0.0])
+        check_coefficients([math.sqrt(1.0 + 1e-11), 0.0, 0.0, 0.0])
 
     def test_evolve_joint_preserves_norm_and_coeffs(self):
         p = ModelParams(omega=1.0, j_vdw=0.1, omega_b=0.5, chi=0.01, lambda_c=0.2, alpha=1.3)

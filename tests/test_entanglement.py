@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from becphase import (
+    JointState,
     ModelParams,
     Scenario,
     bell_initial,
@@ -24,7 +25,7 @@ from becphase import (
     witness_micro_micro,
 )
 from becphase.cli import initial_branches, initial_state, parse_config
-from becphase.entanglement import special_point_intensity
+from becphase.entanglement import _root_of_one_minus_exp, special_point_intensity, weak_law_scale
 from becphase.geomphase import special_point_phase
 from becphase.density import (
     coherent_rho_path,
@@ -364,6 +365,17 @@ class TestPurityOracle:
             abs(math.sin(2 * eta0)) * math.sqrt(1 - abs(overlap) ** 2), abs=1e-9
         )
 
+    def test_rank_gate_tolerance(self):
+        # RANK_TWO_TOL: a third eigenvalue of 1e-9 is refused, 1e-11 accepted
+        def state(e):
+            # three branches on orthogonal Fock states: rho = diag(a, a, e, 0)
+            a = 0.5 * (1.0 - e)
+            return JointState(np.sqrt([a, a, e, 0.0]), np.eye(4)[:, :3])
+
+        with pytest.raises(ValueError, match="support"):
+            purity_oracle(state(1e-9))
+        purity_oracle(state(1e-11))
+
     def test_rank_gate_on_qubits_cut(self):
         p = ModelParams(omega=1.0, lambda_c=0.1, omega_b=0.7, alpha=1.0)
         state = evolve_joint(general_initial([0.5, 0.5, 0.5, 0.5], p).fock(), 1.0, p)
@@ -405,6 +417,17 @@ class TestWitnessMicroMicro:
             witness_micro_micro(-0.1 * scale, p)
         with pytest.raises(ValueError):
             witness_micro_micro(1.1 * scale, p)
+
+    def test_range_tolerance(self):
+        # WITNESS_RANGE_TOL: a phase 2e-12 beyond either end of the range is
+        # refused; one 5e-13 beyond is rounding, clipped to C = 0 or C = 1
+        p = ModelParams(omega=1.0, lambda_c=0.001, alpha=1.0)
+        scale = weak_law_scale(p)
+        for phase in (-2e-12, scale * (1.0 + 2e-12)):
+            with pytest.raises(ValueError, match="phase must lie in"):
+                witness_micro_micro(phase, p)
+        assert witness_micro_micro(-5e-13, p).consistent == 0.0
+        assert witness_micro_micro(scale * (1.0 + 5e-13), p).consistent == 1.0
 
     @given(st.floats(0.0, 0.999))
     @settings(max_examples=50)
@@ -455,6 +478,13 @@ class TestWitnessMicroMacro:
     def test_zero_exponent_gives_zero(self):
         p = ModelParams(omega=1.0, alpha=1.0)
         assert witness_micro_macro(0.0, Scenario.MACRO_BOTH, p).consistent == 0.0
+
+    def test_exponent_tolerance(self):
+        # WITNESS_RANGE_TOL: an exponent 2e-12 above 0 is refused; one 5e-13
+        # above is rounding, C = 0
+        with pytest.raises(ValueError, match="phase out of range"):
+            _root_of_one_minus_exp(2e-12)
+        assert _root_of_one_minus_exp(5e-13) == 0.0
 
     def test_domain(self):
         p = ModelParams(omega=1.0, alpha=1.0)

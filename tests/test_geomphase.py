@@ -1013,6 +1013,14 @@ class TestMacroClosedForms:
         with pytest.raises(ValueError):
             phase_macro_closed(Scenario.MICRO_MICRO, math.pi / 4, p)
 
+    def test_special_point_tolerance(self):
+        # SPECIAL_POINT_TOL: at lambda tau = pi/4, eta0 = pi/4 + 1e-8 is not the
+        # special point and pi/4 + 1e-10 is
+        p = ModelParams(omega=1.0, lambda_c=0.125, alpha=1.0)
+        assert p.lambda_c * quasicycle_period(p) == math.pi / 4
+        assert not geomphase.at_special_point(math.pi / 4 + 1e-8, p)
+        assert geomphase.at_special_point(math.pi / 4 + 1e-10, p)
+
     def test_origin_crossing_is_flagged_at_special_point(self):
         p = ModelParams(omega=1.0, lambda_c=0.125, alpha=1.0)
         kin = converge_phase(analytic_path_builder(Scenario.MACRO_BOTH, math.pi / 4, p))
