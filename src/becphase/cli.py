@@ -4,6 +4,7 @@ machine-readable CSV/TSV output, and the analytic-vs-numeric validation report."
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -13,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -42,15 +43,19 @@ from .density import (
     coherent_rho_path,
     decay_phase,
     eigen_path,
+    gather_columns,
+    match_chunk,
     oracle_rho_path,
     partial_trace,
     point_chunks,
+    support_cut,
     validate_density,
 )
 from .geomphase import (
     MAX_STEPS,
     N_STEPS,
     PHASE_TOL,
+    BranchSums,
     ConvergenceError,
     PhaseResult,
     analytic_path_builder,
@@ -58,7 +63,7 @@ from .geomphase import (
     converge_phase,
     phase_macro_closed,
     phase_micro_micro_closed,
-    phase_trace,
+    phase_trace,  # not called here: perfbench/spans.py wraps it by name
     refining_path_builder,
     weak_coupling_phase,
     weak_coupling_phase_limit,
@@ -83,11 +88,10 @@ SWEEP_KEYS = {"variable", "start", "stop", "count"}
 SWEEP_VARIABLES = ("concurrence", "alpha", "lambda_c", "eta0")
 # The most points a sweep may have; the shipped sweeps use 50.
 MAX_SWEEP_COUNT = 1000
-# The finest grid evolve prints: it holds whole-path arrays of about 0.66 KB
-# per grid point (0.37 KB on a two-state block, which has no density stack).
-# Peak RSS at this bound, in a fresh process with stdout captured: about
-# 100 MB on configs/micro_micro.json, set by emit's text, and 123-126 MB on
-# configs/general.json.
+# The finest grid evolve prints. evolve computes and writes its rows in point
+# chunks and holds about 0.1 KB per grid point, so at this bound a fresh
+# process peaks near 50 MB (README); the bound stays until a run budget
+# bounds evolve's time as well as its memory.
 MAX_EVOLVE_STEPS = 2**17
 MANDATORY = {
     "micro_micro": ("omega", "lambda_c", "alpha", "eta0"),
@@ -551,16 +555,35 @@ def _g17(values: np.ndarray) -> np.ndarray:
     return rows
 
 
-def emit(table: Table, fmt: str = "csv", path: str | None = None) -> str:
+def emit(table: Table, fmt: str = "csv", dest: str | TextIO | None = None) -> str:
     """Render a table with 17-significant-digit floats; refuse empty tables.
+
+    Without dest the text is returned. Otherwise it goes to dest, a path,
+    which is opened once the table has passed every check, or a text
+    stream, piece by piece as it is rendered, and "" is returned: no text
+    is held beyond the piece being written, and a table that is refused
+    writes nothing.
 
     Each distinct string goes through csv.writer once, so that its quoting is
     the writer's. A table of float64 arrays and repeated strings (evolve's)
-    is built as bytes by _float_rows. Any other table (phase, sweep and
-    witness tables, too small to repay numpy calls) is one % of its row
-    format per line: strings quoted, other cells through _fmt, each cell an
-    argument of the format, never part of its text.
+    is rendered as bytes by _float_rows, one piece per chunk of rows. Any
+    other table (phase, sweep and witness tables, too small to repay numpy
+    calls) is one piece, one % of its row format per line: strings quoted,
+    other cells through _fmt, each cell an argument of the format, never
+    part of its text.
     """
+    pieces = _render(table, fmt)
+    if dest is None:
+        return "".join(pieces)
+    first = next(pieces)  # every check has run: dest may be opened
+    with open(dest, "w") if isinstance(dest, str) else contextlib.nullcontext(dest) as out:
+        out.write(first)
+        out.writelines(pieces)
+    return ""
+
+
+def _render(table: Table, fmt: str) -> Iterator[str]:
+    """emit's text in pieces: the checks run before the first piece."""
     n = len(table)
     if not n:
         raise ValueError("refusing to emit an empty table")
@@ -583,23 +606,24 @@ def emit(table: Table, fmt: str = "csv", path: str | None = None) -> str:
     columns = list(table.columns.values())
     if all(isinstance(c, str) or isinstance(c, np.ndarray) and c.dtype == np.float64 for c in columns):
         rows = _float_rows([quote(c) if isinstance(c, str) else c for c in columns], n, delim)
-        text = b"".join([buf.getvalue().encode(), *rows]).decode()
+        yield buf.getvalue() + next(rows).decode()
+        for chunk in rows:
+            yield chunk.decode()
     else:
         cells = [[col] * n if isinstance(col, str) else col for col in columns]
         cells = [[quote(v) if isinstance(v, str) else _fmt(v) for v in col] for col in cells]
         if len(cells) == 1:  # a row of one empty field, which the writer writes as ""
             cells = [[v or '""' for v in cells[0]]]
         line = delim.join(["%s"] * len(columns)) + "\n"
-        text = buf.getvalue() + "".join(map(line.__mod__, zip(*cells)))
-    if path is not None:
-        Path(path).write_text(text)
-    return text
+        yield buf.getvalue() + "".join(map(line.__mod__, zip(*cells)))
 
 
 def _float_rows(columns: list, n: int, delim: str) -> Iterator[bytes]:
     """emit's rows as bytes, for columns that are float64 arrays or quoted
     repeated strings: the strings that open the first row, then one
-    density.point_chunks chunk at a time.
+    density.point_chunks chunk at a time, each rendered when it is asked
+    for, so that emit writes it out before the next is made. The checks run
+    before the first yield.
 
     A chunk's float64 columns go through one _g17 call, whose rows are the
     chunk's canvas. The spare bytes of each float cell carry the text up to
@@ -649,14 +673,47 @@ def _at_most_one(values: np.ndarray, name: str) -> np.ndarray:
 
 
 def run_evolve(cfg: RunConfig) -> Table:
+    """One row per point of a grid of cfg.n_steps steps over one quasicycle:
+    the time, the closed-form phase and decay (empty on general), the two
+    largest kept eigenvalues, the occupied off-diagonal modulus, the running
+    geometric phase, the concurrence, the purity and the path's flags.
+
+    The rows are computed one point_chunks chunk at a time (_evolve_columns),
+    and only the per-row floats are held across chunks; the support cut,
+    the flags and np.unwrap of the running phase then take the whole path.
+    A path whose density matrices leave the support of its first chunk's in
+    a later chunk (a coherence or population that underflows to 0 there) is
+    computed again as one chunk, as eigen_path decomposes it.
+    """
     if cfg.n_steps > MAX_EVOLVE_STEPS:
         raise ValueError(f"n_steps must be at most {MAX_EVOLVE_STEPS} for evolve, got {cfg.n_steps}")
-    tau = quasicycle_period(cfg.params)
-    times = np.linspace(0.0, tau, cfg.n_steps + 1)
-    rhos = density_path(initial_branches(cfg), times, cfg.params)
-    path = eigen_path(times, rhos, degeneracy_tol=cfg.degeneracy_tol)
-    running = phase_trace(path)
+    times = np.linspace(0.0, quasicycle_period(cfg.params), cfg.n_steps + 1)
+    state0 = initial_branches(cfg)
+    columns = _evolve_columns(cfg, state0, times, point_chunks(times.size))
+    if columns is None:
+        columns = _evolve_columns(cfg, state0, times, [slice(0, times.size)])
+    return Table(columns)
 
+
+def _evolve_columns(
+    cfg: RunConfig, state0: CoherentBranches, times: np.ndarray, chunks: Sequence[slice]
+) -> dict | None:
+    """run_evolve's columns over consecutive chunks of the grid, or None if
+    a chunk's Frames have another block than the first chunk's.
+
+    Each chunk builds its density entries (density_path), decomposes them
+    once (validate_density), matches their branches after the last point of
+    the chunk before (match_chunk), adds their phase sums (BranchSums) and
+    computes its rows; then its density entries and frames are dropped.
+    What crosses chunks is the last point's frame vectors and columns and
+    BranchSums' carry. The phase sums run over every matched branch, cut or
+    not: a branch that the support cut drops is null at the first point, so
+    it orders after every live branch and its terms are zeros, of either
+    sign. numpy sums a row of at most four terms from +0, in order or in
+    two pairs, so those zeros leave every sum's bits as the kept branches
+    alone give them.
+    """
+    n = times.size
     if cfg.scenario == "general":
         lam = gam = ""
         i0, i1 = 0, 1
@@ -664,33 +721,57 @@ def run_evolve(cfg: RunConfig) -> Table:
         scenario = Scenario(cfg.scenario)
         lam, gam = decay_phase(scenario, cfg.params, times)
         i0, i1 = BLOCK_INDEX[scenario]
+    offdiag, angle, conc, purity = (np.empty(n) for _ in range(4))
+    for chunk in chunks:
+        rhos = density_path(state0, times[chunk], cfg.params)
+        frames = validate_density(rhos)
+        if chunk.start == 0:
+            block, prior = frames.block, None
+            values = np.empty((frames.values.shape[1], n))  # one row per branch
+            vectors = frames.vectors
+        elif frames.block != block:
+            return None
+        else:
+            vectors = np.concatenate([last_vectors[None], frames.vectors])
+        if block is None:
+            columns = match_chunk(frames.values, vectors, prior)
+        else:  # the block's columns
+            columns = np.broadcast_to(np.arange(2, dtype=np.int8), frames.values.shape)
+        branch_values = gather_columns(frames.values, columns)
+        branch_vectors = gather_columns(vectors, columns if prior is None else np.concatenate([prior[None], columns]))
+        if chunk.start == 0:
+            running = BranchSums(branch_values[0], branch_vectors[0], cfg.n_steps)
+        angle[chunk] = np.angle(running.add(branch_vectors, branch_values)[0])
+        values[:, chunk] = branch_values.T
+        last_vectors, prior = frames.vectors[-1].copy(), columns[-1].copy()
 
-    eps = np.zeros((times.size, 2))
-    eps[:, : min(2, path.n_branches)] = path.values[:, :2]
-    if isinstance(rhos, BlockEntries):
-        a, d, b, block = rhos
-        # The einsum's sum below, term by term: rows i and j of the block,
-        # each |b|^2 = b conj(b) as its complex product rounds it.
-        mod2 = b.real * b.real + b.imag * b.imag
-        purity = (a * a + mod2) + (mod2 + d * d)
-        offdiag = np.abs(b) if block == (i0, i1) else np.zeros(times.size)
-    else:
-        purity = np.real(np.einsum("mij,mji->m", rhos, rhos))
-        offdiag = np.abs(rhos[:, i0, i1])
+        if isinstance(rhos, BlockEntries):
+            a, d, b, _ = rhos
+            # The einsum's sum below, term by term: rows i and j of the block,
+            # each |b|^2 = b conj(b) as its complex product rounds it.
+            mod2 = b.real * b.real + b.imag * b.imag
+            purity[chunk] = (a * a + mod2) + (mod2 + d * d)
+            offdiag[chunk] = np.abs(b) if block == (i0, i1) else 0.0
+        else:
+            purity[chunk] = np.real(np.einsum("mij,mji->m", rhos, rhos))
+            offdiag[chunk] = np.abs(rhos[:, i0, i1])
+        conc[chunk] = concurrence_wootters(rhos, frames=frames)
+
+    keep, flags = support_cut(times, values.T, cfg.degeneracy_tol)
+    eps = [values[k] for k in keep[:2]]
     purity = _at_most_one(purity, "purity")
-    conc = _at_most_one(concurrence_wootters(rhos, frames=path.frames), "concurrence")
-    return Table({
+    return {
         "t[time]": times,
         "lambda_phase[rad]": lam,
         "gamma_decay[1]": gam,
-        "eps1[1]": eps[:, 0],
-        "eps2[1]": eps[:, 1],
+        "eps1[1]": eps[0],
+        "eps2[1]": eps[1] if len(eps) > 1 else np.zeros(n),
         "offdiag_abs[1]": offdiag,
-        "running_phase[rad]": running,
-        "concurrence[1]": conc,
+        "running_phase[rad]": np.unwrap(angle),
+        "concurrence[1]": _at_most_one(conc, "concurrence"),
         "purity[1]": purity,
-        "warnings": "; ".join(path.flags),
-    })
+        "warnings": "; ".join(flags),
+    }
 
 
 def _point(cfg: RunConfig, value: float | None = None) -> tuple[RunConfig, float | None]:
@@ -980,9 +1061,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.steps is not None:
             cfg = replace(cfg, n_steps=args.steps)
         table = run_scenario(cfg, args.verb)
-        text = emit(table, args.format, args.output)
-        if args.output is None:
-            sys.stdout.write(text)
+        emit(table, args.format, sys.stdout if args.output is None else args.output)
         return 0
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -534,9 +534,7 @@ def _step_permutations(evecs: np.ndarray) -> np.ndarray:
     a four-term sum.
     """
     a, b = evecs[:-1], evecs[1:]
-    diag = np.empty((a.shape[0], 4))
-    for chunk in point_chunks(diag.shape[0]):
-        diag[chunk] = np.abs(np.einsum("maf,maf->mf", a[chunk].conj(), b[chunk])) ** 2
+    diag = np.abs(np.einsum("maf,maf->mf", a.conj(), b)) ** 2
     best = np.zeros(diag.shape[0], dtype=int)
     steps = np.flatnonzero((diag <= 0.5 + MATCH_MARGIN).any(axis=1))
     if steps.size:
@@ -546,26 +544,46 @@ def _step_permutations(evecs: np.ndarray) -> np.ndarray:
     return best
 
 
-def _matched_columns(evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
-    """The frame column of every branch at every grid point, col[m, k]:
-    branches descend at the first frame and then follow the best
-    permutation of every step."""
-    best = _step_permutations(evecs)
-    # Descending sort keys of the first frame's columns; equal keys put the
-    # higher column first.
-    tied = evals[0] < SUPPORT_TOL
-    key = np.where(tied, evals[1, _PERMS[best[0]]], evals[0])
-    order0 = np.lexsort((-np.arange(4), -key, tied))
+def match_chunk(evals: np.ndarray, evecs: np.ndarray, last: np.ndarray | None = None) -> np.ndarray:
+    """The frame column of every branch at every point of a chunk of frames,
+    col[m, k], from the chunk's values evals and vectors evecs.
 
+    Without last the chunk opens the path: its branches descend at its first
+    frame, whose tie-break reads its second, and then follow the best
+    permutation of every step. Otherwise last holds the columns of the point
+    before the chunk, evecs starts with that point's vectors, and the
+    branches go on from there. Consecutive chunks so give the columns of one
+    pass over the whole path (_matched_columns).
+    """
+    best = _step_permutations(evecs)
+    if last is None:
+        # Descending sort keys of the first frame's columns; equal keys put
+        # the higher column first.
+        tied = evals[0] < SUPPORT_TOL
+        key = np.where(tied, evals[1, _PERMS[best[0]]], evals[0])
+        current, shift = np.lexsort((-np.arange(4), -key, tied)), 1
+    else:
+        current, shift = last, 0
     # The order changes only after steps whose best permutation is not the
-    # identity; in between it is constant.
+    # identity; in between it is constant. Step best[m - shift] leads into
+    # point m.
     col = np.empty(evals.shape, dtype=np.int8)
-    current, start = order0, 0
-    for m in np.flatnonzero(best) + 1:
+    start = 0
+    for m in np.flatnonzero(best) + shift:
         col[start:m] = current
-        current = _PERMS[best[m - 1]][current]
+        current = _PERMS[best[m - shift]][current]
         start = m
     col[start:] = current
+    return col
+
+
+def _matched_columns(evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
+    """match_chunk's columns of a whole path, one point_chunks chunk at a
+    time, so that the overlaps it scores stay near PATH_CHUNK_POINTS steps."""
+    col = np.empty(evals.shape, dtype=np.int8)
+    for chunk in point_chunks(evals.shape[0]):
+        linked = slice(max(chunk.start - 1, 0), chunk.stop)
+        col[chunk] = match_chunk(evals[chunk], evecs[linked], col[chunk.start - 1] if chunk.start else None)
     return col
 
 
@@ -641,6 +659,16 @@ def eigen_path(
         values = gather_columns(values, columns)
     else:  # the block's columns, one row broadcast along the grid
         columns = np.broadcast_to(np.arange(values.shape[1], dtype=np.int8), values.shape)
+    keep, flags = support_cut(times, values, degeneracy_tol)
+    if len(keep) < values.shape[1]:
+        columns = columns[:, keep] if frames.block is None else np.broadcast_to(columns[0, keep], (times.size, len(keep)))
+    return EigenPath(times, frames, columns, flags)
+
+
+def support_cut(times: np.ndarray, values: np.ndarray, degeneracy_tol: float) -> tuple[list[int], tuple[str, ...]]:
+    """The branches that a path keeps, given their values (M, n) on its grid
+    times: those whose value exceeds SUPPORT_TOL at some point, in order,
+    and the kept branches' flags (_ambiguity_flags)."""
     # The branches' values, (M,) each. Their maxima are taken one by one:
     # numpy's max over axis 0 of an (M, n) array is several times slower
     # than n maxima of its columns.
@@ -648,9 +676,7 @@ def eigen_path(
     keep = [k for k, branch in enumerate(branches) if branch[0] > SUPPORT_TOL or branch.max() > SUPPORT_TOL]
     if not keep:
         raise ValueError("no branch carries weight above the support cutoff")
-    if len(keep) < len(branches):
-        columns = columns[:, keep] if frames.block is None else np.broadcast_to(columns[0, keep], (times.size, len(keep)))
-    return EigenPath(times, frames, columns, _ambiguity_flags(times, [branches[k] for k in keep], degeneracy_tol))
+    return keep, _ambiguity_flags(times, [branches[k] for k in keep], degeneracy_tol)
 
 
 def strided_path(path: EigenPath, stride: int) -> EigenPath:

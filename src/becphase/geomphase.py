@@ -74,14 +74,9 @@ def _branch_sums(
     path: EigenPath, weighted: np.ndarray | None = None, record: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """The branch sum of the partial-path contributions z[m, k] at every grid
-    point, the last point's z[-1, k], and the smallest live link modulus.
-
-    A branch whose initial weight eps(0) is at most SUPPORT_TOL is null: it
-    gets weight 0, so that the rounding noise of a pure state's zero
-    eigenvalue adds nothing to the sum, and its link modulus is not tracked.
-    The points run in point_chunks, each gathering its branch columns from
-    the frames; the link product carries across chunks as the first factor
-    of the next chunk's cumprod, which repeats the unchunked products.
+    point, the last point's z[-1, k], and the smallest live link modulus:
+    BranchSums over the path's point_chunks, each gathering its branch
+    columns from the frames.
     weighted, when given, holds the factor of z[m, k] that no link enters,
     sqrt(eps_k(0) eps_k(t_m)) <eps_k(0)|eps_k(t_m)>, at every grid point: a
     level shares it with the path whose points it strides (converge_phase).
@@ -90,47 +85,79 @@ def _branch_sums(
     """
     frame_values, frame_vectors, _ = path.frames
     first = path.columns[0]
-    live = frame_values[0, first] > SUPPORT_TOL
-    # a view of every link modulus when every branch is live
-    tracked = slice(None) if live.all() else live
-    if weighted is None:
-        w0 = np.where(live, frame_values[0, first], 0.0)
-        v0 = frame_vectors[0][:, first].conj()
+    running = BranchSums(frame_values[0, first], frame_vectors[0][:, first], path.n_steps)
     sums = np.empty(path.times.size, dtype=complex)
-    min_link = 1.0
     for chunk in point_chunks(path.times.size):
         linked = slice(max(chunk.start - 1, 0), chunk.stop)
         vectors = gather_columns(frame_vectors[linked], path.columns[linked])
         if weighted is None:
             values = gather_columns(frame_values[chunk], path.columns[chunk])
-            weights = np.sqrt(w0 * np.maximum(values, 0.0))
-            part = weights * np.einsum("ak,mak->mk", v0, vectors[chunk.start - linked.start :])
+            sums[chunk], part = running.add(vectors, values)
             if record is not None:
                 record[chunk] = part
         else:
             # contiguous, as a chunk's own product: numpy multiplies operands
             # of unequal strides in another loop, which can round differently
-            part = np.ascontiguousarray(weighted[chunk])
+            sums[chunk], _ = running.add(vectors, part=np.ascontiguousarray(weighted[chunk]))
+    return sums, running.last, running.min_link
+
+
+class BranchSums:
+    """The branch sums of a path whose points come in consecutive chunks, and
+    what crosses a chunk boundary: the first point's weights and vectors, the
+    last point's link product and z[-1, k], and the smallest live link
+    modulus so far.
+
+    A branch whose initial weight eps(0) is at most SUPPORT_TOL is null: it
+    gets weight 0, so that the rounding noise of a pure state's zero
+    eigenvalue adds nothing to the sum, and its link modulus is not tracked.
+    The link product carries across chunks as the first factor of the next
+    chunk's cumprod, which repeats the products of one pass over the path.
+    """
+
+    def __init__(self, values0: np.ndarray, vectors0: np.ndarray, n_links: int) -> None:
+        """values0 (k,) and vectors0 (r, k): the branches at the path's first
+        point; n_links: the path's number of steps."""
+        self.live = values0 > SUPPORT_TOL
+        # a view of every link modulus when every branch is live
+        self.tracked = slice(None) if self.live.all() else self.live
+        self.w0 = np.where(self.live, values0, 0.0)
+        self.v0 = vectors0.conj()
+        self.n_links = n_links
+        self.min_link = 1.0
+        self.cum = self.last = None
+
+    def add(
+        self, vectors: np.ndarray, values: np.ndarray | None = None, part: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The sums at the next chunk's points, and the chunk's factor of
+        z[m, k] that no link enters (part, computed from values (L, k) when not
+        given). vectors (L', r, k) are the chunk's branch vectors, after those
+        of the last point added (L' = L + 1) unless the chunk opens the path."""
+        chunk_vectors = vectors if self.cum is None else vectors[1:]
+        if part is None:
+            weights = np.sqrt(self.w0 * np.maximum(values, 0.0))
+            part = weights * np.einsum("ak,mak->mk", self.v0, chunk_vectors)
         links = np.einsum("mak,mak->mk", vectors[:-1].conj(), vectors[1:])
         mods = np.abs(links)
-        if mods.size and live.any():
-            min_link = min(min_link, float(mods[:, tracked].min()))
-        if min_link == 0.0:
+        if mods.size and self.live.any():
+            self.min_link = min(self.min_link, float(mods[:, self.tracked].min()))
+        if self.min_link == 0.0:
             raise ConvergenceError("vanishing neighbor overlap: grid cannot resolve the path")
         if mods.all():
             unit = links / mods
         else:  # dead-branch links may be ill-defined inside a degenerate zero subspace
             nonzero = mods > 0.0
             unit = np.where(nonzero, links / np.where(nonzero, mods, 1.0), 1.0)
-        if chunk.start == 0:
+        if self.cum is None:
             cum = np.empty_like(part)
             cum[0] = 1.0
-            cum[1:] = _cumprod(unit, path.n_steps)
+            cum[1:] = _cumprod(unit, self.n_links)
         else:
-            cum = _cumprod(np.concatenate([cum[-1:], unit]), path.n_steps)[1:]
+            cum = _cumprod(np.concatenate([self.cum[None], unit]), self.n_links)[1:]
         z = part * cum.conj()
-        sums[chunk] = z.sum(axis=1)
-    return sums, z[-1].copy(), min_link
+        self.cum, self.last = cum[-1].copy(), z[-1].copy()
+        return z.sum(axis=1), part
 
 
 def _cumprod(rows: np.ndarray, n_links: int) -> np.ndarray:

@@ -49,6 +49,10 @@
 - even_point_path: the path on every second grid point, on contiguous
   copies of those points' times, frames and columns, with no flags; the
   reference for `density.strided_path`'s views.
+- whole_path_evolve: evolve's table from whole-path arrays: one density
+  path, one `eigen_path` with its support cut, `phase_trace` over the kept
+  branches and one concurrence call; the reference for `cli.run_evolve`,
+  which computes its rows in point chunks and sums every matched branch.
 """
 
 from __future__ import annotations
@@ -72,10 +76,12 @@ from becphase import (
     kinematic_phase,
     validate_joint,
 )
-from becphase import geomphase
+from becphase import cli, geomphase
 from becphase.cli import _fmt
-from becphase.density import SUPPORT_TOL, _direction
-from becphase.geomphase import PHASE_TOL, ConvergenceError, PhaseResult, romberg_acceptance
+from becphase.density import BLOCK_INDEX, SUPPORT_TOL, BlockEntries, Scenario, _direction, decay_phase, eigen_path
+from becphase.entanglement import concurrence_wootters
+from becphase.geomphase import PHASE_TOL, ConvergenceError, PhaseResult, phase_trace, romberg_acceptance
+from becphase.model import quasicycle_period
 
 # Eigenvalues below this are clamped to 0 before the square root. Every
 # eigenvalue at or above it is positive, so this gives concurrence_wootters'
@@ -444,3 +450,38 @@ def even_point_path(path: EigenPath) -> EigenPath:
     values, vectors, block = path.frames
     frames = Frames(np.ascontiguousarray(values[::2]), np.ascontiguousarray(vectors[::2]), block)
     return EigenPath(np.ascontiguousarray(path.times[::2]), frames, np.ascontiguousarray(path.columns[::2]), ())
+
+
+def whole_path_evolve(cfg) -> Table:
+    """cli.run_evolve's table, each column computed over the whole path at once."""
+    times = np.linspace(0.0, quasicycle_period(cfg.params), cfg.n_steps + 1)
+    rhos = cli.density_path(cli.initial_branches(cfg), times, cfg.params)
+    path = eigen_path(times, rhos, degeneracy_tol=cfg.degeneracy_tol)
+    lam = gam = ""
+    i0, i1 = 0, 1
+    if cfg.scenario != "general":
+        scenario = Scenario(cfg.scenario)
+        lam, gam = decay_phase(scenario, cfg.params, times)
+        i0, i1 = BLOCK_INDEX[scenario]
+    eps = np.zeros((times.size, 2))
+    eps[:, : min(2, path.n_branches)] = path.values[:, :2]
+    if isinstance(rhos, BlockEntries):
+        a, d, b, block = rhos
+        mod2 = b.real * b.real + b.imag * b.imag
+        purity = (a * a + mod2) + (mod2 + d * d)
+        offdiag = np.abs(b) if block == (i0, i1) else np.zeros(times.size)
+    else:
+        purity = np.real(np.einsum("mij,mji->m", rhos, rhos))
+        offdiag = np.abs(rhos[:, i0, i1])
+    return Table({
+        "t[time]": times,
+        "lambda_phase[rad]": lam,
+        "gamma_decay[1]": gam,
+        "eps1[1]": eps[:, 0],
+        "eps2[1]": eps[:, 1],
+        "offdiag_abs[1]": offdiag,
+        "running_phase[rad]": phase_trace(path),
+        "concurrence[1]": np.minimum(concurrence_wootters(rhos, frames=path.frames), 1.0),
+        "purity[1]": np.minimum(purity, 1.0),
+        "warnings": "; ".join(path.flags),
+    })

@@ -1068,11 +1068,46 @@ class TestMainEntry:
         assert all(float(row[7]) <= 1.0 for row in rows)
 
     def test_evolve_concurrence_far_above_1_exits_1(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "concurrence_wootters", lambda rho, **kw: np.full(len(rho), 1.0 + 1e-9))
+        monkeypatch.setattr(cli, "concurrence_wootters", lambda rho, frames: np.full(len(frames.values), 1.0 + 1e-9))
         cfg = tmp_path / "c.json"
         cfg.write_text(cfg_text())
         assert main(["evolve", "--config", str(cfg), "--steps", "2"]) == 1
         assert "concurrence must not exceed 1" in capsys.readouterr().err
+
+    def test_a_failed_evolve_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # The grid's last matrix gets the eigenvalues 1 + d and -d: it passes
+        # the positivity check, and its purity is about 2d above 1. So the
+        # purity check fails after every chunk has been computed.
+        density_path = cli.density_path
+        impure = np.zeros((4, 4), dtype=complex)
+        impure[0, 0], impure[1, 1] = 1.0 + 5e-11, -5e-11
+
+        def last_impure(state0, times, p):
+            rhos = density_path(state0, times, p)
+            if times[-1] == cli.quasicycle_period(p):
+                rhos[-1] = impure
+            return rhos
+
+        monkeypatch.setattr(cli, "density_path", last_impure)
+        purity = np.real(np.einsum("mij,mji->m", impure[None], impure[None]))[0]
+        argv = ["evolve", "--config", str(CONFIG_DIR / "general.json"), "--steps", "4096"]
+        out = tmp_path / "o.csv"
+        out.write_bytes(b"an earlier run\n")
+        for dest in ([], ["--output", str(out)]):
+            assert main([*argv, *dest]) == 1
+            assert capsys.readouterr() == ("", f"error: purity must not exceed 1, got {purity!r}\n")
+        assert out.read_bytes() == b"an earlier run\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "tsv"])
+    @pytest.mark.parametrize("verb, config, steps", [("evolve", "general", "4096"), ("phase", "macro_both", "256")])
+    def test_the_output_file_holds_the_stdout_bytes(self, tmp_path, capsys, verb, config, steps, fmt):
+        argv = [verb, "--config", str(CONFIG_DIR / f"{config}.json"), "--steps", steps, "--format", fmt]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "o.txt"
+        assert main([*argv, "--output", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == stdout.encode()
 
 
 class TestSharedParser:
